@@ -47,6 +47,7 @@ from .errors import (
 from .lattice import (
     BoundarySegment,
     CellGeometry,
+    CrossSection,
     CutSpec,
     Generator,
     IntegerPair,
@@ -55,6 +56,7 @@ from .lattice import (
     babai_error_probability,
     babai_nearest_plane,
     cell_geometry,
+    cross_section,
     exact_nearest_point,
     in_voronoi_cell,
     lattice_point,

@@ -17,11 +17,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetTooSmall, DegenerateInterval, InvalidDistribution
-from .lattice import CellGeometry, LatticeParams, cell_geometry
+from .lattice import _SPAN_EPS, CellGeometry, LatticeParams, cell_geometry, cross_section
 from .quadrature import adaptive_simpson
 
 _SUM_TOL = 1e-10
-_SPAN_TOL = 1e-12
+# bins per cut table in rate_12, which bounds its memory at any quantizer size
+_RATE_CHUNK = 1 << 12
 # the 12-scheme rate costs O(n2) to evaluate exactly; the 21-scheme is O(1)
 _MAX_CURVE_SIZE = {"12": 1 << 20, "21": 1 << 62}
 
@@ -75,7 +76,7 @@ def _interval_error_coefficient(geom: CellGeometry, a: float, b: float) -> float
     """
     total = 0.0
     for seg in geom.boundary_segments:
-        if seg.x1_span[0] <= a + _SPAN_TOL and b <= seg.x1_span[1] + _SPAN_TOL:
+        if seg.x1_span[0] <= a + _SPAN_EPS and b <= seg.x1_span[1] + _SPAN_EPS:
             rise = abs(seg.x2_at(b) - seg.x2_at(a))
             total += (b - a) * rise / (2.0 * geom.H)
     return total
@@ -144,51 +145,30 @@ def bin_edges_21(params: LatticeParams, n: int) -> np.ndarray:
     )
 
 
-def _vertical_pieces(geom: CellGeometry, x1: float) -> list[float]:
-    """Widths of the decision pieces of the vertical cross-section at x1.
-
-    Segment spans are treated closed and the cuts clamped into the cell, so
-    the result is continuous in x1 (edge cuts yield zero-width pieces).
-    """
-    h = geom.H / 2.0
-    cuts = []
-    for seg in geom.boundary_segments:
-        if seg.x1_span[0] - _SPAN_TOL <= x1 <= seg.x1_span[1] + _SPAN_TOL:
-            cuts.append(min(h, max(-h, seg.x2_at(x1))))
-    cuts.sort()
-    edges = [-h, *cuts, h]
-    return [b - a for a, b in zip(edges[:-1], edges[1:])]
-
-
-def _horizontal_pieces(geom: CellGeometry, x2: float) -> list[float]:
-    """Widths of the decision pieces of the horizontal cross-section at x2."""
-    cuts = []
-    for seg in geom.boundary_segments:
-        if seg.x2_span[0] - _SPAN_TOL <= x2 <= seg.x2_span[1] + _SPAN_TOL:
-            cuts.append(min(0.5, max(-0.5, seg.x1_at(x2))))
-    cuts.sort()
-    edges = [-0.5, *cuts, 0.5]
-    return [b - a for a, b in zip(edges[:-1], edges[1:])]
-
-
 def _strip_decision_entropy(geom: CellGeometry, x1: float) -> float:
-    """Entropy of S2's ternary answer when the cuts sit at the boundary at x1."""
-    pieces = _vertical_pieces(geom, x1)
-    return _entropy_raw(w / geom.H for w in pieces)
+    """Entropy of S2's ternary answer when the cuts sit at the boundary at x1.
+
+    Spans are closed at the thresholds, where kappa_12's quadrature splits.
+    """
+    table = cross_section(geom, [x1], vertical=True, closed=True)
+    return _entropy_raw(table.probs[0].tolist())
 
 
 def _row_decision_entropy(geom: CellGeometry, x2: float) -> float:
     """Entropy of S1's ternary answer when the cuts sit at the boundary at x2."""
-    pieces = _horizontal_pieces(geom, x2)
-    return _entropy_raw(list(pieces))
+    table = cross_section(geom, [x2], vertical=False, closed=True)
+    return _entropy_raw(table.probs[0].tolist())
 
 
 def rate_12(params: LatticeParams, n1: int, n2: int) -> tuple[float, float]:
     """(H(U1), H(U2|U1)) in bits for the 12 scheme at sizes (n1, n2).
 
     H(U1) is the bin-index entropy; H(U2|U1) averages, over bins, the exact
-    entropy of the ternary answer with cuts at the bin-midpoint heights.
+    entropy of the ternary answer with cuts at the bin-midpoint heights.  It
+    is summed bin by bin in ascending order (the cut-free centre bin adds
+    -0.0), so its value does not depend on how the bins are chunked.
     """
+    edges = bin_edges_12(params, n1, n2)
     g = cell_geometry(params)
     lengths = (g.L0, g.L1, g.L1, g.L2, g.L2)
     h_u1 = (
@@ -196,13 +176,12 @@ def rate_12(params: LatticeParams, n1: int, n2: int) -> tuple[float, float]:
         + 2.0 * g.L1 * math.log2(n1)
         + 2.0 * g.L2 * math.log2(n2)
     )
-    edges = bin_edges_12(params, n1, n2)
     h_u2 = 0.0
-    for a, b in zip(edges[:-1].tolist(), edges[1:].tolist()):
-        mid = 0.5 * (a + b)
-        if g.t_m1 < mid <= g.t_1:
-            continue  # centre bin is cut-free
-        h_u2 += (b - a) * _strip_decision_entropy(g, mid)
+    for lo in range(0, len(edges) - 1, _RATE_CHUNK):
+        chunk = edges[lo : lo + _RATE_CHUNK + 1]
+        table = cross_section(g, 0.5 * (chunk[:-1] + chunk[1:]), vertical=True)
+        for width, probs in zip(np.diff(chunk).tolist(), table.probs.tolist()):
+            h_u2 += width * _entropy_raw(probs)
     return h_u1, h_u2
 
 
@@ -310,14 +289,14 @@ def beta_21(params: LatticeParams) -> float:
 
 
 def _beta_21_from_spans(params: LatticeParams) -> float:
-    """beta from the boundary-segment runs across the top band (oracle route)."""
+    """beta from the boundary-segment runs across the top band (oracle route).
+
+    Each top segment runs from a side of the cell at tau_1 to the top edge,
+    so its run is the width of the region it cuts off the top row x2 = H/2.
+    """
     g = cell_geometry(params)
-    total = 0.0
-    for seg in g.boundary_segments:
-        if seg.x2_span[0] <= g.tau_1 + _SPAN_TOL and g.H / 2.0 <= seg.x2_span[1] + _SPAN_TOL:
-            run = abs(seg.x1_at(g.H / 2.0) - seg.x1_at(g.tau_1))
-            total += g.H1 * run / (2.0 * g.H)
-    return total
+    probs = cross_section(g, [g.H / 2.0], vertical=False).probs[0]
+    return g.H1 * (probs[0] + probs[2]) / (2.0 * g.H)
 
 
 def pe_21(params: LatticeParams, n: int) -> float:

@@ -136,8 +136,7 @@ def cmd_analyze(args) -> str:
     if scheme == "babai":
         doc["pe_babai"] = babai_error_probability(params)
     elif scheme == "12":
-        n1 = args.n1 or 1
-        n2 = args.n2 or 1
+        n1, n2 = args.n1, args.n2
         geo = analytics.coefficients_12(params)
         printed = analytics.coefficients_12(params, provenance="printed")
         h1, h2 = analytics.rate_12(params, n1, n2)
@@ -161,7 +160,7 @@ def cmd_analyze(args) -> str:
             }
         )
     elif scheme == "21":
-        n = args.n or 1
+        n = args.n
         doc.update(
             {
                 "n": n,
@@ -199,6 +198,8 @@ def cmd_tradeoff(args) -> str:
     scheme = args.scheme
     if scheme not in ("12", "21"):
         raise InvalidParams("tradeoff supports schemes 12 and 21")
+    if args.max_size < 1:
+        raise InvalidParams("--max-size must be >= 1")
     g = cell_geometry(params)
     if scheme == "12":
         exponent = g.L / (2.0 * (g.L1 + g.L2))
@@ -264,10 +265,10 @@ def cmd_trace(args) -> str:
     params = resolve_params(args.rho, args.theta_deg, args.theta_rad, args.rcos)
     x = Point2(args.x1, args.x2)
     if args.scheme == "12":
-        q = protocols.quantizer_12(params, args.n1 or 1, args.n2 or 1)
+        q = protocols.quantizer_12(params, args.n1, args.n2)
         t = protocols.run_single_round_12(x, params, q)
     elif args.scheme == "21":
-        q = protocols.quantizer_21(params, args.n or 1)
+        q = protocols.quantizer_21(params, args.n)
         t = protocols.run_single_round_21(x, params, q)
     elif args.scheme == "inf":
         t = protocols.run_infinite_rounds(x, params, args.max_rounds)
@@ -279,6 +280,8 @@ def cmd_trace(args) -> str:
 def cmd_sweep(args) -> str:
     if args.grid < 1:
         raise InvalidParams("grid must have at least one point")
+    if args.max_rounds < 1:
+        raise InvalidParams("max_rounds must be >= 1")
     rho = args.rho
     theta_lo = math.acos(min(1.0, 1.0 / (2.0 * rho)))
     theta_hi = math.pi / 2.0
@@ -413,9 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="closed-form error/rate figures for a scheme")
     _add_param_flags(p)
     p.add_argument("--scheme", choices=("12", "21", "inf", "babai"), required=True)
-    p.add_argument("--n1", type=int, default=None)
-    p.add_argument("--n2", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n1", type=int, default=1)
+    p.add_argument("--n2", type=int, default=1)
+    p.add_argument("--n", type=int, default=1)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("tradeoff", help="CSV rate/error curve for a scheme")
@@ -441,9 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=("12", "21", "inf"), required=True)
     p.add_argument("--x1", type=float, required=True)
     p.add_argument("--x2", type=float, required=True)
-    p.add_argument("--n1", type=int, default=None)
-    p.add_argument("--n2", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n1", type=int, default=1)
+    p.add_argument("--n2", type=int, default=1)
+    p.add_argument("--n", type=int, default=1)
     p.add_argument("--max-rounds", type=int, default=protocols.DEFAULT_MAX_ROUNDS)
     p.set_defaults(func=cmd_trace)
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import InvalidParams, OutOfCell
 
 _SPAN_EPS = 1e-12
@@ -283,46 +285,86 @@ def cell_geometry(params: LatticeParams) -> CellGeometry:
     )
 
 
-def _cuts_along_vertical(geom: CellGeometry, x1: float) -> list[float]:
-    """Heights where boundary segments cross the vertical line at x1.
+class CrossSection(NamedTuple):
+    """Decision cuts of B(0) along k strips (vertical lines) or k rows.
 
-    Segment spans are treated closed here (with an ulp-level slack, since
-    span endpoints come from line algebra); cuts landing on the cell's top
-    or bottom edge are dropped, which realises the half-open interval rules
-    exactly (e.g. x1 = t_1 belongs to the cut-free central strip).
+    lo[i] and hi[i] are the cuts below and above the (0,0) region of the i-th
+    line, -inf / +inf where absent.  labels[i] (shape (3, 2)) holds the
+    lattice points of the regions below lo, between the cuts and above hi,
+    and probs[i] their lengths as fractions of the line's length inside the
+    cell; an absent cut leaves an empty region with a (0, 0) filler label.
     """
-    cuts = []
+
+    lo: np.ndarray
+    hi: np.ndarray
+    labels: np.ndarray
+    probs: np.ndarray
+
+
+def cross_section(
+    geom: CellGeometry, coords, vertical: bool, closed: bool = False
+) -> CrossSection:
+    """Cut table of the strips at x1 = coords (vertical) or the rows at x2 = coords.
+
+    The boundary segment of neighbour r lies in the corner of B(0) that V@r
+    points to.  It crosses the strips beyond its x1 threshold on that side
+    (t_1, t_2, t_m2, t_m1 for r = (0,1), (1,-1), (-1,1), (0,-1)) and the rows
+    beyond its x2 threshold (tau_1 for the top pair, tau_m1 for the bottom
+    pair); the region beyond its cut, in the direction V@r points, is r.
+    Each span is open at its threshold, where the cut meets the line's end,
+    and closed at +/-1/2 and +/-H/2, so on the five x1 intervals and the
+    three x2 bands the cuts are affine and the labels constant.
+
+    closed=True closes the spans at their thresholds too, keeping there the
+    cut as the line algebra gives it (on the line's end up to rounding):
+    the kappa integrands use it, so the quadrature sees on each closed
+    interval the continuous extension of that interval's pieces.
+    """
+    thresholds = {
+        IntegerPair(0, 1): (geom.t_1, geom.tau_1),
+        IntegerPair(1, -1): (geom.t_2, geom.tau_m1),
+        IntegerPair(-1, 1): (geom.t_m2, geom.tau_1),
+        IntegerPair(0, -1): (geom.t_m1, geom.tau_m1),
+    }
+    x = np.asarray(coords, dtype=np.float64)
+    lo = np.full(x.shape, -np.inf)
+    hi = np.full(x.shape, np.inf)
+    labels = np.zeros(x.shape + (3, 2))
     for seg in geom.boundary_segments:
-        if seg.x1_span[0] - _SPAN_EPS <= x1 <= seg.x1_span[1] + _SPAN_EPS:
-            y = seg.x2_at(x1)
-            if -geom.H / 2.0 < y < geom.H / 2.0:
-                cuts.append(y)
-    cuts.sort()
-    return cuts
+        t_strip, t_row = thresholds[seg.neighbor]
+        if vertical:
+            side, beyond, threshold, cut = seg.normal[0], seg.normal[1], t_strip, seg.x2_at(x)
+        else:
+            side, beyond, threshold, cut = seg.normal[1], seg.normal[0], t_row, seg.x1_at(x)
+        if side > 0.0:
+            crosses = x >= threshold if closed else x > threshold
+        else:
+            crosses = x <= threshold if closed else x < threshold
+        if beyond > 0.0:
+            hi[crosses] = cut[crosses]
+            labels[crosses, 2] = seg.neighbor
+        else:
+            lo[crosses] = cut[crosses]
+            labels[crosses, 0] = seg.neighbor
+    span = geom.H if vertical else 1.0
+    half = span / 2.0
+    lo_in = np.maximum(lo, -half)
+    hi_in = np.minimum(hi, half)
+    probs = np.stack([lo_in + half, hi_in - lo_in, half - hi_in], axis=-1) / span
+    return CrossSection(lo=lo, hi=hi, labels=labels, probs=probs)
 
 
-def _cuts_along_horizontal(geom: CellGeometry, x2: float) -> list[float]:
-    """Abscissae where boundary segments cross the horizontal line at x2."""
-    cuts = []
-    for seg in geom.boundary_segments:
-        if seg.x2_span[0] - _SPAN_EPS <= x2 <= seg.x2_span[1] + _SPAN_EPS:
-            x = seg.x1_at(x2)
-            if -0.5 < x < 0.5:
-                cuts.append(x)
-    cuts.sort()
-    return cuts
-
-
-def _labelled(
-    params: LatticeParams, cuts: list[float], lo: float, hi: float, vertical: bool, coord: float
-) -> CutSpec:
-    gen = make_generator(params)
-    edges = [lo, *cuts, hi]
-    labels = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (a + b)
-        pt = Point2(coord, mid) if vertical else Point2(mid, coord)
-        labels.append(exact_nearest_point(pt, gen))
+def _cut_spec(table: CrossSection) -> CutSpec:
+    """The first line of a cut table as ascending cuts and region labels."""
+    lo, hi = float(table.lo[0]), float(table.hi[0])
+    below, centre, above = (IntegerPair(int(a), int(b)) for a, b in table.labels[0].tolist())
+    cuts, labels = [], [centre]
+    if lo > -math.inf:
+        cuts.append(lo)
+        labels.insert(0, below)
+    if hi < math.inf:
+        cuts.append(hi)
+        labels.append(above)
     return CutSpec(cuts=tuple(cuts), labels=tuple(labels))
 
 
@@ -336,8 +378,7 @@ def strip_cuts(params: LatticeParams, x1: float) -> CutSpec:
     geom = cell_geometry(params)
     if not -0.5 < x1 <= 0.5:
         raise OutOfCell(f"x1 = {x1} outside (-1/2, 1/2]")
-    cuts = _cuts_along_vertical(geom, x1)
-    return _labelled(params, cuts, -geom.H / 2.0, geom.H / 2.0, True, x1)
+    return _cut_spec(cross_section(geom, [x1], vertical=True))
 
 
 def row_cuts(params: LatticeParams, x2: float) -> CutSpec:
@@ -349,8 +390,7 @@ def row_cuts(params: LatticeParams, x2: float) -> CutSpec:
     geom = cell_geometry(params)
     if not -geom.H / 2.0 < x2 <= geom.H / 2.0:
         raise OutOfCell(f"x2 = {x2} outside (-H/2, H/2]")
-    cuts = _cuts_along_horizontal(geom, x2)
-    return _labelled(params, cuts, -0.5, 0.5, False, x2)
+    return _cut_spec(cross_section(geom, [x2], vertical=False))
 
 
 def _clip_polygon_halfplane(

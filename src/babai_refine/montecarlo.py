@@ -21,8 +21,7 @@ from .lattice import (
     Point2,
     babai_error_probability,
     cell_geometry,
-    row_cuts,
-    strip_cuts,
+    cross_section,
 )
 from .protocols import DEFAULT_MAX_ROUNDS
 
@@ -125,37 +124,24 @@ def exact_nearest_batch(
     return best_u1, best_u2
 
 
-def _strip_cut_tables(params: LatticeParams, edges: np.ndarray, vertical: bool):
-    """Per-bin cut positions, region probabilities and labels for a quantizer.
+def _single_round_batch(
+    params: LatticeParams,
+    edges: np.ndarray,
+    first: np.ndarray,
+    second: np.ndarray,
+    vertical: bool,
+) -> tuple[np.ndarray, ...]:
+    """Shared body of the single-round kernels.
 
-    Returns (locut, upcut, probs[nbins,3], labels[nbins,3,2]); missing cuts
-    are +/-inf with zero-probability outer regions and (0,0) filler labels.
+    The first speaker sends the bin of `first`; the answer is the side of
+    the cuts at that bin's midpoint `second` falls on.  Returns per trial the
+    bin index, the answer symbol, its ideal bits and the decision (dec1, dec2).
     """
-    g = cell_geometry(params)
-    span = g.H if vertical else 1.0
-    lo_edge = -span / 2.0
-    nbins = len(edges) - 1
-    locut = np.full(nbins, -np.inf)
-    upcut = np.full(nbins, np.inf)
-    probs = np.zeros((nbins, 3))
-    labels = np.zeros((nbins, 3, 2))
-    for i in range(nbins):
-        mid = 0.5 * (edges[i] + edges[i + 1])
-        spec = strip_cuts(params, mid) if vertical else row_cuts(params, mid)
-        center = spec.labels.index((0, 0))
-        cuts = spec.cuts
-        piece_edges = [lo_edge, *cuts, span / 2.0]
-        for r, lab in enumerate(spec.labels):
-            probs[i, r - center + 1] = (piece_edges[r + 1] - piece_edges[r]) / span
-            labels[i, r - center + 1] = lab
-        if len(cuts) == 2:
-            locut[i], upcut[i] = cuts
-        elif len(cuts) == 1:
-            if center == 1:  # single cut below the (0,0) region
-                locut[i] = cuts[0]
-            else:  # single cut above it
-                upcut[i] = cuts[0]
-    return locut, upcut, probs, labels
+    table = cross_section(cell_geometry(params), 0.5 * (edges[:-1] + edges[1:]), vertical)
+    pos = np.clip(np.searchsorted(edges, first, side="left") - 1, 0, len(edges) - 2)
+    sym = np.where(second > table.hi[pos], 1, np.where(second <= table.lo[pos], -1, 0))
+    dec = table.labels[pos, sym + 1]
+    return pos, sym, -np.log2(table.probs[pos, sym + 1]), dec[:, 0], dec[:, 1]
 
 
 def run_batch_12(
@@ -166,21 +152,14 @@ def run_batch_12(
     Returns u1_symbol, u2_symbol, u1_bits, u2_bits, dec1, dec2 per trial.
     """
     edges = analytics.bin_edges_12(params, n1, n2)
-    locut, upcut, probs, labels = _strip_cut_tables(params, edges, vertical=True)
-    pos = np.clip(np.searchsorted(edges, x1, side="left") - 1, 0, len(edges) - 2)
-    widths = np.diff(edges)
-    u1_bits = -np.log2(widths[pos])
-    u2_sym = np.where(x2 > upcut[pos], 1, np.where(x2 <= locut[pos], -1, 0))
-    rows = np.arange(len(pos))
-    u2_bits = -np.log2(probs[pos, u2_sym + 1])
-    dec = labels[pos, u2_sym + 1]
+    pos, u2_sym, u2_bits, dec1, dec2 = _single_round_batch(params, edges, x1, x2, vertical=True)
     return {
         "u1_symbol": pos - (n1 + n2),
         "u2_symbol": u2_sym,
-        "u1_bits": u1_bits,
+        "u1_bits": -np.log2(np.diff(edges)[pos]),
         "u2_bits": u2_bits,
-        "dec1": dec[rows, 0],
-        "dec2": dec[rows, 1],
+        "dec1": dec1,
+        "dec2": dec2,
     }
 
 
@@ -190,21 +169,14 @@ def run_batch_21(
     """Vectorized 21-order single round (S2 quantizes, S1 answers)."""
     g = cell_geometry(params)
     edges = analytics.bin_edges_21(params, n)
-    lcut, rcut, probs, labels = _strip_cut_tables(params, edges, vertical=False)
-    pos = np.clip(np.searchsorted(edges, x2, side="left") - 1, 0, len(edges) - 2)
-    widths = np.diff(edges)
-    u2_bits = -np.log2(widths[pos] / g.H)
-    u1_sym = np.where(x1 > rcut[pos], 1, np.where(x1 <= lcut[pos], -1, 0))
-    rows = np.arange(len(pos))
-    u1_bits = -np.log2(probs[pos, u1_sym + 1])
-    dec = labels[pos, u1_sym + 1]
+    pos, u1_sym, u1_bits, dec1, dec2 = _single_round_batch(params, edges, x2, x1, vertical=False)
     return {
         "u2_symbol": pos - n,
         "u1_symbol": u1_sym,
-        "u2_bits": u2_bits,
+        "u2_bits": -np.log2(np.diff(edges)[pos] / g.H),
         "u1_bits": u1_bits,
-        "dec1": dec[rows, 0],
-        "dec2": dec[rows, 1],
+        "dec1": dec1,
+        "dec2": dec2,
     }
 
 
@@ -220,6 +192,8 @@ def run_batch_infinite(
     entered-error-rectangle indicator and the number of bisection rounds
     (for the geometric halting-law checks).
     """
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
     g = cell_geometry(params)
     q_dist, p_dist = analytics.round1_distributions(params)
     q = np.array(q_dist.probs)
@@ -315,6 +289,8 @@ class SimConfig:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.max_rounds < 1:
+            raise ValueError("max_rounds must be >= 1")
         if self.scheme == "12" and (self.n1 is None or self.n2 is None):
             raise ValueError("scheme '12' requires n1 and n2")
         if self.scheme == "21" and self.n is None:

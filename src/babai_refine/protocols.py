@@ -17,14 +17,14 @@ from dataclasses import dataclass
 from . import analytics
 from .errors import OutOfCell
 from .lattice import (
+    CrossSection,
     IntegerPair,
     LatticeParams,
     Point2,
     cell_geometry,
+    cross_section,
     lattice_point,
     make_generator,
-    row_cuts,
-    strip_cuts,
 )
 
 S1 = "S1"
@@ -99,14 +99,47 @@ def _bin_position(edges: tuple[float, ...], value: float) -> int:
     return min(max(pos, 0), len(edges) - 2)
 
 
-def _region_index(cuts: tuple[float, ...], value: float) -> int:
-    return sum(value > c for c in cuts)
+def _bin_cuts(
+    params: LatticeParams, edges: tuple[float, ...], pos: int, vertical: bool
+) -> CrossSection:
+    """Cut table of the line through the midpoint of bin `pos`."""
+    mid = 0.5 * (edges[pos] + edges[pos + 1])
+    return cross_section(cell_geometry(params), [mid], vertical)
 
 
-def _region_probabilities(cuts: tuple[float, ...], lo: float, hi: float) -> list[float]:
-    edges = [lo, *cuts, hi]
-    span = hi - lo
-    return [(b - a) / span for a, b in zip(edges[:-1], edges[1:])]
+def _decision(table: CrossSection, symbol: int) -> IntegerPair:
+    u1, u2 = table.labels[0, symbol + 1].tolist()
+    return IntegerPair(int(u1), int(u2))
+
+
+def _single_round(
+    params: LatticeParams,
+    edges: tuple[float, ...],
+    center: int,
+    first: float,
+    second: float,
+    span: float,
+    vertical: bool,
+    senders: tuple[str, str],
+) -> Transcript:
+    """Shared body of the single-round schemes.
+
+    senders[0] sends the bin of `first` (bits against a bin length of
+    `span`); senders[1] answers -1 below the lower cut at the bin midpoint,
+    +1 above the upper cut and 0 in the (0,0) region for `second`.
+    """
+    pos = _bin_position(edges, first)
+    bits1 = -math.log2((edges[pos + 1] - edges[pos]) / span)
+    table = _bin_cuts(params, edges, pos, vertical)
+    symbol = 1 if second > table.hi[0] else (-1 if second <= table.lo[0] else 0)
+    bits2 = -math.log2(table.probs[0, symbol + 1])
+    return Transcript(
+        messages=(Message(senders[0], pos - center, bits1), Message(senders[1], symbol, bits2)),
+        rounds=1,
+        total_bits=bits1 + bits2,
+        decision=_decision(table, symbol),
+        halted=True,
+    )
 
 
 def run_single_round_12(x: Point2, params: LatticeParams, q: Quantizer12) -> Transcript:
@@ -117,53 +150,15 @@ def run_single_round_12(x: Point2, params: LatticeParams, q: Quantizer12) -> Tra
     known to both parties from the two symbols alone.
     """
     _require_in_cell(x, params)
-    geom = cell_geometry(params)
-    pos = _bin_position(q.edges, x[0])
-    width = q.edges[pos + 1] - q.edges[pos]
-    bits1 = -math.log2(width / geom.L)
-    mid = 0.5 * (q.edges[pos] + q.edges[pos + 1])
-    spec = strip_cuts(params, mid)
-    region = _region_index(spec.cuts, x[1])
-    center = spec.labels.index(IntegerPair(0, 0))
-    probs = _region_probabilities(spec.cuts, -geom.H / 2.0, geom.H / 2.0)
-    bits2 = -math.log2(probs[region])
-    messages = (
-        Message(S1, pos - q.center, bits1),
-        Message(S2, region - center, bits2),
-    )
-    return Transcript(
-        messages=messages,
-        rounds=1,
-        total_bits=bits1 + bits2,
-        decision=spec.labels[region],
-        halted=True,
-    )
+    span = cell_geometry(params).L
+    return _single_round(params, q.edges, q.center, x[0], x[1], span, True, (S1, S2))
 
 
 def run_single_round_21(x: Point2, params: LatticeParams, q: Quantizer21) -> Transcript:
     """One round, S2 first: bin index of x2, then S1's ternary decision."""
     _require_in_cell(x, params)
-    geom = cell_geometry(params)
-    pos = _bin_position(q.edges, x[1])
-    height = q.edges[pos + 1] - q.edges[pos]
-    bits1 = -math.log2(height / geom.H)
-    mid = 0.5 * (q.edges[pos] + q.edges[pos + 1])
-    spec = row_cuts(params, mid)
-    region = _region_index(spec.cuts, x[0])
-    center = spec.labels.index(IntegerPair(0, 0))
-    probs = _region_probabilities(spec.cuts, -0.5, 0.5)
-    bits2 = -math.log2(probs[region])
-    messages = (
-        Message(S2, pos - q.center, bits1),
-        Message(S1, region - center, bits2),
-    )
-    return Transcript(
-        messages=messages,
-        rounds=1,
-        total_bits=bits1 + bits2,
-        decision=spec.labels[region],
-        halted=True,
-    )
+    span = cell_geometry(params).H
+    return _single_round(params, q.edges, q.center, x[1], x[0], span, False, (S2, S1))
 
 
 @dataclass(frozen=True)
@@ -316,20 +311,11 @@ def replay_decision(
     Demonstrates that both parties reach the same decision from what was
     communicated.  Raises on transcripts that never halted.
     """
-    if scheme == "12":
-        assert isinstance(quantizer, Quantizer12)
+    if scheme in ("12", "21"):
+        assert isinstance(quantizer, Quantizer12 if scheme == "12" else Quantizer21)
         pos = messages[0].symbol + quantizer.center
-        mid = 0.5 * (quantizer.edges[pos] + quantizer.edges[pos + 1])
-        spec = strip_cuts(params, mid)
-        center = spec.labels.index(IntegerPair(0, 0))
-        return spec.labels[center + messages[1].symbol]
-    if scheme == "21":
-        assert isinstance(quantizer, Quantizer21)
-        pos = messages[0].symbol + quantizer.center
-        mid = 0.5 * (quantizer.edges[pos] + quantizer.edges[pos + 1])
-        spec = row_cuts(params, mid)
-        center = spec.labels.index(IntegerPair(0, 0))
-        return spec.labels[center + messages[1].symbol]
+        table = _bin_cuts(params, quantizer.edges, pos, vertical=scheme == "12")
+        return _decision(table, messages[1].symbol)
     if scheme == "infinite":
         u2 = messages[0].symbol
         if u2 == 0:

@@ -180,6 +180,27 @@ def test_sweep_empty_grid_exit_2(capsys):
     assert rc == 2 and "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--scheme", "12", "--n1", "0"],
+        ["analyze", "--scheme", "12", "--n2", "0"],
+        ["analyze", "--scheme", "21", "--n", "0"],
+        ["trace", "--scheme", "12", "--x1", "0.1", "--x2", "0", "--n1", "0"],
+        ["trace", "--scheme", "12", "--x1", "0.1", "--x2", "0", "--n2", "0"],
+        ["trace", "--scheme", "21", "--x1", "0.1", "--x2", "0", "--n", "0"],
+        ["tradeoff", "--scheme", "12", "--max-size", "0"],
+        ["tradeoff", "--scheme", "21", "--max-size", "0"],
+        ["simulate", "--scheme", "inf", "--trials", "1000", "--max-rounds", "0"],
+        ["sweep", "--grid", "1", "--trials", "1000", "--max-rounds", "0"],
+    ],
+)
+def test_zero_sizes_and_rounds_exit_2(argv, capsys):
+    """Zero sizes and round limits are rejected, never coerced to 1."""
+    rc, out, err = run_cli(argv + ["--rcos", "0.3"], capsys)
+    assert rc == 2 and out == "" and "error" in err
+
+
 def test_quadrature_failure_exit_3(capsys, monkeypatch):
     from babai_refine import QuadratureFailure
     from babai_refine import cli as cli_mod

@@ -1,0 +1,116 @@
+"""Properties of the closed-form cut table against the brute-force oracle.
+
+For random valid lattices and the two near-degenerate endpoint lattices,
+the strip and row cuts must label every region by its exact nearest
+lattice point, never repeat a label across a cut, follow the half-open rules
+at the exact thresholds t_m2, t_m1, t_1, t_2 and tau_m1, tau_1, and mirror
+exactly under x -> -x.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from babai_refine import (
+    LatticeParams,
+    Point2,
+    cell_geometry,
+    cross_section,
+    exact_nearest_point,
+    make_generator,
+    row_cuts,
+    strip_cuts,
+)
+
+from conftest import EPS
+
+# the params_hex and params_square fixtures
+HEX = LatticeParams(rho=1.0, theta=math.pi / 3 + EPS)
+SQUARE = LatticeParams(rho=1.0, theta=math.pi / 2 - EPS)
+
+PIECE_MIN = 1e-9
+
+
+@st.composite
+def lattices(draw):
+    rho = draw(st.floats(1.0, 2.5))
+    rcos = draw(st.floats(1e-6, 0.5 - 1e-6))
+    return LatticeParams(rho=rho, theta=math.acos(rcos / rho))
+
+
+PARAMS = st.one_of(st.sampled_from([HEX, SQUARE]), lattices())
+# fraction of the way across the half-open cross-section, excluding its open end
+UNIT = st.floats(0.0, 1.0, exclude_max=True)
+PROPERTY = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+
+
+def _thresholds(params):
+    g = cell_geometry(params)
+    return (g.t_m2, g.t_m1, g.t_1, g.t_2), (g.tau_m1, g.tau_1)
+
+
+def _check_against_oracle(params, spec, coord, vertical):
+    half = params.rsin / 2.0 if vertical else 0.5
+    edges = [-half, *spec.cuts, half]
+    assert len(spec.labels) == len(edges) - 1
+    gen = make_generator(params)
+    for label, a, b in zip(spec.labels, edges[:-1], edges[1:]):
+        if b - a > PIECE_MIN:
+            mid = 0.5 * (a + b)
+            probe = Point2(coord, mid) if vertical else Point2(mid, coord)
+            assert label == exact_nearest_point(probe, gen), (coord, spec)
+    for below, above in zip(spec.labels[:-1], spec.labels[1:]):
+        assert below != above, (coord, spec)
+
+
+def _check_mirror(a, b):
+    assert b.cuts == tuple(-c for c in reversed(a.cuts))
+    assert b.labels == tuple(-label for label in reversed(a.labels))
+
+
+@PROPERTY
+@given(params=PARAMS, u=UNIT)
+def test_strip_cuts_match_oracle_and_mirror(params, u):
+    x1 = 0.5 - u
+    thresholds, _ = _thresholds(params)
+    for x in (x1, *thresholds):
+        spec = strip_cuts(params, x)
+        _check_against_oracle(params, spec, x, vertical=True)
+        if x < 0.5:
+            _check_mirror(spec, strip_cuts(params, -x))
+
+
+@PROPERTY
+@given(params=PARAMS, u=UNIT)
+def test_row_cuts_match_oracle_and_mirror(params, u):
+    h = params.rsin / 2.0
+    x2 = h - u * params.rsin
+    _, thresholds = _thresholds(params)
+    for x in (x2, *thresholds):
+        spec = row_cuts(params, x)
+        _check_against_oracle(params, spec, x, vertical=False)
+        if x < h:
+            _check_mirror(spec, row_cuts(params, -x))
+
+
+@PROPERTY
+@given(params=PARAMS)
+def test_cut_counts_at_exact_thresholds(params):
+    strip_t, row_t = _thresholds(params)
+    assert [len(strip_cuts(params, t).cuts) for t in strip_t] == [1, 0, 0, 1]
+    assert [len(row_cuts(params, t).cuts) for t in row_t] == [0, 0]
+
+
+@PROPERTY
+@given(params=PARAMS, us=st.lists(UNIT, min_size=1, max_size=20))
+def test_table_rows_are_the_scalar_cuts(params, us):
+    """One table over many strips gives each strip's own cuts and labels."""
+    xs = [0.5 - u for u in us]
+    table = cross_section(cell_geometry(params), xs, vertical=True)
+    for i, x in enumerate(xs):
+        spec = strip_cuts(params, x)
+        present = [c for c in (table.lo[i], table.hi[i]) if np.isfinite(c)]
+        assert tuple(present) == spec.cuts
+        assert math.isclose(sum(table.probs[i]), 1.0, rel_tol=1e-12)

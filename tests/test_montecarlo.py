@@ -192,5 +192,9 @@ def test_simconfig_validation(params_main):
         SimConfig(params=params_main, scheme="nope", trials=10, seed=0)
     with pytest.raises(ValueError):
         SimConfig(params=params_main, scheme="infinite", trials=0, seed=0)
+    with pytest.raises(ValueError, match="max_rounds must be >= 1"):
+        SimConfig(params=params_main, scheme="infinite", trials=10, seed=0, max_rounds=0)
+    with pytest.raises(ValueError, match="max_rounds must be >= 1"):
+        run_batch_infinite(params_main, np.zeros(3), np.zeros(3), max_rounds=0)
     with pytest.raises(ValueError):
         sample_uniform_babai_cell(params_main, -1, seed=0)
