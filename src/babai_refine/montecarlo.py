@@ -92,35 +92,57 @@ def babai_batch(params: LatticeParams, x1: np.ndarray, x2: np.ndarray) -> tuple[
     return u1, u2
 
 
-_WINDOW_OFFSETS = np.array(
-    [(du1, du2) for du2 in range(-2, 3) for du1 in range(-2, 3)], dtype=np.float64
-)
+# Babai plus the six relevant vectors +-v1, +-v2, +-(v2 - v1), as du1 offsets
+# per du2 row, in the 5x5 window's ascending (du2, du1) scan order.
+_RELEVANT_ROWS = ((-1, (0, 1)), (0, (-1, 0, 1)), (1, (-1, 0)))
 
 
 def exact_nearest_batch(
     params: LatticeParams, x1: np.ndarray, x2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized brute-force nearest point over the 5x5 window around Babai.
+    """Vectorized nearest point: Babai plus the six relevant vectors.
 
-    Candidates are scanned in ascending (u2, u1) order with strict-improvement
-    updates, so exact distance ties resolve to the lexicographically smallest
-    coordinates, matching the scalar oracle.
+    For a reduced basis (0 < rho*cos(theta) < 1/2) the Voronoi cell's faces
+    lie on the bisectors of the six relevant vectors +-v1, +-v2, +-(v2 - v1),
+    and the Babai cell (-1/2, 1/2] x (-H/2, H/2] is covered by the Voronoi
+    cells of 0 and those six neighbours (Agrell, Eriksson, Vardy & Zeger,
+    "Closest point search in lattices", IEEE Trans. IT 2002; SPLAG ch. 20).
+    So the nearest point differs from the Babai point by at most one
+    relevant vector, and these 7 of the 25 candidates of a 5x5 window
+    decide.  They are visited in the window's ascending (u2, u1) order with
+    strict-improvement updates, and each distance is the same float
+    expression, so exact ties still resolve to the lexicographically
+    smallest coordinates, as in the scalar oracle, and the result equals
+    the full window scan bit for bit.
     """
     c, s = params.rcos, params.rsin
     b1, b2 = babai_batch(params, x1, x2)
     best_d2 = np.full(x1.shape, np.inf)
     best_u1 = np.zeros_like(x1)
     best_u2 = np.zeros_like(x1)
-    for du1, du2 in _WINDOW_OFFSETS:
-        cu1 = b1 + du1
-        cu2 = b2 + du2
-        dx = x1 - (cu1 + c * cu2)
-        dy = x2 - s * cu2
-        d2 = dx * dx + dy * dy
-        better = d2 < best_d2
-        best_d2[better] = d2[better]
-        best_u1[better] = cu1[better]
-        best_u2[better] = cu2[better]
+    cu1 = np.empty_like(best_d2)
+    cu2 = np.empty_like(best_d2)
+    c_cu2 = np.empty_like(best_d2)
+    dy2 = np.empty_like(best_d2)
+    d2 = np.empty_like(best_d2)
+    better = np.empty(x1.shape, dtype=bool)
+    for du2, du1s in _RELEVANT_ROWS:
+        np.add(b2, du2, out=cu2)
+        np.multiply(c, cu2, out=c_cu2)
+        np.multiply(s, cu2, out=dy2)
+        np.subtract(x2, dy2, out=dy2)
+        np.multiply(dy2, dy2, out=dy2)
+        for du1 in du1s:
+            # d2 = dx*dx + dy*dy with dx = x1 - (cu1 + c*cu2), dy = x2 - s*cu2
+            np.add(b1, du1, out=cu1)
+            np.add(cu1, c_cu2, out=d2)
+            np.subtract(x1, d2, out=d2)
+            np.multiply(d2, d2, out=d2)
+            np.add(d2, dy2, out=d2)
+            np.less(d2, best_d2, out=better)
+            np.copyto(best_d2, d2, where=better)
+            np.copyto(best_u1, cu1, where=better)
+            np.copyto(best_u2, cu2, where=better)
     return best_u1, best_u2
 
 
@@ -201,63 +223,71 @@ def run_batch_infinite(
     n = len(x1)
     u2 = np.where(x2 > g.tau_1, 1, np.where(x2 <= g.tau_m1, -1, 0))
     bits = -np.log2(q[u2 + 1])
-    rounds = np.ones(n, dtype=np.int64)
+
+    # round 1 for the active trials (u2 != 0), mirrored so u2 = -1 reads as +1
+    act = np.flatnonzero(u2)
+    flip = u2[act] == -1
+    mirror = act[flip]
+    ax1 = x1[act]
+    ax2 = x2[act]
+    np.negative(ax1, out=ax1, where=flip)
+    np.negative(ax2, out=ax2, where=flip)
+    u1m = np.where(ax1 > g.t_1, 1, np.where(ax1 <= g.t_m2, -1, 0))
+    bits[act] -= np.log2(p[u1m + 1])
+
+    # the entered trials (u1m != 0) and their coordinates in the error rectangle
+    sub = np.flatnonzero(u1m)
+    entered_idx = act[sub]
+    ex1 = ax1[sub]
+    ex2 = ax2[sub]
+    right = u1m[sub] == 1
+    left = ~right
+    y1 = np.empty(len(sub))
+    y1[right] = (ex1[right] - g.t_1) / (0.5 - g.t_1)
+    y1[left] = 1.0 - (ex1[left] + 0.5) / (g.t_m2 + 0.5)
+    y2 = (ex2 - g.tau_1) / g.H1
+
+    # bisection on the live trials, one binary-expansion bit per node per round
+    extra_rounds = np.zeros(n, dtype=np.int64)
+    far = np.zeros(len(sub), dtype=bool)
+    live = np.arange(len(sub))
+    lbits = bits[entered_idx]
+    for k in range(1, max_rounds):
+        if live.size == 0:
+            break
+        bit1 = y1 > 0.5
+        bit2 = y2 > 0.5
+        lbits += 2.0
+        y1 = 2.0 * y1 - bit1
+        y2 = 2.0 * y2 - bit2
+        stop = bit1 == bit2
+        done = live[stop]
+        extra_rounds[entered_idx[done]] = k
+        bits[entered_idx[done]] = lbits[stop]
+        far[done] = bit1[stop]
+        go = ~stop
+        live, lbits, y1, y2 = live[go], lbits[go], y1[go], y2[go]
+    halted = np.ones(n, dtype=bool)
+    if live.size:
+        # unhalted trials: exact side test against the rectangle's bisector
+        unhalted = entered_idx[live]
+        extra_rounds[unhalted] = max_rounds - 1
+        bits[unhalted] = lbits
+        halted[unhalted] = False
+        c, s = params.rcos, params.rsin
+        rr = live[right[live]]
+        far[rr] = ex1[rr] * c + ex2[rr] * s > 0.5 * (c * c + s * s)
+        ll = live[left[live]]
+        nx, ny = c - 1.0, s
+        far[ll] = ex1[ll] * nx + ex2[ll] * ny > 0.5 * (nx * nx + ny * ny)
+
+    rounds = extra_rounds + 1
+    entered = np.zeros(n, dtype=bool)
+    entered[entered_idx] = True
     dec1 = np.zeros(n)
     dec2 = np.zeros(n)
-    mirror = u2 == -1
-    mx1 = np.where(mirror, -x1, x1)
-    mx2 = np.where(mirror, -x2, x2)
-    active = u2 != 0
-    u1m = np.zeros(n, dtype=np.int64)
-    u1m[active] = np.where(mx1[active] > g.t_1, 1, np.where(mx1[active] <= g.t_m2, -1, 0))
-    bits[active] -= np.log2(p[u1m[active] + 1])
-    entered = active & (u1m != 0)
-
-    y1 = np.zeros(n)
-    y2 = np.zeros(n)
-    is_right = entered & (u1m == 1)
-    is_left = entered & (u1m == -1)
-    y1[is_right] = (mx1[is_right] - g.t_1) / (0.5 - g.t_1)
-    y1[is_left] = 1.0 - (mx1[is_left] + 0.5) / (g.t_m2 + 0.5)
-    y2[entered] = (mx2[entered] - g.tau_1) / g.H1
-
-    halted = ~entered
-    live = entered.copy()
-    final_bit = np.zeros(n, dtype=np.int64)
-    extra_rounds = np.zeros(n, dtype=np.int64)
-    for _ in range(max_rounds - 1):
-        idx = np.flatnonzero(live)
-        if idx.size == 0:
-            break
-        b = (y1[idx] > 0.5).astype(np.int64)
-        c = (y2[idx] > 0.5).astype(np.int64)
-        extra_rounds[idx] += 1
-        bits[idx] += 2.0
-        rounds[idx] += 1
-        y1[idx] = 2.0 * y1[idx] - b
-        y2[idx] = 2.0 * y2[idx] - c
-        stop = idx[b == c]
-        final_bit[stop] = b[b == c]
-        live[stop] = False
-        halted[stop] = True
-
-    neighbor1 = np.where(u1m == 1, 0.0, -1.0)
-    take = entered & halted & (final_bit == 1)
-    dec1[take] = neighbor1[take]
-    dec2[take] = 1.0
-    # unhalted trials: exact side test against the rectangle's bisector
-    unh = np.flatnonzero(entered & ~halted)
-    if unh.size:
-        c_, s_ = params.rcos, params.rsin
-        for i in unh:
-            if u1m[i] == 1:
-                far = mx1[i] * c_ + mx2[i] * s_ > 0.5 * (c_ * c_ + s_ * s_)
-                if far:
-                    dec1[i], dec2[i] = 0.0, 1.0
-            else:
-                nx, ny = c_ - 1.0, s_
-                if mx1[i] * nx + mx2[i] * ny > 0.5 * (nx * nx + ny * ny):
-                    dec1[i], dec2[i] = -1.0, 1.0
+    dec1[entered_idx] = np.where(far & left, -1.0, 0.0)
+    dec2[entered_idx] = np.where(far, 1.0, 0.0)
     dec1[mirror] *= -1.0
     dec2[mirror] *= -1.0
     return {

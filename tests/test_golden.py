@@ -1,8 +1,9 @@
-"""Byte-identity of reports, transcripts and CLI output.
+"""Byte-identity of reports, kernel outputs, transcripts and CLI output.
 
 Each case renders one deterministic output of the package (a SimReport as
-JSON, a batch of transcripts with their replayed decisions, a CLI command's
-stdout) and compares its SHA-256 with the value recorded when the case was
+JSON, the per-trial arrays of the infinite-round kernel, a batch of
+transcripts with their replayed decisions, a CLI command's stdout) and
+compares its SHA-256 with the value recorded when the case was
 written.  A change that claims to keep behaviour must leave every digest as
 it is; a change that means to alter an output must say so and re-record it.
 """
@@ -30,6 +31,13 @@ SIM_CASES = {
     "12-300-700": {"n1": 300, "n2": 700},
     "21-4": {"n": 4},
     "21-999": {"n": 999},
+}
+
+INFINITE_ROUNDS = {
+    "rounds-1": 1,
+    "rounds-2": 2,
+    "rounds-3": 3,
+    "rounds-default": protocols.DEFAULT_MAX_ROUNDS,
 }
 
 TRANSCRIPT_CASES = ("12-2-3", "12-300-700", "21-4", "21-999", "infinite")
@@ -64,6 +72,18 @@ GOLDEN = {
     "report/params_square/12-300-700": "d4ec1c9dbf7563e277ee3a91b1f30882860bff08c9808433ba2302828c24701f",
     "report/params_square/21-4": "50d18d8e761cb286a1d934e1de08d7071ff5ebe633da394fb15f82c25d7897a7",
     "report/params_square/21-999": "9721c51d822acc30cc689aa1adae5fdf167f7608f73717f256cd196eb5e37ecd",
+    "kernel-infinite/params_main/rounds-1": "85fb93cd890bf54a1ff8406ff6d4b522d46e626fd12cb3adf43750dc3c6b4700",
+    "kernel-infinite/params_main/rounds-2": "40b00a58e802614a90c3f242821f41d53424efffff4c752ed00a641491c652c0",
+    "kernel-infinite/params_main/rounds-3": "92ccec1961c0055ae59e011d42605e1d2c674565d7a609a2f219b3a241e426ea",
+    "kernel-infinite/params_main/rounds-default": "ec9a04f3932144e3059b863024651ee521ed1e4085b6622fea1d4f1c2d8e3c08",
+    "kernel-infinite/params_hex/rounds-1": "dfdf3109dcb81333bfa73930aad6167dd26a3f1e55182ad1616c8f69717f84ef",
+    "kernel-infinite/params_hex/rounds-2": "d6cd4fdcab36bb2d961d34a3c906ae945a604aba2a154ea9c2c581e8571ba76c",
+    "kernel-infinite/params_hex/rounds-3": "6b3c61009f6728d400f69a00941e1a3101168acbdbf186d93700ce1d1c009a0a",
+    "kernel-infinite/params_hex/rounds-default": "fb02d1d7bcc42d5d2f8a399c6a78146df45093fff8fe71fb57facb08c010633d",
+    "kernel-infinite/params_square/rounds-1": "05c40a1889878939b4074d34a2a2abb82663b53e0164e7dd68f521182849358c",
+    "kernel-infinite/params_square/rounds-2": "05c40a1889878939b4074d34a2a2abb82663b53e0164e7dd68f521182849358c",
+    "kernel-infinite/params_square/rounds-3": "05c40a1889878939b4074d34a2a2abb82663b53e0164e7dd68f521182849358c",
+    "kernel-infinite/params_square/rounds-default": "05c40a1889878939b4074d34a2a2abb82663b53e0164e7dd68f521182849358c",
     "transcripts/params_main/12-2-3": "9ed14691b53022aed494c7e6643532f807651f4e618e504c446ff4475caf7b9b",
     "transcripts/params_main/12-300-700": "530c7163b7e9b46dc56138543a308c69e8b54eb66fd054cd6aa7131ff153b6b7",
     "transcripts/params_main/21-4": "f52fab285ea2cb5171f9fc17515a9a6fb30dc0b2e78d79713f83640afbc8ae53",
@@ -100,6 +120,20 @@ def _simulate(params, case: str) -> str:
         params=params, scheme=scheme, trials=TRIALS, seed=SEED, **SIM_CASES[case]
     )
     return json.dumps(dataclasses.asdict(montecarlo.simulate(config)))
+
+
+def _infinite_kernel(params, case: str) -> str:
+    """dtype, shape and SHA-256 of each run_batch_infinite output array.
+
+    At max_rounds=1 no bisection round runs, so every trial that entered an
+    error rectangle ends unhalted and takes the exact side-test fallback.
+    """
+    x1, x2 = montecarlo.sample_cell_arrays(params, np.arange(TRIALS, dtype=np.uint64), SEED)
+    out = montecarlo.run_batch_infinite(params, x1, x2, INFINITE_ROUNDS[case])
+    return "\n".join(
+        f"{name} {a.dtype.str} {a.shape} {hashlib.sha256(a.tobytes()).hexdigest()}"
+        for name, a in sorted(out.items())
+    )
 
 
 def _points(params) -> list[Point2]:
@@ -167,11 +201,14 @@ def render(key: str, request=None) -> str:
     params = request.getfixturevalue(lattice)
     if kind == "report":
         return _simulate(params, case)
+    if kind == "kernel-infinite":
+        return _infinite_kernel(params, case)
     return _transcripts(params, case)
 
 
 KEYS = (
     [f"report/{lat}/{case}" for lat in LATTICES for case in SIM_CASES]
+    + [f"kernel-infinite/{lat}/{case}" for lat in LATTICES for case in INFINITE_ROUNDS]
     + [f"transcripts/{lat}/{case}" for lat in LATTICES for case in TRANSCRIPT_CASES]
     + [f"cli/{name}" for name in CLI_CASES]
 )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from babai_refine import (
+    LatticeParams,
     Point2,
     SimConfig,
     babai_error_probability,
@@ -88,6 +89,122 @@ def test_exact_nearest_batch_matches_scalar(params_main):
     for i in range(500):
         want = exact_nearest_point(Point2(x1[i], x2[i]), gen)
         assert (e1[i], e2[i]) == want
+
+
+def _window_scan(params, x1, x2):
+    """Reference oracle: the full 5x5 window around Babai, scanned in
+    ascending (u2, u1) order with strict-improvement updates."""
+    c, s = params.rcos, params.rsin
+    b1, b2 = babai_batch(params, x1, x2)
+    best_d2 = np.full(x1.shape, np.inf)
+    best_u1 = np.zeros_like(x1)
+    best_u2 = np.zeros_like(x1)
+    for du2 in (-2.0, -1.0, 0.0, 1.0, 2.0):
+        for du1 in (-2.0, -1.0, 0.0, 1.0, 2.0):
+            cu1 = b1 + du1
+            cu2 = b2 + du2
+            dx = x1 - (cu1 + c * cu2)
+            dy = x2 - s * cu2
+            d2 = dx * dx + dy * dy
+            better = d2 < best_d2
+            best_d2[better] = d2[better]
+            best_u1[better] = cu1[better]
+            best_u2[better] = cu2[better]
+    return best_u1, best_u2
+
+
+def _oracle_lattices():
+    """Near-hexagonal, near-rectangular, rcos 0.3, and random reduced lattices."""
+    rng = np.random.default_rng(2002)
+    cases = {
+        "hex": LatticeParams(rho=1.0, theta=math.pi / 3 + 1e-12),
+        "near-rect": LatticeParams(rho=1.0, theta=math.pi / 2 - 1e-3),
+        "rcos0.3": LatticeParams(rho=1.0, theta=math.acos(0.3)),
+    }
+    for k in range(5):
+        rho = float(rng.uniform(1.0, 2.0))
+        rcos = float(rng.uniform(1e-3, 0.499))
+        cases[f"random{k}"] = LatticeParams(rho=rho, theta=math.acos(rcos / rho))
+    return [pytest.param(p, id=name) for name, p in cases.items()]
+
+
+def _boundary_points(params):
+    """Points on (or an ulp off) the cell and Voronoi boundaries, translated.
+
+    Midpoints r/2 of the six relevant vectors, the six Voronoi vertices
+    (circumcentres of 0 and two adjacent relevant vectors), points along
+    x1 = +-1/2 and x2 = +-H/2 including the Babai cell's corners, each
+    shifted by lattice points u1*v1 + u2*v2 with |u1|, |u2| <= 2.
+    """
+    c, s = params.rcos, params.rsin
+    rel = [(1.0, 0.0), (c, s), (c - 1.0, s)]
+    rel += [(-a, -b) for a, b in rel]
+    pts = [(0.5 * a, 0.5 * b) for a, b in rel]
+    ring = [rel[0], rel[1], rel[2], rel[3], rel[4], rel[5], rel[0]]
+    for (a1, a2), (b1, b2) in zip(ring[:-1], ring[1:]):
+        det = a1 * b2 - a2 * b1
+        ra, rb = 0.5 * (a1 * a1 + a2 * a2), 0.5 * (b1 * b1 + b2 * b2)
+        pts.append(((ra * b2 - rb * a2) / det, (a1 * rb - b1 * ra) / det))
+    ts = np.linspace(-1.0, 1.0, 41)
+    pts += [(sx * 0.5, t * s / 2) for sx in (-1.0, 1.0) for t in ts]
+    pts += [(t / 2, sy * s / 2) for sy in (-1.0, 1.0) for t in ts]
+    base = np.array(pts)
+    shifts = np.array(
+        [(u1 + c * u2, s * u2) for u2 in range(-2, 3) for u1 in range(-2, 3)]
+    )
+    xy = (base[None, :, :] + shifts[:, None, :]).reshape(-1, 2)
+    xy = np.concatenate([xy, np.nextafter(xy, np.inf), np.nextafter(xy, -np.inf)])
+    return xy[:, 0].copy(), xy[:, 1].copy()
+
+
+@pytest.mark.parametrize("params", _oracle_lattices())
+def test_exact_nearest_batch_equals_window_scan(params):
+    """The 7-candidate oracle equals the 25-candidate window bit for bit.
+
+    Over all lattices this covers 2^21 random points (in-cell and in the
+    box [-3, 3]^2) plus constructed boundary points; a subsample is also
+    checked against the scalar brute force.
+    """
+    n = 1 << 17
+    x1c, x2c = sample_cell_arrays(params, np.arange(n, dtype=np.uint64), seed=2002)
+    rng = np.random.default_rng(2002)
+    x1b, x2b = rng.uniform(-3.0, 3.0, size=(2, n))
+    x1e, x2e = _boundary_points(params)
+    x1 = np.concatenate([x1c, x1b, x1e])
+    x2 = np.concatenate([x2c, x2b, x2e])
+    e1, e2 = exact_nearest_batch(params, x1, x2)
+    r1, r2 = _window_scan(params, x1, x2)
+    assert e1.dtype == r1.dtype and e2.dtype == r2.dtype
+    assert e1.tobytes() == r1.tobytes() and e2.tobytes() == r2.tobytes()
+    gen = make_generator(params)
+    for i in range(0, 2 * n, 997):
+        assert (e1[i], e2[i]) == exact_nearest_point(Point2(x1[i], x2[i]), gen)
+    # On constructed points two candidates can tie to the last bit; the
+    # scalar oracle squares with ** (libm pow), which can differ from x*x by
+    # an ulp, so there it may pick the other candidate of a float tie.
+    c, s = params.rcos, params.rsin
+    ties = 0
+    for i in range(2 * n, len(x1), 3):
+        want = exact_nearest_point(Point2(x1[i], x2[i]), gen)
+        if (e1[i], e2[i]) != want:
+            d_batch = (x1[i] - (e1[i] + c * e2[i])) ** 2 + (x2[i] - s * e2[i]) ** 2
+            d_scalar = (x1[i] - (want[0] + c * want[1])) ** 2 + (x2[i] - s * want[1]) ** 2
+            assert abs(d_batch - d_scalar) <= 4 * np.spacing(d_scalar)
+            ties += 1
+    assert ties <= 0.01 * (len(x1) - 2 * n)
+
+
+@pytest.mark.parametrize("max_rounds", [1, 2, 3])
+@pytest.mark.parametrize("lattice", ["params_main", "params_hex"])
+def test_batch_infinite_unhalted_decisions_exact(lattice, max_rounds, request):
+    params = request.getfixturevalue(lattice)
+    x1, x2 = sample_cell_arrays(params, np.arange(1 << 16, dtype=np.uint64), seed=19)
+    out = run_batch_infinite(params, x1, x2, max_rounds)
+    e1, e2 = exact_nearest_batch(params, x1, x2)
+    unh = ~out["halted"]
+    assert np.count_nonzero(unh) > 1000
+    assert np.array_equal(out["dec1"][unh], e1[unh])
+    assert np.array_equal(out["dec2"][unh], e2[unh])
 
 
 def test_batch_12_matches_scalar(params_main):
