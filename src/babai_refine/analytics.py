@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -160,13 +160,51 @@ def _row_decision_entropy(geom: CellGeometry, x2: float) -> float:
     return _entropy_raw(table.probs[0].tolist())
 
 
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Knuth's TwoSum: s = fl(a + b) and the error e with s + e = a + b exactly."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _fsum_rows(terms: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of an (n, 3) array, bit for bit.
+
+    TwoSum(a, b) = s1 + e1, TwoSum(s1, c) = s2 + e2 and TwoSum(e1, e2) =
+    t + e3 are exact, so where e3 is 0 the exact row sum is s2 + t and
+    fl(s2 + t) is its correct rounding, which is what fsum returns.  The
+    other rows, and zero sums (whose sign fsum fixes), go through fsum.
+    """
+    s1, e1 = _two_sum(terms[:, 0], terms[:, 1])
+    s2, e2 = _two_sum(s1, terms[:, 2])
+    t, e3 = _two_sum(e1, e2)
+    out = s2 + t
+    for i in np.flatnonzero((e3 != 0.0) | (out == 0.0)).tolist():
+        out[i] = math.fsum(terms[i].tolist())
+    return out
+
+
+def _row_entropies(probs: np.ndarray) -> np.ndarray:
+    """_entropy_raw of each row of an (n, 3) probability array, bit for bit.
+
+    The terms p*log2(p) use math.log2 (np.log2 can differ from it by an ulp);
+    p = 0 adds a 0.0 term, which leaves fsum's value unchanged.
+    """
+    positive = probs > 0.0
+    p = probs[positive]
+    terms = np.zeros_like(probs)
+    terms[positive] = p * np.fromiter(map(math.log2, p.tolist()), np.float64, count=p.size)
+    return -_fsum_rows(terms)
+
+
 def rate_12(params: LatticeParams, n1: int, n2: int) -> tuple[float, float]:
     """(H(U1), H(U2|U1)) in bits for the 12 scheme at sizes (n1, n2).
 
     H(U1) is the bin-index entropy; H(U2|U1) averages, over bins, the exact
     entropy of the ternary answer with cuts at the bin-midpoint heights.  It
     is summed bin by bin in ascending order (the cut-free centre bin adds
-    -0.0), so its value does not depend on how the bins are chunked.
+    -0.0; np.add.accumulate adds sequentially), so its value does not depend
+    on how the bins are chunked.
     """
     edges = bin_edges_12(params, n1, n2)
     g = cell_geometry(params)
@@ -180,8 +218,8 @@ def rate_12(params: LatticeParams, n1: int, n2: int) -> tuple[float, float]:
     for lo in range(0, len(edges) - 1, _RATE_CHUNK):
         chunk = edges[lo : lo + _RATE_CHUNK + 1]
         table = cross_section(g, 0.5 * (chunk[:-1] + chunk[1:]), vertical=True)
-        for width, probs in zip(np.diff(chunk).tolist(), table.probs.tolist()):
-            h_u2 += width * _entropy_raw(probs)
+        weighted = np.diff(chunk) * _row_entropies(table.probs)
+        h_u2 = float(np.add.accumulate(np.concatenate(([h_u2], weighted)))[-1])
     return h_u1, h_u2
 
 
@@ -367,18 +405,26 @@ def curve_point(params: LatticeParams, scheme: str | int, size: int) -> Tradeoff
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def budget_point(
+def _budget_search(
     params: LatticeParams, scheme: str | int, rate_budget: float
-) -> TradeoffPoint:
-    """Finest curve point whose rate does not exceed the budget.
+) -> tuple[int, Callable[[int], TradeoffPoint]]:
+    """Exponential search plus bisection on the monotone rate.
 
-    Found by exponential search plus bisection on the monotone rate; raises
-    BudgetTooSmall below the coarsest quantizer's rate.  The search is
-    bounded by a per-scheme size cap; when even the cap point's rate stays
-    within the budget (the 21 scheme's rate saturates as theta approaches
-    pi/2, where 1-Q0 vanishes), the cap point is returned.
+    Returns (size, point): the size index of the finest curve point within
+    the budget, and the curve evaluator the search used.  The evaluator
+    remembers the search's probes, so re-reading the found point or its
+    neighbour costs nothing; it lives only as long as the caller keeps it.
     """
-    first = curve_point(params, scheme, 1)
+    if not math.isfinite(rate_budget):
+        raise ValueError("rate budget must be finite")
+    probes: dict[int, TradeoffPoint] = {}
+
+    def point(size: int) -> TradeoffPoint:
+        if size not in probes:
+            probes[size] = curve_point(params, scheme, size)
+        return probes[size]
+
+    first = point(1)
     if rate_budget < first.rate_bits:
         raise BudgetTooSmall(
             f"budget {rate_budget} below coarsest rate "
@@ -389,23 +435,60 @@ def budget_point(
     hi = None
     h = 2
     while h <= cap:
-        if curve_point(params, scheme, h).rate_bits > rate_budget:
+        if point(h).rate_bits > rate_budget:
             hi = h
             break
         lo = h
         h *= 2
     if hi is None:
-        if lo < cap and curve_point(params, scheme, cap).rate_bits > rate_budget:
+        if lo < cap and point(cap).rate_bits > rate_budget:
             hi = cap
         else:
-            return curve_point(params, scheme, cap)
+            return cap, point
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if curve_point(params, scheme, mid).rate_bits <= rate_budget:
+        if point(mid).rate_bits <= rate_budget:
             lo = mid
         else:
             hi = mid
-    return curve_point(params, scheme, lo)
+    return lo, point
+
+
+def budget_point(
+    params: LatticeParams, scheme: str | int, rate_budget: float
+) -> TradeoffPoint:
+    """Finest curve point whose rate does not exceed the budget.
+
+    Found by exponential search plus bisection on the monotone rate; raises
+    BudgetTooSmall below the coarsest quantizer's rate and ValueError for a
+    non-finite budget.  The search is bounded by a per-scheme size cap; when
+    even the cap point's rate stays within the budget (the 21 scheme's rate
+    saturates as theta approaches pi/2, where 1-Q0 vanishes), the cap point
+    is returned.
+    """
+    size, point = _budget_search(params, scheme, rate_budget)
+    return point(size)
+
+
+def budget_pe(
+    params: LatticeParams, scheme: str | int, rate_budget: float
+) -> tuple[TradeoffPoint, float]:
+    """budget_point and the interpolated pe of pe_at_rate, from one search."""
+    size, point = _budget_search(params, scheme, rate_budget)
+    below = point(size)
+    if size < _MAX_CURVE_SIZE[str(scheme)]:
+        pair = (below, point(size + 1))
+    else:
+        pair = (point(size - 1), below)
+    (r_a, p_a), (r_b, p_b) = (
+        (pair[0].rate_bits, pair[0].pe),
+        (pair[1].rate_bits, pair[1].pe),
+    )
+    if r_b == r_a:
+        return below, below.pe
+    frac = (rate_budget - r_a) / (r_b - r_a)
+    pe_interp = 2.0 ** (math.log2(p_a) + frac * (math.log2(p_b) - math.log2(p_a)))
+    return below, pe_interp
 
 
 def pe_at_rate(
@@ -416,23 +499,11 @@ def pe_at_rate(
     Returns (pe_below, pe_interp): pe of the best curve point with rate <=
     budget, and the log-linear interpolation of pe between the two Pareto
     points bracketing the budget.  Raises BudgetTooSmall below the coarsest
-    quantizer's rate.  If the whole representable curve sits below the
-    budget (21 scheme near theta = pi/2), the interpolation extrapolates
-    from the last two points, which is exact for the 21 scheme whose points
-    are collinear in (rate, log2 pe), and typically underflows to 0.0.
+    quantizer's rate and ValueError for a non-finite budget.  If the whole
+    representable curve sits below the budget (21 scheme near theta = pi/2),
+    the interpolation extrapolates from the last two points, which is exact
+    for the 21 scheme whose points are collinear in (rate, log2 pe), and
+    typically underflows to 0.0.
     """
-    below = budget_point(params, scheme, rate_budget)
-    size = below.n2 if str(scheme) == "12" else below.n
-    if size < _MAX_CURVE_SIZE[str(scheme)]:
-        pair = (below, curve_point(params, scheme, size + 1))
-    else:
-        pair = (curve_point(params, scheme, size - 1), below)
-    (r_a, p_a), (r_b, p_b) = (
-        (pair[0].rate_bits, pair[0].pe),
-        (pair[1].rate_bits, pair[1].pe),
-    )
-    if r_b == r_a:
-        return below.pe, below.pe
-    frac = (rate_budget - r_a) / (r_b - r_a)
-    pe_interp = 2.0 ** (math.log2(p_a) + frac * (math.log2(p_b) - math.log2(p_a)))
+    below, pe_interp = budget_pe(params, scheme, rate_budget)
     return below.pe, pe_interp

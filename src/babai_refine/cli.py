@@ -200,6 +200,8 @@ def cmd_tradeoff(args) -> str:
         raise InvalidParams("tradeoff supports schemes 12 and 21")
     if args.max_size < 1:
         raise InvalidParams("--max-size must be >= 1")
+    if args.budget is not None and not math.isfinite(args.budget):
+        raise InvalidParams("rate budget must be finite")
     g = cell_geometry(params)
     if scheme == "12":
         exponent = g.L / (2.0 * (g.L1 + g.L2))
@@ -320,16 +322,14 @@ def cmd_sweep(args) -> str:
     rows = []
     for i, theta in enumerate(thetas):
         params = LatticeParams(rho=rho, theta=theta)
-        p12 = analytics.budget_point(params, "12", args.budget)
-        p21 = analytics.budget_point(params, "21", args.budget)
-        pe12_below, pe12_interp = analytics.pe_at_rate(params, "12", args.budget)
-        pe21_below, pe21_interp = analytics.pe_at_rate(params, "21", args.budget)
+        p12, pe12_interp = analytics.budget_pe(params, "12", args.budget)
+        p21, pe21_interp = analytics.budget_pe(params, "21", args.budget)
         row = [
             theta,
             rho,
-            pe12_below,
+            p12.pe,
             pe12_interp,
-            pe21_below,
+            p21.pe,
             pe21_interp,
             analytics.rbar_infinite(params),
             analytics.nbar_infinite(params),

@@ -130,7 +130,9 @@ def exact_nearest_point(x: Point2, gen: Generator, window: int = 2) -> IntegerPa
         for du1 in range(-window, window + 1):
             u = IntegerPair(b.u1 + du1, b.u2 + du2)
             p = lattice_point(u, gen)
-            d2 = (x[0] - p[0]) ** 2 + (x[1] - p[1]) ** 2
+            dx = x[0] - p[0]
+            dy = x[1] - p[1]
+            d2 = dx * dx + dy * dy
             if d2 < best_d2:
                 best_d2 = d2
                 best = u

@@ -337,3 +337,11 @@ def test_pe_at_rate_12_bracketing(params_main):
     below, interp = pe_at_rate(params_main, "12", budget)
     assert below == pt.pe
     assert nxt.pe < interp < pt.pe
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("scheme", ["12", "21"])
+@pytest.mark.parametrize("search", [budget_point, pe_at_rate])
+def test_non_finite_budget_raises(search, scheme, budget, params_main):
+    with pytest.raises(ValueError, match="rate budget must be finite"):
+        search(params_main, scheme, budget)

@@ -201,6 +201,23 @@ def test_zero_sizes_and_rounds_exit_2(argv, capsys):
     assert rc == 2 and out == "" and "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--grid", "1", "--budget", "nan"],
+        ["sweep", "--grid", "1", "--budget", "inf"],
+        ["sweep", "--grid", "1", "--budget=-inf"],
+        ["tradeoff", "--scheme", "12", "--budget", "nan"],
+        ["tradeoff", "--scheme", "21", "--budget", "inf"],
+        ["tradeoff", "--scheme", "21", "--budget=-inf"],
+    ],
+)
+def test_non_finite_budget_exit_2(argv, capsys):
+    """A nan or infinite budget is rejected before any curve is searched."""
+    rc, out, err = run_cli(argv + ["--rcos", "0.3"], capsys)
+    assert rc == 2 and out == "" and "rate budget must be finite" in err
+
+
 def test_quadrature_failure_exit_3(capsys, monkeypatch):
     from babai_refine import QuadratureFailure
     from babai_refine import cli as cli_mod

@@ -162,8 +162,10 @@ def test_exact_nearest_batch_equals_window_scan(params):
     """The 7-candidate oracle equals the 25-candidate window bit for bit.
 
     Over all lattices this covers 2^21 random points (in-cell and in the
-    box [-3, 3]^2) plus constructed boundary points; a subsample is also
-    checked against the scalar brute force.
+    box [-3, 3]^2) plus constructed boundary points; a subsample of the
+    random points and every constructed point are also checked against the
+    scalar brute force, which squares the same way (x*x) and so breaks float
+    ties the same way.
     """
     n = 1 << 17
     x1c, x2c = sample_cell_arrays(params, np.arange(n, dtype=np.uint64), seed=2002)
@@ -177,21 +179,9 @@ def test_exact_nearest_batch_equals_window_scan(params):
     assert e1.dtype == r1.dtype and e2.dtype == r2.dtype
     assert e1.tobytes() == r1.tobytes() and e2.tobytes() == r2.tobytes()
     gen = make_generator(params)
-    for i in range(0, 2 * n, 997):
+    checked = list(range(0, 2 * n, 997)) + list(range(2 * n, len(x1)))
+    for i in checked:
         assert (e1[i], e2[i]) == exact_nearest_point(Point2(x1[i], x2[i]), gen)
-    # On constructed points two candidates can tie to the last bit; the
-    # scalar oracle squares with ** (libm pow), which can differ from x*x by
-    # an ulp, so there it may pick the other candidate of a float tie.
-    c, s = params.rcos, params.rsin
-    ties = 0
-    for i in range(2 * n, len(x1), 3):
-        want = exact_nearest_point(Point2(x1[i], x2[i]), gen)
-        if (e1[i], e2[i]) != want:
-            d_batch = (x1[i] - (e1[i] + c * e2[i])) ** 2 + (x2[i] - s * e2[i]) ** 2
-            d_scalar = (x1[i] - (want[0] + c * want[1])) ** 2 + (x2[i] - s * want[1]) ** 2
-            assert abs(d_batch - d_scalar) <= 4 * np.spacing(d_scalar)
-            ties += 1
-    assert ties <= 0.01 * (len(x1) - 2 * n)
 
 
 @pytest.mark.parametrize("max_rounds", [1, 2, 3])
