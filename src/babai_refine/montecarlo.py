@@ -34,17 +34,29 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _splitmix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
-
-
 def _unit_open_closed(seed: int, index: np.ndarray, slot: int) -> np.ndarray:
-    """Uniform double in (0, 1], a pure function of (seed, index, slot)."""
-    counter = np.uint64(2) * index.astype(np.uint64) + np.uint64(slot + 1)
-    word = _splitmix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + counter * _GOLDEN)
-    return ((word >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    """Uniform double in (0, 1], a pure function of (seed, index, slot).
+
+    SplitMix64 of seed + (2*index + slot + 1) * golden, computed in place on
+    a private copy of the indices.
+    """
+    z = index.astype(np.uint64)
+    z *= np.uint64(2)
+    z += np.uint64(slot + 1)
+    z *= _GOLDEN
+    z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    t = np.empty_like(z)
+    for shift, mix in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= mix
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u += 1.0
+    u *= 2.0**-53
+    return u
 
 
 def sample_cell_arrays(
@@ -52,8 +64,11 @@ def sample_cell_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform points over (-1/2,1/2] x (-H/2,H/2], one per trial index."""
     idx = np.asarray(trial_index, dtype=np.uint64)
-    x1 = _unit_open_closed(seed, idx, 0) - 0.5
-    x2 = (_unit_open_closed(seed, idx, 1) - 0.5) * params.rsin
+    x1 = _unit_open_closed(seed, idx, 0)
+    x1 -= 0.5
+    x2 = _unit_open_closed(seed, idx, 1)
+    x2 -= 0.5
+    x2 *= params.rsin
     return x1, x2
 
 
@@ -80,15 +95,16 @@ def derive_seed(seed: int, stream: int) -> int:
     return _mix64_int(_mix64_int(base))
 
 
-def _round_half_low(y: np.ndarray) -> np.ndarray:
-    return np.ceil(y - 0.5)
-
-
 def babai_batch(params: LatticeParams, x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized nearest-plane decode."""
     c, s = params.rcos, params.rsin
-    u2 = _round_half_low(x2 / s)
-    u1 = _round_half_low(x1 - c * u2)
+    u2 = np.divide(x2, s)
+    u2 -= 0.5
+    np.ceil(u2, out=u2)
+    u1 = np.multiply(c, u2)
+    np.subtract(x1, u1, out=u1)
+    u1 -= 0.5
+    np.ceil(u1, out=u1)
     return u1, u2
 
 
@@ -96,27 +112,19 @@ def babai_batch(params: LatticeParams, x1: np.ndarray, x2: np.ndarray) -> tuple[
 # per du2 row, in the 5x5 window's ascending (du2, du1) scan order.
 _RELEVANT_ROWS = ((-1, (0, 1)), (0, (-1, 0, 1)), (1, (-1, 0)))
 
+# Safety margin of exact_nearest_batch's pre-filter per unit of 1 + |x1| + |x2|.
+_MARGIN = 2.0**-30
 
-def exact_nearest_batch(
-    params: LatticeParams, x1: np.ndarray, x2: np.ndarray
+
+def _scan_relevant(
+    c: float, s: float, x1: np.ndarray, x2: np.ndarray, b1: np.ndarray, b2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized nearest point: Babai plus the six relevant vectors.
+    """Nearest of the Babai point (b1, b2) and its six relevant neighbours.
 
-    For a reduced basis (0 < rho*cos(theta) < 1/2) the Voronoi cell's faces
-    lie on the bisectors of the six relevant vectors +-v1, +-v2, +-(v2 - v1),
-    and the Babai cell (-1/2, 1/2] x (-H/2, H/2] is covered by the Voronoi
-    cells of 0 and those six neighbours (Agrell, Eriksson, Vardy & Zeger,
-    "Closest point search in lattices", IEEE Trans. IT 2002; SPLAG ch. 20).
-    So the nearest point differs from the Babai point by at most one
-    relevant vector, and these 7 of the 25 candidates of a 5x5 window
-    decide.  They are visited in the window's ascending (u2, u1) order with
+    They are visited in the window's ascending (u2, u1) order with
     strict-improvement updates, and each distance is the same float
-    expression, so exact ties still resolve to the lexicographically
-    smallest coordinates, as in the scalar oracle, and the result equals
-    the full window scan bit for bit.
+    expression as the full window scan's, in preallocated buffers.
     """
-    c, s = params.rcos, params.rsin
-    b1, b2 = babai_batch(params, x1, x2)
     best_d2 = np.full(x1.shape, np.inf)
     best_u1 = np.zeros_like(x1)
     best_u2 = np.zeros_like(x1)
@@ -146,6 +154,101 @@ def exact_nearest_batch(
     return best_u1, best_u2
 
 
+def exact_nearest_batch(
+    params: LatticeParams, x1: np.ndarray, x2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized nearest point: Babai unless the residual may leave V(0).
+
+    For a reduced basis (0 < rho*cos(theta) < 1/2) the Voronoi cell V(0)'s
+    faces lie on the bisectors of the six relevant vectors +-v1, +-v2,
+    +-(v2 - v1), and the Babai cell (-1/2, 1/2] x (-H/2, H/2] is covered by
+    V(0) and the cells of those six neighbours (Agrell, Eriksson, Vardy &
+    Zeger, "Closest point search in lattices", IEEE Trans. IT 2002; SPLAG
+    ch. 20).  Inside the Babai cell, V(0) misses only four corner error
+    triangles, so the nearest point is the Babai point b unless the
+    residual r = x - V b lies in one of them.
+
+    Pre-filter.  With the margin m = 2^-30 * (1 + |x1| + |x2|), a trial is
+    safe, and its answer is b + 0.0, when |r1| + m < 1/2 and either
+    |r2| + m < tau_1 = -tau_m1 (the central band), or r lies
+    inside both bisectors of its outer band by m, r.n + m|n| < |n|^2/2 with
+    n = v2 and v2 - v1 for r2 > 0 and n = -v2 and v1 - v2 otherwise.  Each
+    test is a strict comparison, so NaN (and the infinite m of an infinite
+    coordinate) fails it.  Every other trial (the error triangles, a band
+    of width m around their edges and around x1 = +-1/2, non-finite points,
+    and every point with 1 + |x1| + |x2| >= 2^29, where m >= 1/2) is
+    compacted and scanned over b and its six relevant neighbours.  The
+    `+ 0.0` turns a Babai -0.0 into +0.0, as the scan's b + du does.
+
+    Why the filter is exact.  Passing it puts the open disc of radius m
+    about r inside V(0).  For the v1 faces this is the r1 test.  In the
+    central band, r.v2 < c(1/2 - m) + s(tau_1 - m) = |v2|^2/2 - (c + s)m
+    (c = rho*cos(theta), s = H), so r is more than (c + s)m/|v2| >= m from
+    the v2 face; likewise (1 - c + s)m/|v2 - v1| >= m from the v2 - v1 face,
+    and by symmetry from the other two.  In an outer band the two tested
+    faces hold by construction, and the opposite band's faces are farther
+    than m because m < 1/2 and rho >= 1.  So every other lattice point k is
+    farther from x than b is, in squared distance, by 2|k|m >= 2m: over
+    10^5 times the rounding error of r and of the scan's squared distances
+    (tens of ulps of 1 + |x1| + |x2|), so the float scan, too, ranks b
+    strictly first.  An x1 margin at the thresholds t_* would not do in
+    the outer bands: the v2 face turns horizontal as rho*cos(theta) -> 0,
+    so a point m left of t_1 near the top edge can lie within rounding
+    error of it.
+
+    The scanned trials resolve exact ties to the lexicographically smallest
+    coordinates, as the scalar oracle does, and the result equals the full
+    5x5 window scan bit for bit.
+    """
+    c, s = params.rcos, params.rsin
+    g = cell_geometry(params)
+    shape = np.shape(x1)
+    x1 = np.ravel(x1)  # the trials are compacted by flat index
+    x2 = np.ravel(x2)
+    b1, b2 = babai_batch(params, x1, x2)
+    # the residual, in the scan's expressions for the candidate b itself
+    r2 = np.multiply(s, b2)
+    np.subtract(x2, r2, out=r2)
+    r1 = np.multiply(c, b2)
+    np.add(b1, r1, out=r1)
+    np.subtract(x1, r1, out=r1)
+    m = np.abs(x1)
+    t = np.abs(x2)
+    m += t
+    m += 1.0
+    m *= _MARGIN
+    np.abs(r1, out=t)
+    t += m
+    safe = t < 0.5
+    np.abs(r2, out=t)
+    t += m
+    central = t < g.tau_1  # the band is symmetric: tau_m1 = -tau_1
+    # outer-band trials: test the two bisectors of their band, mirrored to the top
+    outer = np.flatnonzero(safe & ~central)
+    safe &= central
+    q1 = r1[outer]
+    q2 = r2[outer]
+    mo = m[outer]
+    flip = q2 <= 0.0
+    np.negative(q1, out=q1, where=flip)
+    np.absolute(q2, out=q2)
+    q2 *= s
+    side = np.empty_like(q1)
+    ok = np.ones(len(outer), dtype=bool)
+    for n1 in (c, c - 1.0):
+        np.multiply(n1, q1, out=side)
+        side += q2
+        side += math.hypot(n1, s) * mo
+        ok &= side < 0.5 * (n1 * n1 + s * s)
+    safe[outer[ok]] = True
+    rest = np.flatnonzero(~safe)
+    b1 += 0.0
+    b2 += 0.0
+    if rest.size:
+        b1[rest], b2[rest] = _scan_relevant(c, s, x1[rest], x2[rest], b1[rest], b2[rest])
+    return b1.reshape(shape), b2.reshape(shape)
+
+
 def _single_round_batch(
     params: LatticeParams,
     edges: np.ndarray,
@@ -162,8 +265,19 @@ def _single_round_batch(
     table = cross_section(cell_geometry(params), 0.5 * (edges[:-1] + edges[1:]), vertical)
     pos = np.clip(np.searchsorted(edges, first, side="left") - 1, 0, len(edges) - 2)
     sym = np.where(second > table.hi[pos], 1, np.where(second <= table.lo[pos], -1, 0))
-    dec = table.labels[pos, sym + 1]
-    return pos, sym, -np.log2(table.probs[pos, sym + 1]), dec[:, 0], dec[:, 1]
+    flat = 3 * pos + sym + 1
+    dec1 = table.labels[..., 0].ravel()[flat]
+    dec2 = table.labels[..., 1].ravel()[flat]
+    return pos, sym, _ideal_bits(table.probs.ravel())[flat], dec1, dec2
+
+
+def _ideal_bits(probs: np.ndarray) -> np.ndarray:
+    """-log2 of each entry of a probability table, taken once per entry.
+
+    Empty regions have probability 0 (infinite bits) and are never chosen.
+    """
+    with np.errstate(divide="ignore"):
+        return -np.log2(probs)
 
 
 def run_batch_12(
@@ -178,7 +292,7 @@ def run_batch_12(
     return {
         "u1_symbol": pos - (n1 + n2),
         "u2_symbol": u2_sym,
-        "u1_bits": -np.log2(np.diff(edges)[pos]),
+        "u1_bits": _ideal_bits(np.diff(edges))[pos],
         "u2_bits": u2_bits,
         "dec1": dec1,
         "dec2": dec2,
@@ -195,7 +309,7 @@ def run_batch_21(
     return {
         "u2_symbol": pos - n,
         "u1_symbol": u1_sym,
-        "u2_bits": -np.log2(np.diff(edges)[pos] / g.H),
+        "u2_bits": _ideal_bits(np.diff(edges) / g.H)[pos],
         "u1_bits": u1_bits,
         "dec1": dec1,
         "dec2": dec2,
@@ -218,29 +332,31 @@ def run_batch_infinite(
         raise ValueError("max_rounds must be >= 1")
     g = cell_geometry(params)
     q_dist, p_dist = analytics.round1_distributions(params)
-    q = np.array(q_dist.probs)
-    p = np.array(p_dist.probs)
+    q_bits = _ideal_bits(np.array(q_dist.probs))
+    p_bits = _ideal_bits(np.array(p_dist.probs))
     n = len(x1)
-    u2 = np.where(x2 > g.tau_1, 1, np.where(x2 <= g.tau_m1, -1, 0))
-    bits = -np.log2(q[u2 + 1])
+    top = x2 > g.tau_1
+    bottom = x2 <= g.tau_m1
+    bits = np.where(top, q_bits[2], np.where(bottom, q_bits[0], q_bits[1]))
 
     # round 1 for the active trials (u2 != 0), mirrored so u2 = -1 reads as +1
-    act = np.flatnonzero(u2)
-    flip = u2[act] == -1
+    act = np.flatnonzero(top | bottom)
+    flip = bottom[act]
     mirror = act[flip]
     ax1 = x1[act]
     ax2 = x2[act]
     np.negative(ax1, out=ax1, where=flip)
     np.negative(ax2, out=ax2, where=flip)
-    u1m = np.where(ax1 > g.t_1, 1, np.where(ax1 <= g.t_m2, -1, 0))
-    bits[act] -= np.log2(p[u1m + 1])
+    right = ax1 > g.t_1
+    left = ax1 <= g.t_m2
+    bits[act] += np.where(right, p_bits[2], np.where(left, p_bits[0], p_bits[1]))
 
-    # the entered trials (u1m != 0) and their coordinates in the error rectangle
-    sub = np.flatnonzero(u1m)
+    # the entered trials (u1 != 0) and their coordinates in the error rectangle
+    sub = np.flatnonzero(right | left)
     entered_idx = act[sub]
     ex1 = ax1[sub]
     ex2 = ax2[sub]
-    right = u1m[sub] == 1
+    right = right[sub]
     left = ~right
     y1 = np.empty(len(sub))
     y1[right] = (ex1[right] - g.t_1) / (0.5 - g.t_1)
@@ -379,32 +495,30 @@ def simulate(config: SimConfig) -> SimReport:
     total = config.trials
     for lo in range(0, total, _CHUNK):
         hi = min(lo + _CHUNK, total)
-        idx = np.arange(lo, hi, dtype=np.uint64)
-        x1, x2 = sample_cell_arrays(params, idx, config.seed)
+        x1, x2 = sample_cell_arrays(params, np.arange(lo, hi, dtype=np.uint64), config.seed)
         e1, e2 = exact_nearest_batch(params, x1, x2)
         if config.scheme == "babai_only":
             n_err += int(np.sum((e1 != 0.0) | (e2 != 0.0)))
-            bits = rounds = None
+            continue
+        if config.scheme == "infinite":
+            out = run_batch_infinite(params, x1, x2, config.max_rounds)
+            bits = out["bits"]
+            rounds = out["rounds"].astype(np.float64)
+            n_unhalted += int(np.sum(~out["halted"]))
+            sum_rounds.append(float(np.sum(rounds)))
+            sum_rounds2.append(float(np.sum(rounds * rounds)))
         else:
             if config.scheme == "12":
                 out = run_batch_12(params, config.n1, config.n2, x1, x2)
-                bits = out["u1_bits"] + out["u2_bits"]
-                rounds = np.ones(len(x1))
-            elif config.scheme == "21":
-                out = run_batch_21(params, config.n, x1, x2)
-                bits = out["u1_bits"] + out["u2_bits"]
-                rounds = np.ones(len(x1))
             else:
-                out = run_batch_infinite(params, x1, x2, config.max_rounds)
-                bits = out["bits"]
-                rounds = out["rounds"].astype(np.float64)
-                n_unhalted += int(np.sum(~out["halted"]))
-            n_err += int(np.sum((out["dec1"] != e1) | (out["dec2"] != e2)))
-        if bits is not None:
-            sum_bits.append(float(np.sum(bits)))
-            sum_bits2.append(float(np.sum(bits * bits)))
-            sum_rounds.append(float(np.sum(rounds)))
-            sum_rounds2.append(float(np.sum(rounds * rounds)))
+                out = run_batch_21(params, config.n, x1, x2)
+            bits = out["u1_bits"] + out["u2_bits"]
+            # one round per trial: both sums are the trial count, exactly
+            sum_rounds.append(float(hi - lo))
+            sum_rounds2.append(float(hi - lo))
+        n_err += int(np.sum((out["dec1"] != e1) | (out["dec2"] != e2)))
+        sum_bits.append(float(np.sum(bits)))
+        sum_bits2.append(float(np.sum(bits * bits)))
 
     pe_hat = n_err / total
     pe_se = math.sqrt(pe_hat * (1.0 - pe_hat) / total)

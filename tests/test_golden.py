@@ -1,7 +1,7 @@
 """Byte-identity of reports, kernel outputs, transcripts and CLI output.
 
 Each case renders one deterministic output of the package (a SimReport as
-JSON, the per-trial arrays of the infinite-round kernel, a batch of
+JSON, the per-trial arrays of the batch kernels, a batch of
 transcripts with their replayed decisions, a CLI command's stdout) and
 compares its SHA-256 with the value recorded when the case was
 written.  A change that claims to keep behaviour must leave every digest as
@@ -38,6 +38,11 @@ INFINITE_ROUNDS = {
     "rounds-2": 2,
     "rounds-3": 3,
     "rounds-default": protocols.DEFAULT_MAX_ROUNDS,
+}
+
+SINGLE_ROUND_KERNELS = {
+    "kernel-12": ("2-3", "300-700"),
+    "kernel-21": ("4", "999"),
 }
 
 TRANSCRIPT_CASES = ("12-2-3", "12-300-700", "21-4", "21-999", "infinite")
@@ -84,6 +89,18 @@ GOLDEN = {
     "kernel-infinite/params_square/rounds-2": "05c40a1889878939b4074d34a2a2abb82663b53e0164e7dd68f521182849358c",
     "kernel-infinite/params_square/rounds-3": "05c40a1889878939b4074d34a2a2abb82663b53e0164e7dd68f521182849358c",
     "kernel-infinite/params_square/rounds-default": "05c40a1889878939b4074d34a2a2abb82663b53e0164e7dd68f521182849358c",
+    "kernel-12/params_main/2-3": "a997b8addb409dec97c30dbc34a1e4b4d9169cf4af4b17eb266e60ff8bf22255",
+    "kernel-12/params_main/300-700": "f1c31cde1f9dab5deb2a391acc6f90b1bc21474470ccdc6153357bc9113638f1",
+    "kernel-12/params_hex/2-3": "104298607e84606e7a4dba9266214afd2d1bdc674782c9e9839040dda37bbe31",
+    "kernel-12/params_hex/300-700": "60aeb77e12aa8a2d138327352b4bbf4e800c6a5d493e44bc5be87a6d98a654b1",
+    "kernel-12/params_square/2-3": "dcc9faf2380392dd201c805b47212361ed5814f228888d9ca8e2aa756936e5c5",
+    "kernel-12/params_square/300-700": "6d54b107ccfb3739b6d058c081291034cb0ed2eee08e23409ab97193649af29d",
+    "kernel-21/params_main/4": "558e7d4f4fc1cdcf0cd19b95d8de2d99abfff21c4054cae4bf63ee0b7ae852e3",
+    "kernel-21/params_main/999": "1581aab53e1a907bf6141df9d6fde2d686319b0c2191c2ba46e27cfdbdd9c5a0",
+    "kernel-21/params_hex/4": "f4fb9901772dec6c3b84d1dfa7eaed6731ba0f1ee96f11870f51aa05d46bab65",
+    "kernel-21/params_hex/999": "10d9fd3405d9faa7ea92434c3ba07bdbd3841a6ed58aed0de1d3fc6bd204793a",
+    "kernel-21/params_square/4": "57ba372f04bb5b449c9591ec343373e08dba77f252100a9116844daf44089acb",
+    "kernel-21/params_square/999": "57ba372f04bb5b449c9591ec343373e08dba77f252100a9116844daf44089acb",
     "transcripts/params_main/12-2-3": "9ed14691b53022aed494c7e6643532f807651f4e618e504c446ff4475caf7b9b",
     "transcripts/params_main/12-300-700": "530c7163b7e9b46dc56138543a308c69e8b54eb66fd054cd6aa7131ff153b6b7",
     "transcripts/params_main/21-4": "f52fab285ea2cb5171f9fc17515a9a6fb30dc0b2e78d79713f83640afbc8ae53",
@@ -122,18 +139,35 @@ def _simulate(params, case: str) -> str:
     return json.dumps(dataclasses.asdict(montecarlo.simulate(config)))
 
 
-def _infinite_kernel(params, case: str) -> str:
-    """dtype, shape and SHA-256 of each run_batch_infinite output array.
-
-    At max_rounds=1 no bisection round runs, so every trial that entered an
-    error rectangle ends unhalted and takes the exact side-test fallback.
-    """
-    x1, x2 = montecarlo.sample_cell_arrays(params, np.arange(TRIALS, dtype=np.uint64), SEED)
-    out = montecarlo.run_batch_infinite(params, x1, x2, INFINITE_ROUNDS[case])
+def _arrays(out: dict[str, np.ndarray]) -> str:
+    """dtype, shape and SHA-256 of each output array of a batch kernel."""
     return "\n".join(
         f"{name} {a.dtype.str} {a.shape} {hashlib.sha256(a.tobytes()).hexdigest()}"
         for name, a in sorted(out.items())
     )
+
+
+def _cell_points(params):
+    return montecarlo.sample_cell_arrays(params, np.arange(TRIALS, dtype=np.uint64), SEED)
+
+
+def _infinite_kernel(params, case: str) -> str:
+    """Every run_batch_infinite output array.
+
+    At max_rounds=1 no bisection round runs, so every trial that entered an
+    error rectangle ends unhalted and takes the exact side-test fallback.
+    """
+    x1, x2 = _cell_points(params)
+    return _arrays(montecarlo.run_batch_infinite(params, x1, x2, INFINITE_ROUNDS[case]))
+
+
+def _single_round_kernel(params, kind: str, case: str) -> str:
+    """Every run_batch_12 / run_batch_21 output array at the case's sizes."""
+    x1, x2 = _cell_points(params)
+    sizes = [int(s) for s in case.split("-")]
+    if kind == "kernel-12":
+        return _arrays(montecarlo.run_batch_12(params, *sizes, x1, x2))
+    return _arrays(montecarlo.run_batch_21(params, *sizes, x1, x2))
 
 
 def _points(params) -> list[Point2]:
@@ -203,12 +237,20 @@ def render(key: str, request=None) -> str:
         return _simulate(params, case)
     if kind == "kernel-infinite":
         return _infinite_kernel(params, case)
+    if kind in SINGLE_ROUND_KERNELS:
+        return _single_round_kernel(params, kind, case)
     return _transcripts(params, case)
 
 
 KEYS = (
     [f"report/{lat}/{case}" for lat in LATTICES for case in SIM_CASES]
     + [f"kernel-infinite/{lat}/{case}" for lat in LATTICES for case in INFINITE_ROUNDS]
+    + [
+        f"{kind}/{lat}/{case}"
+        for kind, cases in SINGLE_ROUND_KERNELS.items()
+        for lat in LATTICES
+        for case in cases
+    ]
     + [f"transcripts/{lat}/{case}" for lat in LATTICES for case in TRANSCRIPT_CASES]
     + [f"cli/{name}" for name in CLI_CASES]
 )

@@ -10,6 +10,7 @@ from babai_refine import (
     babai_error_probability,
     babai_nearest_plane,
     babai_batch,
+    cell_geometry,
     exact_nearest_batch,
     exact_nearest_point,
     make_generator,
@@ -182,6 +183,135 @@ def test_exact_nearest_batch_equals_window_scan(params):
     checked = list(range(0, 2 * n, 997)) + list(range(2 * n, len(x1)))
     for i in checked:
         assert (e1[i], e2[i]) == exact_nearest_point(Point2(x1[i], x2[i]), gen)
+
+
+def _edge_lattices():
+    """The oracle lattices plus two whose outer-band bisectors are nearly flat."""
+    flat = {
+        "rcos1e-9": LatticeParams(rho=1.0, theta=math.acos(1e-9)),
+        "rcos1e-15": LatticeParams(rho=1.0, theta=math.acos(1e-15)),
+    }
+    return _oracle_lattices() + [pytest.param(p, id=name) for name, p in flat.items()]
+
+
+def _edge_margin(x1, x2):
+    """The oracle's pre-filter margin, 2^-30 * (1 + |x1| + |x2|)."""
+    return 2.0**-30 * (1.0 + np.abs(x1) + np.abs(x2))
+
+
+def _steps(x, m):
+    """x at 0, +-1 and +-2 ulps, and at +-m and +-2m."""
+    up = np.nextafter(x, np.inf)
+    down = np.nextafter(x, -np.inf)
+    return [
+        x, up, np.nextafter(up, np.inf), down, np.nextafter(down, -np.inf),
+        x + m, x - m, x + 2.0 * m, x - 2.0 * m,
+    ]
+
+
+def _rectangle_edge_points(params):
+    """Points on and around the edges of the four error rectangles, translated.
+
+    The thresholds x1 in {t_m2, t_m1, t_1, t_2, +-1/2, 0} on the lines
+    x2 in {tau_m1, tau_1, +-H/2, 0} (which include every rectangle corner
+    and the ends of the four bisector segments) and the segments'
+    midpoints, each translated by the lattice points with |u1|, |u2| <= 2
+    and by far ones (|u1|, |u2| near 2^20 and 2^24), then moved in each
+    coordinate by 0, +-1 and +-2 ulps and by +-m and +-2m of the margin at
+    the translated point.
+    """
+    g = cell_geometry(params)
+    c, s = params.rcos, params.rsin
+    x1s = (g.t_m2, g.t_m1, g.t_1, g.t_2, -0.5, 0.5, 0.0)
+    x2s = (g.tau_m1, g.tau_1, -s / 2.0, s / 2.0, 0.0)
+    pts = [(a, b) for a in x1s for b in x2s]
+    top = 0.5 * (s / 2.0 + g.tau_1)
+    mids = [(0.5 * (g.t_1 + 0.5), top), (0.5 * (g.t_m2 - 0.5), top)]
+    pts += mids + [(-a, -b) for a, b in mids]
+    base = np.array(pts)
+    far = [
+        (2**20, 2**20), (-(2**20) + 1, 2**20 - 3), (2**20 + 5, -(2**20)), (-(2**20) - 7, -(2**20)),
+        (3, 2**20), (2**20, -1), (2**24 + 1, -(2**24)), (-(2**24), 2**24 - 5),
+    ]
+    us = [(u1, u2) for u2 in range(-2, 3) for u1 in range(-2, 3)] + far
+    shifts = np.array([(u1 + c * u2, s * u2) for u1, u2 in us])
+    xy = (base[None, :, :] + shifts[:, None, :]).reshape(-1, 2)
+    m = _edge_margin(xy[:, 0], xy[:, 1])
+    x1 = np.concatenate([a for a in _steps(xy[:, 0], m) for _ in range(9)])
+    x2 = np.concatenate([b for _ in range(9) for b in _steps(xy[:, 1], m)])
+    return x1, x2
+
+
+def _assert_same_bytes(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("params", _edge_lattices())
+def test_exact_nearest_batch_rectangle_edges(params):
+    """The pre-filtered oracle equals the window scan at the filter's edges.
+
+    Constructed points sit on, an ulp or two off, and a margin or two off
+    the error rectangles' edges and corners, near and far from the origin;
+    non-finite coordinates must take the scan and come out as it does.
+    """
+    x1, x2 = _rectangle_edge_points(params)
+    _assert_same_bytes(exact_nearest_batch(params, x1, x2), _window_scan(params, x1, x2))
+    odd = np.array([np.nan, np.inf, -np.inf, 0.25, -0.1, cell_geometry(params).tau_1])
+    y1, y2 = (a.ravel().copy() for a in np.meshgrid(odd, odd))
+    with np.errstate(invalid="ignore"):  # inf - inf in both scans
+        _assert_same_bytes(exact_nearest_batch(params, y1, y2), _window_scan(params, y1, y2))
+
+
+def test_exact_nearest_batch_keeps_shape(params_main):
+    rng = np.random.default_rng(31)
+    x1, x2 = rng.uniform(-3.0, 3.0, size=(2, 6, 50))
+    e1, e2 = exact_nearest_batch(params_main, x1, x2)
+    f1, f2 = exact_nearest_batch(params_main, x1.ravel(), x2.ravel())
+    assert e1.shape == e2.shape == (6, 50)
+    _assert_same_bytes((e1, e2), (f1, f2))
+
+
+def _arrays_of(out):
+    return [out[k] for k in sorted(out)] if isinstance(out, dict) else list(out)
+
+
+def test_kernels_leave_inputs_untouched(params_main):
+    """The oracle, the kernels and the sampler never write to their inputs.
+
+    Writable inputs come back byte-unchanged, and read-only ones are
+    accepted and give the same outputs.  The oracle also gets points off
+    the cell, so its scan path runs; max_rounds=1 runs the infinite
+    kernel's unhalted fallback.
+    """
+    x1, x2 = sample_cell_arrays(params_main, np.arange(1 << 14, dtype=np.uint64), seed=29)
+    far1, far2 = np.random.default_rng(29).uniform(-3.0, 3.0, size=(2, 1 << 12))
+    y1, y2 = np.concatenate([x1, far1]), np.concatenate([x2, far2])
+    cases = [
+        (lambda a, b: exact_nearest_batch(params_main, a, b), y1, y2),
+        (lambda a, b: run_batch_12(params_main, 2, 3, a, b), x1, x2),
+        (lambda a, b: run_batch_21(params_main, 4, a, b), x1, x2),
+        (lambda a, b: run_batch_infinite(params_main, a, b), x1, x2),
+        (lambda a, b: run_batch_infinite(params_main, a, b, max_rounds=1), x1, x2),
+    ]
+    for kernel, a, b in cases:
+        a_in, b_in = a.copy(), b.copy()
+        want = _arrays_of(kernel(a_in, b_in))
+        assert a_in.tobytes() == a.tobytes() and b_in.tobytes() == b.tobytes()
+        a_in.setflags(write=False)
+        b_in.setflags(write=False)
+        _assert_same_bytes(_arrays_of(kernel(a_in, b_in)), want)
+
+    idx = np.arange(5, 5 + 1000, dtype=np.uint64)
+    want = sample_cell_arrays(params_main, idx.copy(), seed=29)
+    idx.setflags(write=False)
+    for trial_index in (idx, idx.astype(np.int64), idx.tolist()):
+        _assert_same_bytes(sample_cell_arrays(params_main, trial_index, seed=29), want)
+    assert idx.tobytes() == np.arange(5, 5 + 1000, dtype=np.uint64).tobytes()
+    signed = idx.astype(np.int64)
+    sample_cell_arrays(params_main, signed, seed=29)
+    assert signed.tobytes() == idx.astype(np.int64).tobytes()
 
 
 @pytest.mark.parametrize("max_rounds", [1, 2, 3])
