@@ -18,6 +18,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from . import analytics, montecarlo, protocols
 from .errors import (
@@ -34,6 +35,7 @@ from .lattice import (
 
 _CLAMP_EPS = 1e-6
 _SIM_SIZE_CAP = 4096
+_BY_ALIAS = {s.alias: s for s in montecarlo.SCHEMES.values()}
 
 
 def _fmt(v: float) -> str:
@@ -76,37 +78,7 @@ def resolve_params(rho: float, theta_deg, theta_rad, rcos) -> LatticeParams:
 
 
 def _geometry_dict(params: LatticeParams) -> dict:
-    g = cell_geometry(params)
-    return {
-        "rho": params.rho,
-        "theta_rad": params.theta,
-        "t_m2": g.t_m2,
-        "t_m1": g.t_m1,
-        "t_1": g.t_1,
-        "t_2": g.t_2,
-        "tau_m1": g.tau_m1,
-        "tau_1": g.tau_1,
-        "L0": g.L0,
-        "L1": g.L1,
-        "L2": g.L2,
-        "L": g.L,
-        "H": g.H,
-        "H0": g.H0,
-        "H1": g.H1,
-        "H21": g.H21,
-        "H22": g.H22,
-        "boundary_segments": [
-            {
-                "neighbor": [seg.neighbor.u1, seg.neighbor.u2],
-                "normal": [seg.normal[0], seg.normal[1]],
-                "offset": seg.offset,
-                "x1_span": [seg.x1_span[0], seg.x1_span[1]],
-                "x2_span": [seg.x2_span[0], seg.x2_span[1]],
-                "slope": seg.slope,
-            }
-            for seg in g.boundary_segments
-        ],
-    }
+    return {"rho": params.rho, "theta_rad": params.theta, **asdict(cell_geometry(params))}
 
 
 def cmd_geometry(args) -> str:
@@ -227,32 +199,11 @@ def cmd_tradeoff(args) -> str:
     return _csv_text(header, rows)
 
 
-def _report_dict(report: montecarlo.SimReport) -> dict:
-    return {
-        "scheme": report.scheme,
-        "trials": report.trials,
-        "seed": report.seed,
-        "empirical_pe": report.empirical_pe,
-        "empirical_pe_stderr": report.empirical_pe_stderr,
-        "mean_bits": report.mean_bits,
-        "mean_bits_stderr": report.mean_bits_stderr,
-        "mean_rounds": report.mean_rounds,
-        "mean_rounds_stderr": report.mean_rounds_stderr,
-        "predicted_pe": report.predicted_pe,
-        "predicted_bits": report.predicted_bits,
-        "predicted_rounds": report.predicted_rounds,
-        "unhalted_count": report.unhalted_count,
-    }
-
-
-_SCHEME_ALIASES = {"12": "12", "21": "21", "inf": "infinite", "babai": "babai_only"}
-
-
 def cmd_simulate(args) -> str:
     params = resolve_params(args.rho, args.theta_deg, args.theta_rad, args.rcos)
     config = montecarlo.SimConfig(
         params=params,
-        scheme=_SCHEME_ALIASES[args.scheme],
+        scheme=_BY_ALIAS[args.scheme].name,
         trials=args.trials,
         seed=args.seed,
         n1=args.n1,
@@ -260,22 +211,14 @@ def cmd_simulate(args) -> str:
         n=args.n,
         max_rounds=args.max_rounds,
     )
-    return json.dumps(_report_dict(montecarlo.simulate(config)))
+    return json.dumps(asdict(montecarlo.simulate(config)))
 
 
 def cmd_trace(args) -> str:
     params = resolve_params(args.rho, args.theta_deg, args.theta_rad, args.rcos)
-    x = Point2(args.x1, args.x2)
-    if args.scheme == "12":
-        q = protocols.quantizer_12(params, args.n1, args.n2)
-        t = protocols.run_single_round_12(x, params, q)
-    elif args.scheme == "21":
-        q = protocols.quantizer_21(params, args.n)
-        t = protocols.run_single_round_21(x, params, q)
-    elif args.scheme == "inf":
-        t = protocols.run_infinite_rounds(x, params, args.max_rounds)
-    else:
-        raise InvalidParams("trace supports schemes 12, 21 and inf")
+    scheme = _BY_ALIAS[args.scheme]
+    sizes = {f: getattr(args, f) for f in scheme.sizes}
+    t = scheme.transcript(Point2(args.x1, args.x2), params, args.max_rounds, **sizes)
     return protocols.transcript_to_json(t)
 
 
@@ -308,84 +251,45 @@ def cmd_sweep(args) -> str:
     empirical = args.trials > 0
     if empirical:
         header += [
-            "pe12_emp",
-            "pe12_emp_stderr",
-            "pe21_emp",
-            "pe21_emp_stderr",
-            "rbar_emp",
-            "rbar_emp_stderr",
-            "nbar_emp",
-            "nbar_emp_stderr",
-            "pe_babai_emp",
-            "pe_babai_emp_stderr",
+            f"{stem}_emp{suffix}"
+            for s in montecarlo.SCHEMES.values()
+            for stem, _ in s.sweep
+            for suffix in ("", "_stderr")
         ]
     rows = []
     for i, theta in enumerate(thetas):
         params = LatticeParams(rho=rho, theta=theta)
-        p12, pe12_interp = analytics.budget_pe(params, "12", args.budget)
-        p21, pe21_interp = analytics.budget_pe(params, "21", args.budget)
-        row = [
-            theta,
-            rho,
-            p12.pe,
-            pe12_interp,
-            p21.pe,
-            pe21_interp,
+        budget = {
+            s.name: analytics.budget_pe(params, s.name, args.budget)
+            for s in montecarlo.SCHEMES.values()
+            if s.sizes
+        }
+        row = [theta, rho]
+        for point, pe_interp in budget.values():
+            row += [point.pe, pe_interp]
+        row += [
             analytics.rbar_infinite(params),
             analytics.nbar_infinite(params),
             babai_error_probability(params),
         ]
         if empirical:
-            # cap the simulated quantizer sizes; the saturated tail of the
-            # 21 curve near theta = pi/2 returns astronomically fine points
-            r12 = montecarlo.simulate(
-                montecarlo.SimConfig(
-                    params=params,
-                    scheme="12",
-                    trials=args.trials,
-                    seed=montecarlo.derive_seed(args.seed, 4 * i),
-                    n1=min(p12.n1, _SIM_SIZE_CAP),
-                    n2=min(p12.n2, _SIM_SIZE_CAP),
+            for j, scheme in enumerate(montecarlo.SCHEMES.values()):
+                # cap the simulated quantizer sizes; the saturated tail of the
+                # 21 curve near theta = pi/2 returns astronomically fine points
+                point = budget[scheme.name][0] if scheme.sizes else None
+                sizes = {f: min(getattr(point, f), _SIM_SIZE_CAP) for f in scheme.sizes}
+                report = montecarlo.simulate(
+                    montecarlo.SimConfig(
+                        params=params,
+                        scheme=scheme.name,
+                        trials=args.trials,
+                        seed=montecarlo.derive_seed(args.seed, len(montecarlo.SCHEMES) * i + j),
+                        max_rounds=args.max_rounds,
+                        **sizes,
+                    )
                 )
-            )
-            r21 = montecarlo.simulate(
-                montecarlo.SimConfig(
-                    params=params,
-                    scheme="21",
-                    trials=args.trials,
-                    seed=montecarlo.derive_seed(args.seed, 4 * i + 1),
-                    n=min(p21.n, _SIM_SIZE_CAP),
-                )
-            )
-            rinf = montecarlo.simulate(
-                montecarlo.SimConfig(
-                    params=params,
-                    scheme="infinite",
-                    trials=args.trials,
-                    seed=montecarlo.derive_seed(args.seed, 4 * i + 2),
-                    max_rounds=args.max_rounds,
-                )
-            )
-            rbab = montecarlo.simulate(
-                montecarlo.SimConfig(
-                    params=params,
-                    scheme="babai_only",
-                    trials=args.trials,
-                    seed=montecarlo.derive_seed(args.seed, 4 * i + 3),
-                )
-            )
-            row += [
-                r12.empirical_pe,
-                r12.empirical_pe_stderr,
-                r21.empirical_pe,
-                r21.empirical_pe_stderr,
-                rinf.mean_bits,
-                rinf.mean_bits_stderr,
-                rinf.mean_rounds,
-                rinf.mean_rounds_stderr,
-                rbab.empirical_pe,
-                rbab.empirical_pe_stderr,
-            ]
+                for _, field in scheme.sweep:
+                    row += [getattr(report, field), getattr(report, field + "_stderr")]
         rows.append(row)
     return _csv_text(header, rows)
 
@@ -415,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="closed-form error/rate figures for a scheme")
     _add_param_flags(p)
-    p.add_argument("--scheme", choices=("12", "21", "inf", "babai"), required=True)
+    p.add_argument("--scheme", choices=tuple(_BY_ALIAS), required=True)
     p.add_argument("--n1", type=int, default=1)
     p.add_argument("--n2", type=int, default=1)
     p.add_argument("--n", type=int, default=1)
@@ -430,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo protocol simulation (JSON report)")
     _add_param_flags(p)
-    p.add_argument("--scheme", choices=("12", "21", "inf", "babai"), required=True)
+    p.add_argument("--scheme", choices=tuple(_BY_ALIAS), required=True)
     p.add_argument("--n1", type=int, default=None)
     p.add_argument("--n2", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
@@ -441,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="single-point protocol transcript (JSON)")
     _add_param_flags(p)
-    p.add_argument("--scheme", choices=("12", "21", "inf"), required=True)
+    traced = tuple(a for a, s in _BY_ALIAS.items() if s.transcript)
+    p.add_argument("--scheme", choices=traced, required=True)
     p.add_argument("--x1", type=float, required=True)
     p.add_argument("--x2", type=float, required=True)
     p.add_argument("--n1", type=int, default=1)

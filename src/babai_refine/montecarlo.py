@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from . import analytics
+from . import analytics, protocols
 from .lattice import (
     LatticeParams,
     Point2,
@@ -24,8 +25,6 @@ from .lattice import (
     cross_section,
 )
 from .protocols import DEFAULT_MAX_ROUNDS
-
-SCHEMES = ("12", "21", "infinite", "babai_only")
 
 _CHUNK = 1 << 20
 
@@ -326,14 +325,19 @@ def run_batch_infinite(
 
     Returns per-trial total bits, rounds, decisions, halted flags, the
     entered-error-rectangle indicator and the number of bisection rounds
-    (for the geometric halting-law checks).
+    (for the geometric halting-law checks), each in the shape of x1.  The
+    coordinates, bits and decision rule are run_infinite_rounds'.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
+    shape = np.shape(x1)
+    x1 = np.ravel(x1)  # the trials are compacted by flat index
+    x2 = np.ravel(x2)
     g = cell_geometry(params)
-    q_dist, p_dist = analytics.round1_distributions(params)
-    q_bits = _ideal_bits(np.array(q_dist.probs))
-    p_bits = _ideal_bits(np.array(p_dist.probs))
+    # round 1 costs the protocol's own math.log2 bits (np.log2 can differ by an ulp)
+    q_bits, p_bits = (
+        [-math.log2(p) for p in dist.probs] for dist in analytics.round1_distributions(params)
+    )
     n = len(x1)
     top = x2 > g.tau_1
     bottom = x2 <= g.tau_m1
@@ -391,11 +395,9 @@ def run_batch_infinite(
         bits[unhalted] = lbits
         halted[unhalted] = False
         c, s = params.rcos, params.rsin
-        rr = live[right[live]]
-        far[rr] = ex1[rr] * c + ex2[rr] * s > 0.5 * (c * c + s * s)
-        ll = live[left[live]]
-        nx, ny = c - 1.0, s
-        far[ll] = ex1[ll] * nx + ex2[ll] * ny > 0.5 * (nx * nx + ny * ny)
+        for side, n1 in ((right, c), (left, c - 1.0)):
+            sel = live[side[live]]
+            far[sel] = ex1[sel] * n1 + ex2[sel] * s > 0.5 * (n1 * n1 + s * s)
 
     rounds = extra_rounds + 1
     entered = np.zeros(n, dtype=bool)
@@ -406,7 +408,7 @@ def run_batch_infinite(
     dec2[entered_idx] = np.where(far, 1.0, 0.0)
     dec1[mirror] *= -1.0
     dec2[mirror] *= -1.0
-    return {
+    out = {
         "dec1": dec1,
         "dec2": dec2,
         "bits": bits,
@@ -415,6 +417,101 @@ def run_batch_infinite(
         "entered_error_rect": entered,
         "extra_rounds": extra_rounds,
     }
+    return {name: a.reshape(shape) for name, a in out.items()}
+
+
+def _one_round(out: dict[str, np.ndarray]) -> tuple:
+    """A single-round kernel's output as Scheme.kernel returns it."""
+    return out["dec1"], out["dec2"], out["u1_bits"] + out["u2_bits"], 1.0, 0
+
+
+def _infinite_kernel(params, x1, x2, max_rounds) -> tuple:
+    out = run_batch_infinite(params, x1, x2, max_rounds)
+    rounds = out["rounds"].astype(np.float64)
+    return out["dec1"], out["dec2"], out["bits"], rounds, int(np.sum(~out["halted"]))
+
+
+def _predict_12(params: LatticeParams, n1: int, n2: int) -> tuple[float, float, float]:
+    h1, h2 = analytics.rate_12(params, n1, n2)
+    return analytics.pe_12(params, n1, n2), h1 + h2, 1.0
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """One scheme, as every place that dispatches on a scheme reads it.
+
+    `sizes` are the SimConfig size fields the scheme requires, and the only
+    ones it accepts.  With them as keywords, `kernel(params, x1, x2,
+    max_rounds, **sizes)` returns per-trial decisions (dec1, dec2), bits and
+    rounds (each an array, or one float shared by every trial) and the
+    unhalted count; `predict(params, **sizes)` returns the closed-form (pe,
+    bits, rounds); `transcript(x, params, max_rounds, **sizes)` runs the
+    scalar protocol (None: the scheme has none).  `sweep` pairs each of the
+    sweep's empirical column stems with the SimReport field it reports.
+    The callables look the kernels and protocols up by name when called, so
+    a wrapper installed on a module's name (the benchmark's tracer) sees
+    every call.
+    """
+
+    name: str
+    alias: str
+    sizes: tuple[str, ...]
+    kernel: Callable[..., tuple]
+    predict: Callable[..., tuple[float, float, float]]
+    transcript: Callable[..., protocols.Transcript] | None
+    sweep: tuple[tuple[str, str], ...]
+
+
+SCHEMES = {
+    s.name: s
+    for s in (
+        Scheme(
+            "12", "12", ("n1", "n2"),
+            kernel=lambda params, x1, x2, max_rounds, n1, n2: _one_round(
+                run_batch_12(params, n1, n2, x1, x2)
+            ),
+            predict=_predict_12,
+            transcript=lambda x, params, max_rounds, n1, n2: protocols.run_single_round_12(
+                x, params, protocols.quantizer_12(params, n1, n2)
+            ),
+            sweep=(("pe12", "empirical_pe"),),
+        ),
+        Scheme(
+            "21", "21", ("n",),
+            kernel=lambda params, x1, x2, max_rounds, n: _one_round(
+                run_batch_21(params, n, x1, x2)
+            ),
+            predict=lambda params, n: (
+                analytics.pe_21(params, n), analytics.rate_21(params, n), 1.0
+            ),
+            transcript=lambda x, params, max_rounds, n: protocols.run_single_round_21(
+                x, params, protocols.quantizer_21(params, n)
+            ),
+            sweep=(("pe21", "empirical_pe"),),
+        ),
+        Scheme(
+            "infinite", "inf", (),
+            kernel=_infinite_kernel,
+            predict=lambda params: (
+                0.0, analytics.rbar_infinite(params), analytics.nbar_infinite(params)
+            ),
+            transcript=lambda x, params, max_rounds: protocols.run_infinite_rounds(
+                x, params, max_rounds
+            ),
+            sweep=(("rbar", "mean_bits"), ("nbar", "mean_rounds")),
+        ),
+        Scheme(
+            "babai_only", "babai", (),
+            # every trial keeps the Babai point, with no message
+            kernel=lambda params, x1, x2, max_rounds: (0.0, 0.0, 0.0, 0.0, 0),
+            predict=lambda params: (babai_error_probability(params), 0.0, 0.0),
+            transcript=None,
+            sweep=(("pe_babai", "empirical_pe"),),
+        ),
+    )
+}
+
+_SIZE_FIELDS = tuple(dict.fromkeys(f for s in SCHEMES.values() for f in s.sizes))
 
 
 @dataclass(frozen=True)
@@ -432,15 +529,22 @@ class SimConfig:
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+            raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {self.scheme!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
-        if self.scheme == "12" and (self.n1 is None or self.n2 is None):
-            raise ValueError("scheme '12' requires n1 and n2")
-        if self.scheme == "21" and self.n is None:
-            raise ValueError("scheme '21' requires n")
+        sizes = SCHEMES[self.scheme].sizes
+        if any(getattr(self, f) is None for f in sizes):
+            raise ValueError(f"scheme {self.scheme!r} requires {' and '.join(sizes)}")
+        extra = [f for f in _SIZE_FIELDS if f not in sizes and getattr(self, f) is not None]
+        if extra:
+            raise ValueError(f"scheme {self.scheme!r} takes no {' or '.join(extra)}")
+
+    @property
+    def sizes(self) -> dict[str, int]:
+        """The scheme's size fields and their values."""
+        return {f: getattr(self, f) for f in SCHEMES[self.scheme].sizes}
 
 
 @dataclass(frozen=True)
@@ -462,22 +566,6 @@ class SimReport:
     unhalted_count: int
 
 
-def _predictions(config: SimConfig) -> tuple[float, float, float]:
-    params = config.params
-    if config.scheme == "12":
-        h1, h2 = analytics.rate_12(params, config.n1, config.n2)
-        return analytics.pe_12(params, config.n1, config.n2), h1 + h2, 1.0
-    if config.scheme == "21":
-        return (
-            analytics.pe_21(params, config.n),
-            analytics.rate_21(params, config.n),
-            1.0,
-        )
-    if config.scheme == "infinite":
-        return 0.0, analytics.rbar_infinite(params), analytics.nbar_infinite(params)
-    return babai_error_probability(params), 0.0, 0.0
-
-
 def simulate(config: SimConfig) -> SimReport:
     """Run the configured scheme over `trials` uniform cell points.
 
@@ -486,48 +574,29 @@ def simulate(config: SimConfig) -> SimReport:
     the report independent of any internal batching.
     """
     params = config.params
+    scheme = SCHEMES[config.scheme]
     n_err = 0
     n_unhalted = 0
-    sum_bits = []
-    sum_bits2 = []
-    sum_rounds = []
-    sum_rounds2 = []
+    bit_sums = []
+    round_sums = []
     total = config.trials
     for lo in range(0, total, _CHUNK):
         hi = min(lo + _CHUNK, total)
         x1, x2 = sample_cell_arrays(params, np.arange(lo, hi, dtype=np.uint64), config.seed)
         e1, e2 = exact_nearest_batch(params, x1, x2)
-        if config.scheme == "babai_only":
-            n_err += int(np.sum((e1 != 0.0) | (e2 != 0.0)))
-            continue
-        if config.scheme == "infinite":
-            out = run_batch_infinite(params, x1, x2, config.max_rounds)
-            bits = out["bits"]
-            rounds = out["rounds"].astype(np.float64)
-            n_unhalted += int(np.sum(~out["halted"]))
-            sum_rounds.append(float(np.sum(rounds)))
-            sum_rounds2.append(float(np.sum(rounds * rounds)))
-        else:
-            if config.scheme == "12":
-                out = run_batch_12(params, config.n1, config.n2, x1, x2)
-            else:
-                out = run_batch_21(params, config.n, x1, x2)
-            bits = out["u1_bits"] + out["u2_bits"]
-            # one round per trial: both sums are the trial count, exactly
-            sum_rounds.append(float(hi - lo))
-            sum_rounds2.append(float(hi - lo))
-        n_err += int(np.sum((out["dec1"] != e1) | (out["dec2"] != e2)))
-        sum_bits.append(float(np.sum(bits)))
-        sum_bits2.append(float(np.sum(bits * bits)))
+        dec1, dec2, bits, rounds, unhalted = scheme.kernel(
+            params, x1, x2, config.max_rounds, **config.sizes
+        )
+        n_err += int(np.sum((dec1 != e1) | (dec2 != e2)))
+        n_unhalted += unhalted
+        bit_sums.append(_sums(bits, hi - lo))
+        round_sums.append(_sums(rounds, hi - lo))
 
     pe_hat = n_err / total
     pe_se = math.sqrt(pe_hat * (1.0 - pe_hat) / total)
-    if sum_bits:
-        mean_bits, bits_se = _mean_and_stderr(sum_bits, sum_bits2, total)
-        mean_rounds, rounds_se = _mean_and_stderr(sum_rounds, sum_rounds2, total)
-    else:
-        mean_bits = bits_se = mean_rounds = rounds_se = 0.0
-    pred_pe, pred_bits, pred_rounds = _predictions(config)
+    mean_bits, bits_se = _mean_and_stderr(bit_sums, total)
+    mean_rounds, rounds_se = _mean_and_stderr(round_sums, total)
+    pred_pe, pred_bits, pred_rounds = scheme.predict(params, **config.sizes)
     return SimReport(
         scheme=config.scheme,
         trials=total,
@@ -545,9 +614,17 @@ def simulate(config: SimConfig) -> SimReport:
     )
 
 
-def _mean_and_stderr(sums: list[float], sums_sq: list[float], n: int) -> tuple[float, float]:
-    s = math.fsum(sums)
-    s2 = math.fsum(sums_sq)
+def _sums(values, n: int) -> tuple[float, float]:
+    """Sum and sum of squares of n per-trial values, or of one value n times
+    (exact for the integer round counts)."""
+    if np.ndim(values) == 0:
+        return values * n, values * values * n
+    return float(np.sum(values)), float(np.sum(values * values))
+
+
+def _mean_and_stderr(sums: list[tuple[float, float]], n: int) -> tuple[float, float]:
+    s = math.fsum(a for a, _ in sums)
+    s2 = math.fsum(b for _, b in sums)
     mean = s / n
     if n < 2:
         return mean, 0.0

@@ -23,8 +23,6 @@ from .lattice import (
     Point2,
     cell_geometry,
     cross_section,
-    lattice_point,
-    make_generator,
 )
 
 S1 = "S1"
@@ -192,10 +190,18 @@ def error_rectangle(params: LatticeParams, u2: int, u1: int) -> ErrorRectangle:
     return ErrorRectangle(*rect)
 
 
-def _neighbor_side(params: LatticeParams, point: Point2, neighbor: IntegerPair) -> bool:
-    """True if point lies strictly on the neighbor's side of the bisector."""
-    n = lattice_point(neighbor, make_generator(params))
-    return point[0] * n[0] + point[1] * n[1] > 0.5 * (n[0] ** 2 + n[1] ** 2)
+def _beyond_bisector(params: LatticeParams, u1m: int, x1: float, x2: float) -> bool:
+    """True if (x1, x2) lies strictly on the neighbour's side of the bisector
+    of error rectangle u1m in the mirrored frame (run_batch_infinite's test)."""
+    c, s = params.rcos, params.rsin
+    n1 = c if u1m == 1 else c - 1.0
+    return x1 * n1 + x2 * s > 0.5 * (n1 * n1 + s * s)
+
+
+def _infinite_decision(params: LatticeParams, u2: int, u1m: int, far: bool) -> IntegerPair:
+    """The neighbour of rectangle (u2, u1m) when `far`, else 0, in the cell's frame."""
+    decision = error_rectangle(params, 1, u1m).neighbor if far else IntegerPair(0, 0)
+    return -decision if u2 == -1 else decision
 
 
 def run_infinite_rounds(
@@ -207,11 +213,13 @@ def run_infinite_rounds(
     interval index (mirrored through the origin when the band index is -1).
     Both zero symbols halt immediately in an error-free cell.  Otherwise the
     point lies in an error rectangle whose Voronoi boundary is its exact
-    diagonal, and each further round exchanges one binary-expansion bit per
-    node of the normalised in-rectangle coordinates (x1 measured from the
-    right edge when the diagonal's slope is positive), halting on the first
-    equal bit pair.  The final decision is the side of the bisector holding
-    the centre of the surviving error-free sub-rectangle.
+    diagonal.  In the normalised coordinates y1 (x1 measured from the right
+    edge when the diagonal's slope is positive) and y2 = (x2 - tau_1)/H1 the
+    diagonal is y1 + y2 = 1, and each further round exchanges the next
+    binary-expansion bit b of y1 and c of y2, halting on the first equal
+    pair: the neighbour's side when b = c = 1, the zero side when b = c = 0.
+    The decision is that of replay_decision and run_batch_infinite, from the
+    same coordinates and the same bits.
 
     A transcript that exhausts max_rounds is returned with halted=False and
     the decision taken from an exact side test of x itself.
@@ -226,49 +234,32 @@ def run_infinite_rounds(
     if u2 == 0:
         return Transcript(tuple(messages), 1, messages[0].ideal_bits, IntegerPair(0, 0), True)
 
-    mirror = u2 == -1
-    mx1, mx2 = (-x[0], -x[1]) if mirror else (x[0], x[1])
+    mx1, mx2 = (-x[0], -x[1]) if u2 == -1 else (x[0], x[1])
     u1m = 1 if mx1 > g.t_1 else (-1 if mx1 <= g.t_m2 else 0)
-    u1 = -u1m if mirror else u1m
-    messages.append(Message(S1, u1, -math.log2(p_dist.probs[u1m + 1])))
+    messages.append(Message(S1, u2 * u1m, -math.log2(p_dist.probs[u1m + 1])))
     total = messages[0].ideal_bits + messages[1].ideal_bits
     if u1m == 0:
         return Transcript(tuple(messages), 1, total, IntegerPair(0, 0), True)
 
-    rect = error_rectangle(params, 1, u1m)  # mirrored frame: always top band
-    x_lo, x_hi, y_lo, y_hi = rect.x_lo, rect.x_hi, rect.y_lo, rect.y_hi
-    lx = (mx1 - x_lo) / (x_hi - x_lo)
-    y1 = (1.0 - lx) if rect.positive_slope else lx
-    y2 = (mx2 - y_lo) / (y_hi - y_lo)
+    if u1m == 1:
+        y1 = (mx1 - g.t_1) / (0.5 - g.t_1)
+    else:
+        y1 = 1.0 - (mx1 + 0.5) / (g.t_m2 + 0.5)
+    y2 = (mx2 - g.tau_1) / g.H1
     rounds = 1
-    halted = False
     while rounds < max_rounds:
         b = 1 if y1 > 0.5 else 0
         c = 1 if y2 > 0.5 else 0
-        messages.append(Message(S1, b, 1.0))
-        messages.append(Message(S2, c, 1.0))
+        messages += (Message(S1, b, 1.0), Message(S2, c, 1.0))
         total += 2.0
         rounds += 1
-        xm = 0.5 * (x_lo + x_hi)
-        ym = 0.5 * (y_lo + y_hi)
-        # b selects the x-half consistently with the expansion direction
-        right_half = (b == 1) != rect.positive_slope
-        x_lo, x_hi = (xm, x_hi) if right_half else (x_lo, xm)
-        y_lo, y_hi = (ym, y_hi) if c == 1 else (y_lo, ym)
+        if b == c:
+            decision = _infinite_decision(params, u2, u1m, b == 1)
+            return Transcript(tuple(messages), rounds, total, decision, True)
         y1 = 2.0 * y1 - b
         y2 = 2.0 * y2 - c
-        if b == c:
-            halted = True
-            break
-    if halted:
-        center = Point2(0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi))
-        take_neighbor = _neighbor_side(params, center, rect.neighbor)
-        decision_m = rect.neighbor if take_neighbor else IntegerPair(0, 0)
-    else:
-        on_far_side = _neighbor_side(params, Point2(mx1, mx2), rect.neighbor)
-        decision_m = rect.neighbor if on_far_side else IntegerPair(0, 0)
-    decision = -decision_m if mirror else decision_m
-    return Transcript(tuple(messages), rounds, total, decision, halted)
+    decision = _infinite_decision(params, u2, u1m, _beyond_bisector(params, u1m, mx1, mx2))
+    return Transcript(tuple(messages), rounds, total, decision, False)
 
 
 def transcript_to_json(t: Transcript) -> str:
@@ -318,17 +309,11 @@ def replay_decision(
         return _decision(table, messages[1].symbol)
     if scheme == "infinite":
         u2 = messages[0].symbol
-        if u2 == 0:
+        u1m = u2 * messages[1].symbol if u2 else 0
+        if u1m == 0:
             return IntegerPair(0, 0)
-        u1 = messages[1].symbol
-        if u1 == 0:
-            return IntegerPair(0, 0)
-        u1m = -u1 if u2 == -1 else u1
-        rect = error_rectangle(params, 1, u1m)
-        for i in range(2, len(messages), 2):
-            b, c = messages[i].symbol, messages[i + 1].symbol
-            if b == c:
-                decision_m = rect.neighbor if b == 1 else IntegerPair(0, 0)
-                return -decision_m if u2 == -1 else decision_m
+        for b, c in zip(messages[2::2], messages[3::2]):
+            if b.symbol == c.symbol:
+                return _infinite_decision(params, u2, u1m, b.symbol == 1)
         raise ValueError("transcript did not halt; decision is not replayable")
     raise ValueError(f"unknown scheme {scheme!r}")

@@ -193,10 +193,15 @@ def test_sweep_empty_grid_exit_2(capsys):
         ["tradeoff", "--scheme", "21", "--max-size", "0"],
         ["simulate", "--scheme", "inf", "--trials", "1000", "--max-rounds", "0"],
         ["sweep", "--grid", "1", "--trials", "1000", "--max-rounds", "0"],
+        ["simulate", "--scheme", "21", "--trials", "1000", "--n", "4", "--n1", "3"],
+        ["simulate", "--scheme", "12", "--trials", "1000", "--n1", "2", "--n2", "3", "--n", "4"],
+        ["simulate", "--scheme", "inf", "--trials", "1000", "--n", "4"],
+        ["simulate", "--scheme", "babai", "--trials", "1000", "--n2", "4"],
     ],
 )
 def test_zero_sizes_and_rounds_exit_2(argv, capsys):
-    """Zero sizes and round limits are rejected, never coerced to 1."""
+    """Zero sizes, round limits and sizes a scheme does not take are
+    rejected, never coerced to 1 or ignored."""
     rc, out, err = run_cli(argv + ["--rcos", "0.3"], capsys)
     assert rc == 2 and out == "" and "error" in err
 

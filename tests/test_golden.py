@@ -105,7 +105,7 @@ GOLDEN = {
     "transcripts/params_main/12-300-700": "530c7163b7e9b46dc56138543a308c69e8b54eb66fd054cd6aa7131ff153b6b7",
     "transcripts/params_main/21-4": "f52fab285ea2cb5171f9fc17515a9a6fb30dc0b2e78d79713f83640afbc8ae53",
     "transcripts/params_main/21-999": "4f31b18641716be078a045975958bb8b6967a99c5039dfc50f9384968e27bbb1",
-    "transcripts/params_main/infinite": "92ed4a6e557f168d1ab5461f272dc5cc8296523d6942a71cf755cf6e29a5daa7",
+    "transcripts/params_main/infinite": "acbdb6c22a85e181a15a7efd2f40378db44bd0c5332f756af4cf2e79886aec15",
     "transcripts/params_hex/12-2-3": "473609373a9ea2790dc11684e19aca197bfc2b12631a4b2c07771945a946f8cf",
     "transcripts/params_hex/12-300-700": "fa51f036dec82a731f6114b810a744dfb43ff343fe88429e8f46713939694b89",
     "transcripts/params_hex/21-4": "16f159a58787cb90214eb95f4ae3044abf40ffe6330efe1b71028056d9546021",
@@ -115,7 +115,7 @@ GOLDEN = {
     "transcripts/params_square/12-300-700": "fc923db7a24f3c585fff250a132b8e06a41354d88901b127aa933ec06cd7056c",
     "transcripts/params_square/21-4": "6032b7d862ed63ff3f9c2bd81f3f5eef410c5c73c51a0976a692f058bcdd8c48",
     "transcripts/params_square/21-999": "0b8559c4f97b82f70fb96a6e5986f89a32ce729f03e37849a3b0e5fbd69eecb7",
-    "transcripts/params_square/infinite": "50b71404d942c8ae1f8d0426ed615db6cf5c0193778fdeeac711b2fd4c78f4de",
+    "transcripts/params_square/infinite": "227697e19c5d26c5190f8e3a7592607e8530b8fde98b53369f95bb8e83892ae0",
     "cli/sweep-grid4-budget8": "762f67fac7b842653daf284369c734b1d1b65c033b2f87d3efe8d24a72a3a4cf",
     "cli/geometry-rcos0.3": "79a3d103df3e175f9fca9bdf577aa6426bc80c056554ebb552ef1a7012bfe081",
     "cli/geometry-60deg": "3c9706f8688be25c1845db6096afae0e24584b5f2dd56c01b6776a8570a73d59",

@@ -273,6 +273,29 @@ def test_exact_nearest_batch_keeps_shape(params_main):
     _assert_same_bytes((e1, e2), (f1, f2))
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (2, 2, 5)])
+@pytest.mark.parametrize("max_rounds", [1, 64])
+def test_batch_infinite_keeps_shape(params_main, shape, max_rounds):
+    """N-d points give the raveled call's arrays, in the input's shape.
+
+    Half the points enter an error rectangle, so the bisection (and at
+    max_rounds=1 the unhalted fallback) runs on an N-d input too.
+    """
+    x1, x2 = sample_cell_arrays(params_main, np.arange(1 << 12, dtype=np.uint64), seed=37)
+    entered = run_batch_infinite(params_main, x1, x2)["entered_error_rect"]
+    size = math.prod(shape)
+    pick = np.concatenate(
+        [np.flatnonzero(entered)[: size // 2], np.flatnonzero(~entered)[: size - size // 2]]
+    )
+    x1, x2 = x1[pick], x2[pick]
+    want = run_batch_infinite(params_main, x1, x2, max_rounds)
+    got = run_batch_infinite(params_main, x1.reshape(shape), x2.reshape(shape), max_rounds)
+    assert sorted(got) == sorted(want) and len(got) == 7
+    for name, a in got.items():
+        assert a.shape == shape and a.dtype == want[name].dtype
+        assert a.tobytes() == want[name].tobytes()
+
+
 def _arrays_of(out):
     return [out[k] for k in sorted(out)] if isinstance(out, dict) else list(out)
 
@@ -431,6 +454,17 @@ def test_simconfig_validation(params_main):
         SimConfig(params=params_main, scheme="infinite", trials=0, seed=0)
     with pytest.raises(ValueError, match="max_rounds must be >= 1"):
         SimConfig(params=params_main, scheme="infinite", trials=10, seed=0, max_rounds=0)
+    for scheme, sizes in (
+        ("12", {"n1": 2, "n2": 3, "n": 4}),
+        ("21", {"n": 4, "n1": 3}),
+        ("21", {"n": 4, "n2": 3}),
+        ("infinite", {"n": 4}),
+        ("babai_only", {"n1": 1, "n2": 1}),
+    ):
+        with pytest.raises(ValueError, match=f"scheme '{scheme}' takes no"):
+            SimConfig(params=params_main, scheme=scheme, trials=10, seed=0, **sizes)
+    with pytest.raises(ValueError, match="scheme '12' requires n1 and n2"):
+        SimConfig(params=params_main, scheme="12", trials=10, seed=0, n1=2)
     with pytest.raises(ValueError, match="max_rounds must be >= 1"):
         run_batch_infinite(params_main, np.zeros(3), np.zeros(3), max_rounds=0)
     with pytest.raises(ValueError):

@@ -1,0 +1,141 @@
+"""The scalar protocols, their replay and the batch kernels decide alike.
+
+Each scheme's decision rule exists once in meaning, but is written twice:
+per point in `protocols` and per array in `montecarlo`.  These tests run
+both on the golden points and on constructed points near the error
+rectangles' diagonals, where a rule that reads different coordinates or
+different bits would show.  The infinite scheme must agree bit for bit;
+the single-round answer bits may differ by one ulp, because transcripts
+take math.log2 and the kernels np.log2 of the same table entry.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from babai_refine import (
+    LatticeParams,
+    Point2,
+    cell_geometry,
+    exact_nearest_point,
+    lattice_point,
+    make_generator,
+    protocols,
+    replay_decision,
+    round1_distributions,
+    run_batch_12,
+    run_batch_21,
+    run_batch_infinite,
+)
+
+from test_golden import _points
+
+LATTICES = ("params_main", "params_hex", "params_square", "rcos0.0655")
+# A squared-distance gap this small is an exact tie up to rounding.  Where a
+# protocol and the oracle differ on these points, the gap is at most 2.3e-16
+# (a few ulps of the squared distances); on the golden points, 5.6e-17.
+TIE = 1e-15
+
+
+@pytest.fixture
+def lattice(request):
+    if request.param == "rcos0.0655":
+        # np.log2 and math.log2 differ on a round-1 probability of this lattice
+        params = LatticeParams(rho=1.0, theta=math.acos(0.0655))
+        probs = [p for d in round1_distributions(params) for p in d.probs]
+        assert list(-np.log2(probs)) != [-math.log2(p) for p in probs]
+        return params
+    return request.getfixturevalue(request.param)
+
+
+def _near_diagonal_points(params) -> list[Point2]:
+    """The same fraction f of an x1 interval and of an x2 band (and f of the
+    interval with 1 - f of the band), plus the points one ulp above and
+    below in x2: on or next to the diagonals of every error rectangle."""
+    g = cell_geometry(params)
+    h = params.rsin / 2.0
+    x1_edges = (-0.5, g.t_m2, g.t_m1, g.t_1, g.t_2, 0.5)
+    x2_edges = (-h, g.tau_m1, g.tau_1, h)
+    fracs = [0.5, 0.25, 0.75, 1 / 3, 2 / 3, 0.1, 0.9, 0.013, 0.987]
+    fracs += np.random.default_rng(5).uniform(0.01, 0.99, size=11).tolist()
+    pts = []
+    for a, b in zip(x1_edges[:-1], x1_edges[1:]):
+        for c, d in zip(x2_edges[:-1], x2_edges[1:]):
+            for f in fracs:
+                x1 = a + f * (b - a)
+                for x2 in (c + f * (d - c), d - f * (d - c)):
+                    for y in (np.nextafter(x2, -1.0), x2, np.nextafter(x2, 1.0)):
+                        pts.append(Point2(x1, y))
+    return [Point2(float(x1), float(x2)) for x1, x2 in pts]
+
+
+def _all_points(params) -> list[Point2]:
+    return _points(params) + _near_diagonal_points(params)
+
+
+def _assert_oracle(params, x: Point2, decision, probe: Point2 | None = None) -> None:
+    """decision is the exact nearest point of `probe` (default x), up to ties."""
+    probe = x if probe is None else probe
+    gen = make_generator(params)
+    oracle = exact_nearest_point(probe, gen)
+    if tuple(decision) != tuple(oracle):
+        d2 = [
+            (probe[0] - p[0]) ** 2 + (probe[1] - p[1]) ** 2
+            for p in (lattice_point(decision, gen), lattice_point(oracle, gen))
+        ]
+        assert d2[0] - d2[1] <= TIE, (x, decision, oracle)
+
+
+@pytest.mark.parametrize("max_rounds", [1, 2, 3, 64])
+@pytest.mark.parametrize("lattice", LATTICES, indirect=True)
+def test_infinite_scalar_kernel_replay_agree(lattice, max_rounds):
+    params = lattice
+    pts = _all_points(params)
+    x1 = np.array([x[0] for x in pts])
+    x2 = np.array([x[1] for x in pts])
+    out = run_batch_infinite(params, x1, x2, max_rounds)
+    for i, x in enumerate(pts):
+        t = protocols.run_infinite_rounds(x, params, max_rounds)
+        assert t.decision == (out["dec1"][i], out["dec2"][i]), x
+        assert t.rounds == out["rounds"][i], x
+        assert t.total_bits.hex() == float(out["bits"][i]).hex(), x
+        assert t.halted == out["halted"][i], x
+        if t.halted:
+            assert replay_decision(t.messages, params, "infinite") == t.decision, x
+        else:
+            with pytest.raises(ValueError, match="did not halt"):
+                replay_decision(t.messages, params, "infinite")
+        _assert_oracle(params, x, t.decision)
+
+
+def _one_ulp(a: float, b: float) -> bool:
+    return abs(a - b) <= math.ulp(max(abs(a), abs(b)))
+
+
+@pytest.mark.parametrize("sizes", [(2, 3), (300, 700), (4,), (999,)])
+@pytest.mark.parametrize("lattice", LATTICES, indirect=True)
+def test_single_round_scalar_kernel_replay_agree(lattice, sizes):
+    params = lattice
+    pts = _all_points(params)
+    x1 = np.array([x[0] for x in pts])
+    x2 = np.array([x[1] for x in pts])
+    if len(sizes) == 2:
+        scheme, q = "12", protocols.quantizer_12(params, *sizes)
+        out = run_batch_12(params, *sizes, x1, x2)
+        run, keys = protocols.run_single_round_12, ("u1", "u2")
+    else:
+        scheme, q = "21", protocols.quantizer_21(params, *sizes)
+        out = run_batch_21(params, *sizes, x1, x2)
+        run, keys = protocols.run_single_round_21, ("u2", "u1")
+    for i, x in enumerate(pts):
+        t = run(x, params, q)
+        for m, key in zip(t.messages, keys):
+            assert m.symbol == out[f"{key}_symbol"][i], x
+            assert _one_ulp(m.ideal_bits, out[f"{key}_bits"][i]), x
+        assert t.decision == (out["dec1"][i], out["dec2"][i]), x
+        assert replay_decision(t.messages, params, scheme, q) == t.decision, x
+        pos = t.messages[0].symbol + q.center
+        mid = 0.5 * (q.edges[pos] + q.edges[pos + 1])
+        probe = Point2(mid, x[1]) if scheme == "12" else Point2(x[0], mid)
+        _assert_oracle(params, x, t.decision, probe)
