@@ -145,21 +145,6 @@ def bin_edges_21(params: LatticeParams, n: int) -> np.ndarray:
     )
 
 
-def _strip_decision_entropy(geom: CellGeometry, x1: float) -> float:
-    """Entropy of S2's ternary answer when the cuts sit at the boundary at x1.
-
-    Spans are closed at the thresholds, where kappa_12's quadrature splits.
-    """
-    table = cross_section(geom, [x1], vertical=True, closed=True)
-    return _entropy_raw(table.probs[0].tolist())
-
-
-def _row_decision_entropy(geom: CellGeometry, x2: float) -> float:
-    """Entropy of S1's ternary answer when the cuts sit at the boundary at x2."""
-    table = cross_section(geom, [x2], vertical=False, closed=True)
-    return _entropy_raw(table.probs[0].tolist())
-
-
 def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Knuth's TwoSum: s = fl(a + b) and the error e with s + e = a + b exactly."""
     s = a + b
@@ -197,6 +182,15 @@ def _row_entropies(probs: np.ndarray) -> np.ndarray:
     return -_fsum_rows(terms)
 
 
+def _h_u1(g: CellGeometry, n1: int, n2: int) -> float:
+    """H(U1) of the 12 scheme: the interval entropy plus log2 of each bin count."""
+    return (
+        _entropy_raw((g.L0, g.L1, g.L1, g.L2, g.L2))
+        + 2.0 * g.L1 * math.log2(n1)
+        + 2.0 * g.L2 * math.log2(n2)
+    )
+
+
 def rate_12(params: LatticeParams, n1: int, n2: int) -> tuple[float, float]:
     """(H(U1), H(U2|U1)) in bits for the 12 scheme at sizes (n1, n2).
 
@@ -208,12 +202,7 @@ def rate_12(params: LatticeParams, n1: int, n2: int) -> tuple[float, float]:
     """
     edges = bin_edges_12(params, n1, n2)
     g = cell_geometry(params)
-    lengths = (g.L0, g.L1, g.L1, g.L2, g.L2)
-    h_u1 = (
-        _entropy_raw(lengths)
-        + 2.0 * g.L1 * math.log2(n1)
-        + 2.0 * g.L2 * math.log2(n2)
-    )
+    h_u1 = _h_u1(g, n1, n2)
     h_u2 = 0.0
     for lo in range(0, len(edges) - 1, _RATE_CHUNK):
         chunk = edges[lo : lo + _RATE_CHUNK + 1]
@@ -231,7 +220,8 @@ def kappa_12(params: LatticeParams, abs_tol: float = 1e-9) -> float:
     at t_m2 where the integrand has a kink.
     """
     g = cell_geometry(params)
-    f = lambda x: _strip_decision_entropy(g, x)
+    # spans closed at the thresholds, where the quadrature splits
+    f = lambda x: _row_entropies(cross_section(g, x, vertical=True, closed=True).probs)
     piece_tol = abs_tol / 4.0
     return 2.0 * (
         adaptive_simpson(f, -0.5, g.t_m2, piece_tol)
@@ -247,7 +237,7 @@ def kappa_21(params: LatticeParams, abs_tol: float = 1e-9) -> float:
     integrand is smooth there (both boundary segments span the whole band).
     """
     g = cell_geometry(params)
-    f = lambda x: _row_decision_entropy(g, x)
+    f = lambda x: _row_entropies(cross_section(g, x, vertical=False, closed=True).probs)
     return (2.0 / g.H) * adaptive_simpson(f, -g.H / 2.0, g.tau_m1, abs_tol * g.H / 2.0)
 
 
@@ -405,15 +395,75 @@ def curve_point(params: LatticeParams, scheme: str | int, size: int) -> Tradeoff
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
+def _last_within(within: Callable[[int], bool], start: int, cap: int) -> int:
+    """Largest size in [1, cap] where within holds, for within true at 1 and
+    monotone (true up to some size, false beyond it).
+
+    Gallops from start, up by steps 1, 2, 4, ... while within holds there,
+    else down by the same steps, until the answer is bracketed, then bisects
+    (Bentley and Yao, IPL 1976).  From start = 1 the probes are 1, 2, 4, ...
+    up to cap and then the bisection midpoints: the plain exponential search.
+    """
+    step = 1
+    if within(start):
+        lo = start
+        while lo < cap:
+            probe = min(lo + step, cap)
+            if not within(probe):
+                hi = probe
+                break
+            lo = probe
+            step *= 2
+        else:
+            return cap
+    else:
+        hi = start
+        while True:
+            lo = max(hi - step, 1)
+            if lo == 1 or within(lo):
+                break
+            hi = lo
+            step *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if within(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _seed_12(params: LatticeParams, point, rate_budget: float, cap: int) -> int:
+    """A size near the 12 curve's answer, from the closed-form H(U1).
+
+    Solves H(U1)(n) + H(U2|U1) <= budget on the cheap H(U1) alone, with
+    H(U2|U1) taken from the last curve point probed, and probes the curve at
+    the solution; H(U2|U1) barely moves with n, so two refinements after the
+    coarsest point land on or next to the answer.
+    """
+    g = cell_geometry(params)
+    guess = 1
+    for _ in range(2):
+        h_u2 = point(guess).rate_bits - _h_u1(g, optimal_n1(params, guess), guess)
+        guess = _last_within(
+            lambda n: _h_u1(g, optimal_n1(params, n), n) + h_u2 <= rate_budget, guess, cap
+        )
+    return guess
+
+
 def _budget_search(
     params: LatticeParams, scheme: str | int, rate_budget: float
 ) -> tuple[int, Callable[[int], TradeoffPoint]]:
-    """Exponential search plus bisection on the monotone rate.
+    """Size index of the finest curve point within the budget, and the curve
+    evaluator the search used.
 
-    Returns (size, point): the size index of the finest curve point within
-    the budget, and the curve evaluator the search used.  The evaluator
-    remembers the search's probes, so re-reading the found point or its
-    neighbour costs nothing; it lives only as long as the caller keeps it.
+    The 12 scheme's curve points cost O(n) each, so its search gallops from
+    the seed of _seed_12; the 21 scheme's cost O(1), and its search is the
+    plain exponential search plus bisection.  Where the rate is monotone in
+    the size, both return the largest size within the budget (or the cap).
+    The evaluator remembers the search's probes, so re-reading the found
+    point or its neighbour costs nothing; it lives only as long as the
+    caller keeps it.
     """
     if not math.isfinite(rate_budget):
         raise ValueError("rate budget must be finite")
@@ -431,27 +481,8 @@ def _budget_search(
             f"{first.rate_bits:.6f} of scheme {scheme}"
         )
     cap = _MAX_CURVE_SIZE[str(scheme)]
-    lo = 1
-    hi = None
-    h = 2
-    while h <= cap:
-        if point(h).rate_bits > rate_budget:
-            hi = h
-            break
-        lo = h
-        h *= 2
-    if hi is None:
-        if lo < cap and point(cap).rate_bits > rate_budget:
-            hi = cap
-        else:
-            return cap, point
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if point(mid).rate_bits <= rate_budget:
-            lo = mid
-        else:
-            hi = mid
-    return lo, point
+    start = _seed_12(params, point, rate_budget, cap) if str(scheme) == "12" else 1
+    return _last_within(lambda n: point(n).rate_bits <= rate_budget, start, cap), point
 
 
 def budget_point(
@@ -459,12 +490,12 @@ def budget_point(
 ) -> TradeoffPoint:
     """Finest curve point whose rate does not exceed the budget.
 
-    Found by exponential search plus bisection on the monotone rate; raises
-    BudgetTooSmall below the coarsest quantizer's rate and ValueError for a
-    non-finite budget.  The search is bounded by a per-scheme size cap; when
-    even the cap point's rate stays within the budget (the 21 scheme's rate
-    saturates as theta approaches pi/2, where 1-Q0 vanishes), the cap point
-    is returned.
+    Found by a galloping search plus bisection on the monotone rate (see
+    _budget_search); raises BudgetTooSmall below the coarsest quantizer's
+    rate and ValueError for a non-finite budget.  The search is bounded by
+    a per-scheme size cap; when even the cap point's rate stays within the
+    budget (the 21 scheme's rate saturates as theta approaches pi/2, where
+    1-Q0 vanishes), the cap point is returned.
     """
     size, point = _budget_search(params, scheme, rate_budget)
     return point(size)

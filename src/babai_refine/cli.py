@@ -101,14 +101,37 @@ def cmd_geometry(args) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _scheme_flags(args, scheme: montecarlo.Scheme, size_default: int | None) -> dict:
+    """The size and round-limit flags the scheme takes, as keyword values.
+
+    A flag given for a scheme that does not take it is invalid input, never
+    ignored.  A size the scheme takes but was not given gets size_default
+    (None: the scheme requires it), and an omitted round limit the default.
+    """
+    takes = scheme.sizes + (("max_rounds",) if scheme.round_limit else ())
+    given = {
+        f: getattr(args, f)
+        for f in ("n1", "n2", "n", "max_rounds")
+        if getattr(args, f, None) is not None
+    }
+    extra = ["--" + f.replace("_", "-") for f in given if f not in takes]
+    if extra:
+        raise InvalidParams(f"scheme {scheme.alias!r} takes no {' or '.join(extra)}")
+    flags = dict.fromkeys(scheme.sizes, size_default)
+    if scheme.round_limit:
+        flags["max_rounds"] = protocols.DEFAULT_MAX_ROUNDS
+    return {**flags, **given}
+
+
 def cmd_analyze(args) -> str:
     params = resolve_params(args.rho, args.theta_deg, args.theta_rad, args.rcos)
     scheme = args.scheme
+    flags = _scheme_flags(args, _BY_ALIAS[scheme], 1)
     doc: dict = {"scheme": scheme, "rho": params.rho, "theta_rad": params.theta}
     if scheme == "babai":
         doc["pe_babai"] = babai_error_probability(params)
     elif scheme == "12":
-        n1, n2 = args.n1, args.n2
+        n1, n2 = flags["n1"], flags["n2"]
         geo = analytics.coefficients_12(params)
         printed = analytics.coefficients_12(params, provenance="printed")
         h1, h2 = analytics.rate_12(params, n1, n2)
@@ -132,7 +155,7 @@ def cmd_analyze(args) -> str:
             }
         )
     elif scheme == "21":
-        n = args.n
+        n = flags["n"]
         doc.update(
             {
                 "n": n,
@@ -201,15 +224,13 @@ def cmd_tradeoff(args) -> str:
 
 def cmd_simulate(args) -> str:
     params = resolve_params(args.rho, args.theta_deg, args.theta_rad, args.rcos)
+    scheme = _BY_ALIAS[args.scheme]
     config = montecarlo.SimConfig(
         params=params,
-        scheme=_BY_ALIAS[args.scheme].name,
+        scheme=scheme.name,
         trials=args.trials,
         seed=args.seed,
-        n1=args.n1,
-        n2=args.n2,
-        n=args.n,
-        max_rounds=args.max_rounds,
+        **_scheme_flags(args, scheme, None),
     )
     return json.dumps(asdict(montecarlo.simulate(config)))
 
@@ -217,8 +238,9 @@ def cmd_simulate(args) -> str:
 def cmd_trace(args) -> str:
     params = resolve_params(args.rho, args.theta_deg, args.theta_rad, args.rcos)
     scheme = _BY_ALIAS[args.scheme]
-    sizes = {f: getattr(args, f) for f in scheme.sizes}
-    t = scheme.transcript(Point2(args.x1, args.x2), params, args.max_rounds, **sizes)
+    sizes = _scheme_flags(args, scheme, 1)
+    max_rounds = sizes.pop("max_rounds", protocols.DEFAULT_MAX_ROUNDS)
+    t = scheme.transcript(Point2(args.x1, args.x2), params, max_rounds, **sizes)
     return protocols.transcript_to_json(t)
 
 
@@ -304,6 +326,27 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, help="output path (default: stdout)")
 
 
+def _add_size_flags(p: argparse.ArgumentParser, default: int | None) -> None:
+    # None tells an omitted flag from a given one; _scheme_flags fills it in
+    for flag, scheme in (("--n1", "12"), ("--n2", "12"), ("--n", "21")):
+        p.add_argument(
+            flag,
+            type=int,
+            default=None,
+            help=f"scheme {scheme} only, "
+            + (f"default {default}" if default is not None else "required there"),
+        )
+
+
+def _add_round_limit_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--max-rounds",
+        type=int,
+        default=None,
+        help=f"scheme inf only, default {protocols.DEFAULT_MAX_ROUNDS}",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="babai-refine",
@@ -320,9 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="closed-form error/rate figures for a scheme")
     _add_param_flags(p)
     p.add_argument("--scheme", choices=tuple(_BY_ALIAS), required=True)
-    p.add_argument("--n1", type=int, default=1)
-    p.add_argument("--n2", type=int, default=1)
-    p.add_argument("--n", type=int, default=1)
+    _add_size_flags(p, 1)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("tradeoff", help="CSV rate/error curve for a scheme")
@@ -335,12 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo protocol simulation (JSON report)")
     _add_param_flags(p)
     p.add_argument("--scheme", choices=tuple(_BY_ALIAS), required=True)
-    p.add_argument("--n1", type=int, default=None)
-    p.add_argument("--n2", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
+    _add_size_flags(p, None)
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-rounds", type=int, default=protocols.DEFAULT_MAX_ROUNDS)
+    _add_round_limit_flag(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("trace", help="single-point protocol transcript (JSON)")
@@ -349,10 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=traced, required=True)
     p.add_argument("--x1", type=float, required=True)
     p.add_argument("--x2", type=float, required=True)
-    p.add_argument("--n1", type=int, default=1)
-    p.add_argument("--n2", type=int, default=1)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--max-rounds", type=int, default=protocols.DEFAULT_MAX_ROUNDS)
+    _add_size_flags(p, 1)
+    _add_round_limit_flag(p)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("sweep", help="theta sweep CSV (fixed-budget comparison)")

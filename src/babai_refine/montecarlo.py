@@ -447,7 +447,9 @@ class Scheme:
     unhalted count; `predict(params, **sizes)` returns the closed-form (pe,
     bits, rounds); `transcript(x, params, max_rounds, **sizes)` runs the
     scalar protocol (None: the scheme has none).  `sweep` pairs each of the
-    sweep's empirical column stems with the SimReport field it reports.
+    sweep's empirical column stems with the SimReport field it reports, and
+    `round_limit` says whether the scheme takes max_rounds (the others are
+    called with it and ignore it).
     The callables look the kernels and protocols up by name when called, so
     a wrapper installed on a module's name (the benchmark's tracer) sees
     every call.
@@ -460,6 +462,7 @@ class Scheme:
     predict: Callable[..., tuple[float, float, float]]
     transcript: Callable[..., protocols.Transcript] | None
     sweep: tuple[tuple[str, str], ...]
+    round_limit: bool = False
 
 
 SCHEMES = {
@@ -499,6 +502,7 @@ SCHEMES = {
                 x, params, max_rounds
             ),
             sweep=(("rbar", "mean_bits"), ("nbar", "mean_rounds")),
+            round_limit=True,
         ),
         Scheme(
             "babai_only", "babai", (),

@@ -15,6 +15,7 @@ from babai_refine import (
     budget_point,
     cell_geometry,
     coefficients_12,
+    cross_section,
     curve_point,
     entropy,
     kappa_12,
@@ -30,7 +31,7 @@ from babai_refine import (
     round1_distributions,
     tradeoff_curve_12,
 )
-from babai_refine.analytics import _beta_21_from_spans
+from babai_refine.analytics import _beta_21_from_spans, _row_entropies
 
 from conftest import random_valid_params
 
@@ -111,13 +112,11 @@ def test_rate_12_center_bin_contributes_nothing(params_main):
     # it only sums over bins that carry cuts
     _, h2_a = rate_12(params_main, 1, 1)
     g = cell_geometry(params_main)
+    a, b = np.array([[-0.5, g.t_m2, g.t_1, g.t_2], [g.t_m2, g.t_m1, g.t_2, 0.5]])
+    mid = cross_section(g, 0.5 * (a + b), vertical=True, closed=True)
     manual = 0.0
-    for a, b, n in [
-        (-0.5, g.t_m2, 1), (g.t_m2, g.t_m1, 1), (g.t_1, g.t_2, 1), (g.t_2, 0.5, 1),
-    ]:
-        from babai_refine.analytics import _strip_decision_entropy
-
-        manual += (b - a) * _strip_decision_entropy(g, 0.5 * (a + b))
+    for width, h in zip((b - a).tolist(), _row_entropies(mid.probs).tolist()):
+        manual += width * h
     assert math.isclose(h2_a, manual, rel_tol=1e-12)
 
 

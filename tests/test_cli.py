@@ -7,6 +7,7 @@ import pytest
 
 from babai_refine.cli import main, resolve_params, _geometry_dict
 from babai_refine import InvalidParams, rbar_infinite
+from babai_refine.protocols import DEFAULT_MAX_ROUNDS
 
 
 def run_cli(argv, capsys):
@@ -197,6 +198,14 @@ def test_sweep_empty_grid_exit_2(capsys):
         ["simulate", "--scheme", "12", "--trials", "1000", "--n1", "2", "--n2", "3", "--n", "4"],
         ["simulate", "--scheme", "inf", "--trials", "1000", "--n", "4"],
         ["simulate", "--scheme", "babai", "--trials", "1000", "--n2", "4"],
+        ["simulate", "--scheme", "12", "--trials", "100", "--n1", "2", "--n2", "3", "--max-rounds", "3"],
+        ["simulate", "--scheme", "babai", "--trials", "100", "--max-rounds", "3"],
+        ["trace", "--scheme", "12", "--x1", "0.1", "--x2", "0", "--n", "5"],
+        ["trace", "--scheme", "21", "--x1", "0.1", "--x2", "0", "--n", "2", "--max-rounds", "3"],
+        ["trace", "--scheme", "inf", "--x1", "0.1", "--x2", "0", "--n1", "2"],
+        ["analyze", "--scheme", "inf", "--n1", "7"],
+        ["analyze", "--scheme", "babai", "--n", "2"],
+        ["analyze", "--scheme", "21", "--n2", "2"],
     ],
 )
 def test_zero_sizes_and_rounds_exit_2(argv, capsys):
@@ -204,6 +213,29 @@ def test_zero_sizes_and_rounds_exit_2(argv, capsys):
     rejected, never coerced to 1 or ignored."""
     rc, out, err = run_cli(argv + ["--rcos", "0.3"], capsys)
     assert rc == 2 and out == "" and "error" in err
+
+
+@pytest.mark.parametrize(
+    "omitted,given",
+    [
+        (["analyze", "--scheme", "12"], ["--n1", "1", "--n2", "1"]),
+        (["analyze", "--scheme", "21"], ["--n", "1"]),
+        (["trace", "--scheme", "12", "--x1", "-0.3", "--x2", "0.4"], ["--n2", "1", "--n1", "1"]),
+        (["trace", "--scheme", "21", "--x1", "-0.3", "--x2", "0.4"], ["--n", "1"]),
+        (
+            ["trace", "--scheme", "inf", "--x1", "-0.3", "--x2", "0.4"],
+            ["--max-rounds", str(DEFAULT_MAX_ROUNDS)],
+        ),
+        (
+            ["simulate", "--scheme", "inf", "--trials", "2000"],
+            ["--max-rounds", str(DEFAULT_MAX_ROUNDS)],
+        ),
+    ],
+)
+def test_omitted_flags_take_their_defaults(omitted, given, capsys):
+    rc, want, _ = run_cli(omitted + given + ["--rcos", "0.3"], capsys)
+    assert rc == 0
+    assert run_cli(omitted + ["--rcos", "0.3"], capsys) == (0, want, "")
 
 
 @pytest.mark.parametrize(

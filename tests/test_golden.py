@@ -49,6 +49,9 @@ TRANSCRIPT_CASES = ("12-2-3", "12-300-700", "21-4", "21-999", "infinite")
 
 CLI_CASES = {
     "sweep-grid4-budget8": ["sweep", "--grid", "4", "--budget", "8"],
+    "sweep-grid50-budget8": ["sweep", "--rho", "1", "--grid", "50", "--budget", "8"],
+    "sweep-grid40-budget3": ["sweep", "--grid", "40", "--budget", "3"],
+    "sweep-rho1.2-grid20-budget6": ["sweep", "--rho", "1.2", "--grid", "20", "--budget", "6"],
     "geometry-rcos0.3": ["geometry", "--rcos", "0.3", "--format", "json"],
     "geometry-60deg": ["geometry", "--theta-deg", "60", "--format", "json"],
     "analyze-12-rcos0.3": ["analyze", "--scheme", "12", "--rcos", "0.3", "--n1", "2", "--n2", "3"],
@@ -117,6 +120,9 @@ GOLDEN = {
     "transcripts/params_square/21-999": "0b8559c4f97b82f70fb96a6e5986f89a32ce729f03e37849a3b0e5fbd69eecb7",
     "transcripts/params_square/infinite": "227697e19c5d26c5190f8e3a7592607e8530b8fde98b53369f95bb8e83892ae0",
     "cli/sweep-grid4-budget8": "762f67fac7b842653daf284369c734b1d1b65c033b2f87d3efe8d24a72a3a4cf",
+    "cli/sweep-grid50-budget8": "01bb4dd3aa5b6ad48f7259762cb807a3beed901c5dedc17a8e8c4bdbd13eb909",
+    "cli/sweep-grid40-budget3": "ca2677eb38b61ce63fe715adb690ae836645b0ee92100506d16c06f00057788f",
+    "cli/sweep-rho1.2-grid20-budget6": "02262ec7b44251a32d6d38c52773c868f792168198c5f98ff5a3581b535e7d92",
     "cli/geometry-rcos0.3": "79a3d103df3e175f9fca9bdf577aa6426bc80c056554ebb552ef1a7012bfe081",
     "cli/geometry-60deg": "3c9706f8688be25c1845db6096afae0e24584b5f2dd56c01b6776a8570a73d59",
     "cli/analyze-12-rcos0.3": "fe4e0c345acbfc36c6fd66e9113046a476a31e12e7a7e7d4bfe1b88648b29597",

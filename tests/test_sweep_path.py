@@ -2,9 +2,10 @@
 
 rate_12 sums H(U2|U1) chunk by chunk in whole arrays; it must give the bits
 of the per-bin loop kept here as the reference, including the sign of zero.
-The budget search must probe the curve in the same order as the plain
-exponential search plus bisection kept here, and never evaluate a curve
-point twice within one call.
+The budget search must find the point of the plain exponential search plus
+bisection kept here, never evaluate a curve point twice within one call,
+and, on the 21 curve, probe it in the same order; on the 12 curve it starts
+from a seed and needs fewer probes.
 """
 
 import math
@@ -171,12 +172,28 @@ def test_fsum_rows_equals_fsum(rows):
     assert [_bits(v) for v in got.tolist()] == [_bits(math.fsum(r)) for r in rows]
 
 
-def _budget_search_reference(point, scheme, rate_budget):
-    """The search budget_point and pe_at_rate each ran on their own."""
-    cap = analytics._MAX_CURVE_SIZE[scheme]
-    if rate_budget < point(1).rate_bits:
-        raise analytics.BudgetTooSmall("budget below coarsest rate")
-    lo, hi, h = 1, None, 2
+def _budget_search_reference(params, scheme, rate_budget):
+    """analytics._budget_search as it was before the 12 scheme's search was
+    seeded, verbatim: exponential search plus bisection from size 1."""
+    if not math.isfinite(rate_budget):
+        raise ValueError("rate budget must be finite")
+    probes = {}
+
+    def point(size):
+        if size not in probes:
+            probes[size] = analytics.curve_point(params, scheme, size)
+        return probes[size]
+
+    first = point(1)
+    if rate_budget < first.rate_bits:
+        raise analytics.BudgetTooSmall(
+            f"budget {rate_budget} below coarsest rate "
+            f"{first.rate_bits:.6f} of scheme {scheme}"
+        )
+    cap = analytics._MAX_CURVE_SIZE[str(scheme)]
+    lo = 1
+    hi = None
+    h = 2
     while h <= cap:
         if point(h).rate_bits > rate_budget:
             hi = h
@@ -187,14 +204,14 @@ def _budget_search_reference(point, scheme, rate_budget):
         if lo < cap and point(cap).rate_bits > rate_budget:
             hi = cap
         else:
-            return point(cap)
+            return cap, point
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if point(mid).rate_bits <= rate_budget:
             lo = mid
         else:
             hi = mid
-    return point(lo)
+    return lo, point
 
 
 BUDGET_CASES = [
@@ -208,6 +225,15 @@ BUDGET_CASES = [
 ]
 
 
+def _cases(scheme):
+    """The BUDGET_CASES of one scheme, under their ids in the whole list."""
+    return [
+        pytest.param(*case, id=f"params{i}-{case[1]}-{case[2]}")
+        for i, case in enumerate(BUDGET_CASES)
+        if case[1] == scheme
+    ]
+
+
 def _record_curve_points(monkeypatch):
     calls = []
     original = analytics.curve_point
@@ -217,26 +243,104 @@ def _record_curve_points(monkeypatch):
         return original(params, scheme, size)
 
     monkeypatch.setattr(analytics, "curve_point", recorded)
-    return calls, original
+    return calls
 
 
-@pytest.mark.parametrize("params,scheme,budget", BUDGET_CASES)
+def _search_and_reference(params, scheme, budget, monkeypatch):
+    """(found point, reference point, search probes, reference probes)."""
+    calls = _record_curve_points(monkeypatch)
+    got = analytics.budget_point(params, scheme, budget)
+    probes = calls[:]
+    calls.clear()
+    size, point = _budget_search_reference(params, scheme, budget)
+    return got, point(size), probes, calls
+
+
+@pytest.mark.parametrize("params,scheme,budget", _cases("21"))
 def test_budget_search_keeps_probe_order(params, scheme, budget, monkeypatch):
-    calls, original = _record_curve_points(monkeypatch)
-    reference = []
+    """The 21 scheme's search is still the plain exponential search."""
+    got, want, probes, reference = _search_and_reference(params, scheme, budget, monkeypatch)
+    assert got == want
+    assert probes == reference
 
-    def point(size):
-        reference.append(size)
-        return original(params, scheme, size)
 
-    want = _budget_search_reference(point, scheme, budget)
-    assert analytics.budget_point(params, scheme, budget) == want
-    assert calls == list(dict.fromkeys(reference))
+@pytest.mark.parametrize("params,scheme,budget", _cases("12"))
+def test_seeded_budget_search_matches_reference(params, scheme, budget, monkeypatch):
+    """The seeded 12 search finds the reference's point from fewer curve
+    points, and evaluates none of them twice."""
+    got, want, probes, reference = _search_and_reference(params, scheme, budget, monkeypatch)
+    assert got == want
+    assert len(set(probes)) == len(probes) < len(reference)
+
+
+@st.composite
+def budget_cases(draw):
+    """A lattice, a 12-curve size cap, and a budget from the coarsest rate to
+    past the cap's rate, often exactly on a curve point's rate (the cap's
+    and the next one's among them) or an ulp off."""
+    params = draw(st.one_of(st.sampled_from([HEX, HEX_TIGHT, SQUARE]), lattices()))
+    cap = draw(st.sampled_from([2, 3, 100, 1000, 1 << 11, 1 << 14]))
+    k = draw(st.one_of(st.integers(1, cap + 1), st.sampled_from([cap, cap + 1])))
+    rate = analytics.curve_point(params, "12", k).rate_bits
+    budget = draw(
+        st.one_of(
+            st.sampled_from([rate, math.nextafter(rate, -math.inf), math.nextafter(rate, math.inf)]),
+            st.floats(rate, rate + 2.0),
+        )
+    )
+    return params, cap, budget
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(case=budget_cases())
+def test_seeded_budget_search_equals_reference(case):
+    params, cap, budget = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(analytics._MAX_CURVE_SIZE, "12", cap)
+        try:
+            want = _budget_search_reference(params, "12", budget)[0]
+        except analytics.BudgetTooSmall as exc:
+            with pytest.raises(analytics.BudgetTooSmall) as info:
+                analytics._budget_search(params, "12", budget)
+            assert str(info.value) == str(exc)
+            return
+        assert analytics._budget_search(params, "12", budget)[0] == want
+
+
+@PROPERTY
+@given(
+    cap=st.integers(1, 1 << 62),
+    start=st.integers(1, 1 << 62),
+    last=st.integers(1, 1 << 62),
+)
+def test_last_within_finds_threshold(cap, start, last):
+    """From any start in [1, cap], the largest size within a threshold, or
+    the cap, in O(log) probes of the distance from start."""
+    start = min(start, cap)
+    probes = []
+
+    def within(n):
+        assert 1 <= n <= cap
+        probes.append(n)
+        return n <= last
+
+    assert analytics._last_within(within, start, cap) == min(last, cap)
+    assert len(probes) <= 2 * (abs(min(last, cap) - start) + 1).bit_length() + 2
+
+
+@pytest.mark.parametrize("scheme", ["12", "21"])
+@pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf, 0.5, 1.0])
+def test_budget_search_errors_equal_reference(scheme, budget):
+    with pytest.raises(ValueError) as want:
+        _budget_search_reference(MAIN, scheme, budget)
+    with pytest.raises(ValueError) as got:
+        analytics._budget_search(MAIN, scheme, budget)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("params,scheme,budget", BUDGET_CASES)
 def test_pe_at_rate_adds_at_most_one_curve_point(params, scheme, budget, monkeypatch):
-    calls, _ = _record_curve_points(monkeypatch)
+    calls = _record_curve_points(monkeypatch)
     below = analytics.budget_point(params, scheme, budget)
     n_budget_point = len(calls)
     calls.clear()
