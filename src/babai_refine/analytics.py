@@ -17,10 +17,12 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetTooSmall, DegenerateInterval, InvalidDistribution
-from .lattice import _SPAN_EPS, CellGeometry, LatticeParams, cell_geometry, cross_section
+from .lattice import CellGeometry, LatticeParams, cell_geometry, cross_section
 from .quadrature import adaptive_simpson
 
 _SUM_TOL = 1e-10
+# absolute tolerance of the kappa quadratures
+_KAPPA_TOL = 1e-9
 # bins per cut table in rate_12, which bounds its memory at any quantizer size
 _RATE_CHUNK = 1 << 12
 # the 12-scheme rate costs O(n2) to evaluate exactly; the 21-scheme is O(1)
@@ -76,7 +78,7 @@ def _interval_error_coefficient(geom: CellGeometry, a: float, b: float) -> float
     """
     total = 0.0
     for seg in geom.boundary_segments:
-        if seg.x1_span[0] <= a + _SPAN_EPS and b <= seg.x1_span[1] + _SPAN_EPS:
+        if seg.x1_span[0] <= a and b <= seg.x1_span[1]:
             rise = abs(seg.x2_at(b) - seg.x2_at(a))
             total += (b - a) * rise / (2.0 * geom.H)
     return total
@@ -213,32 +215,33 @@ def rate_12(params: LatticeParams, n1: int, n2: int) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=256)
-def kappa_12(params: LatticeParams, abs_tol: float = 1e-9) -> float:
+def kappa_12(params: LatticeParams) -> float:
     """Limiting H(U2|U1) as the 12-scheme bins shrink.
 
     (2/L) * integral of the strip decision entropy over (-1/2, t_m1], split
-    at t_m2 where the integrand has a kink.
+    at t_m2 where the integrand has a kink; adaptive Simpson to absolute
+    tolerance 1e-9 on kappa.
     """
     g = cell_geometry(params)
     # spans closed at the thresholds, where the quadrature splits
     f = lambda x: _row_entropies(cross_section(g, x, vertical=True, closed=True).probs)
-    piece_tol = abs_tol / 4.0
     return 2.0 * (
-        adaptive_simpson(f, -0.5, g.t_m2, piece_tol)
-        + adaptive_simpson(f, g.t_m2, g.t_m1, piece_tol)
+        adaptive_simpson(f, -0.5, g.t_m2, _KAPPA_TOL / 4.0)
+        + adaptive_simpson(f, g.t_m2, g.t_m1, _KAPPA_TOL / 4.0)
     )
 
 
 @lru_cache(maxsize=256)
-def kappa_21(params: LatticeParams, abs_tol: float = 1e-9) -> float:
+def kappa_21(params: LatticeParams) -> float:
     """Limiting H(U1|U2) as the 21-scheme bins shrink.
 
     (2/H) * integral of the row decision entropy over (-H/2, tau_m1]; the
     integrand is smooth there (both boundary segments span the whole band).
+    Adaptive Simpson to absolute tolerance 1e-9 on kappa.
     """
     g = cell_geometry(params)
     f = lambda x: _row_entropies(cross_section(g, x, vertical=False, closed=True).probs)
-    return (2.0 / g.H) * adaptive_simpson(f, -g.H / 2.0, g.tau_m1, abs_tol * g.H / 2.0)
+    return (2.0 / g.H) * adaptive_simpson(f, -g.H / 2.0, g.tau_m1, _KAPPA_TOL * g.H / 2.0)
 
 
 def optimal_n1(params: LatticeParams, n2: int) -> int:

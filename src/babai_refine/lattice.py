@@ -23,8 +23,6 @@ import numpy as np
 
 from .errors import InvalidParams, OutOfCell
 
-_SPAN_EPS = 1e-12
-
 
 class IntegerPair(NamedTuple):
     """Lattice coordinates u; the lattice point is V @ u."""
@@ -164,8 +162,8 @@ class BoundarySegment:
     """Portion of a perpendicular bisector inside B(0).
 
     The line is x . normal = offset with normal = V@neighbor and
-    offset = |V@neighbor|^2 / 2; spans are stored ascending and interpreted
-    half-open per the package convention.
+    offset = |V@neighbor|^2 / 2.  Each span, stored ascending, runs exactly
+    from the segment's closed-form x1 (x2) threshold to the cell edge.
     """
 
     neighbor: IntegerPair
@@ -225,34 +223,6 @@ class CutSpec:
     labels: tuple[IntegerPair, ...]
 
 
-def _clip_bisector(neighbor: IntegerPair, gen: Generator, H: float) -> BoundarySegment | None:
-    """Intersect the bisector of 0 and V@neighbor with the interior of B(0)."""
-    n = lattice_point(neighbor, gen)
-    offset = 0.5 * (n[0] ** 2 + n[1] ** 2)
-    if abs(n[1]) < _SPAN_EPS:
-        # vertical bisector (neighbors +/-(1,0)): coincides with a cell edge
-        return None
-    lo, hi = -0.5, 0.5
-    # restrict to x1 where the line's height stays within [-H/2, H/2]
-    x1_at_top = (offset - n[1] * (H / 2)) / n[0] if abs(n[0]) > _SPAN_EPS else None
-    x1_at_bot = (offset - n[1] * (-H / 2)) / n[0] if abs(n[0]) > _SPAN_EPS else None
-    if x1_at_top is not None and x1_at_bot is not None:
-        a, b = sorted((x1_at_top, x1_at_bot))
-        lo, hi = max(lo, a), min(hi, b)
-    if hi - lo <= _SPAN_EPS:
-        return None
-    y_lo = (offset - n[0] * lo) / n[1]
-    y_hi = (offset - n[0] * hi) / n[1]
-    return BoundarySegment(
-        neighbor=neighbor,
-        normal=n,
-        offset=offset,
-        x1_span=(lo, hi),
-        x2_span=(min(y_lo, y_hi), max(y_lo, y_hi)),
-        slope=-n[0] / n[1],
-    )
-
-
 @lru_cache(maxsize=256)
 def cell_geometry(params: LatticeParams) -> CellGeometry:
     """Thresholds, lengths, heights and boundary segments of B(0)."""
@@ -262,18 +232,26 @@ def cell_geometry(params: LatticeParams) -> CellGeometry:
     cos_t = math.cos(params.theta)
     sin_t = math.sin(params.theta)
     H1 = cos_t * (1.0 - params.rho * cos_t) / (2.0 * sin_t)
+    t_m2, t_m1, t_1, t_2 = (c - 1.0) / 2.0, -c / 2.0, c / 2.0, (1.0 - c) / 2.0
+    tau_1 = H / 2.0 - H1
+    top, bottom = (tau_1, H / 2.0), (-H / 2.0, -tau_1)
     segments = []
-    for r in relevant_vectors(gen):
-        seg = _clip_bisector(r, gen, H)
-        if seg is not None:
-            segments.append(seg)
+    for r, x1_span, x2_span in (
+        (IntegerPair(0, 1), (t_1, 0.5), top),
+        (IntegerPair(0, -1), (-0.5, t_m1), bottom),
+        (IntegerPair(-1, 1), (-0.5, t_m2), top),
+        (IntegerPair(1, -1), (t_2, 0.5), bottom),
+    ):
+        n = lattice_point(r, gen)
+        offset = 0.5 * (n[0] ** 2 + n[1] ** 2)
+        segments.append(BoundarySegment(r, n, offset, x1_span, x2_span, slope=-n[0] / n[1]))
     return CellGeometry(
-        t_m2=(c - 1.0) / 2.0,
-        t_m1=-c / 2.0,
-        t_1=c / 2.0,
-        t_2=(1.0 - c) / 2.0,
-        tau_m1=-(H / 2.0 - H1),
-        tau_1=H / 2.0 - H1,
+        t_m2=t_m2,
+        t_m1=t_m1,
+        t_1=t_1,
+        t_2=t_2,
+        tau_m1=-tau_1,
+        tau_1=tau_1,
         L0=c,
         L1=(1.0 - 2.0 * c) / 2.0,
         L2=c / 2.0,
@@ -309,39 +287,32 @@ def cross_section(
     """Cut table of the strips at x1 = coords (vertical) or the rows at x2 = coords.
 
     The boundary segment of neighbour r lies in the corner of B(0) that V@r
-    points to.  It crosses the strips beyond its x1 threshold on that side
-    (t_1, t_2, t_m2, t_m1 for r = (0,1), (1,-1), (-1,1), (0,-1)) and the rows
-    beyond its x2 threshold (tau_1 for the top pair, tau_m1 for the bottom
-    pair); the region beyond its cut, in the direction V@r points, is r.
-    Each span is open at its threshold, where the cut meets the line's end,
-    and closed at +/-1/2 and +/-H/2, so on the five x1 intervals and the
-    three x2 bands the cuts are affine and the labels constant.
+    points to.  It crosses the strips of its x1 span and the rows of its x2
+    span, whose inner ends are the thresholds (t_1, t_2, t_m2, t_m1 for
+    r = (0,1), (1,-1), (-1,1), (0,-1); tau_1 and tau_m1 for the top and
+    bottom pairs); the region beyond its cut, in the direction V@r points,
+    is r.  Each span is open at its threshold and closed at +/-1/2 and
+    +/-H/2, so on the five x1 intervals and the three x2 bands the cuts
+    are affine and the labels constant.
 
     closed=True closes the spans at their thresholds too, keeping there the
     cut as the line algebra gives it (on the line's end up to rounding):
     the kappa integrands use it, so the quadrature sees on each closed
     interval the continuous extension of that interval's pieces.
     """
-    thresholds = {
-        IntegerPair(0, 1): (geom.t_1, geom.tau_1),
-        IntegerPair(1, -1): (geom.t_2, geom.tau_m1),
-        IntegerPair(-1, 1): (geom.t_m2, geom.tau_1),
-        IntegerPair(0, -1): (geom.t_m1, geom.tau_m1),
-    }
     x = np.asarray(coords, dtype=np.float64)
     lo = np.full(x.shape, -np.inf)
     hi = np.full(x.shape, np.inf)
     labels = np.zeros(x.shape + (3, 2))
     for seg in geom.boundary_segments:
-        t_strip, t_row = thresholds[seg.neighbor]
         if vertical:
-            side, beyond, threshold, cut = seg.normal[0], seg.normal[1], t_strip, seg.x2_at(x)
+            side, beyond, span, cut = seg.normal[0], seg.normal[1], seg.x1_span, seg.x2_at(x)
         else:
-            side, beyond, threshold, cut = seg.normal[1], seg.normal[0], t_row, seg.x1_at(x)
+            side, beyond, span, cut = seg.normal[1], seg.normal[0], seg.x2_span, seg.x1_at(x)
         if side > 0.0:
-            crosses = x >= threshold if closed else x > threshold
+            crosses = x >= span[0] if closed else x > span[0]
         else:
-            crosses = x <= threshold if closed else x < threshold
+            crosses = x <= span[1] if closed else x < span[1]
         if beyond > 0.0:
             hi[crosses] = cut[crosses]
             labels[crosses, 2] = seg.neighbor

@@ -174,20 +174,15 @@ class ErrorRectangle:
 def error_rectangle(params: LatticeParams, u2: int, u1: int) -> ErrorRectangle:
     """The round-1 error rectangle selected by symbols (u2, u1), both nonzero.
 
-    For u2 = 1 the two rectangles sit in the top band; u2 = -1 mirrors them
-    through the origin.
+    It is the bounding box of the boundary segment of neighbour u2*(0,1)
+    (u1 = 1) or u2*(-1,1) (u1 = -1): for u2 = 1 the two rectangles sit in
+    the top band, and u2 = -1 mirrors them through the origin.
     """
     if u2 not in (-1, 1) or u1 not in (-1, 1):
         raise ValueError("error rectangles exist only for u2, u1 in {-1, +1}")
-    g = cell_geometry(params)
-    if u1 == 1:
-        rect = (g.t_1, 0.5, g.tau_1, g.H / 2.0, IntegerPair(0, 1), False)
-    else:
-        rect = (-0.5, g.t_m2, g.tau_1, g.H / 2.0, IntegerPair(-1, 1), True)
-    if u2 == -1:
-        x_lo, x_hi, y_lo, y_hi, nb, pos_slope = rect
-        rect = (-x_hi, -x_lo, -y_hi, -y_lo, -nb, pos_slope)
-    return ErrorRectangle(*rect)
+    neighbor = IntegerPair(0, u2) if u1 == 1 else IntegerPair(-u2, u2)
+    seg = next(s for s in cell_geometry(params).boundary_segments if s.neighbor == neighbor)
+    return ErrorRectangle(*seg.x1_span, *seg.x2_span, seg.neighbor, seg.slope > 0.0)
 
 
 def _beyond_bisector(params: LatticeParams, u1m: int, x1: float, x2: float) -> bool:

@@ -84,6 +84,19 @@ def test_coefficients_12_limits(params_hex, params_square):
     assert sq.alpha1 < 1e-6 and sq.alpha2 < 1e-6
 
 
+@pytest.mark.parametrize(
+    "rcos", [1e-12, 2e-12, 1e-9, 1e-7, 5e-7, 1e-5, 1e-3, 0.1, 0.3, 0.5 - 1e-6, 0.5 - 1e-9]
+)
+@pytest.mark.parametrize("rho", [1.0, 1.3])
+def test_coefficients_12_match_closed_form(rho, rcos):
+    """The span-derived coefficients keep their closed forms down to rcos = 1e-12."""
+    params = LatticeParams(rho=rho, theta=math.acos(rcos / rho))
+    g = cell_geometry(params)
+    co = coefficients_12(params)
+    assert math.isclose(co.alpha1, g.L1 * g.H21 / (2 * g.H), rel_tol=1e-3)
+    assert math.isclose(co.alpha2, g.L2 * (g.H1 + g.H22) / (2 * g.H), rel_tol=1e-3)
+
+
 def test_pe_12(params_main):
     assert math.isclose(
         pe_12(params_main, 2, 3), 0.012 / 1.82 / 2 + 0.0225 / 1.82 / 3, rel_tol=1e-12
@@ -164,6 +177,14 @@ def test_optimal_n1(params_main):
     assert optimal_n1(params_main, 12) == 5  # ceil(0.4 * 12) with ratio 0.4
     for n2 in range(1, 60):
         assert optimal_n1(params_main, 2 * n2) <= 2 * optimal_n1(params_main, n2) + 1
+
+
+@pytest.mark.parametrize("rho", [1.0, 1.3])
+def test_12_scheme_defined_near_rectangular_limit(rho):
+    params = LatticeParams(rho=rho, theta=math.pi / 2 - 1e-12)
+    assert optimal_n1(params, 7) >= 1
+    point = budget_point(params, "12", 4.0)
+    assert point.rate_bits <= 4.0 and 0.0 < point.pe < 1.0
 
 
 def test_tradeoff_curve(params_main):

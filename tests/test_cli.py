@@ -259,7 +259,7 @@ def test_quadrature_failure_exit_3(capsys, monkeypatch):
     from babai_refine import QuadratureFailure
     from babai_refine import cli as cli_mod
 
-    def boom(params, abs_tol=1e-9):
+    def boom(params):
         raise QuadratureFailure("synthetic")
 
     monkeypatch.setattr(cli_mod.analytics, "kappa_12", boom)

@@ -54,6 +54,7 @@ CLI_CASES = {
     "sweep-rho1.2-grid20-budget6": ["sweep", "--rho", "1.2", "--grid", "20", "--budget", "6"],
     "geometry-rcos0.3": ["geometry", "--rcos", "0.3", "--format", "json"],
     "geometry-60deg": ["geometry", "--theta-deg", "60", "--format", "json"],
+    "geometry-rcos1e-6": ["geometry", "--rcos", "1e-6", "--format", "text"],
     "analyze-12-rcos0.3": ["analyze", "--scheme", "12", "--rcos", "0.3", "--n1", "2", "--n2", "3"],
     "analyze-12-61deg": ["analyze", "--scheme", "12", "--theta-deg", "61", "--n1", "1", "--n2", "5"],
     "analyze-21-rcos0.3": ["analyze", "--scheme", "21", "--rcos", "0.3", "--n", "4"],
@@ -123,8 +124,9 @@ GOLDEN = {
     "cli/sweep-grid50-budget8": "01bb4dd3aa5b6ad48f7259762cb807a3beed901c5dedc17a8e8c4bdbd13eb909",
     "cli/sweep-grid40-budget3": "ca2677eb38b61ce63fe715adb690ae836645b0ee92100506d16c06f00057788f",
     "cli/sweep-rho1.2-grid20-budget6": "02262ec7b44251a32d6d38c52773c868f792168198c5f98ff5a3581b535e7d92",
-    "cli/geometry-rcos0.3": "79a3d103df3e175f9fca9bdf577aa6426bc80c056554ebb552ef1a7012bfe081",
-    "cli/geometry-60deg": "3c9706f8688be25c1845db6096afae0e24584b5f2dd56c01b6776a8570a73d59",
+    "cli/geometry-rcos0.3": "4e8ca514cbffab0e7d727bb407ba59c58a401486b903d1eb91d4a490c6c40a3e",
+    "cli/geometry-60deg": "ca9afba6f9155e630181371ece9fab24b0b6a43988fa594a8efbb11cf9196119",
+    "cli/geometry-rcos1e-6": "0d6634402bb23705f8a98d8d5be2da31053227123a720bc7cd382319a89e53fa",
     "cli/analyze-12-rcos0.3": "fe4e0c345acbfc36c6fd66e9113046a476a31e12e7a7e7d4bfe1b88648b29597",
     "cli/analyze-12-61deg": "90efd2d5b2ebed7dbcf9983741c22fcfeb357e3193bdad7417ce74d56fd0de79",
     "cli/analyze-21-rcos0.3": "13ea7e077a253a459d380cfca3717c4b3b398c7ab490a47a7cfe6d60d63cb57f",

@@ -196,14 +196,35 @@ def test_boundary_segments_structure(params_main):
     by_nb = {tuple(s.neighbor): s for s in g.boundary_segments}
     v2 = by_nb[(0, 1)]
     # the bisector of v2 runs corner-to-corner over the right error rectangle
-    assert math.isclose(v2.x1_span[0], g.t_1, abs_tol=1e-12)
-    assert math.isclose(v2.x1_span[1], 0.5, abs_tol=1e-12)
+    assert v2.x1_span == (g.t_1, 0.5)
+    assert v2.x2_span == (g.tau_1, g.H / 2)
     assert math.isclose(v2.x2_at(g.t_1), g.H / 2, abs_tol=1e-12)
     assert math.isclose(v2.x2_at(0.5), g.tau_1, abs_tol=1e-12)
     w = by_nb[(-1, 1)]
+    assert w.x1_span == (-0.5, g.t_m2)
+    assert w.x2_span == (g.tau_1, g.H / 2)
     assert math.isclose(w.x2_at(-0.5), g.tau_1, abs_tol=1e-12)
     assert math.isclose(w.x2_at(g.t_m2), g.H / 2, abs_tol=1e-12)
     assert w.slope > 0 > v2.slope
+
+
+# rho*cos(theta) from deep in the rectangular limit to just below the hexagonal one
+RCOS_SWEEP = [10.0**k for k in range(-15, 0)] + [2e-12, 5e-7, 0.3, 0.5 - 1e-6, 0.5 - 1e-9]
+
+
+@pytest.mark.parametrize("rcos", RCOS_SWEEP)
+@pytest.mark.parametrize("rho", [1.0, 1.3])
+def test_boundary_spans_are_the_thresholds(rho, rcos):
+    """All four segments exist at every lattice, spanning exactly t/tau to the edge."""
+    g = cell_geometry(LatticeParams(rho=rho, theta=math.acos(rcos / rho)))
+    top, bottom = (g.tau_1, g.H / 2), (-g.H / 2, g.tau_m1)
+    spans = [(tuple(s.neighbor), s.x1_span, s.x2_span) for s in g.boundary_segments]
+    assert spans == [
+        ((0, 1), (g.t_1, 0.5), top),
+        ((0, -1), (-0.5, g.t_m1), bottom),
+        ((-1, 1), (-0.5, g.t_m2), top),
+        ((1, -1), (g.t_2, 0.5), bottom),
+    ]
 
 
 @pytest.mark.parametrize("params", random_valid_params(50, seed=43))

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from babai_refine import (
+    ErrorRectangle,
+    IntegerPair,
     OutOfCell,
     Point2,
     cell_geometry,
@@ -206,6 +208,20 @@ def test_error_rectangle_diagonal(params_main):
                 corners = [(rect.x_lo, rect.y_hi), (rect.x_hi, rect.y_lo)]
             for cx, cy in corners:
                 assert abs(cx * n[0] + cy * n[1] - off) < 1e-12
+
+
+@pytest.mark.parametrize("params", random_valid_params(20, seed=83))
+def test_error_rectangles_are_the_threshold_boxes(params):
+    """Bit for bit: the top boxes from the t/tau thresholds, the bottom ones negated."""
+    g = cell_geometry(params)
+    top = {
+        1: (g.t_1, 0.5, g.tau_1, g.H / 2.0, IntegerPair(0, 1), False),
+        -1: (-0.5, g.t_m2, g.tau_1, g.H / 2.0, IntegerPair(-1, 1), True),
+    }
+    for u1, (x_lo, x_hi, y_lo, y_hi, nb, pos) in top.items():
+        assert error_rectangle(params, 1, u1) == ErrorRectangle(x_lo, x_hi, y_lo, y_hi, nb, pos)
+        mirrored = ErrorRectangle(-x_hi, -x_lo, -y_hi, -y_lo, -nb, pos)
+        assert error_rectangle(params, -1, u1) == mirrored
 
 
 def test_bisection_recursion_keeps_diagonal(params_main):
