@@ -249,6 +249,8 @@ def cmd_sweep(args) -> str:
         raise InvalidParams("grid must have at least one point")
     if args.max_rounds < 1:
         raise InvalidParams("max_rounds must be >= 1")
+    if args.trials < 0:
+        raise InvalidParams("trials must be >= 0")
     rho = args.rho
     theta_lo = math.acos(min(1.0, 1.0 / (2.0 * rho)))
     theta_hi = math.pi / 2.0

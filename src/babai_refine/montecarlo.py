@@ -1,11 +1,11 @@
 """Uniform sampling over the Babai cell and vectorized protocol estimators.
 
 Sampling is counter-based (SplitMix64 keyed by the seed, indexed by the
-trial number), so every trial is a pure function of (seed, trial_index) and
-reports are bit-identical regardless of how trials are batched or scheduled.
-The run_batch_* kernels evaluate a whole array of trials at once and return
-per-trial arrays; simulate() reduces them into a SimReport with binomial /
-sample standard errors next to the closed-form predictions.
+trial number), so every trial is a pure function of (seed, trial_index),
+whatever block of trials it is computed in.  The run_batch_* kernels
+evaluate a whole array of trials at once and return per-trial arrays;
+simulate() reduces them into a SimReport with binomial / sample standard
+errors next to the closed-form predictions.
 """
 
 from __future__ import annotations
@@ -26,7 +26,18 @@ from .lattice import (
 )
 from .protocols import DEFAULT_MAX_ROUNDS
 
+# Trials per reduction chunk: its per-chunk float sums set a report's low
+# bits, so it is fixed.
 _CHUNK = 1 << 20
+# Trials per block of the per-trial stages (sampling, oracle, kernel, error
+# flags).  Any size gives the same report; at 2^16 a block's float64 arrays
+# are 512 KB, so the stages' elementwise passes stay in a 2 MB L2 cache and
+# reuse freed pages instead of faulting in fresh 8 MB arrays.
+_BLOCK = 1 << 16
+# A single-round kernel rebuilds its cut table, 2 * (sum of the sizes) + 1
+# bins, for every block; blocks of at least this many trials per unit of
+# size keep the rebuilds a small share of the work at large sizes.
+_TRIALS_PER_SIZE = 8
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -88,9 +99,22 @@ def _mix64_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _require_int(name: str, value) -> None:
+    """A count, size or seed must be an int; a bool or float is never coerced."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def _check_seed(seed) -> None:
+    _require_int("seed", seed)
+    if not 0 <= seed <= _U64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+
+
 def derive_seed(seed: int, stream: int) -> int:
     """Deterministic 64-bit sub-seed for a named stream of a master seed."""
-    base = ((seed & _U64) + 0x9E3779B97F4A7C15 * (stream + 1)) & _U64
+    _check_seed(seed)
+    base = (seed + 0x9E3779B97F4A7C15 * (stream + 1)) & _U64
     return _mix64_int(_mix64_int(base))
 
 
@@ -534,6 +558,10 @@ class SimConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {self.scheme!r}")
+        _check_seed(self.seed)
+        given = [f for f in _SIZE_FIELDS if getattr(self, f) is not None]
+        for f in ("trials", "max_rounds", *given):
+            _require_int(f, getattr(self, f))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.max_rounds < 1:
@@ -573,9 +601,11 @@ class SimReport:
 def simulate(config: SimConfig) -> SimReport:
     """Run the configured scheme over `trials` uniform cell points.
 
-    Errors count decisions differing from the exact nearest point.  Trials
-    are processed in fixed-size chunks and reduced in index order, keeping
-    the report independent of any internal batching.
+    Errors count decisions differing from the exact nearest point.  The
+    per-trial stages run on blocks of `_BLOCK` trials (more for large
+    quantizers), whose size does not change the report; the bits and rounds
+    are reduced over fixed chunks of `_CHUNK` trials in index order, and the
+    chunk size does set the low bits of the means and standard errors.
     """
     params = config.params
     scheme = SCHEMES[config.scheme]
@@ -584,15 +614,23 @@ def simulate(config: SimConfig) -> SimReport:
     bit_sums = []
     round_sums = []
     total = config.trials
+    block = max(_BLOCK, _TRIALS_PER_SIZE * sum(config.sizes.values()))
     for lo in range(0, total, _CHUNK):
         hi = min(lo + _CHUNK, total)
-        x1, x2 = sample_cell_arrays(params, np.arange(lo, hi, dtype=np.uint64), config.seed)
-        e1, e2 = exact_nearest_batch(params, x1, x2)
-        dec1, dec2, bits, rounds, unhalted = scheme.kernel(
-            params, x1, x2, config.max_rounds, **config.sizes
-        )
-        n_err += int(np.sum((dec1 != e1) | (dec2 != e2)))
-        n_unhalted += unhalted
+        bit_array = np.empty(hi - lo)
+        round_array = np.empty(hi - lo)
+        for a in range(lo, hi, block):
+            x1, x2 = sample_cell_arrays(
+                params, np.arange(a, min(a + block, hi), dtype=np.uint64), config.seed
+            )
+            e1, e2 = exact_nearest_batch(params, x1, x2)
+            dec1, dec2, block_bits, block_rounds, unhalted = scheme.kernel(
+                params, x1, x2, config.max_rounds, **config.sizes
+            )
+            n_err += int(np.sum((dec1 != e1) | (dec2 != e2)))
+            n_unhalted += unhalted
+            bits = _store(bit_array, a - lo, block_bits)
+            rounds = _store(round_array, a - lo, block_rounds)
         bit_sums.append(_sums(bits, hi - lo))
         round_sums.append(_sums(rounds, hi - lo))
 
@@ -616,6 +654,16 @@ def simulate(config: SimConfig) -> SimReport:
         predicted_rounds=pred_rounds,
         unhalted_count=n_unhalted,
     )
+
+
+def _store(chunk: np.ndarray, at: int, values):
+    """Write a block's per-trial values into its chunk's array from `at` and
+    return the array, or return the one value every trial shares when the
+    kernel gives one (the array is then never written)."""
+    if np.ndim(values) == 0:
+        return values
+    chunk[at : at + len(values)] = values
+    return chunk
 
 
 def _sums(values, n: int) -> tuple[float, float]:

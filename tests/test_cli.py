@@ -216,6 +216,24 @@ def test_zero_sizes_and_rounds_exit_2(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--scheme", "babai", "--trials", "1000", "--seed", str(2**64 + 1)],
+        ["simulate", "--scheme", "babai", "--trials", "1000", "--seed", str(2**64)],
+        ["simulate", "--scheme", "inf", "--trials", "1000", "--seed", "-1"],
+        ["sweep", "--grid", "1", "--trials", "1000", "--seed", "-1"],
+        ["sweep", "--grid", "1", "--trials", "1000", "--seed", str(2**64 + 1)],
+        ["sweep", "--grid", "1", "--trials", "-1"],
+    ],
+)
+def test_out_of_range_seeds_and_counts_exit_2(argv, capsys):
+    """A seed outside [0, 2**64) or a negative sweep trial count is rejected,
+    never reduced modulo 2**64 or read as no trials."""
+    rc, out, err = run_cli(argv + ["--rcos", "0.3"], capsys)
+    assert rc == 2 and out == "" and "error" in err
+
+
+@pytest.mark.parametrize(
     "omitted,given",
     [
         (["analyze", "--scheme", "12"], ["--n1", "1", "--n2", "1"]),

@@ -22,6 +22,8 @@ from babai_refine.lattice import Point2, cell_geometry
 
 LATTICES = ("params_main", "params_hex", "params_square")
 TRIALS = 1 << 16
+# a report over more than one reduction chunk and many per-trial blocks
+CHUNKED_TRIALS = (1 << 20) + 12345
 SEED = 20170125
 
 SIM_CASES = {
@@ -120,6 +122,12 @@ GOLDEN = {
     "transcripts/params_square/21-4": "6032b7d862ed63ff3f9c2bd81f3f5eef410c5c73c51a0976a692f058bcdd8c48",
     "transcripts/params_square/21-999": "0b8559c4f97b82f70fb96a6e5986f89a32ce729f03e37849a3b0e5fbd69eecb7",
     "transcripts/params_square/infinite": "227697e19c5d26c5190f8e3a7592607e8530b8fde98b53369f95bb8e83892ae0",
+    "report-chunked/params_main/babai_only": "01f7929ec495e924a1a178b3f85da62706fc61a3eabccefece8c19e91daf891e",
+    "report-chunked/params_main/infinite": "dfe6d946edfcc98fcc9d5f242b494e0e2aa05f8c1ba6108782e1f292641b243e",
+    "report-chunked/params_main/12-2-3": "0ef46103ad5700d8604c935bf48b63c5fdff63b5bc77b167cd6c460aa7220bb8",
+    "report-chunked/params_main/12-300-700": "8ef9a928e21e15634e0c2a8c0c39529c35b054cbb0a0bc1eeefa7037b0d020e4",
+    "report-chunked/params_main/21-4": "e74975ad636edfb20cbb3a9e03b6c2bc142ac9942f964138745a2067f9b82fc2",
+    "report-chunked/params_main/21-999": "fadc7b87b8c5d7d937bce51dfacc66ffc7762e308255d868ce39b365bd465223",
     "cli/sweep-grid4-budget8": "762f67fac7b842653daf284369c734b1d1b65c033b2f87d3efe8d24a72a3a4cf",
     "cli/sweep-grid50-budget8": "01bb4dd3aa5b6ad48f7259762cb807a3beed901c5dedc17a8e8c4bdbd13eb909",
     "cli/sweep-grid40-budget3": "ca2677eb38b61ce63fe715adb690ae836645b0ee92100506d16c06f00057788f",
@@ -139,10 +147,10 @@ def _scheme(case: str) -> str:
     return case.split("-")[0]
 
 
-def _simulate(params, case: str) -> str:
+def _simulate(params, case: str, trials: int = TRIALS) -> str:
     scheme = case if case in ("babai_only", "infinite") else _scheme(case)
     config = montecarlo.SimConfig(
-        params=params, scheme=scheme, trials=TRIALS, seed=SEED, **SIM_CASES[case]
+        params=params, scheme=scheme, trials=trials, seed=SEED, **SIM_CASES[case]
     )
     return json.dumps(dataclasses.asdict(montecarlo.simulate(config)))
 
@@ -243,6 +251,8 @@ def render(key: str, request=None) -> str:
     params = request.getfixturevalue(lattice)
     if kind == "report":
         return _simulate(params, case)
+    if kind == "report-chunked":
+        return _simulate(params, case, CHUNKED_TRIALS)
     if kind == "kernel-infinite":
         return _infinite_kernel(params, case)
     if kind in SINGLE_ROUND_KERNELS:
@@ -252,6 +262,7 @@ def render(key: str, request=None) -> str:
 
 KEYS = (
     [f"report/{lat}/{case}" for lat in LATTICES for case in SIM_CASES]
+    + [f"report-chunked/params_main/{case}" for case in SIM_CASES]
     + [f"kernel-infinite/{lat}/{case}" for lat in LATTICES for case in INFINITE_ROUNDS]
     + [
         f"{kind}/{lat}/{case}"

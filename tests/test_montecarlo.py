@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from babai_refine import montecarlo
 from babai_refine import (
     LatticeParams,
     Point2,
@@ -11,6 +13,7 @@ from babai_refine import (
     babai_nearest_plane,
     babai_batch,
     cell_geometry,
+    derive_seed,
     exact_nearest_batch,
     exact_nearest_point,
     make_generator,
@@ -469,3 +472,88 @@ def test_simconfig_validation(params_main):
         run_batch_infinite(params_main, np.zeros(3), np.zeros(3), max_rounds=0)
     with pytest.raises(ValueError):
         sample_uniform_babai_cell(params_main, -1, seed=0)
+    # seeds outside [0, 2**64) and non-int or bool counts are rejected, not coerced
+    for seed in (2**64 + 1, 2**64, -1, 1.0, True):
+        with pytest.raises(ValueError, match="seed must be"):
+            SimConfig(params=params_main, scheme="babai_only", trials=10, seed=seed)
+        with pytest.raises(ValueError, match="seed must be"):
+            derive_seed(seed, 0)
+    assert derive_seed(2**64 - 1, 0) != derive_seed(0, 0)
+    for field, value, scheme, sizes in (
+        ("trials", True, "babai_only", {}),
+        ("trials", 10.0, "babai_only", {}),
+        ("max_rounds", 2.0, "infinite", {}),
+        ("max_rounds", True, "infinite", {}),
+        ("n1", 2.0, "12", {"n2": 3}),
+        ("n2", True, "12", {"n1": 2}),
+        ("n", 4.0, "21", {}),
+    ):
+        config = {"trials": 10, field: value, **sizes}
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            SimConfig(params=params_main, scheme=scheme, seed=0, **config)
+
+
+_BLOCK_CASES = {
+    "babai_only": ("babai_only", {}),
+    "inf-1": ("infinite", {"max_rounds": 1}),
+    "inf-2": ("infinite", {"max_rounds": 2}),
+    "inf-64": ("infinite", {"max_rounds": 64}),
+    "12-2-3": ("12", {"n1": 2, "n2": 3}),
+    "12-300-700": ("12", {"n1": 300, "n2": 700}),
+    "21-4": ("21", {"n": 4}),
+    "21-999": ("21", {"n": 999}),
+    # large enough that the default blocks grow with the sizes
+    "12-10000-10000": ("12", {"n1": 10000, "n2": 10000}),
+}
+_BLOCKS = (1000, 7919, montecarlo._CHUNK)
+# every case but the largest sizes on every lattice at the small counts, at
+# each block size; one case per lattice at the counts that cross a
+# reduction chunk, and blocks of 1000 (over a thousand blocks) on the
+# cheapest of those only
+_BLOCK_RUNS = [
+    (lattice, case, trials, block)
+    for lattice in ("params_main", "params_hex", "params_square")
+    for case in list(_BLOCK_CASES)[:-1]
+    for trials in (1, (1 << 16) + 7)
+    for block in _BLOCKS
+] + [
+    (lattice, case, trials, block)
+    for lattice, case, trials, blocks in (
+        ("params_main", "inf-64", (1 << 20) + 12345, _BLOCKS[1:]),
+        ("params_main", "12-300-700", 3 * (1 << 19) + 1, _BLOCKS[1:]),
+        ("params_main", "12-10000-10000", (1 << 18) + 3, _BLOCKS[1:]),
+        ("params_hex", "21-999", (1 << 20) + 12345, _BLOCKS[1:]),
+        ("params_square", "inf-2", 3 * (1 << 19) + 1, _BLOCKS),
+    )
+    for block in blocks
+]
+
+
+def _report_fields(report) -> tuple:
+    """Every SimReport field, floats as float.hex so any changed bit shows."""
+    return tuple(
+        float.hex(v) if isinstance(v, float) else v for v in dataclasses.astuple(report)
+    )
+
+
+_DEFAULT_BLOCK_REPORTS: dict[tuple, tuple] = {}
+
+
+@pytest.mark.parametrize("lattice,case,trials,block", _BLOCK_RUNS)
+def test_report_independent_of_block_size(lattice, case, trials, block, request, monkeypatch):
+    """The per-trial block size never moves a bit of the report.
+
+    The reference run takes the default blocks; the other sets the block to
+    exactly `block` trials, whatever the quantizer sizes.
+    """
+    scheme, kw = _BLOCK_CASES[case]
+    config = SimConfig(
+        params=request.getfixturevalue(lattice), scheme=scheme, trials=trials, seed=20170125, **kw
+    )
+    key = (lattice, case, trials)
+    if key not in _DEFAULT_BLOCK_REPORTS:
+        _DEFAULT_BLOCK_REPORTS[key] = _report_fields(simulate(config))
+    want = _DEFAULT_BLOCK_REPORTS[key]
+    monkeypatch.setattr(montecarlo, "_BLOCK", block)
+    monkeypatch.setattr(montecarlo, "_TRIALS_PER_SIZE", 0)
+    assert _report_fields(simulate(config)) == want

@@ -65,3 +65,32 @@ def test_first_op_runs_and_passes_its_check(harness, workload):
     result = op.run()
     assert isinstance(op.output(result), str)
     assert op.check(result) == []
+
+
+def test_tracer_counts_independent_of_block_size(harness, params_main, monkeypatch):
+    """The harness's trial and bisection counts add up over blocks, and the
+    infinite kernel runs once per block of `_BLOCK` trials."""
+    _, tracing = harness
+    trials = (1 << 17) + 5
+    config = montecarlo.SimConfig(params_main, "infinite", trials=trials, seed=11)
+
+    def traced_run():
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            tracer.active = True
+            montecarlo.simulate(config)
+            tracer.active = False
+        finally:
+            tracer.uninstall()
+        calls, _ = tracer.self_times(0, tracer.mark())
+        return tracer.counts, dict(zip(tracing.SPAN_NAMES, calls.tolist()))
+
+    counted = ("montecarlo.trials", "montecarlo.bisection_rounds", "montecarlo.unhalted")
+    counts, calls = traced_run()
+    assert calls["montecarlo.run_batch_infinite"] == -(-trials // montecarlo._BLOCK)
+    monkeypatch.setattr(montecarlo, "_BLOCK", 1 << 20)
+    whole_counts, whole_calls = traced_run()
+    assert whole_calls["montecarlo.run_batch_infinite"] == 1
+    assert counts["montecarlo.trials"] == trials and counts["montecarlo.bisection_rounds"] > 0
+    assert [counts[k] for k in counted] == [whole_counts[k] for k in counted]
