@@ -81,8 +81,7 @@ from .montecarlo import (
 from .protocols import (
     ErrorRectangle,
     Message,
-    Quantizer12,
-    Quantizer21,
+    Quantizer,
     Transcript,
     error_rectangle,
     quantizer_12,

@@ -271,13 +271,7 @@ def tradeoff_curve_12(params: LatticeParams, n2_max: int) -> list[TradeoffPoint]
     """Pareto (rate, pe) points for n2 = 1..n2_max with n1 = optimal_n1(n2)."""
     if n2_max < 1:
         raise ValueError("n2_max must be >= 1")
-    points = []
-    for n2 in range(1, n2_max + 1):
-        n1 = optimal_n1(params, n2)
-        h1, h2 = rate_12(params, n1, n2)
-        points.append(
-            TradeoffPoint(rate_bits=h1 + h2, pe=pe_12(params, n1, n2), n1=n1, n2=n2)
-        )
+    points = [curve_point(params, "12", n2) for n2 in range(1, n2_max + 1)]
     points.sort(key=lambda p: p.rate_bits)
     pruned: list[TradeoffPoint] = []
     for p in points:
@@ -380,20 +374,20 @@ def nbar_infinite(params: LatticeParams) -> float:
     return 1.0 + 2.0 * (1.0 - p.probs[1]) * (1.0 - q.probs[1])
 
 
-def curve_point(params: LatticeParams, scheme: str | int, size: int) -> TradeoffPoint:
+def curve_point(params: LatticeParams, scheme: str, size: int) -> TradeoffPoint:
     """The (rate, pe) point of a scheme at one size index.
 
     For scheme "12" the index is n2 with n1 = optimal_n1(n2); for "21" it is
-    the single size n.
+    the single size n.  Any other scheme, the int 12 included, raises
+    ValueError.
     """
-    key = str(scheme)
-    if key == "12":
+    if scheme == "12":
         n1 = optimal_n1(params, size)
         h1, h2 = rate_12(params, n1, size)
         return TradeoffPoint(
             rate_bits=h1 + h2, pe=pe_12(params, n1, size), n1=n1, n2=size
         )
-    if key == "21":
+    if scheme == "21":
         return TradeoffPoint(rate_bits=rate_21(params, size), pe=pe_21(params, size), n=size)
     raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -455,7 +449,7 @@ def _seed_12(params: LatticeParams, point, rate_budget: float, cap: int) -> int:
 
 
 def _budget_search(
-    params: LatticeParams, scheme: str | int, rate_budget: float
+    params: LatticeParams, scheme: str, rate_budget: float
 ) -> tuple[int, Callable[[int], TradeoffPoint]]:
     """Size index of the finest curve point within the budget, and the curve
     evaluator the search used.
@@ -483,13 +477,13 @@ def _budget_search(
             f"budget {rate_budget} below coarsest rate "
             f"{first.rate_bits:.6f} of scheme {scheme}"
         )
-    cap = _MAX_CURVE_SIZE[str(scheme)]
-    start = _seed_12(params, point, rate_budget, cap) if str(scheme) == "12" else 1
+    cap = _MAX_CURVE_SIZE[scheme]
+    start = _seed_12(params, point, rate_budget, cap) if scheme == "12" else 1
     return _last_within(lambda n: point(n).rate_bits <= rate_budget, start, cap), point
 
 
 def budget_point(
-    params: LatticeParams, scheme: str | int, rate_budget: float
+    params: LatticeParams, scheme: str, rate_budget: float
 ) -> TradeoffPoint:
     """Finest curve point whose rate does not exceed the budget.
 
@@ -505,12 +499,12 @@ def budget_point(
 
 
 def budget_pe(
-    params: LatticeParams, scheme: str | int, rate_budget: float
+    params: LatticeParams, scheme: str, rate_budget: float
 ) -> tuple[TradeoffPoint, float]:
     """budget_point and the interpolated pe of pe_at_rate, from one search."""
     size, point = _budget_search(params, scheme, rate_budget)
     below = point(size)
-    if size < _MAX_CURVE_SIZE[str(scheme)]:
+    if size < _MAX_CURVE_SIZE[scheme]:
         pair = (below, point(size + 1))
     else:
         pair = (point(size - 1), below)
@@ -526,7 +520,7 @@ def budget_pe(
 
 
 def pe_at_rate(
-    params: LatticeParams, scheme: str | int, rate_budget: float
+    params: LatticeParams, scheme: str, rate_budget: float
 ) -> tuple[float, float]:
     """Error probability of a scheme at a rate budget.
 

@@ -190,31 +190,24 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 def cmd_tradeoff(args) -> str:
     params = resolve_params(args.rho, args.theta_deg, args.theta_rad, args.rcos)
-    scheme = args.scheme
-    if scheme not in ("12", "21"):
-        raise InvalidParams("tradeoff supports schemes 12 and 21")
+    scheme = _BY_ALIAS[args.scheme]
     if args.max_size < 1:
         raise InvalidParams("--max-size must be >= 1")
     if args.budget is not None and not math.isfinite(args.budget):
         raise InvalidParams("rate budget must be finite")
     g = cell_geometry(params)
-    if scheme == "12":
+    if scheme.name == "12":
         exponent = g.L / (2.0 * (g.L1 + g.L2))
         points = analytics.tradeoff_curve_12(params, args.max_size)
-        header = ["n1", "n2", "rate_bits", "pe", "pe_scaled"]
-        rows = [
-            [p.n1, p.n2, p.rate_bits, p.pe, p.pe * 2.0 ** (exponent * p.rate_bits)]
-            for p in points
-        ]
     else:
-        q0 = g.H0 / g.H
-        exponent = 1.0 / (1.0 - q0)
+        exponent = 1.0 / (1.0 - g.H0 / g.H)
         points = [analytics.curve_point(params, "21", n) for n in range(1, args.max_size + 1)]
-        header = ["n", "rate_bits", "pe", "pe_scaled"]
-        rows = [
-            [p.n, p.rate_bits, p.pe, p.pe * 2.0 ** (exponent * p.rate_bits)]
-            for p in points
-        ]
+    sizes = scheme.sizes
+    header = [*sizes, "rate_bits", "pe", "pe_scaled"]
+    rows = [
+        [*(getattr(p, f) for f in sizes), p.rate_bits, p.pe, p.pe * 2.0 ** (exponent * p.rate_bits)]
+        for p in points
+    ]
     if args.budget is not None:
         header.append("within_budget")
         for row, p in zip(rows, points):
@@ -330,14 +323,15 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_size_flags(p: argparse.ArgumentParser, default: int | None) -> None:
     # None tells an omitted flag from a given one; _scheme_flags fills it in
-    for flag, scheme in (("--n1", "12"), ("--n2", "12"), ("--n", "21")):
-        p.add_argument(
-            flag,
-            type=int,
-            default=None,
-            help=f"scheme {scheme} only, "
-            + (f"default {default}" if default is not None else "required there"),
-        )
+    for scheme in montecarlo.SCHEMES.values():
+        for field in scheme.sizes:
+            p.add_argument(
+                "--" + field,
+                type=int,
+                default=None,
+                help=f"scheme {scheme.alias} only, "
+                + (f"default {default}" if default is not None else "required there"),
+            )
 
 
 def _add_round_limit_flag(p: argparse.ArgumentParser) -> None:
@@ -370,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tradeoff", help="CSV rate/error curve for a scheme")
     _add_param_flags(p)
-    p.add_argument("--scheme", choices=("12", "21"), required=True)
+    sized = tuple(a for a, s in _BY_ALIAS.items() if s.sizes)
+    p.add_argument("--scheme", choices=sized, required=True)
     p.add_argument("--max-size", type=int, default=32)
     p.add_argument("--budget", type=float, default=None)
     p.set_defaults(func=cmd_tradeoff)

@@ -54,7 +54,7 @@ def _unit_open_closed(seed: int, index: np.ndarray, slot: int) -> np.ndarray:
     z *= np.uint64(2)
     z += np.uint64(slot + 1)
     z *= _GOLDEN
-    z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    z += np.uint64(seed)
     t = np.empty_like(z)
     for shift, mix in ((30, _MIX1), (27, _MIX2)):
         np.right_shift(z, np.uint64(shift), out=t)
@@ -72,7 +72,11 @@ def _unit_open_closed(seed: int, index: np.ndarray, slot: int) -> np.ndarray:
 def sample_cell_arrays(
     params: LatticeParams, trial_index: np.ndarray, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform points over (-1/2,1/2] x (-H/2,H/2], one per trial index."""
+    """Uniform points over (-1/2,1/2] x (-H/2,H/2], one per trial index.
+
+    The seed must be an int in [0, 2^64): anything else raises ValueError.
+    """
+    _check_seed(seed)
     idx = np.asarray(trial_index, dtype=np.uint64)
     x1 = _unit_open_closed(seed, idx, 0)
     x1 -= 0.5

@@ -5,6 +5,12 @@ message list with ideal-codelength accounting (-log2 of each symbol's
 probability under the sender's model; exactly 1.0 for bisection bits), the
 round count and the final decision in lattice coordinates.  All functions
 are pure; identical inputs give identical transcripts.
+
+The two single-round schemes are one protocol in two speaking orders, and
+a Quantizer knows which: scheme 12 bins x1 (S1 speaks first), scheme 21
+bins x2 (S2 first).  run_single_round_12/21 and replay_decision reject a
+quantizer of the other scheme with ValueError rather than run the wrong
+order.
 """
 
 from __future__ import annotations
@@ -48,41 +54,41 @@ class Transcript:
 
 
 @dataclass(frozen=True)
-class Quantizer12:
-    """Bin structure of the 12 scheme: N2 | N1 | 1 | N1 | N2 bins over x1.
+class Quantizer:
+    """Bin structure of a single-round scheme over its first speaker's axis.
 
-    Bin symbols are centred: 0 is the cut-free middle bin, positive to the
-    right, so mirroring x -> -x negates the symbol.
+    vertical: x1 is binned (scheme 12: N2 | N1 | 1 | N1 | N2 bins, S1 first);
+    otherwise x2 is (scheme 21: N | 1 | N bins, S2 first).  Bin symbols are
+    centred: `center` is the index of the cut-free middle bin, sent as 0,
+    positive to the right, so mirroring x -> -x negates the symbol.
     """
 
-    n1: int
-    n2: int
     edges: tuple[float, ...]
-
-    @property
-    def center(self) -> int:
-        return self.n1 + self.n2
+    center: int
+    vertical: bool
 
 
-@dataclass(frozen=True)
-class Quantizer21:
-    """Bin structure of the 21 scheme: N | 1 | N bins over x2."""
-
-    n: int
-    edges: tuple[float, ...]
-
-    @property
-    def center(self) -> int:
-        return self.n
-
-
-def quantizer_12(params: LatticeParams, n1: int, n2: int) -> Quantizer12:
+def quantizer_12(params: LatticeParams, n1: int, n2: int) -> Quantizer:
     edges = analytics.bin_edges_12(params, n1, n2)
-    return Quantizer12(n1=n1, n2=n2, edges=tuple(edges.tolist()))
+    return Quantizer(tuple(edges.tolist()), n1 + n2, True)
 
 
-def quantizer_21(params: LatticeParams, n: int) -> Quantizer21:
-    return Quantizer21(n=n, edges=tuple(analytics.bin_edges_21(params, n).tolist()))
+def quantizer_21(params: LatticeParams, n: int) -> Quantizer:
+    return Quantizer(tuple(analytics.bin_edges_21(params, n).tolist()), n, False)
+
+
+# the axis each scheme's quantizer bins (vertical strips for 12); none for infinite
+_AXIS = {"12": True, "21": False, "infinite": None}
+
+
+def _checked(scheme: str, q: Quantizer | None) -> Quantizer | None:
+    """q, if it is what `scheme` takes: a quantizer over its axis, or None."""
+    if scheme not in _AXIS:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if (None if q is None else q.vertical) != _AXIS[scheme]:
+        want = "no quantizer" if _AXIS[scheme] is None else f"a quantizer from quantizer_{scheme}"
+        raise ValueError(f"scheme {scheme!r} takes {want}")
+    return q
 
 
 def _require_in_cell(x: Point2, params: LatticeParams) -> None:
@@ -97,12 +103,10 @@ def _bin_position(edges: tuple[float, ...], value: float) -> int:
     return min(max(pos, 0), len(edges) - 2)
 
 
-def _bin_cuts(
-    params: LatticeParams, edges: tuple[float, ...], pos: int, vertical: bool
-) -> CrossSection:
+def _bin_cuts(params: LatticeParams, q: Quantizer, pos: int) -> CrossSection:
     """Cut table of the line through the midpoint of bin `pos`."""
-    mid = 0.5 * (edges[pos] + edges[pos + 1])
-    return cross_section(cell_geometry(params), [mid], vertical)
+    mid = 0.5 * (q.edges[pos] + q.edges[pos + 1])
+    return cross_section(cell_geometry(params), [mid], q.vertical)
 
 
 def _decision(table: CrossSection, symbol: int) -> IntegerPair:
@@ -110,29 +114,27 @@ def _decision(table: CrossSection, symbol: int) -> IntegerPair:
     return IntegerPair(int(u1), int(u2))
 
 
-def _single_round(
-    params: LatticeParams,
-    edges: tuple[float, ...],
-    center: int,
-    first: float,
-    second: float,
-    span: float,
-    vertical: bool,
-    senders: tuple[str, str],
-) -> Transcript:
-    """Shared body of the single-round schemes.
+def _single_round(x: Point2, params: LatticeParams, q: Quantizer) -> Transcript:
+    """Shared body of the single-round schemes, in the speaking order of q.
 
-    senders[0] sends the bin of `first` (bits against a bin length of
-    `span`); senders[1] answers -1 below the lower cut at the bin midpoint,
-    +1 above the upper cut and 0 in the (0,0) region for `second`.
+    The first speaker sends the bin of its coordinate (bits against a bin
+    length of L for x1, H for x2); the other answers -1 below the lower cut
+    at the bin midpoint, +1 above the upper cut and 0 in the (0,0) region.
     """
+    _require_in_cell(x, params)
+    g = cell_geometry(params)
+    if q.vertical:
+        first, second, span, senders = x[0], x[1], g.L, (S1, S2)
+    else:
+        first, second, span, senders = x[1], x[0], g.H, (S2, S1)
+    edges = q.edges
     pos = _bin_position(edges, first)
     bits1 = -math.log2((edges[pos + 1] - edges[pos]) / span)
-    table = _bin_cuts(params, edges, pos, vertical)
+    table = _bin_cuts(params, q, pos)
     symbol = 1 if second > table.hi[0] else (-1 if second <= table.lo[0] else 0)
     bits2 = -math.log2(table.probs[0, symbol + 1])
     return Transcript(
-        messages=(Message(senders[0], pos - center, bits1), Message(senders[1], symbol, bits2)),
+        messages=(Message(senders[0], pos - q.center, bits1), Message(senders[1], symbol, bits2)),
         rounds=1,
         total_bits=bits1 + bits2,
         decision=_decision(table, symbol),
@@ -140,23 +142,21 @@ def _single_round(
     )
 
 
-def run_single_round_12(x: Point2, params: LatticeParams, q: Quantizer12) -> Transcript:
+def run_single_round_12(x: Point2, params: LatticeParams, q: Quantizer) -> Transcript:
     """One round, S1 first: bin index of x1, then S2's ternary decision.
 
     S2's cuts sit at the boundary heights of the bin midpoint (the optimal
     mid-height cut for a linear boundary); the decision is the region label,
-    known to both parties from the two symbols alone.
+    known to both parties from the two symbols alone.  q must come from
+    quantizer_12 (ValueError otherwise).
     """
-    _require_in_cell(x, params)
-    span = cell_geometry(params).L
-    return _single_round(params, q.edges, q.center, x[0], x[1], span, True, (S1, S2))
+    return _single_round(x, params, _checked("12", q))
 
 
-def run_single_round_21(x: Point2, params: LatticeParams, q: Quantizer21) -> Transcript:
-    """One round, S2 first: bin index of x2, then S1's ternary decision."""
-    _require_in_cell(x, params)
-    span = cell_geometry(params).H
-    return _single_round(params, q.edges, q.center, x[1], x[0], span, False, (S2, S1))
+def run_single_round_21(x: Point2, params: LatticeParams, q: Quantizer) -> Transcript:
+    """One round, S2 first: bin index of x2, then S1's ternary decision;
+    q must come from quantizer_21."""
+    return _single_round(x, params, _checked("21", q))
 
 
 @dataclass(frozen=True)
@@ -290,25 +290,23 @@ def replay_decision(
     messages: tuple[Message, ...],
     params: LatticeParams,
     scheme: str,
-    quantizer: Quantizer12 | Quantizer21 | None = None,
+    quantizer: Quantizer | None = None,
 ) -> IntegerPair:
     """Recompute the decision from the message symbols alone (no x).
 
     Demonstrates that both parties reach the same decision from what was
-    communicated.  Raises on transcripts that never halted.
+    communicated.  The single-round schemes need the quantizer of their
+    own scheme and "infinite" takes none; anything else, and a transcript
+    that never halted, raises ValueError.
     """
-    if scheme in ("12", "21"):
-        assert isinstance(quantizer, Quantizer12 if scheme == "12" else Quantizer21)
-        pos = messages[0].symbol + quantizer.center
-        table = _bin_cuts(params, quantizer.edges, pos, vertical=scheme == "12")
+    if _checked(scheme, quantizer) is not None:
+        table = _bin_cuts(params, quantizer, messages[0].symbol + quantizer.center)
         return _decision(table, messages[1].symbol)
-    if scheme == "infinite":
-        u2 = messages[0].symbol
-        u1m = u2 * messages[1].symbol if u2 else 0
-        if u1m == 0:
-            return IntegerPair(0, 0)
-        for b, c in zip(messages[2::2], messages[3::2]):
-            if b.symbol == c.symbol:
-                return _infinite_decision(params, u2, u1m, b.symbol == 1)
-        raise ValueError("transcript did not halt; decision is not replayable")
-    raise ValueError(f"unknown scheme {scheme!r}")
+    u2 = messages[0].symbol
+    u1m = u2 * messages[1].symbol if u2 else 0
+    if u1m == 0:
+        return IntegerPair(0, 0)
+    for b, c in zip(messages[2::2], messages[3::2]):
+        if b.symbol == c.symbol:
+            return _infinite_decision(params, u2, u1m, b.symbol == 1)
+    raise ValueError("transcript did not halt; decision is not replayable")

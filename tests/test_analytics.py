@@ -31,7 +31,7 @@ from babai_refine import (
     round1_distributions,
     tradeoff_curve_12,
 )
-from babai_refine.analytics import _beta_21_from_spans, _row_entropies
+from babai_refine.analytics import _beta_21_from_spans, _row_entropies, budget_pe
 
 from conftest import random_valid_params
 
@@ -365,3 +365,51 @@ def test_pe_at_rate_12_bracketing(params_main):
 def test_non_finite_budget_raises(search, scheme, budget, params_main):
     with pytest.raises(ValueError, match="rate budget must be finite"):
         search(params_main, scheme, budget)
+
+
+@pytest.mark.parametrize(
+    "search, arg", [(curve_point, 3), (budget_point, 4.0), (budget_pe, 4.0), (pe_at_rate, 4.0)]
+)
+def test_scheme_must_be_a_string(search, arg, params_main):
+    """The int 12 is not the scheme "12": it raises rather than being coerced."""
+    with pytest.raises(ValueError, match="unknown scheme 12"):
+        search(params_main, 12, arg)
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [math.pi / 3 + 1e-6, math.pi / 3 + 1e-12, math.pi / 2 - 1e-6, math.pi / 2 - 1e-12],
+    ids=["hex-1e-6", "hex-1e-12", "rect-1e-6", "rect-1e-12"],
+)
+@pytest.mark.parametrize("scheme", ["12", "21"])
+def test_pe_at_rate_near_degenerate_limits(scheme, theta, monkeypatch):
+    """pe_at_rate stays well defined as L1 -> 0 (hexagonal end) and 1 - Q0 -> 0
+    (rectangular end), at budgets from the coarsest rate up to 16 bits.
+
+    On the hexagonal end the 12 scheme reaches its size cap of 2^20 near 12
+    bits; above that pe_below stays at the cap point and pe_interp
+    extrapolates from the last two curve points.  The 21 scheme reaches its
+    cap of 2^62 at the rectangular end.  curve_point is memoized here (it is
+    pure) so the cap point, about a second of rate_12, is computed once.
+    """
+    params = LatticeParams(1.0, theta)
+    memo = {}
+    original = curve_point
+
+    def cached(p, s, size):
+        if (s, size) not in memo:
+            memo[s, size] = original(p, s, size)
+        return memo[s, size]
+
+    monkeypatch.setattr("babai_refine.analytics.curve_point", cached)
+    coarsest = curve_point(params, scheme, 1).rate_bits
+    budgets = [coarsest] + [float(b) for b in range(1, 17) if b > coarsest]
+    prev = math.inf
+    for budget in budgets:
+        below, interp = pe_at_rate(params, scheme, budget)
+        assert math.isfinite(below) and 0.0 < below <= 1.0, budget
+        assert math.isfinite(interp) and 0.0 < interp <= 1.0, budget
+        assert below <= prev, budget
+        assert interp <= below * (1.0 + 1e-12), budget
+        assert below == budget_point(params, scheme, budget).pe, budget
+        prev = below

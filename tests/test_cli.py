@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -5,8 +6,8 @@ import math
 
 import pytest
 
-from babai_refine.cli import main, resolve_params, _geometry_dict
-from babai_refine import InvalidParams, rbar_infinite
+from babai_refine.cli import build_parser, main, resolve_params, _geometry_dict
+from babai_refine import InvalidParams, montecarlo, rbar_infinite
 from babai_refine.protocols import DEFAULT_MAX_ROUNDS
 
 
@@ -295,3 +296,30 @@ def test_resolve_params_flag_rules():
     p = resolve_params(1.0, None, None, 0.3)
     assert math.isclose(p.theta, math.acos(0.3), rel_tol=1e-15)
     assert math.isclose(rbar_infinite(p), 1.80411, abs_tol=5e-6)
+
+
+def test_scheme_choices_and_size_flags_come_from_the_scheme_table():
+    """Each subcommand's --scheme choices and its --n1/--n2/--n flags are the
+    sets montecarlo.SCHEMES implies, and each size flag names its scheme."""
+    schemes = list(montecarlo.SCHEMES.values())
+    aliases = {s.alias for s in schemes}
+    size_flags = {"--" + f: s.alias for s in schemes for f in s.sizes}
+    assert set(size_flags) == {"--n1", "--n2", "--n"}
+    want = {
+        "geometry": (None, False),
+        "analyze": (aliases, True),
+        "tradeoff": ({s.alias for s in schemes if s.sizes}, False),
+        "simulate": (aliases, True),
+        "trace": ({s.alias for s in schemes if s.transcript}, True),
+        "sweep": (None, False),
+    }
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(want)
+    for name, parser in sub.choices.items():
+        choices, sized = want[name]
+        flags = {o: a for a in parser._actions for o in a.option_strings}
+        got = flags["--scheme"].choices if "--scheme" in flags else None
+        assert (None if got is None else set(got)) == choices, name
+        assert set(size_flags) & set(flags) == (set(size_flags) if sized else set()), name
+        for flag, alias in size_flags.items() if sized else ():
+            assert flags[flag].help.startswith(f"scheme {alias} only"), (name, flag)

@@ -62,6 +62,15 @@ CLI_CASES = {
     "analyze-21-rcos0.3": ["analyze", "--scheme", "21", "--rcos", "0.3", "--n", "4"],
     "analyze-21-89deg": ["analyze", "--scheme", "21", "--theta-deg", "89", "--n", "7"],
     "tradeoff-12": ["tradeoff", "--scheme", "12", "--rcos", "0.3", "--max-size", "16"],
+    "analyze-inf-rcos0.3": ["analyze", "--scheme", "inf", "--rcos", "0.3"],
+    "analyze-babai-rcos0.3": ["analyze", "--scheme", "babai", "--rcos", "0.3"],
+    "tradeoff-21": ["tradeoff", "--scheme", "21", "--rcos", "0.3", "--max-size", "40"],
+    "tradeoff-21-budget5": [
+        "tradeoff", "--scheme", "21", "--rcos", "0.3", "--max-size", "40", "--budget", "5"
+    ],
+    "tradeoff-12-budget4": [
+        "tradeoff", "--scheme", "12", "--rcos", "0.3", "--max-size", "9", "--budget", "4"
+    ],
 }
 
 GOLDEN = {
@@ -140,6 +149,11 @@ GOLDEN = {
     "cli/analyze-21-rcos0.3": "13ea7e077a253a459d380cfca3717c4b3b398c7ab490a47a7cfe6d60d63cb57f",
     "cli/analyze-21-89deg": "7cb66b40c9ce2fa22c8daeaf920328ed0116db0571b981d28eaf7bf0b7146e85",
     "cli/tradeoff-12": "27990415982f9af1d090d4d49ce520448815a0e9e03a794cee6438a063905af8",
+    "cli/analyze-inf-rcos0.3": "8e325b859203e4fddcd6bcae0bbd9102cf5266696433541ca541d35679284e63",
+    "cli/analyze-babai-rcos0.3": "af726a65a18e155c95dfdd16910d57f1b26d2455b7e0bf6f36ab5a0d8af2144c",
+    "cli/tradeoff-21": "ffddac46e12d931ff22e6021c28fdac0702ff8c87f4b70ba0f8ed21b290eb829",
+    "cli/tradeoff-21-budget5": "5ebd822a4fcba0a309a822f05cb3cea1e9341040782a949fe825849c6df25737",
+    "cli/tradeoff-12-budget4": "cfaf16fd7f9f41040bdfc8978560a05294dfadce2da3da3734fd9c1e181a07aa",
 }
 
 

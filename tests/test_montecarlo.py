@@ -31,6 +31,23 @@ from babai_refine import (
 )
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, 5.0, True])
+def test_samplers_reject_bad_seeds(seed, params_main):
+    """A seed outside [0, 2^64), a float or a bool raises rather than being
+    reduced modulo 2^64 (-1 would give seed 2^64 - 1's points, 2^64 + 5 seed 5's)."""
+    with pytest.raises(ValueError, match="seed must be"):
+        sample_cell_arrays(params_main, np.arange(4, dtype=np.uint64), seed)
+    with pytest.raises(ValueError, match="seed must be"):
+        sample_uniform_babai_cell(params_main, 3, seed)
+
+
+def test_samplers_accept_the_seed_range_ends(params_main):
+    idx = np.arange(4, dtype=np.uint64)
+    for seed in (0, 2**64 - 1):
+        x1, x2 = sample_cell_arrays(params_main, idx, seed)
+        assert sample_uniform_babai_cell(params_main, 3, seed) == Point2(x1[3], x2[3])
+
+
 def test_sampler_determinism(params_main):
     idx = np.arange(1000, dtype=np.uint64)
     a1, a2 = sample_cell_arrays(params_main, idx, seed=42)

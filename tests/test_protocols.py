@@ -168,6 +168,37 @@ def test_replay_reproduces_decisions(params_main):
         assert replay_decision(t.messages, params_main, "infinite") == t.decision
 
 
+def test_single_round_rejects_the_other_schemes_quantizer(params_main):
+    """A 21 quantizer in the 12 protocol (or the reverse) would bin the wrong
+    coordinate and return a wrong transcript; it raises instead."""
+    x = Point2(0.1, 0.05)
+    with pytest.raises(ValueError, match="scheme '12' takes a quantizer from quantizer_12"):
+        run_single_round_12(x, params_main, quantizer_21(params_main, 4))
+    with pytest.raises(ValueError, match="scheme '21' takes a quantizer from quantizer_21"):
+        run_single_round_21(x, params_main, quantizer_12(params_main, 2, 3))
+
+
+def test_replay_rejects_a_missing_or_foreign_quantizer(params_main):
+    q12 = quantizer_12(params_main, 2, 3)
+    q21 = quantizer_21(params_main, 4)
+    x = Point2(0.45, 0.45)
+    m12 = run_single_round_12(x, params_main, q12).messages
+    m21 = run_single_round_21(x, params_main, q21).messages
+    minf = run_infinite_rounds(x, params_main).messages
+    for messages, scheme, q, want in (
+        (m12, "12", None, "a quantizer from quantizer_12"),
+        (m12, "12", q21, "a quantizer from quantizer_12"),
+        (m21, "21", None, "a quantizer from quantizer_21"),
+        (m21, "21", q12, "a quantizer from quantizer_21"),
+        (minf, "infinite", q12, "no quantizer"),
+        (minf, "infinite", q21, "no quantizer"),
+    ):
+        with pytest.raises(ValueError, match=f"scheme '{scheme}' takes {want}"):
+            replay_decision(messages, params_main, scheme, q)
+    with pytest.raises(ValueError, match="unknown scheme 'babai_only'"):
+        replay_decision(minf, params_main, "babai_only")
+
+
 def test_mirror_symmetry(params_main):
     """Negating the point negates ternary symbols and the decision; the
     bisection bit streams are unchanged (the mirrored rectangle is walked
