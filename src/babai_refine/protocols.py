@@ -8,9 +8,10 @@ are pure; identical inputs give identical transcripts.
 
 The two single-round schemes are one protocol in two speaking orders, and
 a Quantizer knows which: scheme 12 bins x1 (S1 speaks first), scheme 21
-bins x2 (S2 first).  run_single_round_12/21 and replay_decision reject a
-quantizer of the other scheme with ValueError rather than run the wrong
-order.
+bins x2 (S2 first); it is the codebook both parties hold before any bit is
+sent: lattice, bins and each bin's cuts.  run_single_round_12/21 and
+replay_decision reject a quantizer of the other scheme or another lattice,
+and replay rejects symbols outside the alphabets, with ValueError.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import analytics
 from .errors import OutOfCell
@@ -55,39 +56,51 @@ class Transcript:
 
 @dataclass(frozen=True)
 class Quantizer:
-    """Bin structure of a single-round scheme over its first speaker's axis.
+    """Codebook of a single-round scheme over its first speaker's axis.
 
     vertical: x1 is binned (scheme 12: N2 | N1 | 1 | N1 | N2 bins, S1 first);
     otherwise x2 is (scheme 21: N | 1 | N bins, S2 first).  Bin symbols are
     centred: `center` is the index of the cut-free middle bin, sent as 0,
-    positive to the right, so mirroring x -> -x negates the symbol.
+    positive to the right, so mirroring x -> -x negates the symbol.  Row i
+    of `table` (int8 labels) cuts the line through bin i's midpoint in the
+    cell of `params`; equality ignores it, as the other fields determine it.
     """
 
     edges: tuple[float, ...]
     center: int
     vertical: bool
+    params: LatticeParams
+    table: CrossSection = field(compare=False, repr=False)
+
+
+def _quantizer(params: LatticeParams, edges, center: int, vertical: bool) -> Quantizer:
+    """The quantizer with bin edges `edges` (a float64 array) and its cut table."""
+    table = cross_section(cell_geometry(params), 0.5 * (edges[:-1] + edges[1:]), vertical)
+    table = table._replace(labels=table.labels.astype("int8"))
+    return Quantizer(tuple(edges.tolist()), center, vertical, params, table)
 
 
 def quantizer_12(params: LatticeParams, n1: int, n2: int) -> Quantizer:
-    edges = analytics.bin_edges_12(params, n1, n2)
-    return Quantizer(tuple(edges.tolist()), n1 + n2, True)
+    return _quantizer(params, analytics.bin_edges_12(params, n1, n2), n1 + n2, True)
 
 
 def quantizer_21(params: LatticeParams, n: int) -> Quantizer:
-    return Quantizer(tuple(analytics.bin_edges_21(params, n).tolist()), n, False)
+    return _quantizer(params, analytics.bin_edges_21(params, n), n, False)
 
 
 # the axis each scheme's quantizer bins (vertical strips for 12); none for infinite
 _AXIS = {"12": True, "21": False, "infinite": None}
 
 
-def _checked(scheme: str, q: Quantizer | None) -> Quantizer | None:
-    """q, if it is what `scheme` takes: a quantizer over its axis, or None."""
+def _checked(scheme: str, q: Quantizer | None, params: LatticeParams) -> Quantizer | None:
+    """q, if `scheme` takes it: a quantizer over its axis built on params, or None."""
     if scheme not in _AXIS:
         raise ValueError(f"unknown scheme {scheme!r}")
     if (None if q is None else q.vertical) != _AXIS[scheme]:
         want = "no quantizer" if _AXIS[scheme] is None else f"a quantizer from quantizer_{scheme}"
         raise ValueError(f"scheme {scheme!r} takes {want}")
+    if q is not None and q.params != params:
+        raise ValueError(f"quantizer was built for {q.params}, not {params}")
     return q
 
 
@@ -103,15 +116,8 @@ def _bin_position(edges: tuple[float, ...], value: float) -> int:
     return min(max(pos, 0), len(edges) - 2)
 
 
-def _bin_cuts(params: LatticeParams, q: Quantizer, pos: int) -> CrossSection:
-    """Cut table of the line through the midpoint of bin `pos`."""
-    mid = 0.5 * (q.edges[pos] + q.edges[pos + 1])
-    return cross_section(cell_geometry(params), [mid], q.vertical)
-
-
-def _decision(table: CrossSection, symbol: int) -> IntegerPair:
-    u1, u2 = table.labels[0, symbol + 1].tolist()
-    return IntegerPair(int(u1), int(u2))
+def _decision(q: Quantizer, pos: int, symbol: int) -> IntegerPair:
+    return IntegerPair(*q.table.labels[pos, symbol + 1].tolist())
 
 
 def _single_round(x: Point2, params: LatticeParams, q: Quantizer) -> Transcript:
@@ -122,22 +128,20 @@ def _single_round(x: Point2, params: LatticeParams, q: Quantizer) -> Transcript:
     at the bin midpoint, +1 above the upper cut and 0 in the (0,0) region.
     """
     _require_in_cell(x, params)
-    g = cell_geometry(params)
     if q.vertical:
-        first, second, span, senders = x[0], x[1], g.L, (S1, S2)
+        first, second, span, senders = x[0], x[1], 1.0, (S1, S2)
     else:
-        first, second, span, senders = x[1], x[0], g.H, (S2, S1)
-    edges = q.edges
+        first, second, span, senders = x[1], x[0], params.rsin, (S2, S1)
+    edges, table = q.edges, q.table
     pos = _bin_position(edges, first)
     bits1 = -math.log2((edges[pos + 1] - edges[pos]) / span)
-    table = _bin_cuts(params, q, pos)
-    symbol = 1 if second > table.hi[0] else (-1 if second <= table.lo[0] else 0)
-    bits2 = -math.log2(table.probs[0, symbol + 1])
+    symbol = 1 if second > table.hi[pos] else (-1 if second <= table.lo[pos] else 0)
+    bits2 = -math.log2(table.probs[pos, symbol + 1])
     return Transcript(
         messages=(Message(senders[0], pos - q.center, bits1), Message(senders[1], symbol, bits2)),
         rounds=1,
         total_bits=bits1 + bits2,
-        decision=_decision(table, symbol),
+        decision=_decision(q, pos, symbol),
         halted=True,
     )
 
@@ -148,15 +152,15 @@ def run_single_round_12(x: Point2, params: LatticeParams, q: Quantizer) -> Trans
     S2's cuts sit at the boundary heights of the bin midpoint (the optimal
     mid-height cut for a linear boundary); the decision is the region label,
     known to both parties from the two symbols alone.  q must come from
-    quantizer_12 (ValueError otherwise).
+    quantizer_12 on the same params (ValueError otherwise).
     """
-    return _single_round(x, params, _checked("12", q))
+    return _single_round(x, params, _checked("12", q, params))
 
 
 def run_single_round_21(x: Point2, params: LatticeParams, q: Quantizer) -> Transcript:
     """One round, S2 first: bin index of x2, then S1's ternary decision;
-    q must come from quantizer_21."""
-    return _single_round(x, params, _checked("21", q))
+    q must come from quantizer_21 on the same params."""
+    return _single_round(x, params, _checked("21", q, params))
 
 
 @dataclass(frozen=True)
@@ -286,6 +290,12 @@ def transcript_from_json(text: str) -> Transcript:
     )
 
 
+def _expect(symbols: list[int], *alphabets) -> None:
+    """One symbol per alphabet, each in its own (ValueError otherwise)."""
+    if len(symbols) != len(alphabets) or any(s not in a for s, a in zip(symbols, alphabets)):
+        raise ValueError(f"symbols {symbols} do not fit the alphabets {list(alphabets)}")
+
+
 def replay_decision(
     messages: tuple[Message, ...],
     params: LatticeParams,
@@ -296,17 +306,26 @@ def replay_decision(
 
     Demonstrates that both parties reach the same decision from what was
     communicated.  The single-round schemes need the quantizer of their
-    own scheme and "infinite" takes none; anything else, and a transcript
-    that never halted, raises ValueError.
+    own scheme built on params, and "infinite" takes none.  Anything else, a
+    missing message, a symbol outside its message's alphabet (a bin of the
+    quantizer, a ternary answer or band, a bisection bit) and a transcript
+    that never halted raise ValueError.
     """
-    if _checked(scheme, quantizer) is not None:
-        table = _bin_cuts(params, quantizer, messages[0].symbol + quantizer.center)
-        return _decision(table, messages[1].symbol)
-    u2 = messages[0].symbol
-    u1m = u2 * messages[1].symbol if u2 else 0
+    q = _checked(scheme, quantizer, params)
+    symbols = [m.symbol for m in messages]
+    if q is not None:
+        _expect(symbols, range(-q.center, len(q.edges) - 1 - q.center), (-1, 0, 1))
+        return _decision(q, symbols[0] + q.center, symbols[1])
+    _expect(symbols[:1], (-1, 0, 1))
+    if symbols[0] == 0:
+        return IntegerPair(0, 0)
+    _expect(symbols[1:2], (-1, 0, 1))
+    u2, u1m = symbols[0], symbols[0] * symbols[1]
     if u1m == 0:
         return IntegerPair(0, 0)
-    for b, c in zip(messages[2::2], messages[3::2]):
-        if b.symbol == c.symbol:
-            return _infinite_decision(params, u2, u1m, b.symbol == 1)
+    for b, c in zip(symbols[2::2], symbols[3::2]):
+        _expect([b, c], (0, 1), (0, 1))
+        if b == c:
+            return _infinite_decision(params, u2, u1m, b == 1)
     raise ValueError("transcript did not halt; decision is not replayable")
+

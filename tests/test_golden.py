@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from babai_refine import cli, montecarlo, protocols
-from babai_refine.lattice import Point2, cell_geometry
+from babai_refine.lattice import Point2, cell_geometry, cross_section
 
 LATTICES = ("params_main", "params_hex", "params_square")
 TRIALS = 1 << 16
@@ -48,6 +48,7 @@ SINGLE_ROUND_KERNELS = {
 }
 
 TRANSCRIPT_CASES = ("12-2-3", "12-300-700", "21-4", "21-999", "infinite")
+BOUNDARY_CASES = TRANSCRIPT_CASES[:-1]
 
 CLI_CASES = {
     "sweep-grid4-budget8": ["sweep", "--grid", "4", "--budget", "8"],
@@ -154,6 +155,18 @@ GOLDEN = {
     "cli/tradeoff-21": "ffddac46e12d931ff22e6021c28fdac0702ff8c87f4b70ba0f8ed21b290eb829",
     "cli/tradeoff-21-budget5": "5ebd822a4fcba0a309a822f05cb3cea1e9341040782a949fe825849c6df25737",
     "cli/tradeoff-12-budget4": "cfaf16fd7f9f41040bdfc8978560a05294dfadce2da3da3734fd9c1e181a07aa",
+    "boundary/params_main/12-2-3": "a24baf802ab6b9b031b8c53ff109970ca343acd94bf0860ce0c04714f99e95d5",
+    "boundary/params_main/12-300-700": "f555aceefd8e58ea808b12bc9bbc1840bd2540d778a7fa54c524855a0c7e95d9",
+    "boundary/params_main/21-4": "20a9819288c45cec94ed22c180f77979010014a89cd19bd798778e6f725f037d",
+    "boundary/params_main/21-999": "426a5f9065e6018c3a3ee78a39d59f785e2d886d40f55c9df9f0a4f0a4ba69e5",
+    "boundary/params_hex/12-2-3": "8476e27072d6a58485632c3fefe30817fe04b8ccdd7f236fb5e37550ea133976",
+    "boundary/params_hex/12-300-700": "324462fadd07ecd4a214f176acab256794d7b24e1c488608c531db7f9d129ee9",
+    "boundary/params_hex/21-4": "d4f5dcf591fed42aae010a33a5c854d0482ab5c20a7ab188f8afb03551abb038",
+    "boundary/params_hex/21-999": "b1822dfdabf2940d1296086f166af070d8c5b4e77c1deef311148716eaf12bb5",
+    "boundary/params_square/12-2-3": "d3eb017f8f4fb74c669a83175dac77bf5d78a7dda5d0040fd899e3ec10eb3f48",
+    "boundary/params_square/12-300-700": "f7460208fbf4cc3e84aab152b2af084c5072e8e52f593df106e38c816d96e72d",
+    "boundary/params_square/21-4": "a0e169bf5aafd8023af123f09ca4416a9510246e465be4144348c08d40320857",
+    "boundary/params_square/21-999": "d6d0b063616d47dd7da6b89901398da0186369e2d613154832e2a7eed9db6c26",
 }
 
 
@@ -226,7 +239,29 @@ def _points(params) -> list[Point2]:
     return pts
 
 
-def _transcripts(params, case: str) -> str:
+def _boundary_points(params, q: protocols.Quantizer) -> list[Point2]:
+    """Constructed points on the single-round decision boundaries.
+
+    The binned coordinate exactly on every bin edge inside the cell (bins
+    are half-open, so the edge belongs to the lower bin) with the other
+    coordinate at three fixed fractions of its span; and the binned
+    coordinate at every bin midpoint with the other exactly on that bin's
+    finite lo and hi cuts.
+    """
+    h = params.rsin
+    first_half, other_span = (0.5, h) if q.vertical else (h / 2.0, 1.0)
+    edges = np.asarray(q.edges)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    table = cross_section(cell_geometry(params), mids, q.vertical)
+    pairs = [
+        (e, f * other_span) for e in q.edges if -first_half < e for f in (-0.45, 0.0, 0.45)
+    ]
+    for mid, lo, hi in zip(mids.tolist(), table.lo.tolist(), table.hi.tolist()):
+        pairs += [(mid, cut) for cut in (lo, hi) if -other_span / 2.0 < cut <= other_span / 2.0]
+    return [Point2(a, b) if q.vertical else Point2(b, a) for a, b in pairs]
+
+
+def _transcripts(params, case: str, boundary: bool = False) -> str:
     sizes = [int(s) for s in case.split("-")[1:]]
     scheme = _scheme(case)
     if scheme == "12":
@@ -239,7 +274,7 @@ def _transcripts(params, case: str) -> str:
         q = None
         run = lambda x: protocols.run_infinite_rounds(x, params)
     lines = []
-    for x in _points(params):
+    for x in _boundary_points(params, q) if boundary else _points(params):
         t = run(x)
         replayed = protocols.replay_decision(t.messages, params, scheme, q)
         lines.append(protocols.transcript_to_json(t) + f" {list(replayed)}")
@@ -271,7 +306,7 @@ def render(key: str, request=None) -> str:
         return _infinite_kernel(params, case)
     if kind in SINGLE_ROUND_KERNELS:
         return _single_round_kernel(params, kind, case)
-    return _transcripts(params, case)
+    return _transcripts(params, case, boundary=kind == "boundary")
 
 
 KEYS = (
@@ -285,6 +320,7 @@ KEYS = (
         for case in cases
     ]
     + [f"transcripts/{lat}/{case}" for lat in LATTICES for case in TRANSCRIPT_CASES]
+    + [f"boundary/{lat}/{case}" for lat in LATTICES for case in BOUNDARY_CASES]
     + [f"cli/{name}" for name in CLI_CASES]
 )
 

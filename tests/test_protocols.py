@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -197,6 +198,72 @@ def test_replay_rejects_a_missing_or_foreign_quantizer(params_main):
             replay_decision(messages, params_main, scheme, q)
     with pytest.raises(ValueError, match="unknown scheme 'babai_only'"):
         replay_decision(minf, params_main, "babai_only")
+
+
+def test_quantizer_of_another_lattice_is_rejected(params_main, params_hex):
+    """A quantizer's cut table holds only on the lattice it was built for."""
+    x = Point2(0.1, 0.05)
+    for scheme, q, run in (
+        ("12", quantizer_12(params_hex, 2, 3), run_single_round_12),
+        ("21", quantizer_21(params_hex, 4), run_single_round_21),
+    ):
+        messages = run(x, params_hex, q).messages
+        with pytest.raises(ValueError, match="quantizer was built for"):
+            run(x, params_main, q)
+        with pytest.raises(ValueError, match="quantizer was built for"):
+            replay_decision(messages, params_main, scheme, q)
+
+
+def test_quantizers_from_the_same_arguments_are_equal(params_main, params_hex):
+    assert quantizer_12(params_main, 2, 3) == quantizer_12(params_main, 2, 3)
+    assert hash(quantizer_21(params_main, 4)) == hash(quantizer_21(params_main, 4))
+    assert quantizer_21(params_main, 4) == quantizer_21(params_main, 4)
+    assert quantizer_12(params_main, 2, 3) != quantizer_12(params_hex, 2, 3)
+    assert "table" not in repr(quantizer_12(params_main, 1, 1))
+
+
+def _edited(t, symbols: dict[int, int], keep: int | None = None):
+    """t's messages after a JSON round trip with some symbols replaced and
+    only the first `keep` messages kept."""
+    doc = json.loads(transcript_to_json(t))
+    for i, symbol in symbols.items():
+        doc["messages"][i]["symbol"] = symbol
+    doc["messages"] = doc["messages"][:keep]
+    return transcript_from_json(json.dumps(doc)).messages
+
+
+def test_replay_rejects_symbols_outside_the_single_round_alphabets(params_main):
+    """quantizer_12(2, 3) has 11 bins centred on 5: first symbols -5..5,
+    answers -1, 0, 1, and exactly two messages."""
+    q = quantizer_12(params_main, 2, 3)
+    t = run_single_round_12(Point2(0.1, 0.05), params_main, q)
+    for first in (-5, 0, 5):
+        assert isinstance(replay_decision(_edited(t, {0: first}), params_main, "12", q), IntegerPair)
+    for symbols, keep in (
+        ({0: -6}, None), ({0: -7}, None), ({0: 6}, None), ({0: 7}, None),
+        ({1: 5}, None), ({1: -3}, None), ({1: 2}, None), ({}, 1), ({}, 0),
+    ):
+        with pytest.raises(ValueError, match="do not fit the alphabets"):
+            replay_decision(_edited(t, symbols, keep), params_main, "12", q)
+    t = run_single_round_21(Point2(0.1, 0.05), params_main, quantizer_21(params_main, 4))
+    with pytest.raises(ValueError, match="do not fit the alphabets"):
+        replay_decision(_edited(t, {0: 5}), params_main, "21", quantizer_21(params_main, 4))
+
+
+def test_replay_rejects_symbols_outside_the_infinite_alphabets(params_main):
+    x = next(
+        x for x in _uniform_cell(params_main, 500, seed=3)
+        if len(run_infinite_rounds(x, params_main).messages) > 4
+    )
+    t = run_infinite_rounds(x, params_main)
+    assert replay_decision(_edited(t, {}), params_main, "infinite") == t.decision
+    assert replay_decision(_edited(t, {0: 0}, 1), params_main, "infinite") == IntegerPair(0, 0)
+    for symbols, keep in (
+        ({0: 2}, None), ({0: -2}, None), ({1: 2}, None), ({1: -5}, None),
+        ({}, 1), ({}, 0), ({2: 2, 3: 2}, None), ({2: -1}, None), ({3: 3}, None),
+    ):
+        with pytest.raises(ValueError, match="do not fit the alphabets"):
+            replay_decision(_edited(t, symbols, keep), params_main, "infinite")
 
 
 def test_mirror_symmetry(params_main):

@@ -4,7 +4,7 @@ Each scheme's decision rule exists once in meaning, but is written twice:
 per point in `protocols` and per array in `montecarlo`.  These tests run
 both on the golden points and on constructed points near the error
 rectangles' diagonals, where a rule that reads different coordinates or
-different bits would show.  The infinite scheme must agree bit for bit;
+different bits would show, and on random points of random lattices.  The infinite scheme must agree bit for bit;
 the single-round answer bits may differ by one ulp, because transcripts
 take math.log2 and the kernels np.log2 of the same table entry.
 """
@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from babai_refine import (
     LatticeParams,
@@ -139,3 +141,53 @@ def test_single_round_scalar_kernel_replay_agree(lattice, sizes):
         mid = 0.5 * (q.edges[pos] + q.edges[pos + 1])
         probe = Point2(mid, x[1]) if scheme == "12" else Point2(x[0], mid)
         _assert_oracle(params, x, t.decision, probe)
+
+
+@st.composite
+def _random_cases(draw):
+    """A lattice with rho in [1, 1.5] and rho*cos(theta) log-uniform in
+    [1e-6, 0.5 - 1e-6], a scheme with sizes in [1, 999], and in-cell points."""
+    rho = draw(st.floats(1.0, 1.5))
+    rcos = math.exp(draw(st.floats(math.log(1e-6), math.log(0.5 - 1e-6))))
+    params = LatticeParams(rho=rho, theta=math.acos(rcos / rho))
+    scheme = draw(st.sampled_from(["12", "21", "infinite"]))
+    count = {"12": 2, "21": 1, "infinite": 0}[scheme]
+    sizes = tuple(draw(st.lists(st.integers(1, 999), min_size=count, max_size=count)))
+    half_open = st.floats(-0.5, 0.5, exclude_min=True)
+    fracs = draw(st.lists(st.tuples(half_open, half_open), min_size=1, max_size=16))
+    # the product can round onto the open end -rsin/2
+    pts = [Point2(a, b * params.rsin) for a, b in fracs if b * params.rsin > -params.rsin / 2.0]
+    assume(pts)
+    return params, scheme, sizes, pts
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_random_cases())
+def test_scalar_kernel_replay_agree_on_random_lattices(case):
+    params, scheme, sizes, pts = case
+    x1 = np.array([x[0] for x in pts])
+    x2 = np.array([x[1] for x in pts])
+    if scheme == "infinite":
+        q, run = None, lambda x: protocols.run_infinite_rounds(x, params)
+        out = run_batch_infinite(params, x1, x2)
+    elif scheme == "12":
+        q = protocols.quantizer_12(params, *sizes)
+        run, keys = lambda x: protocols.run_single_round_12(x, params, q), ("u1", "u2")
+        out = run_batch_12(params, *sizes, x1, x2)
+    else:
+        q = protocols.quantizer_21(params, *sizes)
+        run, keys = lambda x: protocols.run_single_round_21(x, params, q), ("u2", "u1")
+        out = run_batch_21(params, *sizes, x1, x2)
+    for i, x in enumerate(pts):
+        t = run(x)
+        assert t.decision == (out["dec1"][i], out["dec2"][i]), x
+        if scheme == "infinite":
+            assert t.rounds == out["rounds"][i], x
+            assert t.total_bits.hex() == float(out["bits"][i]).hex(), x
+            assert t.halted == out["halted"][i], x
+        else:
+            for m, key in zip(t.messages, keys):
+                assert m.symbol == out[f"{key}_symbol"][i], x
+                assert _one_ulp(m.ideal_bits, out[f"{key}_bits"][i]), x
+        if t.halted:
+            assert replay_decision(t.messages, params, scheme, q) == t.decision, x
