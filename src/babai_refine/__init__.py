@@ -94,4 +94,8 @@ from .protocols import (
     transcript_to_json,
 )
 
+# Nothing in the package calls quadrature any more; it is still imported with
+# the package because perfbench/tracing.py wraps quadrature.adaptive_simpson.
+from . import quadrature  # noqa: F401
+
 __version__ = "0.1.0"

@@ -18,11 +18,11 @@ import numpy as np
 
 from .errors import BudgetTooSmall, DegenerateInterval, InvalidDistribution
 from .lattice import CellGeometry, LatticeParams, cell_geometry, cross_section
-from .quadrature import adaptive_simpson
 
 _SUM_TOL = 1e-10
-# absolute tolerance of the kappa quadratures
-_KAPPA_TOL = 1e-9
+# below this |u|, _mean_p_ln_p sums its series, whose terms shrink at least
+# 16-fold each, because there the divided difference cancels too many digits
+_SERIES_U = 0.25
 # bins per cut table in rate_12, which bounds its memory at any quantizer size
 _RATE_CHUNK = 1 << 12
 # the 12-scheme rate costs O(n2) to evaluate exactly; the 21-scheme is O(1)
@@ -214,34 +214,73 @@ def rate_12(params: LatticeParams, n1: int, n2: int) -> tuple[float, float]:
     return h_u1, h_u2
 
 
+def _g(p: float) -> float:
+    """G(p) = p^2 (ln p - 1/2) / 2, an antiderivative of p ln p, with G(0) = 0."""
+    return 0.5 * p * p * (math.log(p) - 0.5) if p > 0.0 else 0.0
+
+
+def _mean_p_ln_p(pa: float, pb: float) -> float:
+    """Mean of p ln p over an interval along which p runs affinely from pa to pb.
+
+    With m = (pa + pb)/2 and u = (pb - pa)/(pa + pb) the mean is
+    m ln m + m * sum_{j>=1} u^(2j) / ((2j-1)(2j)(2j+1)); the series is summed
+    until its terms stop counting for |u| < _SERIES_U, and elsewhere the mean
+    is the divided difference (G(pb) - G(pa)) / (pb - pa).  p = 0 throughout
+    contributes 0.
+    """
+    m = 0.5 * (pa + pb)
+    if m <= 0.0:
+        return 0.0
+    u = (pb - pa) / (pa + pb)
+    if abs(u) >= _SERIES_U:
+        return (_g(pb) - _g(pa)) / (pb - pa)
+    u2, power, tail, j = u * u, 1.0, 0.0, 1
+    while True:
+        power *= u2
+        term = power / ((2 * j - 1) * (2 * j) * (2 * j + 1))
+        if tail + term == tail:
+            return m * math.log(m) + m * tail
+        tail += term
+        j += 1
+
+
+def _kappa(g: CellGeometry, ends: tuple[float, ...], vertical: bool, scale: float) -> float:
+    """scale times the integral, in bits, of the decision entropy over the
+    intervals between consecutive `ends` of the strips (vertical) or rows.
+
+    On each interval the three region lengths are affine, so each term is
+    the interval's length times _mean_p_ln_p of the lengths at its ends, read
+    from the cut table with the spans closed at the thresholds.
+    """
+    probs = cross_section(g, ends, vertical=vertical, closed=True).probs.tolist()
+    terms = [
+        (b - a) * _mean_p_ln_p(pa, pb)
+        for a, b, at_a, at_b in zip(ends, ends[1:], probs, probs[1:])
+        for pa, pb in zip(at_a, at_b)
+    ]
+    return -scale * math.fsum(terms) / math.log(2.0)
+
+
 @lru_cache(maxsize=256)
 def kappa_12(params: LatticeParams) -> float:
     """Limiting H(U2|U1) as the 12-scheme bins shrink.
 
-    (2/L) * integral of the strip decision entropy over (-1/2, t_m1], split
-    at t_m2 where the integrand has a kink; adaptive Simpson to absolute
-    tolerance 1e-9 on kappa.
+    (2/L) * integral of the strip decision entropy over (-1/2, t_m1], in
+    closed form on the two x1 intervals split at t_m2: at most six terms.
     """
     g = cell_geometry(params)
-    # spans closed at the thresholds, where the quadrature splits
-    f = lambda x: _row_entropies(cross_section(g, x, vertical=True, closed=True).probs)
-    return 2.0 * (
-        adaptive_simpson(f, -0.5, g.t_m2, _KAPPA_TOL / 4.0)
-        + adaptive_simpson(f, g.t_m2, g.t_m1, _KAPPA_TOL / 4.0)
-    )
+    return _kappa(g, (-0.5, g.t_m2, g.t_m1), True, 2.0 / g.L)
 
 
 @lru_cache(maxsize=256)
 def kappa_21(params: LatticeParams) -> float:
     """Limiting H(U1|U2) as the 21-scheme bins shrink.
 
-    (2/H) * integral of the row decision entropy over (-H/2, tau_m1]; the
-    integrand is smooth there (both boundary segments span the whole band).
-    Adaptive Simpson to absolute tolerance 1e-9 on kappa.
+    (2/H) * integral of the row decision entropy over the bottom band
+    (-H/2, tau_m1], in closed form: three terms.
     """
     g = cell_geometry(params)
-    f = lambda x: _row_entropies(cross_section(g, x, vertical=False, closed=True).probs)
-    return (2.0 / g.H) * adaptive_simpson(f, -g.H / 2.0, g.tau_m1, _KAPPA_TOL * g.H / 2.0)
+    return _kappa(g, (-g.H / 2.0, g.tau_m1), False, 2.0 / g.H)
 
 
 def optimal_n1(params: LatticeParams, n2: int) -> int:

@@ -7,7 +7,8 @@ plain CSV (RFC-4180 style, '.' decimal separator, 12 significant digits) or
 JSON with stable key order; no ANSI colour is ever emitted, so NO_COLOR is
 honoured trivially.
 
-Exit codes: 0 success, 2 invalid input, 3 quadrature/convergence failure.
+Exit codes: 0 success, 2 invalid input, 3 quadrature failure (reserved:
+nothing in the package integrates numerically any more).
 """
 
 from __future__ import annotations

@@ -297,8 +297,8 @@ def cross_section(
 
     closed=True closes the spans at their thresholds too, keeping there the
     cut as the line algebra gives it (on the line's end up to rounding):
-    the kappa integrands use it, so the quadrature sees on each closed
-    interval the continuous extension of that interval's pieces.
+    kappa reads it at the interval ends, where it gives the continuous
+    extension of that interval's affine region lengths.
     """
     x = np.asarray(coords, dtype=np.float64)
     lo = np.full(x.shape, -np.inf)

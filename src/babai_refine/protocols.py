@@ -21,6 +21,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import analytics
 from .errors import OutOfCell
 from .lattice import (
@@ -74,9 +76,21 @@ class Quantizer:
 
 
 def _quantizer(params: LatticeParams, edges, center: int, vertical: bool) -> Quantizer:
-    """The quantizer with bin edges `edges` (a float64 array) and its cut table."""
-    table = cross_section(cell_geometry(params), 0.5 * (edges[:-1] + edges[1:]), vertical)
-    table = table._replace(labels=table.labels.astype("int8"))
+    """The quantizer with bin edges `edges` (a float64 array) and its cut table.
+
+    The table is built analytics._RATE_CHUNK bins at a time into arrays of
+    its final size, so no float64 copy of all the labels is ever held.
+    """
+    g = cell_geometry(params)
+    n = len(edges) - 1
+    table = CrossSection(
+        lo=np.empty(n), hi=np.empty(n), labels=np.empty((n, 3, 2), np.int8), probs=np.empty((n, 3))
+    )
+    for start in range(0, n, analytics._RATE_CHUNK):
+        chunk = edges[start : start + analytics._RATE_CHUNK + 1]
+        part = cross_section(g, 0.5 * (chunk[:-1] + chunk[1:]), vertical)
+        for whole, rows in zip(table, part):
+            whole[start : start + len(rows)] = rows
     return Quantizer(tuple(edges.tolist()), center, vertical, params, table)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from babai_refine import (
     BudgetTooSmall,
@@ -41,6 +43,10 @@ KAPPA_12_MAIN = 0.2985692139
 KAPPA_21_MAIN = 0.2173085181
 ASYM_12_MAIN = 0.2176192197
 ASYM_21_MAIN = 1.1513892567
+# kappa at rho = 1, theta = pi/2 - 1e-6 (the CLI's clamped 90 degrees): the
+# integral of each affine region length's p*log2(p) by mpmath.quad at 30 digits
+KAPPA_12_90DEG = 5.773897310638361e-06
+KAPPA_21_90DEG = 7.213521426645307e-07
 
 
 def test_entropy_basic():
@@ -170,6 +176,88 @@ def test_kappa_dense_theta_grid_converges():
         params = LatticeParams(rho=1.0, theta=float(theta))
         assert kappa_12(params) >= 0.0
         assert kappa_21(params) >= 0.0
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(30)
+
+
+def _graded_gauss_legendre(f, a: float, b: float, levels: int = 40) -> float:
+    """Integral of f over [a, b]: 30-point Gauss-Legendre on panels graded
+    geometrically (ratio 1/2, `levels` deep) towards both ends, where a
+    region length may vanish and p*log2(p) is not smooth."""
+    half = 0.5 * (b - a)
+    steps = [half * 0.5**k for k in range(levels, -1, -1)]
+    ends = [a] + [a + d for d in steps] + [b - d for d in reversed(steps[:-1])] + [b]
+    lo, hi = np.array(ends[:-1]), np.array(ends[1:])
+    x = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * _GL_NODES
+    w = (0.5 * (hi - lo))[:, None] * _GL_WEIGHTS
+    return math.fsum((w * f(x.ravel()).reshape(x.shape)).ravel().tolist())
+
+
+def _decision_entropy(g, vertical: bool):
+    def f(x):
+        p = cross_section(g, x, vertical=vertical, closed=True).probs
+        return -np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0).sum(axis=1)
+
+    return f
+
+
+def _kappa_reference(params: LatticeParams) -> tuple[float, float]:
+    """(kappa_12, kappa_21) by graded Gauss-Legendre over the closed cut table."""
+    g = cell_geometry(params)
+    strip, row = _decision_entropy(g, True), _decision_entropy(g, False)
+    k12 = 2.0 * (
+        _graded_gauss_legendre(strip, -0.5, g.t_m2) + _graded_gauss_legendre(strip, g.t_m2, g.t_m1)
+    )
+    k21 = (2.0 / g.H) * _graded_gauss_legendre(row, -g.H / 2.0, g.tau_m1)
+    return k12, k21
+
+
+def _assert_kappa_matches_reference(params: LatticeParams) -> None:
+    k12, k21 = _kappa_reference(params)
+    assert abs(kappa_12(params) - k12) <= 1e-13
+    assert abs(kappa_21(params) - k21) <= 1e-13
+
+
+@st.composite
+def _lattices(draw):
+    """rho in [1, 1.5] and rho*cos(theta) log-uniform in [1e-6, 0.5 - 1e-6]."""
+    rho = draw(st.floats(1.0, 1.5))
+    rcos = math.exp(draw(st.floats(math.log(1e-6), math.log(0.5 - 1e-6))))
+    return LatticeParams(rho=rho, theta=math.acos(rcos / rho))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_lattices())
+def test_kappa_closed_form_matches_quadrature_reference(params):
+    _assert_kappa_matches_reference(params)
+
+
+@pytest.mark.parametrize("rho", [1.0, 1.4])
+@pytest.mark.parametrize("gap", [1e-6, 1e-12])
+@pytest.mark.parametrize("limit", ["L1", "1-Q0"])
+def test_kappa_closed_form_near_degenerate_limits(limit, gap, rho):
+    # L1 = 1/2 - rho*cos(theta); 1 - Q0 = 2*H1/H is about rho*cos(theta)/rho^2
+    # near the rectangular end
+    rcos = 0.5 - gap if limit == "L1" else gap * rho * rho
+    params = LatticeParams(rho=rho, theta=math.acos(rcos / rho))
+    g = cell_geometry(params)
+    width = g.L1 if limit == "L1" else 2.0 * g.H1 / g.H
+    assert math.isclose(width, gap, rel_tol=1e-3)
+    _assert_kappa_matches_reference(params)
+
+
+def test_kappa_at_the_clamped_right_angle():
+    params = LatticeParams(rho=1.0, theta=math.pi / 2 - 1e-6)
+    assert abs(kappa_12(params) - KAPPA_12_90DEG) <= 1e-13
+    assert abs(kappa_21(params) - KAPPA_21_90DEG) <= 1e-13
+    _assert_kappa_matches_reference(params)
+
+
+def test_kappa_main_matches_reference(params_main):
+    k12, k21 = _kappa_reference(params_main)
+    assert abs(k12 - KAPPA_12_MAIN) <= 4e-11
+    assert abs(k21 - KAPPA_21_MAIN) <= 4e-11
 
 
 def test_optimal_n1(params_main):

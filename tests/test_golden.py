@@ -62,6 +62,8 @@ CLI_CASES = {
     "analyze-12-61deg": ["analyze", "--scheme", "12", "--theta-deg", "61", "--n1", "1", "--n2", "5"],
     "analyze-21-rcos0.3": ["analyze", "--scheme", "21", "--rcos", "0.3", "--n", "4"],
     "analyze-21-89deg": ["analyze", "--scheme", "21", "--theta-deg", "89", "--n", "7"],
+    # clamped to pi/2 - 1e-6, where kappa_21 is about 7.21352e-7
+    "analyze-21-90deg": ["analyze", "--scheme", "21", "--theta-deg", "90"],
     "tradeoff-12": ["tradeoff", "--scheme", "12", "--rcos", "0.3", "--max-size", "16"],
     "analyze-inf-rcos0.3": ["analyze", "--scheme", "inf", "--rcos", "0.3"],
     "analyze-babai-rcos0.3": ["analyze", "--scheme", "babai", "--rcos", "0.3"],
@@ -79,20 +81,20 @@ GOLDEN = {
     "report/params_main/infinite": "6368d4763940de628294519e124c1dfc49fff5b2bc8f1eb906b6f0b2a516af3c",
     "report/params_main/12-2-3": "1715b37cd8e08819f24c768f2d2dc20ed87ed31311ef8ae05f21457bcc359225",
     "report/params_main/12-300-700": "0a6fe199d0a0af6e053cb8c19dac1e20b86465439728ac34107a2b4b68720508",
-    "report/params_main/21-4": "c35e3f930af88a76409dfc8fabde64f5c57e9a86140228e4158333a3843247ff",
-    "report/params_main/21-999": "ac7637082a9a59cc33a0d5d1db9a949dd57eabb03b82f733507a45fb8f94834f",
+    "report/params_main/21-4": "34378b8f33d63753a2aea17b3a5090b85c0ba13aebce994e178fb322857eaecd",
+    "report/params_main/21-999": "878c7feee511eed1626181c9a97ecf9ebafe403860c726e968d013a84740e8c2",
     "report/params_hex/babai_only": "8e92a03d107dd86a0c3c74422ea1c685fb3a3b64232b2d4fcc4110a3d32df2d6",
     "report/params_hex/infinite": "208ec98b3fee5bed350dfef9bb6cc8e774989ec0e6b86ae5cd761da752f5d1bd",
     "report/params_hex/12-2-3": "829f5d43f4a0781dcd05bd1a7a8769571bde350d73e4ba3297e259d2e4ed5aa1",
     "report/params_hex/12-300-700": "684695352260d95524b0c28672c7548fad442d0fc258db3d79250f074e417c3c",
-    "report/params_hex/21-4": "b170cb26e05cfe37b10eba191c617cfe99313fc3cfffdac4e10ff68379badcb1",
-    "report/params_hex/21-999": "ead507581daddd5cd80cd69fd71296f85d08db7fffad2f6907d65e8e0da44cac",
+    "report/params_hex/21-4": "025030b0886236175df97e76263d3c38f0df54a1d75cb8c60d2e511a22bbe670",
+    "report/params_hex/21-999": "4226d51a73194fd2dee10792ebdb7f268c65aed51c1c3b38b5b134358953db4b",
     "report/params_square/babai_only": "6f7a611c1cc42ebc7d44382b7be7429481634ac599849e6138fb6bed6184db7b",
     "report/params_square/infinite": "b08e33c10a65af552c4a7b1cebc029117e6da3f557aee13552bb5d38c7b5f85c",
     "report/params_square/12-2-3": "5cf4f2f8390c278a5ad8efde3a2dab549179013f8840c273e525892fe219df32",
     "report/params_square/12-300-700": "d4ec1c9dbf7563e277ee3a91b1f30882860bff08c9808433ba2302828c24701f",
-    "report/params_square/21-4": "50d18d8e761cb286a1d934e1de08d7071ff5ebe633da394fb15f82c25d7897a7",
-    "report/params_square/21-999": "9721c51d822acc30cc689aa1adae5fdf167f7608f73717f256cd196eb5e37ecd",
+    "report/params_square/21-4": "5fd4890b3a9550b8ae7cf59a485187dfeebc3c3cce78c23039b473d4bd479fae",
+    "report/params_square/21-999": "9146e0b1301718ef12e011761ea923a6f7b65bd9a4de5c7178697367a8068257",
     "kernel-infinite/params_main/rounds-1": "85fb93cd890bf54a1ff8406ff6d4b522d46e626fd12cb3adf43750dc3c6b4700",
     "kernel-infinite/params_main/rounds-2": "40b00a58e802614a90c3f242821f41d53424efffff4c752ed00a641491c652c0",
     "kernel-infinite/params_main/rounds-3": "92ccec1961c0055ae59e011d42605e1d2c674565d7a609a2f219b3a241e426ea",
@@ -136,24 +138,25 @@ GOLDEN = {
     "report-chunked/params_main/infinite": "dfe6d946edfcc98fcc9d5f242b494e0e2aa05f8c1ba6108782e1f292641b243e",
     "report-chunked/params_main/12-2-3": "0ef46103ad5700d8604c935bf48b63c5fdff63b5bc77b167cd6c460aa7220bb8",
     "report-chunked/params_main/12-300-700": "8ef9a928e21e15634e0c2a8c0c39529c35b054cbb0a0bc1eeefa7037b0d020e4",
-    "report-chunked/params_main/21-4": "e74975ad636edfb20cbb3a9e03b6c2bc142ac9942f964138745a2067f9b82fc2",
-    "report-chunked/params_main/21-999": "fadc7b87b8c5d7d937bce51dfacc66ffc7762e308255d868ce39b365bd465223",
-    "cli/sweep-grid4-budget8": "762f67fac7b842653daf284369c734b1d1b65c033b2f87d3efe8d24a72a3a4cf",
-    "cli/sweep-grid50-budget8": "01bb4dd3aa5b6ad48f7259762cb807a3beed901c5dedc17a8e8c4bdbd13eb909",
-    "cli/sweep-grid40-budget3": "ca2677eb38b61ce63fe715adb690ae836645b0ee92100506d16c06f00057788f",
-    "cli/sweep-rho1.2-grid20-budget6": "02262ec7b44251a32d6d38c52773c868f792168198c5f98ff5a3581b535e7d92",
+    "report-chunked/params_main/21-4": "b15b21aca6daf2d721081cadb3347e751cd1785e0324172059b0ce4436fcb1a0",
+    "report-chunked/params_main/21-999": "2d99db9f611508e31295768f74f08c6799f24cba84bac6630748250b815014a0",
+    "cli/sweep-grid4-budget8": "f0320f501e2c4d4a61c88de918e6d98a3faae9da6480b5513086ad31cb4282eb",
+    "cli/sweep-grid50-budget8": "a12bf4cee76ade5c18e80c60fb6aa66f8fc54199236316f881f495971e85ebed",
+    "cli/sweep-grid40-budget3": "4304a48e540e1b140164aeb02a8b426e4e531ed8a402853d4cf2a49db819d039",
+    "cli/sweep-rho1.2-grid20-budget6": "57a443cd9fb643ce4f89e887f09747caf8fa3a8ca20da5ae9e0dcc9bc01e7728",
     "cli/geometry-rcos0.3": "4e8ca514cbffab0e7d727bb407ba59c58a401486b903d1eb91d4a490c6c40a3e",
     "cli/geometry-60deg": "ca9afba6f9155e630181371ece9fab24b0b6a43988fa594a8efbb11cf9196119",
     "cli/geometry-rcos1e-6": "0d6634402bb23705f8a98d8d5be2da31053227123a720bc7cd382319a89e53fa",
-    "cli/analyze-12-rcos0.3": "fe4e0c345acbfc36c6fd66e9113046a476a31e12e7a7e7d4bfe1b88648b29597",
-    "cli/analyze-12-61deg": "90efd2d5b2ebed7dbcf9983741c22fcfeb357e3193bdad7417ce74d56fd0de79",
-    "cli/analyze-21-rcos0.3": "13ea7e077a253a459d380cfca3717c4b3b398c7ab490a47a7cfe6d60d63cb57f",
-    "cli/analyze-21-89deg": "7cb66b40c9ce2fa22c8daeaf920328ed0116db0571b981d28eaf7bf0b7146e85",
+    "cli/analyze-12-rcos0.3": "241056066fd95d008243f8102635f1eb433b671af53a3f1691e18fa3dcd8762a",
+    "cli/analyze-12-61deg": "a6b70496999376470d8b09eced82670180b14ed05544345d7c47c271c952d712",
+    "cli/analyze-21-rcos0.3": "5a699ca56f951b5cc909b5e9aa985c6e99eb2803fc778d6c801a980bd0d6e1ce",
+    "cli/analyze-21-89deg": "0a8352ac04a006f1935590d45b9c41b41243a79819eb70e65f68e114eea1f1a9",
+    "cli/analyze-21-90deg": "2b11bd9ff36825a3db0d91531026e72d34123db2ba832932f37819c6572199d0",
     "cli/tradeoff-12": "27990415982f9af1d090d4d49ce520448815a0e9e03a794cee6438a063905af8",
     "cli/analyze-inf-rcos0.3": "8e325b859203e4fddcd6bcae0bbd9102cf5266696433541ca541d35679284e63",
     "cli/analyze-babai-rcos0.3": "af726a65a18e155c95dfdd16910d57f1b26d2455b7e0bf6f36ab5a0d8af2144c",
-    "cli/tradeoff-21": "ffddac46e12d931ff22e6021c28fdac0702ff8c87f4b70ba0f8ed21b290eb829",
-    "cli/tradeoff-21-budget5": "5ebd822a4fcba0a309a822f05cb3cea1e9341040782a949fe825849c6df25737",
+    "cli/tradeoff-21": "f73fd83e5c5c400862ca8a602ac6e77c701700a581e94bb83cc7251b1ff3be94",
+    "cli/tradeoff-21-budget5": "64306aade5dd98e7dde6567c2608819a1190516bf7f4686c3ca5f3aff20d5106",
     "cli/tradeoff-12-budget4": "cfaf16fd7f9f41040bdfc8978560a05294dfadce2da3da3734fd9c1e181a07aa",
     "boundary/params_main/12-2-3": "a24baf802ab6b9b031b8c53ff109970ca343acd94bf0860ce0c04714f99e95d5",
     "boundary/params_main/12-300-700": "f555aceefd8e58ea808b12bc9bbc1840bd2540d778a7fa54c524855a0c7e95d9",

@@ -9,7 +9,9 @@ from babai_refine import (
     IntegerPair,
     OutOfCell,
     Point2,
+    analytics,
     cell_geometry,
+    cross_section,
     error_rectangle,
     exact_nearest_point,
     lattice_point,
@@ -220,6 +222,23 @@ def test_quantizers_from_the_same_arguments_are_equal(params_main, params_hex):
     assert quantizer_21(params_main, 4) == quantizer_21(params_main, 4)
     assert quantizer_12(params_main, 2, 3) != quantizer_12(params_hex, 2, 3)
     assert "table" not in repr(quantizer_12(params_main, 1, 1))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
+def test_quantizer_table_does_not_depend_on_chunking(chunk, params_main, params_hex, monkeypatch):
+    """The table, built chunk by chunk, equals one cross_section of all the
+    bin midpoints (labels as int8) bit for bit, whatever the chunk."""
+    monkeypatch.setattr(analytics, "_RATE_CHUNK", chunk)
+    for params in (params_main, params_hex):
+        for q in (quantizer_12(params, 40, 70), quantizer_21(params, 99)):
+            edges = np.asarray(q.edges)
+            whole = cross_section(
+                cell_geometry(params), 0.5 * (edges[:-1] + edges[1:]), q.vertical
+            )
+            whole = whole._replace(labels=whole.labels.astype(np.int8))
+            for got, want in zip(q.table, whole):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
 
 
 def _edited(t, symbols: dict[int, int], keep: int | None = None):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from babai_refine import LatticeParams, QuadratureFailure, cell_geometry, cross_section, quadrature
-from babai_refine.analytics import _entropy_raw, kappa_12, kappa_21
+from babai_refine.analytics import _entropy_raw, _row_entropies
 from babai_refine.quadrature import adaptive_simpson
 
 
@@ -46,8 +46,11 @@ def test_failure_on_discontinuity():
 #
 # The recursion below is the previous adaptive_simpson, verbatim, with a
 # scalar integrand; the level-order version must return its bits and raise
-# its QuadratureFailure.  The scalar kappa integrands are the previous ones
-# too: a one-line cut table and _entropy_raw.
+# its QuadratureFailure.  analytics now computes kappa in closed form; the
+# kappa integrals by quadrature stay here as the hard case: the level-order
+# version with the whole-table integrands analytics used to give it, and
+# the recursion with the previous scalar integrands, a one-line cut table
+# and _entropy_raw.
 
 
 def _simpson_reference(f, a, b, abs_tol=1e-9, max_depth=40):
@@ -121,10 +124,22 @@ EDGE_LATTICES = [
 ]
 
 
+def _level_order_kappas(params):
+    g = cell_geometry(params)
+    strip = lambda x: _row_entropies(cross_section(g, x, vertical=True, closed=True).probs)
+    row = lambda x: _row_entropies(cross_section(g, x, vertical=False, closed=True).probs)
+    k12 = 2.0 * (
+        adaptive_simpson(strip, -0.5, g.t_m2, 1e-9 / 4.0)
+        + adaptive_simpson(strip, g.t_m2, g.t_m1, 1e-9 / 4.0)
+    )
+    k21 = (2.0 / g.H) * adaptive_simpson(row, -g.H / 2.0, g.tau_m1, 1e-9 * g.H / 2.0)
+    return k12, k21
+
+
 def _assert_kappas_equal_reference(params):
-    # call the undecorated functions: the lru_cache would hide a second run
-    assert kappa_12.__wrapped__(params).hex() == _kappa_12_reference(params).hex()
-    assert kappa_21.__wrapped__(params).hex() == _kappa_21_reference(params).hex()
+    k12, k21 = _level_order_kappas(params)
+    assert k12.hex() == _kappa_12_reference(params).hex()
+    assert k21.hex() == _kappa_21_reference(params).hex()
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
