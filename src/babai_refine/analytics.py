@@ -58,10 +58,10 @@ def _entropy_raw(probs: Iterable[float]) -> float:
 class Scheme12Coefficients:
     """Coefficients of P_e = alpha1/N1 + alpha2/N2 for the 12-order scheme.
 
-    provenance is "geometry_derived" (normative; from the boundary-segment
-    spans) or "printed" (the widely circulated closed form, whose height
-    factors are interchanged between the two intervals relative to the
-    boundary spans; kept so the Monte Carlo adjudication can report which
+    provenance is "geometry_derived" (normative; each interval's length times
+    the rise of its boundary segments) or "printed" (the widely circulated
+    closed form, whose height factors are interchanged between the two
+    intervals; kept so the Monte Carlo adjudication can report which
     variant it confirms).
     """
 
@@ -70,33 +70,19 @@ class Scheme12Coefficients:
     provenance: str
 
 
-def _interval_error_coefficient(geom: CellGeometry, a: float, b: float) -> float:
-    """Sum over boundary segments spanning [a, b] of length * rise / (2 detV).
-
-    This is the per-interval coefficient of 1/N for equal-width bins with
-    mid-height cuts, already including the +/- mirror interval.
-    """
-    total = 0.0
-    for seg in geom.boundary_segments:
-        if seg.x1_span[0] <= a and b <= seg.x1_span[1]:
-            rise = abs(seg.x2_at(b) - seg.x2_at(a))
-            total += (b - a) * rise / (2.0 * geom.H)
-    return total
-
-
 def coefficients_12(
     params: LatticeParams, provenance: str = "geometry_derived"
 ) -> Scheme12Coefficients:
     """Error coefficients (alpha1, alpha2) of the single-round 12 scheme.
 
-    The geometry-derived values follow from the exact spans of the Voronoi
-    boundary over I_1 (one segment, rise H21) and I_2 (two segments, rises
-    H22 and H1): alpha1 = L1*H21/(2 detV), alpha2 = L2*(H1+H22)/(2 detV).
+    The geometry-derived values are the closed forms alpha1 = L1*H21/(2 detV)
+    and alpha2 = L2*(H1+H22)/(2 detV): N mid-height-cut bins over a length
+    L_i where the boundary rises h err on area L_i*h/(4N), on both mirrors.
     """
     geom = cell_geometry(params)
     if provenance == "geometry_derived":
-        a1 = _interval_error_coefficient(geom, geom.t_1, geom.t_2)
-        a2 = _interval_error_coefficient(geom, geom.t_2, 0.5)
+        a1 = geom.L1 * geom.H21 / (2.0 * geom.H)
+        a2 = geom.L2 * (geom.H1 + geom.H22) / (2.0 * geom.H)
     elif provenance == "printed":
         a1 = geom.L1 * (geom.H1 + geom.H22) / (2.0 * geom.H)
         a2 = geom.H21 * geom.L2 / (2.0 * geom.H)

@@ -32,6 +32,7 @@ from .lattice import (
     Point2,
     babai_error_probability,
     cell_geometry,
+    check_rho,
 )
 
 _CLAMP_EPS = 1e-6
@@ -50,6 +51,7 @@ def resolve_params(rho: float, theta_deg, theta_rad, rcos) -> LatticeParams:
     degrees at rho = 1) are clamped inward by 1e-6 rad with a notice on
     stderr; anything else invalid raises InvalidParams.
     """
+    check_rho(rho)
     given = [v for v in (theta_deg, theta_rad, rcos) if v is not None]
     if len(given) != 1:
         raise InvalidParams("specify exactly one of --theta-deg, --theta-rad, --rcos")
@@ -245,7 +247,7 @@ def cmd_sweep(args) -> str:
         raise InvalidParams("max_rounds must be >= 1")
     if args.trials < 0:
         raise InvalidParams("trials must be >= 0")
-    rho = args.rho
+    rho = check_rho(args.rho)
     theta_lo = math.acos(min(1.0, 1.0 / (2.0 * rho)))
     theta_hi = math.pi / 2.0
     if args.grid == 1:

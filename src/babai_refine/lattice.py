@@ -41,6 +41,15 @@ class Point2(NamedTuple):
     x2: float
 
 
+def check_rho(rho: float) -> float:
+    """rho if finite and >= 1, as LatticeParams requires; else InvalidParams."""
+    if not math.isfinite(rho):
+        raise InvalidParams("rho and theta must be finite")
+    if rho < 1.0:
+        raise InvalidParams(f"rho must be >= 1, got {rho}")
+    return rho
+
+
 @dataclass(frozen=True)
 class LatticeParams:
     """Length ratio rho (unitless, >= 1) and angle theta in radians.
@@ -53,10 +62,9 @@ class LatticeParams:
     theta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.rho) and math.isfinite(self.theta)):
+        if not math.isfinite(self.theta):
             raise InvalidParams("rho and theta must be finite")
-        if self.rho < 1.0:
-            raise InvalidParams(f"rho must be >= 1, got {self.rho}")
+        check_rho(self.rho)
         c = self.rho * math.cos(self.theta)
         if not 0.0 < c < 0.5:
             raise InvalidParams(

@@ -60,27 +60,30 @@ class Transcript:
 class Quantizer:
     """Codebook of a single-round scheme over its first speaker's axis.
 
-    vertical: x1 is binned (scheme 12: N2 | N1 | 1 | N1 | N2 bins, S1 first);
-    otherwise x2 is (scheme 21: N | 1 | N bins, S2 first).  Bin symbols are
-    centred: `center` is the index of the cut-free middle bin, sent as 0,
-    positive to the right, so mirroring x -> -x negates the symbol.  Row i
-    of `table` (int8 labels) cuts the line through bin i's midpoint in the
-    cell of `params`; equality ignores it, as the other fields determine it.
+    vertical: x1 is binned (scheme 12, sizes (N1, N2): N2 | N1 | 1 | N1 | N2
+    bins, S1 first); otherwise x2 is (scheme 21, sizes (N,): N | 1 | N bins,
+    S2 first).  Bin symbols are centred: `center` indexes the cut-free middle
+    bin, sent as 0, positive to the right, so mirroring negates the symbol.
+    Row i of `table` (int8 labels) cuts the line through the midpoint of bin
+    i of `edges` (read-only float64) in the cell of `params`.  Equality and
+    hash use params, vertical and sizes alone, which determine the rest.
     """
 
-    edges: tuple[float, ...]
-    center: int
-    vertical: bool
     params: LatticeParams
+    vertical: bool
+    sizes: tuple[int, ...]
+    center: int = field(compare=False)
+    edges: np.ndarray = field(compare=False, repr=False)
     table: CrossSection = field(compare=False, repr=False)
 
 
-def _quantizer(params: LatticeParams, edges, center: int, vertical: bool) -> Quantizer:
+def _quantizer(params: LatticeParams, edges, vertical: bool, sizes: tuple[int, ...]) -> Quantizer:
     """The quantizer with bin edges `edges` (a float64 array) and its cut table.
 
     The table is built analytics._RATE_CHUNK bins at a time into arrays of
     its final size, so no float64 copy of all the labels is ever held.
     """
+    edges.setflags(write=False)
     g = cell_geometry(params)
     n = len(edges) - 1
     table = CrossSection(
@@ -91,15 +94,15 @@ def _quantizer(params: LatticeParams, edges, center: int, vertical: bool) -> Qua
         part = cross_section(g, 0.5 * (chunk[:-1] + chunk[1:]), vertical)
         for whole, rows in zip(table, part):
             whole[start : start + len(rows)] = rows
-    return Quantizer(tuple(edges.tolist()), center, vertical, params, table)
+    return Quantizer(params, vertical, sizes, sum(sizes), edges, table)
 
 
 def quantizer_12(params: LatticeParams, n1: int, n2: int) -> Quantizer:
-    return _quantizer(params, analytics.bin_edges_12(params, n1, n2), n1 + n2, True)
+    return _quantizer(params, analytics.bin_edges_12(params, n1, n2), True, (n1, n2))
 
 
 def quantizer_21(params: LatticeParams, n: int) -> Quantizer:
-    return _quantizer(params, analytics.bin_edges_21(params, n), n, False)
+    return _quantizer(params, analytics.bin_edges_21(params, n), False, (n,))
 
 
 # the axis each scheme's quantizer bins (vertical strips for 12); none for infinite
@@ -124,7 +127,7 @@ def _require_in_cell(x: Point2, params: LatticeParams) -> None:
         raise OutOfCell(f"{tuple(x)} outside (-1/2,1/2] x (-{h},{h}]")
 
 
-def _bin_position(edges: tuple[float, ...], value: float) -> int:
+def _bin_position(edges: np.ndarray, value: float) -> int:
     """Index i with edges[i] < value <= edges[i+1] (half-open bins)."""
     pos = bisect_left(edges, value) - 1
     return min(max(pos, 0), len(edges) - 2)

@@ -220,10 +220,10 @@ def _assert_kappa_matches_reference(params: LatticeParams) -> None:
 
 
 @st.composite
-def _lattices(draw):
-    """rho in [1, 1.5] and rho*cos(theta) log-uniform in [1e-6, 0.5 - 1e-6]."""
+def _lattices(draw, rcos_min=1e-6):
+    """rho in [1, 1.5] and rho*cos(theta) log-uniform in [rcos_min, 0.5 - 1e-6]."""
     rho = draw(st.floats(1.0, 1.5))
-    rcos = math.exp(draw(st.floats(math.log(1e-6), math.log(0.5 - 1e-6))))
+    rcos = math.exp(draw(st.floats(math.log(rcos_min), math.log(0.5 - 1e-6))))
     return LatticeParams(rho=rho, theta=math.acos(rcos / rho))
 
 
@@ -258,6 +258,24 @@ def test_kappa_main_matches_reference(params_main):
     k12, k21 = _kappa_reference(params_main)
     assert abs(k12 - KAPPA_12_MAIN) <= 4e-11
     assert abs(k21 - KAPPA_21_MAIN) <= 4e-11
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(_lattices(rcos_min=1e-16))
+def test_coefficients_12_match_rho_theta_forms(params):
+    """alpha1 = (1 - 2 rho cos)^2 cot/(8 rho sin) and alpha2 = cot^2/8, to
+    2e-15 relative, down to the rectangular end."""
+    sin, cos = math.sin(params.theta), math.cos(params.theta)
+    co = coefficients_12(params)
+    alpha1 = (1.0 - 2.0 * params.rcos) ** 2 * (cos / sin) / (8.0 * params.rho * sin)
+    assert math.isclose(co.alpha1, alpha1, rel_tol=2e-15)
+    assert math.isclose(co.alpha2, (cos / sin) ** 2 / 8.0, rel_tol=2e-15)
+
+
+@pytest.mark.parametrize("rcos", [1e-15, 1e-16])
+def test_optimal_n1_near_rectangular_limit(rcos):
+    # alpha1*L2/(alpha2*L1) = 1 - 2*rcos, so N1(100) = ceil(100 - 200*rcos)
+    assert optimal_n1(LatticeParams(rho=1.0, theta=math.acos(rcos)), 100) == 100
 
 
 def test_optimal_n1(params_main):

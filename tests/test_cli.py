@@ -3,9 +3,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import babai_refine
 from babai_refine.cli import build_parser, main, resolve_params, _geometry_dict
 from babai_refine import InvalidParams, montecarlo, rbar_infinite
 from babai_refine.protocols import DEFAULT_MAX_ROUNDS
@@ -225,11 +230,16 @@ def test_zero_sizes_and_rounds_exit_2(argv, capsys):
         ["sweep", "--grid", "1", "--trials", "1000", "--seed", "-1"],
         ["sweep", "--grid", "1", "--trials", "1000", "--seed", str(2**64 + 1)],
         ["sweep", "--grid", "1", "--trials", "-1"],
+        ["geometry", "--rho", "0"],
+        ["geometry", "--rho", "-0.0"],
+        ["sweep", "--rho", "0", "--grid", "2"],
+        ["sweep", "--rho", "-0.0", "--grid", "2"],
     ],
 )
 def test_out_of_range_seeds_and_counts_exit_2(argv, capsys):
-    """A seed outside [0, 2**64) or a negative sweep trial count is rejected,
-    never reduced modulo 2**64 or read as no trials."""
+    """A seed outside [0, 2**64), a negative sweep trial count or a rho
+    below 1 is rejected, never reduced modulo 2**64, read as no trials or
+    divided by."""
     rc, out, err = run_cli(argv + ["--rcos", "0.3"], capsys)
     assert rc == 2 and out == "" and "error" in err
 
@@ -272,6 +282,32 @@ def test_non_finite_budget_exit_2(argv, capsys):
     """A nan or infinite budget is rejected before any curve is searched."""
     rc, out, err = run_cli(argv + ["--rcos", "0.3"], capsys)
     assert rc == 2 and out == "" and "rate budget must be finite" in err
+
+
+def _run_module(argv: list[str]) -> subprocess.CompletedProcess:
+    """`python -m babai_refine argv` in a fresh interpreter, on this package."""
+    path = [str(Path(babai_refine.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    return subprocess.run(
+        [sys.executable, "-m", "babai_refine", *argv], capture_output=True, env=env, timeout=300
+    )
+
+
+def test_module_entry_point_prints_what_main_prints(capsys):
+    argv = ["geometry", "--rcos", "0.3"]
+    proc = _run_module(argv)
+    rc, out, _ = run_cli(argv, capsys)
+    assert proc.returncode == rc == 0
+    assert proc.stdout == out.encode()
+
+
+@pytest.mark.parametrize(
+    "argv", [["geometry", "--rho", "0", "--rcos", "0.3"], ["sweep", "--rho", "0", "--grid", "2"]]
+)
+def test_module_entry_point_exits_2_on_invalid_input(argv):
+    proc = _run_module(argv)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert b"error:" in proc.stderr
 
 
 def test_quadrature_failure_exit_3(capsys, monkeypatch):

@@ -79,20 +79,20 @@ CLI_CASES = {
 GOLDEN = {
     "report/params_main/babai_only": "592f219d2b414a217266b2f04c0de930a2a2b1f7d330713e3a15d8a0b755782e",
     "report/params_main/infinite": "6368d4763940de628294519e124c1dfc49fff5b2bc8f1eb906b6f0b2a516af3c",
-    "report/params_main/12-2-3": "1715b37cd8e08819f24c768f2d2dc20ed87ed31311ef8ae05f21457bcc359225",
-    "report/params_main/12-300-700": "0a6fe199d0a0af6e053cb8c19dac1e20b86465439728ac34107a2b4b68720508",
+    "report/params_main/12-2-3": "5fc537917748548a3a7b2640024d2577a454683c33001075ee7804cb99f984bd",
+    "report/params_main/12-300-700": "db33991589680a047bb77b8567bd68ee689b92774ccafb9fb2d0a26f118219a5",
     "report/params_main/21-4": "34378b8f33d63753a2aea17b3a5090b85c0ba13aebce994e178fb322857eaecd",
     "report/params_main/21-999": "878c7feee511eed1626181c9a97ecf9ebafe403860c726e968d013a84740e8c2",
     "report/params_hex/babai_only": "8e92a03d107dd86a0c3c74422ea1c685fb3a3b64232b2d4fcc4110a3d32df2d6",
     "report/params_hex/infinite": "208ec98b3fee5bed350dfef9bb6cc8e774989ec0e6b86ae5cd761da752f5d1bd",
-    "report/params_hex/12-2-3": "829f5d43f4a0781dcd05bd1a7a8769571bde350d73e4ba3297e259d2e4ed5aa1",
-    "report/params_hex/12-300-700": "684695352260d95524b0c28672c7548fad442d0fc258db3d79250f074e417c3c",
+    "report/params_hex/12-2-3": "e6e155af735453254babb89aa9eae1c13fb5a09ca141123fd73185a6cbdb4227",
+    "report/params_hex/12-300-700": "855e2d8aff9f5c663ce0df7be58f878b73943e74467b78c3163a688638598cad",
     "report/params_hex/21-4": "025030b0886236175df97e76263d3c38f0df54a1d75cb8c60d2e511a22bbe670",
     "report/params_hex/21-999": "4226d51a73194fd2dee10792ebdb7f268c65aed51c1c3b38b5b134358953db4b",
     "report/params_square/babai_only": "6f7a611c1cc42ebc7d44382b7be7429481634ac599849e6138fb6bed6184db7b",
     "report/params_square/infinite": "b08e33c10a65af552c4a7b1cebc029117e6da3f557aee13552bb5d38c7b5f85c",
-    "report/params_square/12-2-3": "5cf4f2f8390c278a5ad8efde3a2dab549179013f8840c273e525892fe219df32",
-    "report/params_square/12-300-700": "d4ec1c9dbf7563e277ee3a91b1f30882860bff08c9808433ba2302828c24701f",
+    "report/params_square/12-2-3": "6463c4658309c19c0c3a9f480c462ff5520637e3229bc3d081a1aafbc0c79205",
+    "report/params_square/12-300-700": "09c8c2b6735de773744156cff1a62434dbcebaf7243f2c9943ec8a6e342d54e9",
     "report/params_square/21-4": "5fd4890b3a9550b8ae7cf59a485187dfeebc3c3cce78c23039b473d4bd479fae",
     "report/params_square/21-999": "9146e0b1301718ef12e011761ea923a6f7b65bd9a4de5c7178697367a8068257",
     "kernel-infinite/params_main/rounds-1": "85fb93cd890bf54a1ff8406ff6d4b522d46e626fd12cb3adf43750dc3c6b4700",
@@ -136,28 +136,28 @@ GOLDEN = {
     "transcripts/params_square/infinite": "227697e19c5d26c5190f8e3a7592607e8530b8fde98b53369f95bb8e83892ae0",
     "report-chunked/params_main/babai_only": "01f7929ec495e924a1a178b3f85da62706fc61a3eabccefece8c19e91daf891e",
     "report-chunked/params_main/infinite": "dfe6d946edfcc98fcc9d5f242b494e0e2aa05f8c1ba6108782e1f292641b243e",
-    "report-chunked/params_main/12-2-3": "0ef46103ad5700d8604c935bf48b63c5fdff63b5bc77b167cd6c460aa7220bb8",
-    "report-chunked/params_main/12-300-700": "8ef9a928e21e15634e0c2a8c0c39529c35b054cbb0a0bc1eeefa7037b0d020e4",
+    "report-chunked/params_main/12-2-3": "b5ff295111e31238a57ed3103169816e2b5a9f30ad7a787792fb2d4579bc41d4",
+    "report-chunked/params_main/12-300-700": "46a9fc41179214dd569190d9f8fbdfbc9bc6225a541d7c38237e59fde90c2dee",
     "report-chunked/params_main/21-4": "b15b21aca6daf2d721081cadb3347e751cd1785e0324172059b0ce4436fcb1a0",
     "report-chunked/params_main/21-999": "2d99db9f611508e31295768f74f08c6799f24cba84bac6630748250b815014a0",
-    "cli/sweep-grid4-budget8": "f0320f501e2c4d4a61c88de918e6d98a3faae9da6480b5513086ad31cb4282eb",
-    "cli/sweep-grid50-budget8": "a12bf4cee76ade5c18e80c60fb6aa66f8fc54199236316f881f495971e85ebed",
-    "cli/sweep-grid40-budget3": "4304a48e540e1b140164aeb02a8b426e4e531ed8a402853d4cf2a49db819d039",
-    "cli/sweep-rho1.2-grid20-budget6": "57a443cd9fb643ce4f89e887f09747caf8fa3a8ca20da5ae9e0dcc9bc01e7728",
+    "cli/sweep-grid4-budget8": "5b2982e89815a7e890d284aad86794ed1ff9b0a4f0a820c638403d8ce1cb0df2",
+    "cli/sweep-grid50-budget8": "822ff9e6fc528d1a1f0f376ea491f8c2742cbd4cddd2803112f59fc274067e10",
+    "cli/sweep-grid40-budget3": "15d199b7c63388b33a3f816be435fc7734c1ed0a52ceadbff59de388df9cf77c",
+    "cli/sweep-rho1.2-grid20-budget6": "b2deb64f519eaee2ed5c0c0b00dfe1f7ed9f8c31d345fd0dd9a4416d7e780c08",
     "cli/geometry-rcos0.3": "4e8ca514cbffab0e7d727bb407ba59c58a401486b903d1eb91d4a490c6c40a3e",
     "cli/geometry-60deg": "ca9afba6f9155e630181371ece9fab24b0b6a43988fa594a8efbb11cf9196119",
     "cli/geometry-rcos1e-6": "0d6634402bb23705f8a98d8d5be2da31053227123a720bc7cd382319a89e53fa",
-    "cli/analyze-12-rcos0.3": "241056066fd95d008243f8102635f1eb433b671af53a3f1691e18fa3dcd8762a",
-    "cli/analyze-12-61deg": "a6b70496999376470d8b09eced82670180b14ed05544345d7c47c271c952d712",
+    "cli/analyze-12-rcos0.3": "3bf7ab8a7c99160b796673b531ae45a03144cf50bf9156922e5abc2fa551afa6",
+    "cli/analyze-12-61deg": "3393cd64f305f16b3e443c5754ad98dbcae5e2d763adf4c1742e551030af2826",
     "cli/analyze-21-rcos0.3": "5a699ca56f951b5cc909b5e9aa985c6e99eb2803fc778d6c801a980bd0d6e1ce",
     "cli/analyze-21-89deg": "0a8352ac04a006f1935590d45b9c41b41243a79819eb70e65f68e114eea1f1a9",
     "cli/analyze-21-90deg": "2b11bd9ff36825a3db0d91531026e72d34123db2ba832932f37819c6572199d0",
-    "cli/tradeoff-12": "27990415982f9af1d090d4d49ce520448815a0e9e03a794cee6438a063905af8",
+    "cli/tradeoff-12": "11b21a5a89b942f673de48e588a41a2aea2eba8075275984938f1bf7ec31b335",
     "cli/analyze-inf-rcos0.3": "8e325b859203e4fddcd6bcae0bbd9102cf5266696433541ca541d35679284e63",
     "cli/analyze-babai-rcos0.3": "af726a65a18e155c95dfdd16910d57f1b26d2455b7e0bf6f36ab5a0d8af2144c",
     "cli/tradeoff-21": "f73fd83e5c5c400862ca8a602ac6e77c701700a581e94bb83cc7251b1ff3be94",
     "cli/tradeoff-21-budget5": "64306aade5dd98e7dde6567c2608819a1190516bf7f4686c3ca5f3aff20d5106",
-    "cli/tradeoff-12-budget4": "cfaf16fd7f9f41040bdfc8978560a05294dfadce2da3da3734fd9c1e181a07aa",
+    "cli/tradeoff-12-budget4": "56001b198812b294576460027527e94e0b9af968fecd20ba19f6862208ed79fd",
     "boundary/params_main/12-2-3": "a24baf802ab6b9b031b8c53ff109970ca343acd94bf0860ce0c04714f99e95d5",
     "boundary/params_main/12-300-700": "f555aceefd8e58ea808b12bc9bbc1840bd2540d778a7fa54c524855a0c7e95d9",
     "boundary/params_main/21-4": "20a9819288c45cec94ed22c180f77979010014a89cd19bd798778e6f725f037d",

@@ -221,6 +221,8 @@ def test_quantizers_from_the_same_arguments_are_equal(params_main, params_hex):
     assert hash(quantizer_21(params_main, 4)) == hash(quantizer_21(params_main, 4))
     assert quantizer_21(params_main, 4) == quantizer_21(params_main, 4)
     assert quantizer_12(params_main, 2, 3) != quantizer_12(params_hex, 2, 3)
+    # both have centre 5
+    assert quantizer_12(params_main, 2, 3) != quantizer_12(params_main, 3, 2)
     assert "table" not in repr(quantizer_12(params_main, 1, 1))
 
 
@@ -397,6 +399,7 @@ def test_transcript_json_roundtrip(params_main):
 def test_quantizer_bin_structure(params_main):
     g = cell_geometry(params_main)
     q = quantizer_12(params_main, 2, 3)
+    assert q.edges.dtype == np.float64 and not q.edges.flags.writeable
     edges = np.array(q.edges)
     assert len(edges) == 2 * (2 + 3) + 2
     assert edges[0] == -0.5 and edges[-1] == 0.5
