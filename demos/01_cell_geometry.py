@@ -54,8 +54,10 @@ for x1 in (0.0, 0.25, 0.45):
 print()
 
 pe = babai_error_probability(params)
-print(f"Babai error probability (polygon-exact): {pe:.6f}")
-print(f"closed form H1/(2 rho sin theta):        {g.H1 / (2 * params.rsin):.6f}")
+cot = math.cos(params.theta) / math.sin(params.theta)
+print(f"Babai error probability H1/(2H):          {pe:.6f}")
+print(f"as cot(1 - rho cos)/(4 rho sin):          "
+      f"{cot * (1 - params.rcos) / (4 * params.rho * math.sin(params.theta)):.6f}")
 
 hexa = LatticeParams(rho=1.0, theta=math.pi / 3 + 1e-6)
 print(f"hexagonal limit: {babai_error_probability(hexa):.6f} (= 1/12)")

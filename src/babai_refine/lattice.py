@@ -5,8 +5,9 @@ rho*sin(theta)) with rho >= 1 and 0 < rho*cos(theta) < 1/2, so the basis is
 reduced and the six relevant vectors are +/-v1, +/-v2 and +/-(v2 - v1).  The
 nearest-plane (Babai) rule partitions the plane into rectangles of width 1
 and height H = rho*sin(theta); this module provides the Babai and exact
-nearest-point maps, the Voronoi membership test, and the decision-boundary
-structure inside the zero-centred Babai cell B(0) = (-1/2,1/2] x (-H/2,H/2].
+nearest-point maps, the Voronoi membership test, the decision-boundary
+structure inside the zero-centred Babai cell B(0) = (-1/2,1/2] x (-H/2,H/2]
+and, from its constants, the Babai error probability in closed form.
 
 Half-open conventions are used uniformly: every interval is (a, b], and
 nearest-integer rounding places the residual in (-1/2, 1/2].
@@ -374,46 +375,15 @@ def row_cuts(params: LatticeParams, x2: float) -> CutSpec:
     return _cut_spec(cross_section(geom, [x2], vertical=False))
 
 
-def _clip_polygon_halfplane(
-    poly: list[tuple[float, float]], n: tuple[float, float], offset: float
-) -> list[tuple[float, float]]:
-    """Sutherland-Hodgman step: keep the side x.n <= offset."""
-    out: list[tuple[float, float]] = []
-    k = len(poly)
-    for i in range(k):
-        p, q = poly[i], poly[(i + 1) % k]
-        fp = p[0] * n[0] + p[1] * n[1] - offset
-        fq = q[0] * n[0] + q[1] * n[1] - offset
-        if fp <= 0.0:
-            out.append(p)
-        if (fp < 0.0 < fq) or (fq < 0.0 < fp):
-            t = fp / (fp - fq)
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-    return out
-
-
-def _polygon_area(poly: list[tuple[float, float]]) -> float:
-    s = 0.0
-    k = len(poly)
-    for i in range(k):
-        p, q = poly[i], poly[(i + 1) % k]
-        s += p[0] * q[1] - q[0] * p[1]
-    return 0.5 * abs(s)
-
-
 def babai_error_probability(params: LatticeParams) -> float:
     """Probability that the Babai decode differs from the true nearest point.
 
-    Exact area of B(0) \\ V(0) over det V, obtained by clipping the Babai
-    rectangle against the six Voronoi half-planes; the remainder is the four
-    corner-band error triangles.
+    B(0) \\ V(0) is four corner triangles, one in each error rectangle of
+    the top and bottom bands (height H1; in each band the two rectangles
+    are L2 + (L1 + L2) = 1/2 wide).  The Voronoi boundary is each
+    rectangle's diagonal, so the triangles are half the rectangles' mass
+    (1 - Q0)(1 - P0) = (2 H1/H)(1/2): pe = H1/(2H), with no subtraction
+    that cancels near the rectangular end.
     """
-    gen = make_generator(params)
-    H = params.rsin
-    poly = [(-0.5, -H / 2), (0.5, -H / 2), (0.5, H / 2), (-0.5, H / 2)]
-    for r in relevant_vectors(gen):
-        n = lattice_point(r, gen)
-        poly = _clip_polygon_halfplane(poly, n, 0.5 * (n[0] ** 2 + n[1] ** 2))
-        if not poly:
-            break
-    return (gen.det - _polygon_area(poly)) / gen.det
+    g = cell_geometry(params)
+    return g.H1 / (2.0 * g.H)

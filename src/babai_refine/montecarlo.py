@@ -17,13 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import analytics, protocols
-from .lattice import (
-    LatticeParams,
-    Point2,
-    babai_error_probability,
-    cell_geometry,
-    cross_section,
-)
+from .lattice import LatticeParams, Point2, babai_error_probability, cell_geometry
 from .protocols import DEFAULT_MAX_ROUNDS
 
 # Trials per reduction chunk: its per-chunk float sums set a report's low
@@ -34,9 +28,9 @@ _CHUNK = 1 << 20
 # are 512 KB, so the stages' elementwise passes stay in a 2 MB L2 cache and
 # reuse freed pages instead of faulting in fresh 8 MB arrays.
 _BLOCK = 1 << 16
-# A single-round kernel rebuilds its cut table, 2 * (sum of the sizes) + 1
-# bins, for every block; blocks of at least this many trials per unit of
-# size keep the rebuilds a small share of the work at large sizes.
+# A single-round kernel builds its quantizer, a cut table of 2 * (sum of the
+# sizes) + 1 bins, for every block; blocks of at least this many trials per
+# unit of size keep the rebuilds a small share of the work at large sizes.
 _TRIALS_PER_SIZE = 8
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -74,10 +68,18 @@ def sample_cell_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform points over (-1/2,1/2] x (-H/2,H/2], one per trial index.
 
-    The seed must be an int in [0, 2^64): anything else raises ValueError.
+    The seed must be an int in [0, 2^64), and the trial indices integers in
+    [0, 2^64): an integer-dtype array (uint64 is used with no scan) or a list
+    of ints.  A float, bool or object array or a negative entry raises
+    ValueError; an empty array, of any dtype, holds nothing to check.
     """
     _check_seed(seed)
-    idx = np.asarray(trial_index, dtype=np.uint64)
+    idx = np.asarray(trial_index)
+    if idx.dtype != np.uint64 and idx.size:
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"trial indices must be integers, got dtype {idx.dtype}")
+        if idx.dtype.kind == "i" and idx.min() < 0:
+            raise ValueError("trial indices must be >= 0")
     x1 = _unit_open_closed(seed, idx, 0)
     x1 -= 0.5
     x2 = _unit_open_closed(seed, idx, 1)
@@ -87,9 +89,13 @@ def sample_cell_arrays(
 
 
 def sample_uniform_babai_cell(params: LatticeParams, trial_index: int, seed: int) -> Point2:
-    """Single uniform point over the zero-centred Babai cell."""
-    if trial_index < 0:
-        raise ValueError("trial_index must be >= 0")
+    """Single uniform point over the zero-centred Babai cell.
+
+    trial_index must be an int in [0, 2^64), like the seed (ValueError).
+    """
+    _require_int("trial_index", trial_index)
+    if not 0 <= trial_index <= _U64:
+        raise ValueError(f"trial_index must be in [0, 2**64), got {trial_index}")
     x1, x2 = sample_cell_arrays(params, np.array([trial_index], dtype=np.uint64), seed)
     return Point2(float(x1[0]), float(x2[0]))
 
@@ -277,25 +283,35 @@ def exact_nearest_batch(
 
 
 def _single_round_batch(
-    params: LatticeParams,
-    edges: np.ndarray,
-    first: np.ndarray,
-    second: np.ndarray,
-    vertical: bool,
-) -> tuple[np.ndarray, ...]:
-    """Shared body of the single-round kernels.
+    q: protocols.Quantizer, x1: np.ndarray, x2: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Shared body of the single-round kernels, in the speaking order of q.
 
-    The first speaker sends the bin of `first`; the answer is the side of
-    the cuts at that bin's midpoint `second` falls on.  Returns per trial the
-    bin index, the answer symbol, its ideal bits and the decision (dec1, dec2).
+    The first speaker sends the bin of its coordinate (bits against a bin
+    length of 1 for x1, H for x2, as _single_round counts them); the other
+    answers with the side of the cuts at that bin's midpoint its own
+    coordinate falls on.  Returns per trial both symbols and their ideal
+    bits, and the decision (dec1, dec2, float64) from the quantizer's table.
     """
-    table = cross_section(cell_geometry(params), 0.5 * (edges[:-1] + edges[1:]), vertical)
+    if q.vertical:
+        first, second, span, (a, b) = x1, x2, 1.0, ("u1", "u2")
+    else:
+        first, second, span, (a, b) = x2, x1, q.params.rsin, ("u2", "u1")
+    edges, table = q.edges, q.table
     pos = np.clip(np.searchsorted(edges, first, side="left") - 1, 0, len(edges) - 2)
     sym = np.where(second > table.hi[pos], 1, np.where(second <= table.lo[pos], -1, 0))
     flat = 3 * pos + sym + 1
-    dec1 = table.labels[..., 0].ravel()[flat]
-    dec2 = table.labels[..., 1].ravel()[flat]
-    return pos, sym, _ideal_bits(table.probs.ravel())[flat], dec1, dec2
+    bits1 = _ideal_bits(np.diff(edges) / span)[pos]
+    pos -= q.center  # the bin symbol, in place: one fewer live per-trial array
+    # the int8 labels are widened per region, before the per-trial gathers
+    return {
+        f"{a}_symbol": pos,
+        f"{b}_symbol": sym,
+        f"{a}_bits": bits1,
+        f"{b}_bits": _ideal_bits(table.probs.ravel())[flat],
+        "dec1": table.labels[..., 0].astype(np.float64).ravel()[flat],
+        "dec2": table.labels[..., 1].astype(np.float64).ravel()[flat],
+    }
 
 
 def _ideal_bits(probs: np.ndarray) -> np.ndarray:
@@ -312,35 +328,18 @@ def run_batch_12(
 ) -> dict[str, np.ndarray]:
     """Vectorized 12-order single round over arrays of in-cell points.
 
-    Returns u1_symbol, u2_symbol, u1_bits, u2_bits, dec1, dec2 per trial.
+    Returns u1_symbol, u2_symbol, u1_bits, u2_bits, dec1, dec2 per trial,
+    decided by the cut table of protocols.quantizer_12(params, n1, n2).
     """
-    edges = analytics.bin_edges_12(params, n1, n2)
-    pos, u2_sym, u2_bits, dec1, dec2 = _single_round_batch(params, edges, x1, x2, vertical=True)
-    return {
-        "u1_symbol": pos - (n1 + n2),
-        "u2_symbol": u2_sym,
-        "u1_bits": _ideal_bits(np.diff(edges))[pos],
-        "u2_bits": u2_bits,
-        "dec1": dec1,
-        "dec2": dec2,
-    }
+    return _single_round_batch(protocols.quantizer_12(params, n1, n2), x1, x2)
 
 
 def run_batch_21(
     params: LatticeParams, n: int, x1: np.ndarray, x2: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Vectorized 21-order single round (S2 quantizes, S1 answers)."""
-    g = cell_geometry(params)
-    edges = analytics.bin_edges_21(params, n)
-    pos, u1_sym, u1_bits, dec1, dec2 = _single_round_batch(params, edges, x2, x1, vertical=False)
-    return {
-        "u2_symbol": pos - n,
-        "u1_symbol": u1_sym,
-        "u2_bits": _ideal_bits(np.diff(edges) / g.H)[pos],
-        "u1_bits": u1_bits,
-        "dec1": dec1,
-        "dec2": dec2,
-    }
+    """Vectorized 21-order single round (S2 quantizes, S1 answers), decided
+    by the cut table of protocols.quantizer_21(params, n)."""
+    return _single_round_batch(protocols.quantizer_21(params, n), x1, x2)
 
 
 def run_batch_infinite(

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from babai_refine import LatticeParams
 
@@ -36,3 +37,11 @@ def random_valid_params(count: int, seed: int = 0) -> list[LatticeParams]:
         c = float(0.02 + 0.46 * rng.random())  # rho*cos(theta) in (0.02, 0.48)
         out.append(LatticeParams(rho=rho, theta=math.acos(c / rho)))
     return out
+
+
+@st.composite
+def lattices(draw, rcos_min=1e-6):
+    """rho in [1, 1.5] and rho*cos(theta) log-uniform in [rcos_min, 0.5 - 1e-6]."""
+    rho = draw(st.floats(1.0, 1.5))
+    rcos = math.exp(draw(st.floats(math.log(rcos_min), math.log(0.5 - 1e-6))))
+    return LatticeParams(rho=rho, theta=math.acos(rcos / rho))

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from babai_refine import (
     BudgetTooSmall,
@@ -35,7 +34,7 @@ from babai_refine import (
 )
 from babai_refine.analytics import _beta_21_from_spans, _row_entropies, budget_pe
 
-from conftest import random_valid_params
+from conftest import lattices, random_valid_params
 
 # frozen regression constants at rho=1, rho*cos(theta)=0.3 (pinned by the
 # independent fine-quantizer route and by the protocol simulations)
@@ -219,16 +218,8 @@ def _assert_kappa_matches_reference(params: LatticeParams) -> None:
     assert abs(kappa_21(params) - k21) <= 1e-13
 
 
-@st.composite
-def _lattices(draw, rcos_min=1e-6):
-    """rho in [1, 1.5] and rho*cos(theta) log-uniform in [rcos_min, 0.5 - 1e-6]."""
-    rho = draw(st.floats(1.0, 1.5))
-    rcos = math.exp(draw(st.floats(math.log(rcos_min), math.log(0.5 - 1e-6))))
-    return LatticeParams(rho=rho, theta=math.acos(rcos / rho))
-
-
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(_lattices())
+@given(lattices())
 def test_kappa_closed_form_matches_quadrature_reference(params):
     _assert_kappa_matches_reference(params)
 
@@ -261,7 +252,7 @@ def test_kappa_main_matches_reference(params_main):
 
 
 @settings(max_examples=500, derandomize=True, database=None, deadline=None)
-@given(_lattices(rcos_min=1e-16))
+@given(lattices(rcos_min=1e-16))
 def test_coefficients_12_match_rho_theta_forms(params):
     """alpha1 = (1 - 2 rho cos)^2 cot/(8 rho sin) and alpha2 = cot^2/8, to
     2e-15 relative, down to the rectangular end."""

@@ -67,6 +67,8 @@ CLI_CASES = {
     "tradeoff-12": ["tradeoff", "--scheme", "12", "--rcos", "0.3", "--max-size", "16"],
     "analyze-inf-rcos0.3": ["analyze", "--scheme", "inf", "--rcos", "0.3"],
     "analyze-babai-rcos0.3": ["analyze", "--scheme", "babai", "--rcos", "0.3"],
+    # clamped to pi/2 - 1e-6, where pe_babai = H1/(2H) is about 2.4999975e-7
+    "analyze-babai-90deg": ["analyze", "--scheme", "babai", "--theta-deg", "90"],
     "tradeoff-21": ["tradeoff", "--scheme", "21", "--rcos", "0.3", "--max-size", "40"],
     "tradeoff-21-budget5": [
         "tradeoff", "--scheme", "21", "--rcos", "0.3", "--max-size", "40", "--budget", "5"
@@ -83,13 +85,13 @@ GOLDEN = {
     "report/params_main/12-300-700": "db33991589680a047bb77b8567bd68ee689b92774ccafb9fb2d0a26f118219a5",
     "report/params_main/21-4": "34378b8f33d63753a2aea17b3a5090b85c0ba13aebce994e178fb322857eaecd",
     "report/params_main/21-999": "878c7feee511eed1626181c9a97ecf9ebafe403860c726e968d013a84740e8c2",
-    "report/params_hex/babai_only": "8e92a03d107dd86a0c3c74422ea1c685fb3a3b64232b2d4fcc4110a3d32df2d6",
+    "report/params_hex/babai_only": "9dd5234e4fc9c1b3bf07e0df9575c5e89ff9172b8e80341ec70aefb9493f4856",
     "report/params_hex/infinite": "208ec98b3fee5bed350dfef9bb6cc8e774989ec0e6b86ae5cd761da752f5d1bd",
     "report/params_hex/12-2-3": "e6e155af735453254babb89aa9eae1c13fb5a09ca141123fd73185a6cbdb4227",
     "report/params_hex/12-300-700": "855e2d8aff9f5c663ce0df7be58f878b73943e74467b78c3163a688638598cad",
     "report/params_hex/21-4": "025030b0886236175df97e76263d3c38f0df54a1d75cb8c60d2e511a22bbe670",
     "report/params_hex/21-999": "4226d51a73194fd2dee10792ebdb7f268c65aed51c1c3b38b5b134358953db4b",
-    "report/params_square/babai_only": "6f7a611c1cc42ebc7d44382b7be7429481634ac599849e6138fb6bed6184db7b",
+    "report/params_square/babai_only": "424d09479412c30dfb28248e8d3d50c812b7b2c9b0dc5854eb87a66d88f83bfe",
     "report/params_square/infinite": "b08e33c10a65af552c4a7b1cebc029117e6da3f557aee13552bb5d38c7b5f85c",
     "report/params_square/12-2-3": "6463c4658309c19c0c3a9f480c462ff5520637e3229bc3d081a1aafbc0c79205",
     "report/params_square/12-300-700": "09c8c2b6735de773744156cff1a62434dbcebaf7243f2c9943ec8a6e342d54e9",
@@ -140,10 +142,10 @@ GOLDEN = {
     "report-chunked/params_main/12-300-700": "46a9fc41179214dd569190d9f8fbdfbc9bc6225a541d7c38237e59fde90c2dee",
     "report-chunked/params_main/21-4": "b15b21aca6daf2d721081cadb3347e751cd1785e0324172059b0ce4436fcb1a0",
     "report-chunked/params_main/21-999": "2d99db9f611508e31295768f74f08c6799f24cba84bac6630748250b815014a0",
-    "cli/sweep-grid4-budget8": "5b2982e89815a7e890d284aad86794ed1ff9b0a4f0a820c638403d8ce1cb0df2",
-    "cli/sweep-grid50-budget8": "822ff9e6fc528d1a1f0f376ea491f8c2742cbd4cddd2803112f59fc274067e10",
-    "cli/sweep-grid40-budget3": "15d199b7c63388b33a3f816be435fc7734c1ed0a52ceadbff59de388df9cf77c",
-    "cli/sweep-rho1.2-grid20-budget6": "b2deb64f519eaee2ed5c0c0b00dfe1f7ed9f8c31d345fd0dd9a4416d7e780c08",
+    "cli/sweep-grid4-budget8": "2557793affd539c4bfa8f57d31d5f2f66e70e7767533b934d2bdb8a1eb69aae6",
+    "cli/sweep-grid50-budget8": "513534140e96b61c63504971b3eec1e360e2f1c0cc2d6d91c297c16417a58d65",
+    "cli/sweep-grid40-budget3": "09c39dad682c8a8c5c38b1d85af7cae5d6845b81b51f267682d2352fde497f32",
+    "cli/sweep-rho1.2-grid20-budget6": "59fb84f95ce44cdcbf3d230a1a349014e7d1b061057f1fb40962fc35f3006819",
     "cli/geometry-rcos0.3": "4e8ca514cbffab0e7d727bb407ba59c58a401486b903d1eb91d4a490c6c40a3e",
     "cli/geometry-60deg": "ca9afba6f9155e630181371ece9fab24b0b6a43988fa594a8efbb11cf9196119",
     "cli/geometry-rcos1e-6": "0d6634402bb23705f8a98d8d5be2da31053227123a720bc7cd382319a89e53fa",
@@ -155,6 +157,7 @@ GOLDEN = {
     "cli/tradeoff-12": "11b21a5a89b942f673de48e588a41a2aea2eba8075275984938f1bf7ec31b335",
     "cli/analyze-inf-rcos0.3": "8e325b859203e4fddcd6bcae0bbd9102cf5266696433541ca541d35679284e63",
     "cli/analyze-babai-rcos0.3": "af726a65a18e155c95dfdd16910d57f1b26d2455b7e0bf6f36ab5a0d8af2144c",
+    "cli/analyze-babai-90deg": "e9fafac27a4755527f8be4e380b45a346d08a8a3a0884ac530def83a3661754a",
     "cli/tradeoff-21": "f73fd83e5c5c400862ca8a602ac6e77c701700a581e94bb83cc7251b1ff3be94",
     "cli/tradeoff-21-budget5": "64306aade5dd98e7dde6567c2608819a1190516bf7f4686c3ca5f3aff20d5106",
     "cli/tradeoff-12-budget4": "56001b198812b294576460027527e94e0b9af968fecd20ba19f6862208ed79fd",

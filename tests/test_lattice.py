@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from babai_refine import (
     InvalidParams,
@@ -21,7 +22,7 @@ from babai_refine import (
     strip_cuts,
 )
 
-from conftest import random_valid_params
+from conftest import lattices, random_valid_params
 
 SIN03 = math.sqrt(1.0 - 0.09)  # sin(acos(0.3))
 
@@ -350,7 +351,7 @@ def test_cuts_out_of_cell(params_main):
 def test_babai_error_probability_closed_form(params_main):
     pe = babai_error_probability(params_main)
     g = cell_geometry(params_main)
-    # polygon clipping must reproduce the H1/(2 rho sin theta) reduction
+    # the closed form is the H1/(2 rho sin theta) reduction
     assert math.isclose(pe, g.H1 / (2.0 * params_main.rsin), rel_tol=1e-12)
     assert math.isclose(pe, 0.0576923, abs_tol=1e-7)
 
@@ -366,3 +367,56 @@ def test_babai_error_probability_reduction(params):
     g = cell_geometry(params)
     assert math.isclose(pe, g.H1 / (2.0 * params.rsin), rel_tol=1e-11)
     assert 0.0 < pe < 1.0
+
+
+def _clip_polygon_halfplane(
+    poly: list[tuple[float, float]], n: tuple[float, float], offset: float
+) -> list[tuple[float, float]]:
+    """Sutherland-Hodgman step: keep the side x.n <= offset."""
+    out: list[tuple[float, float]] = []
+    k = len(poly)
+    for i in range(k):
+        p, q = poly[i], poly[(i + 1) % k]
+        fp = p[0] * n[0] + p[1] * n[1] - offset
+        fq = q[0] * n[0] + q[1] * n[1] - offset
+        if fp <= 0.0:
+            out.append(p)
+        if (fp < 0.0 < fq) or (fq < 0.0 < fp):
+            t = fp / (fp - fq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return out
+
+
+def _polygon_area(poly: list[tuple[float, float]]) -> float:
+    s = 0.0
+    k = len(poly)
+    for i in range(k):
+        p, q = poly[i], poly[(i + 1) % k]
+        s += p[0] * q[1] - q[0] * p[1]
+    return 0.5 * abs(s)
+
+
+def _clipped_babai_error(params) -> float:
+    """Area of B(0) \\ V(0) over det V, independent of cell_geometry: the Babai
+    rectangle clipped against the six Voronoi half-planes.  (det - area)/det
+    cancels near the rectangular end, so it is exact only in absolute terms."""
+    gen = make_generator(params)
+    H = params.rsin
+    poly = [(-0.5, -H / 2), (0.5, -H / 2), (0.5, H / 2), (-0.5, H / 2)]
+    for r in relevant_vectors(gen):
+        n = lattice_point(r, gen)
+        poly = _clip_polygon_halfplane(poly, n, 0.5 * (n[0] ** 2 + n[1] ** 2))
+    return (gen.det - _polygon_area(poly)) / gen.det
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(lattices(rcos_min=1e-16))
+def test_babai_error_probability_matches_rho_theta_form(params):
+    """pe = cot(theta)(1 - rho cos(theta))/(4 rho sin(theta)) to 2e-15 relative,
+    down to the rectangular end, and the polygon clip to within the clip's
+    own rounding: a few ulps of det in the area, so a few 2^-52 absolute."""
+    sin, cos = math.sin(params.theta), math.cos(params.theta)
+    pe = babai_error_probability(params)
+    form = (cos / sin) * (1.0 - params.rcos) / (4.0 * params.rho * sin)
+    assert math.isclose(pe, form, rel_tol=2e-15)
+    assert abs(pe - _clipped_babai_error(params)) <= 4 * 2.0**-52

@@ -48,6 +48,47 @@ def test_samplers_accept_the_seed_range_ends(params_main):
         assert sample_uniform_babai_cell(params_main, 3, seed) == Point2(x1[3], x2[3])
 
 
+@pytest.mark.parametrize("trial_index", [2.7, 1.0, True, 2**64, 2**64 + 5])
+def test_scalar_sampler_rejects_bad_trial_indices(trial_index, params_main):
+    """A float, a bool or an index past 2^64 - 1 raises ValueError rather
+    than being truncated (2.7 gave trial 2's point, True trial 1's) or
+    overflowing."""
+    with pytest.raises(ValueError, match="trial_index must be"):
+        sample_uniform_babai_cell(params_main, trial_index, 0)
+
+
+@pytest.mark.parametrize(
+    "trial_index",
+    [
+        np.array([-1]),
+        np.array([3, -2], dtype=np.int8),
+        [0, -3],
+        np.array([1.5]),
+        np.array([2.0]),
+        np.array([True]),
+        np.array([1], dtype=object),
+    ],
+)
+def test_array_sampler_rejects_bad_trial_indices(trial_index, params_main):
+    """A negative signed entry or a float, bool or object array raises
+    ValueError rather than being cast to uint64 (-1 gave trial 2^64 - 1's
+    point, 1.5 trial 1's)."""
+    with pytest.raises(ValueError, match="trial indices must be"):
+        sample_cell_arrays(params_main, trial_index, 0)
+
+
+def test_samplers_accept_the_trial_index_range_ends(params_main):
+    ends = np.array([0, 2**64 - 1], dtype=np.uint64)
+    x1, x2 = sample_cell_arrays(params_main, ends, 7)
+    for i, trial_index in enumerate(ends.tolist()):
+        assert sample_uniform_babai_cell(params_main, trial_index, 7) == Point2(x1[i], x2[i])
+    small = np.arange(200, dtype=np.uint64)
+    want = sample_cell_arrays(params_main, small, 7)
+    for dtype in (np.uint8, np.int16, np.uint32, np.int64):
+        _assert_same_bytes(sample_cell_arrays(params_main, small.astype(dtype), 7), want)
+    assert all(x.shape == (0,) for x in sample_cell_arrays(params_main, [], 7))
+
+
 def test_sampler_determinism(params_main):
     idx = np.arange(1000, dtype=np.uint64)
     a1, a2 = sample_cell_arrays(params_main, idx, seed=42)
