@@ -12,18 +12,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import BudgetTooSmall, DegenerateInterval, InvalidDistribution
-from .lattice import CellGeometry, LatticeParams, cell_geometry, cross_section
+from .lattice import CellGeometry, CrossSection, LatticeParams, cell_geometry, cross_section
 
 _SUM_TOL = 1e-10
 # below this |u|, _mean_p_ln_p sums its series, whose terms shrink at least
 # 16-fold each, because there the divided difference cancels too many digits
 _SERIES_U = 0.25
-# bins per cut table in rate_12, which bounds its memory at any quantizer size
+# bins per cut table of bin_sections, which bounds its memory at any quantizer size
 _RATE_CHUNK = 1 << 12
 # the 12-scheme rate costs O(n2) to evaluate exactly; the 21-scheme is O(1)
 _MAX_CURVE_SIZE = {"12": 1 << 20, "21": 1 << 62}
@@ -170,6 +170,17 @@ def _row_entropies(probs: np.ndarray) -> np.ndarray:
     return -_fsum_rows(terms)
 
 
+def bin_sections(
+    g: CellGeometry, edges: np.ndarray, vertical: bool
+) -> Iterator[tuple[np.ndarray, CrossSection]]:
+    """The bins of `edges` in ascending chunks of _RATE_CHUNK: per chunk, the
+    bin widths and the cut table of the strips (vertical) or rows through
+    the bin midpoints."""
+    for lo in range(0, len(edges) - 1, _RATE_CHUNK):
+        chunk = edges[lo : lo + _RATE_CHUNK + 1]
+        yield np.diff(chunk), cross_section(g, 0.5 * (chunk[:-1] + chunk[1:]), vertical)
+
+
 def _h_u1(g: CellGeometry, n1: int, n2: int) -> float:
     """H(U1) of the 12 scheme: the interval entropy plus log2 of each bin count."""
     return (
@@ -190,14 +201,11 @@ def rate_12(params: LatticeParams, n1: int, n2: int) -> tuple[float, float]:
     """
     edges = bin_edges_12(params, n1, n2)
     g = cell_geometry(params)
-    h_u1 = _h_u1(g, n1, n2)
     h_u2 = 0.0
-    for lo in range(0, len(edges) - 1, _RATE_CHUNK):
-        chunk = edges[lo : lo + _RATE_CHUNK + 1]
-        table = cross_section(g, 0.5 * (chunk[:-1] + chunk[1:]), vertical=True)
-        weighted = np.diff(chunk) * _row_entropies(table.probs)
+    for widths, table in bin_sections(g, edges, vertical=True):
+        weighted = widths * _row_entropies(table.probs)
         h_u2 = float(np.add.accumulate(np.concatenate(([h_u2], weighted)))[-1])
-    return h_u1, h_u2
+    return _h_u1(g, n1, n2), h_u2
 
 
 def _g(p: float) -> float:
@@ -331,22 +339,10 @@ def asymptotic_constant_12(params: LatticeParams, form: str = "geometric") -> fl
 def beta_21(params: LatticeParams) -> float:
     """Error coefficient of the 21 scheme: pe = beta / N.
 
-    Printed closed form (1/2)*((2*L2+L1)/L)*(H1/H); the span-based
-    re-derivation _beta_21_from_spans must agree.
+    Printed closed form (1/2)*((2*L2+L1)/L)*(H1/H).
     """
     g = cell_geometry(params)
     return 0.5 * ((2.0 * g.L2 + g.L1) / g.L) * (g.H1 / g.H)
-
-
-def _beta_21_from_spans(params: LatticeParams) -> float:
-    """beta from the boundary-segment runs across the top band (oracle route).
-
-    Each top segment runs from a side of the cell at tau_1 to the top edge,
-    so its run is the width of the region it cuts off the top row x2 = H/2.
-    """
-    g = cell_geometry(params)
-    probs = cross_section(g, [g.H / 2.0], vertical=False).probs[0]
-    return g.H1 * (probs[0] + probs[2]) / (2.0 * g.H)
 
 
 def pe_21(params: LatticeParams, n: int) -> float:

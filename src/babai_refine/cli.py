@@ -236,7 +236,8 @@ def cmd_trace(args) -> str:
     scheme = _BY_ALIAS[args.scheme]
     sizes = _scheme_flags(args, scheme, 1)
     max_rounds = sizes.pop("max_rounds", protocols.DEFAULT_MAX_ROUNDS)
-    t = scheme.transcript(Point2(args.x1, args.x2), params, max_rounds, **sizes)
+    q = scheme.quantizer(params, **sizes)
+    t = scheme.transcript(Point2(args.x1, args.x2), params, max_rounds, q)
     return protocols.transcript_to_json(t)
 
 

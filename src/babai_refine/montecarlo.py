@@ -28,10 +28,6 @@ _CHUNK = 1 << 20
 # are 512 KB, so the stages' elementwise passes stay in a 2 MB L2 cache and
 # reuse freed pages instead of faulting in fresh 8 MB arrays.
 _BLOCK = 1 << 16
-# A single-round kernel builds its quantizer, a cut table of 2 * (sum of the
-# sizes) + 1 bins, for every block; blocks of at least this many trials per
-# unit of size keep the rebuilds a small share of the work at large sizes.
-_TRIALS_PER_SIZE = 8
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -287,59 +283,50 @@ def _single_round_batch(
 ) -> dict[str, np.ndarray]:
     """Shared body of the single-round kernels, in the speaking order of q.
 
-    The first speaker sends the bin of its coordinate (bits against a bin
-    length of 1 for x1, H for x2, as _single_round counts them); the other
-    answers with the side of the cuts at that bin's midpoint its own
-    coordinate falls on.  Returns per trial both symbols and their ideal
-    bits, and the decision (dec1, dec2, float64) from the quantizer's table.
+    The first speaker sends the bin of its coordinate; the other answers
+    with the side of the cuts at that bin's midpoint its own coordinate
+    falls on.  Returns per trial both symbols, their ideal bits and the
+    decision (dec1, dec2, float64), indexed from q as _single_round does.
     """
     if q.vertical:
-        first, second, span, (a, b) = x1, x2, 1.0, ("u1", "u2")
+        first, second, (a, b) = x1, x2, ("u1", "u2")
     else:
-        first, second, span, (a, b) = x2, x1, q.params.rsin, ("u2", "u1")
+        first, second, (a, b) = x2, x1, ("u2", "u1")
     edges, table = q.edges, q.table
     pos = np.clip(np.searchsorted(edges, first, side="left") - 1, 0, len(edges) - 2)
     sym = np.where(second > table.hi[pos], 1, np.where(second <= table.lo[pos], -1, 0))
     flat = 3 * pos + sym + 1
-    bits1 = _ideal_bits(np.diff(edges) / span)[pos]
+    bits1 = q.bin_bits[pos]
     pos -= q.center  # the bin symbol, in place: one fewer live per-trial array
-    # the int8 labels are widened per region, before the per-trial gathers
+    labels = table.labels.reshape(-1)  # (bin, region, coordinate), flat
     return {
         f"{a}_symbol": pos,
         f"{b}_symbol": sym,
         f"{a}_bits": bits1,
-        f"{b}_bits": _ideal_bits(table.probs.ravel())[flat],
-        "dec1": table.labels[..., 0].astype(np.float64).ravel()[flat],
-        "dec2": table.labels[..., 1].astype(np.float64).ravel()[flat],
+        f"{b}_bits": q.answer_bits.reshape(-1)[flat],
+        "dec1": labels[2 * flat].astype(np.float64),
+        "dec2": labels[2 * flat + 1].astype(np.float64),
     }
 
 
-def _ideal_bits(probs: np.ndarray) -> np.ndarray:
-    """-log2 of each entry of a probability table, taken once per entry.
-
-    Empty regions have probability 0 (infinite bits) and are never chosen.
-    """
-    with np.errstate(divide="ignore"):
-        return -np.log2(probs)
-
-
 def run_batch_12(
-    params: LatticeParams, n1: int, n2: int, x1: np.ndarray, x2: np.ndarray
+    params: LatticeParams, q: protocols.Quantizer, x1: np.ndarray, x2: np.ndarray
 ) -> dict[str, np.ndarray]:
     """Vectorized 12-order single round over arrays of in-cell points.
 
     Returns u1_symbol, u2_symbol, u1_bits, u2_bits, dec1, dec2 per trial,
-    decided by the cut table of protocols.quantizer_12(params, n1, n2).
+    read from q, which must come from protocols.quantizer_12 on params
+    (ValueError otherwise), as for protocols.run_single_round_12.
     """
-    return _single_round_batch(protocols.quantizer_12(params, n1, n2), x1, x2)
+    return _single_round_batch(protocols._checked("12", q, params), x1, x2)
 
 
 def run_batch_21(
-    params: LatticeParams, n: int, x1: np.ndarray, x2: np.ndarray
+    params: LatticeParams, q: protocols.Quantizer, x1: np.ndarray, x2: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Vectorized 21-order single round (S2 quantizes, S1 answers), decided
-    by the cut table of protocols.quantizer_21(params, n)."""
-    return _single_round_batch(protocols.quantizer_21(params, n), x1, x2)
+    """Vectorized 21-order single round (S2 quantizes, S1 answers), read from
+    q, which must come from protocols.quantizer_21 on params."""
+    return _single_round_batch(protocols._checked("21", q, params), x1, x2)
 
 
 def run_batch_infinite(
@@ -452,7 +439,7 @@ def _one_round(out: dict[str, np.ndarray]) -> tuple:
     return out["dec1"], out["dec2"], out["u1_bits"] + out["u2_bits"], 1.0, 0
 
 
-def _infinite_kernel(params, x1, x2, max_rounds) -> tuple:
+def _infinite_kernel(params, x1, x2, max_rounds, _) -> tuple:
     out = run_batch_infinite(params, x1, x2, max_rounds)
     rounds = out["rounds"].astype(np.float64)
     return out["dec1"], out["dec2"], out["bits"], rounds, int(np.sum(~out["halted"]))
@@ -468,17 +455,17 @@ class Scheme:
     """One scheme, as every place that dispatches on a scheme reads it.
 
     `sizes` are the SimConfig size fields the scheme requires, and the only
-    ones it accepts.  With them as keywords, `kernel(params, x1, x2,
-    max_rounds, **sizes)` returns per-trial decisions (dec1, dec2), bits and
-    rounds (each an array, or one float shared by every trial) and the
-    unhalted count; `predict(params, **sizes)` returns the closed-form (pe,
-    bits, rounds); `transcript(x, params, max_rounds, **sizes)` runs the
-    scalar protocol (None: the scheme has none).  `sweep` pairs each of the
-    sweep's empirical column stems with the SimReport field it reports, and
-    `round_limit` says whether the scheme takes max_rounds (the others are
-    called with it and ignore it).
-    The callables look the kernels and protocols up by name when called, so
-    a wrapper installed on a module's name (the benchmark's tracer) sees
+    ones it accepts.  `quantizer(params, **sizes)` builds the scheme's code
+    q (None if it has none); `kernel(params, x1, x2, max_rounds, q)` returns
+    per-trial decisions (dec1, dec2), bits and rounds (each an array, or one
+    float shared by every trial) and the unhalted count; `predict(params,
+    **sizes)` returns the closed-form (pe, bits, rounds); `transcript(x,
+    params, max_rounds, q)` runs the scalar protocol (None: there is none).
+    `sweep` pairs each of the sweep's empirical column stems with the
+    SimReport field it reports, and `round_limit` says whether the scheme
+    takes max_rounds (the others are called with it and ignore it).  The
+    callables look the kernels and protocols up by name when called, so a
+    wrapper installed on a module's name (the benchmark's tracer) sees
     every call.
     """
 
@@ -490,6 +477,7 @@ class Scheme:
     transcript: Callable[..., protocols.Transcript] | None
     sweep: tuple[tuple[str, str], ...]
     round_limit: bool = False
+    quantizer: Callable[..., protocols.Quantizer | None] = lambda params: None
 
 
 SCHEMES = {
@@ -497,27 +485,21 @@ SCHEMES = {
     for s in (
         Scheme(
             "12", "12", ("n1", "n2"),
-            kernel=lambda params, x1, x2, max_rounds, n1, n2: _one_round(
-                run_batch_12(params, n1, n2, x1, x2)
-            ),
+            kernel=lambda params, x1, x2, _, q: _one_round(run_batch_12(params, q, x1, x2)),
             predict=_predict_12,
-            transcript=lambda x, params, max_rounds, n1, n2: protocols.run_single_round_12(
-                x, params, protocols.quantizer_12(params, n1, n2)
-            ),
+            transcript=lambda x, params, _, q: protocols.run_single_round_12(x, params, q),
             sweep=(("pe12", "empirical_pe"),),
+            quantizer=lambda params, n1, n2: protocols.quantizer_12(params, n1, n2),
         ),
         Scheme(
             "21", "21", ("n",),
-            kernel=lambda params, x1, x2, max_rounds, n: _one_round(
-                run_batch_21(params, n, x1, x2)
-            ),
+            kernel=lambda params, x1, x2, _, q: _one_round(run_batch_21(params, q, x1, x2)),
             predict=lambda params, n: (
                 analytics.pe_21(params, n), analytics.rate_21(params, n), 1.0
             ),
-            transcript=lambda x, params, max_rounds, n: protocols.run_single_round_21(
-                x, params, protocols.quantizer_21(params, n)
-            ),
+            transcript=lambda x, params, _, q: protocols.run_single_round_21(x, params, q),
             sweep=(("pe21", "empirical_pe"),),
+            quantizer=lambda params, n: protocols.quantizer_21(params, n),
         ),
         Scheme(
             "infinite", "inf", (),
@@ -525,7 +507,7 @@ SCHEMES = {
             predict=lambda params: (
                 0.0, analytics.rbar_infinite(params), analytics.nbar_infinite(params)
             ),
-            transcript=lambda x, params, max_rounds: protocols.run_infinite_rounds(
+            transcript=lambda x, params, max_rounds, _: protocols.run_infinite_rounds(
                 x, params, max_rounds
             ),
             sweep=(("rbar", "mean_bits"), ("nbar", "mean_rounds")),
@@ -534,7 +516,7 @@ SCHEMES = {
         Scheme(
             "babai_only", "babai", (),
             # every trial keeps the Babai point, with no message
-            kernel=lambda params, x1, x2, max_rounds: (0.0, 0.0, 0.0, 0.0, 0),
+            kernel=lambda *_: (0.0, 0.0, 0.0, 0.0, 0),
             predict=lambda params: (babai_error_probability(params), 0.0, 0.0),
             transcript=None,
             sweep=(("pe_babai", "empirical_pe"),),
@@ -605,30 +587,31 @@ def simulate(config: SimConfig) -> SimReport:
     """Run the configured scheme over `trials` uniform cell points.
 
     Errors count decisions differing from the exact nearest point.  The
-    per-trial stages run on blocks of `_BLOCK` trials (more for large
-    quantizers), whose size does not change the report; the bits and rounds
-    are reduced over fixed chunks of `_CHUNK` trials in index order, and the
-    chunk size does set the low bits of the means and standard errors.
+    scheme's quantizer, if it has one, is built once per call.  The
+    per-trial stages run on blocks of `_BLOCK` trials, whose size does not
+    change the report; the bits and rounds are reduced over fixed chunks of
+    `_CHUNK` trials in index order, and the chunk size does set the low bits
+    of the means and standard errors.
     """
     params = config.params
     scheme = SCHEMES[config.scheme]
+    q = scheme.quantizer(params, **config.sizes)
     n_err = 0
     n_unhalted = 0
     bit_sums = []
     round_sums = []
     total = config.trials
-    block = max(_BLOCK, _TRIALS_PER_SIZE * sum(config.sizes.values()))
     for lo in range(0, total, _CHUNK):
         hi = min(lo + _CHUNK, total)
         bit_array = np.empty(hi - lo)
         round_array = np.empty(hi - lo)
-        for a in range(lo, hi, block):
+        for a in range(lo, hi, _BLOCK):
             x1, x2 = sample_cell_arrays(
-                params, np.arange(a, min(a + block, hi), dtype=np.uint64), config.seed
+                params, np.arange(a, min(a + _BLOCK, hi), dtype=np.uint64), config.seed
             )
             e1, e2 = exact_nearest_batch(params, x1, x2)
             dec1, dec2, block_bits, block_rounds, unhalted = scheme.kernel(
-                params, x1, x2, config.max_rounds, **config.sizes
+                params, x1, x2, config.max_rounds, q
             )
             n_err += int(np.sum((dec1 != e1) | (dec2 != e2)))
             n_unhalted += unhalted

@@ -8,10 +8,11 @@ are pure; identical inputs give identical transcripts.
 
 The two single-round schemes are one protocol in two speaking orders, and
 a Quantizer knows which: scheme 12 bins x1 (S1 speaks first), scheme 21
-bins x2 (S2 first); it is the codebook both parties hold before any bit is
-sent: lattice, bins and each bin's cuts.  run_single_round_12/21 and
-replay_decision reject a quantizer of the other scheme or another lattice,
-and replay rejects symbols outside the alphabets, with ValueError.
+bins x2 (S2 first); it is the code both parties hold before any bit is
+sent: lattice, bins, each bin's cuts and the ideal code lengths.
+run_single_round_12/21 and replay_decision reject a quantizer of the other
+scheme or another lattice, and replay rejects symbols outside the
+alphabets, with ValueError.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .lattice import (
     LatticeParams,
     Point2,
     cell_geometry,
-    cross_section,
 )
 
 S1 = "S1"
@@ -65,8 +65,11 @@ class Quantizer:
     S2 first).  Bin symbols are centred: `center` indexes the cut-free middle
     bin, sent as 0, positive to the right, so mirroring negates the symbol.
     Row i of `table` (int8 labels) cuts the line through the midpoint of bin
-    i of `edges` (read-only float64) in the cell of `params`.  Equality and
-    hash use params, vertical and sizes alone, which determine the rest.
+    i of `edges` (read-only float64) in the cell of `params`.  The code, read
+    by transcripts and batch kernels alike, is read-only too: `bin_bits[i]`
+    = -log2(width of bin i / axis span), `answer_bits[i, symbol + 1]` =
+    -log2(table.probs[i, symbol + 1]), inf for an empty region.  Equality
+    and hash use params, vertical and sizes alone, which determine the rest.
     """
 
     params: LatticeParams
@@ -75,26 +78,42 @@ class Quantizer:
     center: int = field(compare=False)
     edges: np.ndarray = field(compare=False, repr=False)
     table: CrossSection = field(compare=False, repr=False)
+    bin_bits: np.ndarray = field(compare=False, repr=False)
+    answer_bits: np.ndarray = field(compare=False, repr=False)
+
+
+def _ideal_bits(values: np.ndarray) -> np.ndarray:
+    """-math.log2 of each entry, inf for 0 (an empty region).
+
+    math.log2 is the C library's log2 on every CPU; np.log2 takes a SIMD
+    path on AVX-512 CPUs that differs from it by an ulp on some entries.
+    """
+    nonempty = values > 0.0
+    positive = values[nonempty]
+    logs = np.full(values.shape, -math.inf)
+    logs[nonempty] = np.fromiter(map(math.log2, memoryview(positive)), np.float64, len(positive))
+    return np.negative(logs, out=logs)
 
 
 def _quantizer(params: LatticeParams, edges, vertical: bool, sizes: tuple[int, ...]) -> Quantizer:
-    """The quantizer with bin edges `edges` (a float64 array) and its cut table.
-
-    The table is built analytics._RATE_CHUNK bins at a time into arrays of
-    its final size, so no float64 copy of all the labels is ever held.
-    """
-    edges.setflags(write=False)
-    g = cell_geometry(params)
+    """The quantizer with bin edges `edges` (a float64 array), its cut table
+    and code, the table built in analytics.bin_sections' chunks into arrays
+    of its final size, so no float64 copy of all the labels is ever held."""
     n = len(edges) - 1
     table = CrossSection(
         lo=np.empty(n), hi=np.empty(n), labels=np.empty((n, 3, 2), np.int8), probs=np.empty((n, 3))
     )
-    for start in range(0, n, analytics._RATE_CHUNK):
-        chunk = edges[start : start + analytics._RATE_CHUNK + 1]
-        part = cross_section(g, 0.5 * (chunk[:-1] + chunk[1:]), vertical)
-        for whole, rows in zip(table, part):
+    widths = np.empty(n)
+    start = 0
+    for chunk_widths, part in analytics.bin_sections(cell_geometry(params), edges, vertical):
+        for whole, rows in zip((widths, *table), (chunk_widths, *part)):
             whole[start : start + len(rows)] = rows
-    return Quantizer(params, vertical, sizes, sum(sizes), edges, table)
+        start += len(chunk_widths)
+    widths /= edges[-1] - edges[0]
+    bin_bits, answer_bits = _ideal_bits(widths), _ideal_bits(table.probs)
+    for a in (edges, bin_bits, answer_bits):
+        a.setflags(write=False)
+    return Quantizer(params, vertical, sizes, sum(sizes), edges, table, bin_bits, answer_bits)
 
 
 def quantizer_12(params: LatticeParams, n1: int, n2: int) -> Quantizer:
@@ -127,12 +146,6 @@ def _require_in_cell(x: Point2, params: LatticeParams) -> None:
         raise OutOfCell(f"{tuple(x)} outside (-1/2,1/2] x (-{h},{h}]")
 
 
-def _bin_position(edges: np.ndarray, value: float) -> int:
-    """Index i with edges[i] < value <= edges[i+1] (half-open bins)."""
-    pos = bisect_left(edges, value) - 1
-    return min(max(pos, 0), len(edges) - 2)
-
-
 def _decision(q: Quantizer, pos: int, symbol: int) -> IntegerPair:
     return IntegerPair(*q.table.labels[pos, symbol + 1].tolist())
 
@@ -140,20 +153,21 @@ def _decision(q: Quantizer, pos: int, symbol: int) -> IntegerPair:
 def _single_round(x: Point2, params: LatticeParams, q: Quantizer) -> Transcript:
     """Shared body of the single-round schemes, in the speaking order of q.
 
-    The first speaker sends the bin of its coordinate (bits against a bin
-    length of L for x1, H for x2); the other answers -1 below the lower cut
-    at the bin midpoint, +1 above the upper cut and 0 in the (0,0) region.
+    The first speaker sends the bin of its coordinate; the other answers -1
+    below the lower cut at the bin midpoint, +1 above the upper cut and 0 in
+    the (0,0) region.  Both messages cost their ideal bits from q's code.
     """
     _require_in_cell(x, params)
     if q.vertical:
-        first, second, span, senders = x[0], x[1], 1.0, (S1, S2)
+        first, second, senders = x[0], x[1], (S1, S2)
     else:
-        first, second, span, senders = x[1], x[0], params.rsin, (S2, S1)
-    edges, table = q.edges, q.table
-    pos = _bin_position(edges, first)
-    bits1 = -math.log2((edges[pos + 1] - edges[pos]) / span)
+        first, second, senders = x[1], x[0], (S2, S1)
+    table = q.table
+    # the half-open bin edges[pos] < first <= edges[pos + 1]
+    pos = min(max(bisect_left(q.edges, first) - 1, 0), len(q.edges) - 2)
     symbol = 1 if second > table.hi[pos] else (-1 if second <= table.lo[pos] else 0)
-    bits2 = -math.log2(table.probs[pos, symbol + 1])
+    bits1 = q.bin_bits.item(pos)
+    bits2 = q.answer_bits.item(pos, symbol + 1)
     return Transcript(
         messages=(Message(senders[0], pos - q.center, bits1), Message(senders[1], symbol, bits2)),
         rounds=1,

@@ -27,6 +27,7 @@ from babai_refine import (
     kappa_12,
     make_generator,
     pe_21,
+    quantizer_12,
     rate_12,
     rate_21,
     rbar_infinite,
@@ -171,7 +172,7 @@ def test_a7_rate_consistency():
     h1, _ = rate_12(params, 2, 3)
     idx = np.arange(1_000_000, dtype=np.uint64)
     x1, x2 = sample_cell_arrays(params, idx, SEED)
-    out = run_batch_12(params, 2, 3, x1, x2)
+    out = run_batch_12(params, quantizer_12(params, 2, 3), x1, x2)
     bits = out["u1_bits"]
     se = bits.std(ddof=1) / math.sqrt(len(bits))
     z = (bits.mean() - h1) / se

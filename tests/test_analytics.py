@@ -32,7 +32,7 @@ from babai_refine import (
     round1_distributions,
     tradeoff_curve_12,
 )
-from babai_refine.analytics import _beta_21_from_spans, _row_entropies, budget_pe
+from babai_refine.analytics import _row_entropies, budget_pe
 
 from conftest import lattices, random_valid_params
 
@@ -327,6 +327,17 @@ def test_beta_21_values(params_main, params_hex, params_square):
     assert math.isclose(b, 0.028845, rel_tol=1e-3)
     assert math.isclose(beta_21(params_hex), 1.0 / 24.0, abs_tol=2e-6)
     assert beta_21(params_square) < 1e-6
+
+
+def _beta_21_from_spans(params) -> float:
+    """beta from the boundary-segment runs across the top band (oracle route).
+
+    Each top segment runs from a side of the cell at tau_1 to the top edge,
+    so its run is the width of the region it cuts off the top row x2 = H/2.
+    """
+    g = cell_geometry(params)
+    probs = cross_section(g, [g.H / 2.0], vertical=False).probs[0]
+    return g.H1 * (probs[0] + probs[2]) / (2.0 * g.H)
 
 
 @pytest.mark.parametrize("params", random_valid_params(1000, seed=71))

@@ -110,15 +110,15 @@ GOLDEN = {
     "kernel-infinite/params_square/rounds-3": "05c40a1889878939b4074d34a2a2abb82663b53e0164e7dd68f521182849358c",
     "kernel-infinite/params_square/rounds-default": "05c40a1889878939b4074d34a2a2abb82663b53e0164e7dd68f521182849358c",
     "kernel-12/params_main/2-3": "a997b8addb409dec97c30dbc34a1e4b4d9169cf4af4b17eb266e60ff8bf22255",
-    "kernel-12/params_main/300-700": "f1c31cde1f9dab5deb2a391acc6f90b1bc21474470ccdc6153357bc9113638f1",
+    "kernel-12/params_main/300-700": "2ab081239138f92a93ccea418d467350c6331fb7f4358cac24b28855faec8d55",
     "kernel-12/params_hex/2-3": "104298607e84606e7a4dba9266214afd2d1bdc674782c9e9839040dda37bbe31",
-    "kernel-12/params_hex/300-700": "60aeb77e12aa8a2d138327352b4bbf4e800c6a5d493e44bc5be87a6d98a654b1",
+    "kernel-12/params_hex/300-700": "81adeaa6e046b139bf7f591df91552c4ee2d1413794104c4a2e41736b0220a91",
     "kernel-12/params_square/2-3": "dcc9faf2380392dd201c805b47212361ed5814f228888d9ca8e2aa756936e5c5",
     "kernel-12/params_square/300-700": "6d54b107ccfb3739b6d058c081291034cb0ed2eee08e23409ab97193649af29d",
     "kernel-21/params_main/4": "558e7d4f4fc1cdcf0cd19b95d8de2d99abfff21c4054cae4bf63ee0b7ae852e3",
-    "kernel-21/params_main/999": "1581aab53e1a907bf6141df9d6fde2d686319b0c2191c2ba46e27cfdbdd9c5a0",
+    "kernel-21/params_main/999": "c7b2437fc9e3c40ae570b3fd6a02d2c26b95e680ece8863294fb287bcbad12b5",
     "kernel-21/params_hex/4": "f4fb9901772dec6c3b84d1dfa7eaed6731ba0f1ee96f11870f51aa05d46bab65",
-    "kernel-21/params_hex/999": "10d9fd3405d9faa7ea92434c3ba07bdbd3841a6ed58aed0de1d3fc6bd204793a",
+    "kernel-21/params_hex/999": "6abf7e016df142f69f8ac0be7eda744021e41237e040463e3beccd1cd0f2a164",
     "kernel-21/params_square/4": "57ba372f04bb5b449c9591ec343373e08dba77f252100a9116844daf44089acb",
     "kernel-21/params_square/999": "57ba372f04bb5b449c9591ec343373e08dba77f252100a9116844daf44089acb",
     "transcripts/params_main/12-2-3": "9ed14691b53022aed494c7e6643532f807651f4e618e504c446ff4475caf7b9b",
@@ -215,8 +215,10 @@ def _single_round_kernel(params, kind: str, case: str) -> str:
     x1, x2 = _cell_points(params)
     sizes = [int(s) for s in case.split("-")]
     if kind == "kernel-12":
-        return _arrays(montecarlo.run_batch_12(params, *sizes, x1, x2))
-    return _arrays(montecarlo.run_batch_21(params, *sizes, x1, x2))
+        q = protocols.quantizer_12(params, *sizes)
+        return _arrays(montecarlo.run_batch_12(params, q, x1, x2))
+    q = protocols.quantizer_21(params, *sizes)
+    return _arrays(montecarlo.run_batch_21(params, q, x1, x2))
 
 
 def _points(params) -> list[Point2]:

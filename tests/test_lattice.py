@@ -348,11 +348,16 @@ def test_cuts_out_of_cell(params_main):
         row_cuts(params_main, params_main.rsin)
 
 
+def _rho_theta_babai_error(params) -> float:
+    """cot(theta)(1 - rho cos(theta))/(4 rho sin(theta)), from theta alone,
+    with no cell constant: the reduction of H1/(2H) the closed form must meet."""
+    sin, cos = math.sin(params.theta), math.cos(params.theta)
+    return (cos / sin) * (1.0 - params.rcos) / (4.0 * params.rho * sin)
+
+
 def test_babai_error_probability_closed_form(params_main):
     pe = babai_error_probability(params_main)
-    g = cell_geometry(params_main)
-    # the closed form is the H1/(2 rho sin theta) reduction
-    assert math.isclose(pe, g.H1 / (2.0 * params_main.rsin), rel_tol=1e-12)
+    assert math.isclose(pe, _rho_theta_babai_error(params_main), rel_tol=2e-15)
     assert math.isclose(pe, 0.0576923, abs_tol=1e-7)
 
 
@@ -364,8 +369,7 @@ def test_babai_error_probability_limits(params_hex, params_square):
 @pytest.mark.parametrize("params", random_valid_params(200, seed=59))
 def test_babai_error_probability_reduction(params):
     pe = babai_error_probability(params)
-    g = cell_geometry(params)
-    assert math.isclose(pe, g.H1 / (2.0 * params.rsin), rel_tol=1e-11)
+    assert math.isclose(pe, _rho_theta_babai_error(params), rel_tol=2e-15)
     assert 0.0 < pe < 1.0
 
 
@@ -415,8 +419,6 @@ def test_babai_error_probability_matches_rho_theta_form(params):
     """pe = cot(theta)(1 - rho cos(theta))/(4 rho sin(theta)) to 2e-15 relative,
     down to the rectangular end, and the polygon clip to within the clip's
     own rounding: a few ulps of det in the area, so a few 2^-52 absolute."""
-    sin, cos = math.sin(params.theta), math.cos(params.theta)
     pe = babai_error_probability(params)
-    form = (cos / sin) * (1.0 - params.rcos) / (4.0 * params.rho * sin)
-    assert math.isclose(pe, form, rel_tol=2e-15)
+    assert math.isclose(pe, _rho_theta_babai_error(params), rel_tol=2e-15)
     assert abs(pe - _clipped_babai_error(params)) <= 4 * 2.0**-52

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from babai_refine import montecarlo
+from babai_refine import montecarlo, protocols
 from babai_refine import (
     LatticeParams,
     Point2,
@@ -357,6 +357,22 @@ def test_batch_infinite_keeps_shape(params_main, shape, max_rounds):
         assert a.tobytes() == want[name].tobytes()
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (2, 2, 5)])
+def test_single_round_kernels_keep_shape(params_main, shape):
+    """N-d points give the raveled call's arrays, in the input's shape."""
+    x1, x2 = sample_cell_arrays(params_main, np.arange(math.prod(shape), dtype=np.uint64), 41)
+    for kernel, q in (
+        (run_batch_12, quantizer_12(params_main, 2, 3)),
+        (run_batch_21, quantizer_21(params_main, 4)),
+    ):
+        want = kernel(params_main, q, x1, x2)
+        got = kernel(params_main, q, x1.reshape(shape), x2.reshape(shape))
+        assert sorted(got) == sorted(want) and len(got) == 6
+        for name, a in got.items():
+            assert a.shape == shape and a.dtype == want[name].dtype
+            assert a.tobytes() == want[name].tobytes()
+
+
 def _arrays_of(out):
     return [out[k] for k in sorted(out)] if isinstance(out, dict) else list(out)
 
@@ -374,8 +390,8 @@ def test_kernels_leave_inputs_untouched(params_main):
     y1, y2 = np.concatenate([x1, far1]), np.concatenate([x2, far2])
     cases = [
         (lambda a, b: exact_nearest_batch(params_main, a, b), y1, y2),
-        (lambda a, b: run_batch_12(params_main, 2, 3, a, b), x1, x2),
-        (lambda a, b: run_batch_21(params_main, 4, a, b), x1, x2),
+        (lambda a, b: run_batch_12(params_main, quantizer_12(params_main, 2, 3), a, b), x1, x2),
+        (lambda a, b: run_batch_21(params_main, quantizer_21(params_main, 4), a, b), x1, x2),
         (lambda a, b: run_batch_infinite(params_main, a, b), x1, x2),
         (lambda a, b: run_batch_infinite(params_main, a, b, max_rounds=1), x1, x2),
     ]
@@ -414,7 +430,7 @@ def test_batch_infinite_unhalted_decisions_exact(lattice, max_rounds, request):
 def test_batch_12_matches_scalar(params_main):
     q = quantizer_12(params_main, 2, 3)
     x1, x2 = sample_cell_arrays(params_main, np.arange(2000, dtype=np.uint64), seed=11)
-    out = run_batch_12(params_main, 2, 3, x1, x2)
+    out = run_batch_12(params_main, q, x1, x2)
     for i in range(2000):
         t = run_single_round_12(Point2(x1[i], x2[i]), params_main, q)
         assert out["u1_symbol"][i] == t.messages[0].symbol
@@ -424,10 +440,37 @@ def test_batch_12_matches_scalar(params_main):
         assert (out["dec1"][i], out["dec2"][i]) == t.decision
 
 
+@pytest.mark.parametrize("scheme,sizes", [("12", {"n1": 2, "n2": 3}), ("21", {"n": 4})])
+def test_simulate_builds_one_quantizer_per_call(scheme, sizes, params_main, monkeypatch):
+    """Every block of a simulate call reads the one quantizer built for it."""
+    name = f"quantizer_{scheme}"
+    build = getattr(protocols, name)
+    built = []
+    monkeypatch.setattr(protocols, name, lambda *args: built.append(args) or build(*args))
+    monkeypatch.setattr(montecarlo, "_BLOCK", 1000)
+    simulate(SimConfig(params=params_main, scheme=scheme, trials=3000, seed=5, **sizes))
+    assert built == [(params_main, *sizes.values())]
+
+
+def test_single_round_kernels_reject_other_quantizers(params_main, params_hex):
+    """The batch kernels check their quantizer as the scalar protocols do."""
+    x1, x2 = np.zeros(3), np.zeros(3)
+    q12, q21 = quantizer_12(params_main, 2, 3), quantizer_21(params_main, 4)
+    for kernel, q, match in (
+        (run_batch_12, q21, "takes a quantizer from quantizer_12"),
+        (run_batch_12, None, "takes a quantizer from quantizer_12"),
+        (run_batch_21, q12, "takes a quantizer from quantizer_21"),
+        (run_batch_12, quantizer_12(params_hex, 2, 3), "quantizer was built for"),
+        (run_batch_21, quantizer_21(params_hex, 4), "quantizer was built for"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            kernel(params_main, q, x1, x2)
+
+
 def test_batch_21_matches_scalar(params_main):
     q = quantizer_21(params_main, 4)
     x1, x2 = sample_cell_arrays(params_main, np.arange(2000, dtype=np.uint64), seed=13)
-    out = run_batch_21(params_main, 4, x1, x2)
+    out = run_batch_21(params_main, q, x1, x2)
     for i in range(2000):
         t = run_single_round_21(Point2(x1[i], x2[i]), params_main, q)
         assert out["u2_symbol"][i] == t.messages[0].symbol
@@ -560,7 +603,7 @@ _BLOCK_CASES = {
     "12-300-700": ("12", {"n1": 300, "n2": 700}),
     "21-4": ("21", {"n": 4}),
     "21-999": ("21", {"n": 999}),
-    # large enough that the default blocks grow with the sizes
+    # a quantizer of 40001 bins, shared by every block
     "12-10000-10000": ("12", {"n1": 10000, "n2": 10000}),
 }
 _BLOCKS = (1000, 7919, montecarlo._CHUNK)
@@ -602,7 +645,7 @@ def test_report_independent_of_block_size(lattice, case, trials, block, request,
     """The per-trial block size never moves a bit of the report.
 
     The reference run takes the default blocks; the other sets the block to
-    exactly `block` trials, whatever the quantizer sizes.
+    `block` trials.
     """
     scheme, kw = _BLOCK_CASES[case]
     config = SimConfig(
@@ -613,5 +656,4 @@ def test_report_independent_of_block_size(lattice, case, trials, block, request,
         _DEFAULT_BLOCK_REPORTS[key] = _report_fields(simulate(config))
     want = _DEFAULT_BLOCK_REPORTS[key]
     monkeypatch.setattr(montecarlo, "_BLOCK", block)
-    monkeypatch.setattr(montecarlo, "_TRIALS_PER_SIZE", 0)
     assert _report_fields(simulate(config)) == want

@@ -224,6 +224,30 @@ def test_quantizers_from_the_same_arguments_are_equal(params_main, params_hex):
     # both have centre 5
     assert quantizer_12(params_main, 2, 3) != quantizer_12(params_main, 3, 2)
     assert "table" not in repr(quantizer_12(params_main, 1, 1))
+    assert "bits" not in repr(quantizer_12(params_main, 1, 1))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
+@pytest.mark.parametrize("lattice", ["params_main", "params_hex", "params_square"])
+def test_quantizer_code_lengths(lattice, chunk, request, monkeypatch):
+    """The quantizer's code is read-only: the first message's bits are
+    -math.log2 of each bin's width over the axis span, the answer's bits
+    -math.log2 of each region's probability, inf exactly where it is 0."""
+    monkeypatch.setattr(analytics, "_RATE_CHUNK", chunk)
+    params = request.getfixturevalue(lattice)
+    for q, span in ((quantizer_12(params, 40, 70), 1.0), (quantizer_21(params, 99), params.rsin)):
+        for bits in (q.bin_bits, q.answer_bits):
+            assert bits.dtype == np.float64 and not bits.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                bits[0] = 0.0
+        edges = q.edges.tolist()
+        want = [-math.log2((b - a) / span) for a, b in zip(edges, edges[1:])]
+        assert [v.hex() for v in q.bin_bits.tolist()] == [v.hex() for v in want]
+        probs = q.table.probs.ravel().tolist()
+        want = [math.inf if p == 0.0 else -math.log2(p) for p in probs]
+        assert q.answer_bits.shape == q.table.probs.shape
+        assert [v.hex() for v in q.answer_bits.ravel().tolist()] == [v.hex() for v in want]
+        assert 0.0 in probs  # the centre bin has two empty regions
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
