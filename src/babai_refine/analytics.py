@@ -451,22 +451,36 @@ def _last_within(within: Callable[[int], bool], start: int, cap: int) -> int:
     return lo
 
 
-def _seed_12(params: LatticeParams, point, rate_budget: float, cap: int) -> int:
-    """A size near the 12 curve's answer, from the closed-form H(U1).
+def _seed_12(params: LatticeParams, rate_budget: float, cap: int) -> int:
+    """The 12 curve's size within the budget on its closed-form rate.
 
-    Solves H(U1)(n) + H(U2|U1) <= budget on the cheap H(U1) alone, with
-    H(U2|U1) taken from the last curve point probed, and probes the curve at
-    the solution; H(U2|U1) barely moves with n, so two refinements after the
-    coarsest point land on or next to the answer.
+    Solves H(U1)(n) + kappa_12 <= budget, with n1 = optimal_n1(n), on the
+    closed-form H(U1); H(U2|U1) tends to kappa_12 as the bins shrink and
+    barely moves with n, so the solution lands on or next to the answer.
+    The solve evaluates no curve point.
     """
     g = cell_geometry(params)
-    guess = 1
-    for _ in range(2):
-        h_u2 = point(guess).rate_bits - _h_u1(g, optimal_n1(params, guess), guess)
-        guess = _last_within(
-            lambda n: _h_u1(g, optimal_n1(params, n), n) + h_u2 <= rate_budget, guess, cap
-        )
-    return guess
+    kappa = kappa_12(params)
+    return _last_within(
+        lambda n: _h_u1(g, optimal_n1(params, n), n) + kappa <= rate_budget, 1, cap
+    )
+
+
+def _seed_21(params: LatticeParams, rate_budget: float, cap: int) -> int:
+    """The 21 curve's size within the budget: rate_21's closed form
+    H(Q) + (1-Q0)*log2(n) + kappa_21 solved for n and clipped to [1, cap];
+    the cap itself where 1-Q0 is too small for the rate to pass the budget
+    below it."""
+    g = cell_geometry(params)
+    q = (g.H1 / g.H, g.H0 / g.H, g.H1 / g.H)
+    slope = 1.0 - q[1]
+    excess = rate_budget - (_entropy_raw(q) + kappa_21(params))
+    if excess >= slope * math.log2(cap):
+        return cap
+    return min(max(int(2.0 ** (excess / slope)), 1), cap)
+
+
+_SEEDS = {"12": _seed_12, "21": _seed_21}
 
 
 def _budget_search(
@@ -475,13 +489,15 @@ def _budget_search(
     """Size index of the finest curve point within the budget, and the curve
     evaluator the search used.
 
-    The 12 scheme's curve points cost O(n) each, so its search gallops from
-    the seed of _seed_12; the 21 scheme's cost O(1), and its search is the
-    plain exponential search plus bisection.  Where the rate is monotone in
-    the size, both return the largest size within the budget (or the cap).
-    The evaluator remembers the search's probes, so re-reading the found
-    point or its neighbour costs nothing; it lives only as long as the
-    caller keeps it.
+    The search gallops from a seed solved on the scheme's closed-form rate
+    (_seed_12, _seed_21), then bisects.  The seed lands on or next to the
+    answer (the 21 seed up to its rounding, which near theta = pi/2, where
+    the answer passes 2^45, is worth more than one size), so the search
+    reads the curve at 1 and at the answer or its neighbours.  Where the
+    rate is monotone in the size the answer does not depend on the seed:
+    it is the largest size within the budget (or the cap).  The evaluator
+    remembers the search's probes, so re-reading the found point or its
+    neighbour costs nothing; it lives only as long as the caller keeps it.
     """
     if not math.isfinite(rate_budget):
         raise ValueError("rate budget must be finite")
@@ -499,8 +515,8 @@ def _budget_search(
             f"{first.rate_bits:.6f} of scheme {scheme}"
         )
     cap = _MAX_CURVE_SIZE[scheme]
-    start = _seed_12(params, point, rate_budget, cap) if scheme == "12" else 1
-    return _last_within(lambda n: point(n).rate_bits <= rate_budget, start, cap), point
+    seed = _SEEDS[scheme](params, rate_budget, cap)
+    return _last_within(lambda n: point(n).rate_bits <= rate_budget, seed, cap), point
 
 
 def budget_point(
@@ -508,12 +524,14 @@ def budget_point(
 ) -> TradeoffPoint:
     """Finest curve point whose rate does not exceed the budget.
 
-    Found by a galloping search plus bisection on the monotone rate (see
-    _budget_search); raises BudgetTooSmall below the coarsest quantizer's
-    rate and ValueError for a non-finite budget.  The search is bounded by
-    a per-scheme size cap; when even the cap point's rate stays within the
-    budget (the 21 scheme's rate saturates as theta approaches pi/2, where
-    1-Q0 vanishes), the cap point is returned.
+    Found by a galloping search plus bisection on the monotone rate, from
+    a seed solved on the scheme's closed-form rate (see _budget_search);
+    the seed changes only the probes, not the point.  Raises BudgetTooSmall
+    below the coarsest quantizer's rate and ValueError for a non-finite
+    budget.  The search is bounded by a per-scheme size cap; when even the
+    cap point's rate stays within the budget (the 21 scheme's rate
+    saturates as theta approaches pi/2, where 1-Q0 vanishes), the cap point
+    is returned.
     """
     size, point = _budget_search(params, scheme, rate_budget)
     return point(size)

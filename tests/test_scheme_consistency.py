@@ -43,12 +43,42 @@ TIE = 1e-15
 @pytest.fixture
 def lattice(request):
     if request.param == "rcos0.0655":
-        # np.log2 and math.log2 differ on a round-1 probability of this lattice
-        params = LatticeParams(rho=1.0, theta=math.acos(0.0655))
-        probs = [p for d in round1_distributions(params) for p in d.probs]
-        assert list(-np.log2(probs)) != [-math.log2(p) for p in probs]
-        return params
+        # on numpy's AVX-512 path np.log2 and math.log2 differ on a round-1
+        # probability of this lattice, so bits taken from np.log2 show here
+        return LatticeParams(rho=1.0, theta=math.acos(0.0655))
     return request.getfixturevalue(request.param)
+
+
+@pytest.mark.parametrize("lattice", LATTICES, indirect=True)
+def test_round1_bits_are_math_log2(lattice):
+    """Both infinite-scheme paths charge round 1 -math.log2 of each message's
+    probability, bit for bit, on every round-1 outcome (u2, mirrored u1)."""
+    params = lattice
+    g = cell_geometry(params)
+    q, p = (d.probs for d in round1_distributions(params))
+    h = params.rsin / 2.0
+    # the x1 interval midpoints and their mirror images, in each x2 band
+    pts = [
+        Point2(sign * 0.5 * (a + b), 0.5 * (c + d))
+        for a, b in zip((-0.5, g.t_m2, g.t_1), (g.t_m2, g.t_1, 0.5))
+        for sign in (1.0, -1.0)
+        for c, d in zip((-h, g.tau_m1, g.tau_1), (g.tau_m1, g.tau_1, h))
+    ]
+    out = run_batch_infinite(
+        params, np.array([x[0] for x in pts]), np.array([x[1] for x in pts]), 1
+    )
+    outcomes = set()
+    for i, x in enumerate(pts):
+        t = protocols.run_infinite_rounds(x, params, 1)
+        u2 = t.messages[0].symbol
+        want = [-math.log2(q[u2 + 1])]
+        if u2 != 0:
+            u1 = t.messages[1].symbol * u2
+            want.append(-math.log2(p[u1 + 1]))
+            outcomes.add((u2, u1))
+        assert [m.ideal_bits.hex() for m in t.messages] == [b.hex() for b in want], x
+        assert float(out["bits"][i]).hex() == math.fsum(want).hex() == t.total_bits.hex(), x
+    assert outcomes == {(u2, u1) for u2 in (-1, 1) for u1 in (-1, 0, 1)}
 
 
 def _near_diagonal_points(params) -> list[Point2]:

@@ -3,9 +3,8 @@
 rate_12 sums H(U2|U1) chunk by chunk in whole arrays; it must give the bits
 of the per-bin loop kept here as the reference, including the sign of zero.
 The budget search must find the point of the plain exponential search plus
-bisection kept here, never evaluate a curve point twice within one call,
-and, on the 21 curve, probe it in the same order; on the 12 curve it starts
-from a seed and needs fewer probes.
+bisection kept here and never evaluate a curve point twice within one call;
+on both curves it starts from a closed-form seed and needs fewer probes.
 """
 
 import math
@@ -173,8 +172,8 @@ def test_fsum_rows_equals_fsum(rows):
 
 
 def _budget_search_reference(params, scheme, rate_budget):
-    """analytics._budget_search as it was before the 12 scheme's search was
-    seeded, verbatim: exponential search plus bisection from size 1."""
+    """analytics._budget_search as it was before its searches were seeded,
+    verbatim: exponential search plus bisection from size 1."""
     if not math.isfinite(rate_budget):
         raise ValueError("rate budget must be finite")
     probes = {}
@@ -225,21 +224,13 @@ BUDGET_CASES = [
 ]
 
 
-def _cases(scheme):
-    """The BUDGET_CASES of one scheme, under their ids in the whole list."""
-    return [
-        pytest.param(*case, id=f"params{i}-{case[1]}-{case[2]}")
-        for i, case in enumerate(BUDGET_CASES)
-        if case[1] == scheme
-    ]
-
-
 def _record_curve_points(monkeypatch):
+    """The (params, scheme, size) of every curve point evaluated from here on."""
     calls = []
     original = analytics.curve_point
 
     def recorded(params, scheme, size):
-        calls.append(size)
+        calls.append((params, scheme, size))
         return original(params, scheme, size)
 
     monkeypatch.setattr(analytics, "curve_point", recorded)
@@ -256,17 +247,9 @@ def _search_and_reference(params, scheme, budget, monkeypatch):
     return got, point(size), probes, calls
 
 
-@pytest.mark.parametrize("params,scheme,budget", _cases("21"))
-def test_budget_search_keeps_probe_order(params, scheme, budget, monkeypatch):
-    """The 21 scheme's search is still the plain exponential search."""
-    got, want, probes, reference = _search_and_reference(params, scheme, budget, monkeypatch)
-    assert got == want
-    assert probes == reference
-
-
-@pytest.mark.parametrize("params,scheme,budget", _cases("12"))
+@pytest.mark.parametrize("params,scheme,budget", BUDGET_CASES)
 def test_seeded_budget_search_matches_reference(params, scheme, budget, monkeypatch):
-    """The seeded 12 search finds the reference's point from fewer curve
+    """The seeded search finds the reference's point from fewer curve
     points, and evaluates none of them twice."""
     got, want, probes, reference = _search_and_reference(params, scheme, budget, monkeypatch)
     assert got == want
@@ -275,36 +258,45 @@ def test_seeded_budget_search_matches_reference(params, scheme, budget, monkeypa
 
 @st.composite
 def budget_cases(draw):
-    """A lattice, a 12-curve size cap, and a budget from the coarsest rate to
-    past the cap's rate, often exactly on a curve point's rate (the cap's
-    and the next one's among them) or an ulp off."""
-    params = draw(st.one_of(st.sampled_from([HEX, HEX_TIGHT, SQUARE]), lattices()))
-    cap = draw(st.sampled_from([2, 3, 100, 1000, 1 << 11, 1 << 14]))
+    """A scheme, a lattice, a size cap, and a budget from the coarsest rate
+    to past the cap's rate, often exactly on a curve point's rate (the
+    cap's and the next one's among them) or an ulp off.  The 21 caps reach
+    2^62, the real one, where the rows near theta = pi/2 saturate."""
+    scheme = draw(st.sampled_from(["12", "21"]))
+    caps = [2, 3, 100, 1000, 1 << 11, 1 << 14]
+    if scheme == "12":
+        params = draw(st.one_of(st.sampled_from([HEX, HEX_TIGHT, SQUARE]), lattices()))
+        cap = draw(st.sampled_from(caps))
+    else:
+        params = draw(
+            st.one_of(st.sampled_from([HEX, HEX_TIGHT, SQUARE, SQUARE_TIGHT]), lattices())
+        )
+        cap = draw(st.one_of(st.sampled_from(caps + [1 << 40, 1 << 62]), st.integers(1, 1 << 62)))
     k = draw(st.one_of(st.integers(1, cap + 1), st.sampled_from([cap, cap + 1])))
-    rate = analytics.curve_point(params, "12", k).rate_bits
+    rate = analytics.curve_point(params, scheme, k).rate_bits
     budget = draw(
         st.one_of(
             st.sampled_from([rate, math.nextafter(rate, -math.inf), math.nextafter(rate, math.inf)]),
             st.floats(rate, rate + 2.0),
         )
     )
-    return params, cap, budget
+    return scheme, params, cap, budget
 
 
-@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(case=budget_cases())
 def test_seeded_budget_search_equals_reference(case):
-    params, cap, budget = case
+    scheme, params, cap, budget = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(analytics._MAX_CURVE_SIZE, "12", cap)
+        mp.setitem(analytics._MAX_CURVE_SIZE, scheme, cap)
         try:
-            want = _budget_search_reference(params, "12", budget)[0]
+            want = _budget_search_reference(params, scheme, budget)[0]
         except analytics.BudgetTooSmall as exc:
             with pytest.raises(analytics.BudgetTooSmall) as info:
-                analytics._budget_search(params, "12", budget)
+                analytics._budget_search(params, scheme, budget)
             assert str(info.value) == str(exc)
             return
-        assert analytics._budget_search(params, "12", budget)[0] == want
+        assert analytics._budget_search(params, scheme, budget)[0] == want
 
 
 @PROPERTY
@@ -363,3 +355,28 @@ def test_sweep_evaluates_each_rate_once(monkeypatch, capsys):
     capsys.readouterr()
     assert {name for name, _, _ in seen} == {"rate_12", "rate_21"}
     assert len(set(seen)) == len(seen)
+
+
+def test_sweep_reads_curves_near_the_answer(monkeypatch, capsys):
+    """Per sweep row, the 12 curve is read above size 1 only at the answer
+    and its interpolation neighbour, and the 21 curve less often than the
+    reference search reads it."""
+    calls = _record_curve_points(monkeypatch)
+    assert main(["sweep", "--rho", "1", "--grid", "4", "--budget", "8"]) == 0
+    capsys.readouterr()
+    sweep_calls = calls[:]
+    rows = list(dict.fromkeys(params for params, _, _ in sweep_calls))
+    assert len(rows) == 4
+    cap = analytics._MAX_CURVE_SIZE["12"]
+    for params in rows:
+        read = {
+            scheme: [n for p, s, n in sweep_calls if p == params and s == scheme]
+            for scheme in ("12", "21")
+        }
+        calls.clear()
+        answer = _budget_search_reference(params, "12", 8.0)[0]
+        neighbour = answer + 1 if answer < cap else answer - 1
+        assert sorted(n for n in read["12"] if n > 1) == sorted({answer, neighbour} - {1})
+        calls.clear()
+        _budget_search_reference(params, "21", 8.0)
+        assert len(read["21"]) < len(calls)
