@@ -356,15 +356,13 @@ def rate_21(params: LatticeParams, n: int) -> float:
     """Total rate H(Q) + (1-Q0)*log2(N) + kappa of the 21 scheme."""
     if n < 1:
         raise ValueError("quantizer size must be >= 1")
-    g = cell_geometry(params)
-    q = (g.H1 / g.H, g.H0 / g.H, g.H1 / g.H)
+    q = round1_distributions(params)[0].probs
     return _entropy_raw(q) + (1.0 - q[1]) * math.log2(n) + kappa_21(params)
 
 
 def asymptotic_constant_21(params: LatticeParams) -> float:
     """Limit of pe * 2^(R/(1-Q0)) for the 21 scheme: beta * 2^((H(Q)+kappa)/(1-Q0))."""
-    g = cell_geometry(params)
-    q = (g.H1 / g.H, g.H0 / g.H, g.H1 / g.H)
+    q = round1_distributions(params)[0].probs
     return beta_21(params) * 2.0 ** ((_entropy_raw(q) + kappa_21(params)) / (1.0 - q[1]))
 
 
@@ -376,9 +374,8 @@ def round1_distributions(params: LatticeParams) -> tuple[Distribution, Distribut
     indexed (-1, 0, +1).  P0 = 1/2 identically.
     """
     g = cell_geometry(params)
-    c = params.rcos
     q = Distribution((g.H1 / g.H, g.H0 / g.H, g.H1 / g.H))
-    p = Distribution((c / 2.0, 0.5, (1.0 - c) / 2.0))
+    p = Distribution((g.t_1, 0.5, g.t_2))
     return q, p
 
 
@@ -471,8 +468,7 @@ def _seed_21(params: LatticeParams, rate_budget: float, cap: int) -> int:
     H(Q) + (1-Q0)*log2(n) + kappa_21 solved for n and clipped to [1, cap];
     the cap itself where 1-Q0 is too small for the rate to pass the budget
     below it."""
-    g = cell_geometry(params)
-    q = (g.H1 / g.H, g.H0 / g.H, g.H1 / g.H)
+    q = round1_distributions(params)[0].probs
     slope = 1.0 - q[1]
     excess = rate_budget - (_entropy_raw(q) + kappa_21(params))
     if excess >= slope * math.log2(cap):

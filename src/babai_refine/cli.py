@@ -47,9 +47,9 @@ def _fmt(v: float) -> str:
 def resolve_params(rho: float, theta_deg, theta_rad, rcos) -> LatticeParams:
     """Build LatticeParams from the CLI angle flags.
 
-    Angles that land exactly on the valid region's boundary (e.g. 60 or 90
-    degrees at rho = 1) are clamped inward by 1e-6 rad with a notice on
-    stderr; anything else invalid raises InvalidParams.
+    --rcos sets c = rho*cos(theta) exactly (from_rcos), the angle flags
+    c = fl(rho*cos(theta)).  c within 1e-9 of 0 or 1/2 clamps theta inward by
+    1e-6 rad (notice on stderr); other invalid input raises InvalidParams.
     """
     check_rho(rho)
     given = [v for v in (theta_deg, theta_rad, rcos) if v is not None]
@@ -77,6 +77,8 @@ def resolve_params(rho: float, theta_deg, theta_rad, rcos) -> LatticeParams:
             file=sys.stderr,
         )
         theta = clamped
+    elif rcos is not None:
+        return LatticeParams.from_rcos(rho, rcos)
     return LatticeParams(rho=rho, theta=theta)
 
 
@@ -320,7 +322,7 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta-deg", type=float, default=None, help="angle in degrees")
     p.add_argument("--theta-rad", type=float, default=None, help="angle in radians")
     p.add_argument(
-        "--rcos", type=float, default=None, help="rho*cos(theta); sets theta with rho fixed"
+        "--rcos", type=float, default=None, help="rho*cos(theta), taken exactly, with rho fixed"
     )
     p.add_argument("--output", default=None, help="output path (default: stdout)")
 

@@ -16,7 +16,7 @@ nearest-integer rounding places the residual in (-1/2, 1/2].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -51,36 +51,45 @@ def check_rho(rho: float) -> float:
     return rho
 
 
+def _check_rcos(rho: float, c: float) -> float:
+    """c if rho passes check_rho and c = rho*cos(theta) lies in (0, 1/2)."""
+    check_rho(rho)
+    if not 0.0 < c < 0.5:
+        raise InvalidParams(f"rho*cos(theta) must lie strictly in (0, 1/2), got {c}")
+    return c
+
+
 @dataclass(frozen=True)
 class LatticeParams:
     """Length ratio rho (unitless, >= 1) and angle theta in radians.
 
-    The product rho*cos(theta) must lie strictly in (0, 1/2); the endpoint
-    lattices (rectangular, hexagonal) are studied via small offsets.
+    c = rho*cos(theta) must lie strictly in (0, 1/2) (the rectangular and
+    hexagonal ends are studied via small offsets).  v2 = (rcos, rsin) = (c, H)
+    is stored once; every cell constant is rational in it.  Equality and hash
+    include v2, so from_rcos(rho, c), which keeps c exactly, is not the
+    lattice of its theta when fl(rho*cos(theta)) != c.
     """
 
     rho: float
     theta: float
+    rcos: float = field(init=False)
+    rsin: float = field(init=False)
 
     def __post_init__(self):
         if not math.isfinite(self.theta):
             raise InvalidParams("rho and theta must be finite")
-        check_rho(self.rho)
-        c = self.rho * math.cos(self.theta)
-        if not 0.0 < c < 0.5:
-            raise InvalidParams(
-                f"rho*cos(theta) must lie strictly in (0, 1/2), got {c}"
-            )
+        c = _check_rcos(self.rho, self.rho * math.cos(self.theta))
+        vars(self).update(rcos=c, rsin=self.rho * math.sin(self.theta))
 
-    @property
-    def rcos(self) -> float:
-        """rho*cos(theta), the horizontal component of v2."""
-        return self.rho * math.cos(self.theta)
-
-    @property
-    def rsin(self) -> float:
-        """rho*sin(theta), the height of the Babai cell."""
-        return self.rho * math.sin(self.theta)
+    @classmethod
+    def from_rcos(cls, rho: float, c: float) -> "LatticeParams":
+        """The lattice with v2 = (c, sqrt(rho^2 - c^2)), c exactly as given;
+        its theta = acos(c/rho) is for printing, nothing computes with it."""
+        _check_rcos(rho, c)
+        params = object.__new__(cls)
+        h = math.sqrt((rho - c) * (rho + c))
+        vars(params).update(rho=rho, theta=math.acos(c / rho), rcos=c, rsin=h)
+        return params
 
 
 @dataclass(frozen=True)
@@ -93,7 +102,7 @@ class Generator:
 
 
 def make_generator(params: LatticeParams) -> Generator:
-    """Basis matrix induced by (rho, theta); det = rho*sin(theta) > 0."""
+    """Basis matrix with v2 = (rcos, rsin); det = rsin > 0."""
     return Generator(
         v1=(1.0, 0.0),
         v2=(params.rcos, params.rsin),
@@ -150,11 +159,7 @@ def exact_nearest_point(x: Point2, gen: Generator, window: int = 2) -> IntegerPa
 def relevant_vectors(gen: Generator) -> list[IntegerPair]:
     """The six lattice vectors whose bisectors carry the Voronoi faces."""
     base = [IntegerPair(1, 0), IntegerPair(0, 1), IntegerPair(-1, 1)]
-    out: list[IntegerPair] = []
-    for r in base:
-        out.append(r)
-        out.append(-r)
-    return out
+    return [v for r in base for v in (r, -r)]
 
 
 def in_voronoi_cell(x: Point2, gen: Generator) -> bool:
@@ -234,13 +239,11 @@ class CutSpec:
 
 @lru_cache(maxsize=256)
 def cell_geometry(params: LatticeParams) -> CellGeometry:
-    """Thresholds, lengths, heights and boundary segments of B(0)."""
+    """Thresholds, lengths, heights and boundary segments of B(0), rational in v2 = (c, H)."""
     gen = make_generator(params)
     c = params.rcos
     H = params.rsin
-    cos_t = math.cos(params.theta)
-    sin_t = math.sin(params.theta)
-    H1 = cos_t * (1.0 - params.rho * cos_t) / (2.0 * sin_t)
+    H1 = c * (1.0 - c) / (2.0 * H)
     t_m2, t_m1, t_1, t_2 = (c - 1.0) / 2.0, -c / 2.0, c / 2.0, (1.0 - c) / 2.0
     tau_1 = H / 2.0 - H1
     top, bottom = (tau_1, H / 2.0), (-H / 2.0, -tau_1)
@@ -268,8 +271,8 @@ def cell_geometry(params: LatticeParams) -> CellGeometry:
         H=H,
         H0=H - 2.0 * H1,
         H1=H1,
-        H21=cos_t * (1.0 - 2.0 * params.rho * cos_t) / (2.0 * sin_t),
-        H22=params.rho * cos_t * cos_t / (2.0 * sin_t),
+        H21=c * (1.0 - 2.0 * c) / (2.0 * H),
+        H22=c * c / (2.0 * H),
         boundary_segments=tuple(segments),
     )
 

@@ -206,6 +206,11 @@ class ErrorRectangle:
     positive_slope: bool
 
 
+def _infinite_decision(u2: int, u1m: int, far: bool) -> IntegerPair:
+    """The neighbour across the diagonal of error rectangle (u2, u1m) if `far`, else 0."""
+    return (IntegerPair(0, u2) if u1m == 1 else IntegerPair(-u2, u2)) if far else IntegerPair(0, 0)
+
+
 def error_rectangle(params: LatticeParams, u2: int, u1: int) -> ErrorRectangle:
     """The round-1 error rectangle selected by symbols (u2, u1), both nonzero.
 
@@ -215,7 +220,7 @@ def error_rectangle(params: LatticeParams, u2: int, u1: int) -> ErrorRectangle:
     """
     if u2 not in (-1, 1) or u1 not in (-1, 1):
         raise ValueError("error rectangles exist only for u2, u1 in {-1, +1}")
-    neighbor = IntegerPair(0, u2) if u1 == 1 else IntegerPair(-u2, u2)
+    neighbor = _infinite_decision(u2, u1, far=True)
     seg = next(s for s in cell_geometry(params).boundary_segments if s.neighbor == neighbor)
     return ErrorRectangle(*seg.x1_span, *seg.x2_span, seg.neighbor, seg.slope > 0.0)
 
@@ -226,12 +231,6 @@ def _beyond_bisector(params: LatticeParams, u1m: int, x1: float, x2: float) -> b
     c, s = params.rcos, params.rsin
     n1 = c if u1m == 1 else c - 1.0
     return x1 * n1 + x2 * s > 0.5 * (n1 * n1 + s * s)
-
-
-def _infinite_decision(params: LatticeParams, u2: int, u1m: int, far: bool) -> IntegerPair:
-    """The neighbour of rectangle (u2, u1m) when `far`, else 0, in the cell's frame."""
-    decision = error_rectangle(params, 1, u1m).neighbor if far else IntegerPair(0, 0)
-    return -decision if u2 == -1 else decision
 
 
 def run_infinite_rounds(
@@ -284,11 +283,11 @@ def run_infinite_rounds(
         total += 2.0
         rounds += 1
         if b == c:
-            decision = _infinite_decision(params, u2, u1m, b == 1)
+            decision = _infinite_decision(u2, u1m, b == 1)
             return Transcript(tuple(messages), rounds, total, decision, True)
         y1 = 2.0 * y1 - b
         y2 = 2.0 * y2 - c
-    decision = _infinite_decision(params, u2, u1m, _beyond_bisector(params, u1m, mx1, mx2))
+    decision = _infinite_decision(u2, u1m, _beyond_bisector(params, u1m, mx1, mx2))
     return Transcript(tuple(messages), rounds, total, decision, False)
 
 
@@ -357,6 +356,6 @@ def replay_decision(
     for b, c in zip(symbols[2::2], symbols[3::2]):
         _expect([b, c], (0, 1), (0, 1))
         if b == c:
-            return _infinite_decision(params, u2, u1m, b == 1)
+            return _infinite_decision(u2, u1m, b == 1)
     raise ValueError("transcript did not halt; decision is not replayable")
 

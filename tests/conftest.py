@@ -40,8 +40,11 @@ def random_valid_params(count: int, seed: int = 0) -> list[LatticeParams]:
 
 
 @st.composite
-def lattices(draw, rcos_min=1e-6):
-    """rho in [1, 1.5] and rho*cos(theta) log-uniform in [rcos_min, 0.5 - 1e-6]."""
+def lattices(draw, rcos_min=1e-6, exact_rcos=False):
+    """rho in [1, 1.5] and rho*cos(theta) log-uniform in [rcos_min, 0.5 - 1e-6],
+    built from theta = acos(rcos/rho), or with rcos exactly if exact_rcos."""
     rho = draw(st.floats(1.0, 1.5))
     rcos = math.exp(draw(st.floats(math.log(rcos_min), math.log(0.5 - 1e-6))))
+    if exact_rcos:
+        return LatticeParams.from_rcos(rho, rcos)
     return LatticeParams(rho=rho, theta=math.acos(rcos / rho))

@@ -42,6 +42,33 @@ def test_geometry_json_roundtrip(capsys):
     assert list(parsed)[:2] == ["rho", "theta_rad"]
 
 
+def test_rcos_names_its_lattice_exactly(capsys):
+    """--rcos sets c exactly: L0 = c and t_1 = c/2, not the acos/cos round
+    trip's 0.29999999999999993 and 0.14999999999999997."""
+    rc, out, _ = run_cli(["geometry", "--rcos", "0.3", "--format", "json"], capsys)
+    doc = json.loads(out)
+    assert rc == 0 and doc["L0"] == 0.3 and doc["t_1"] == 0.15
+    assert doc["theta_rad"] == math.acos(0.3)
+    assert resolve_params(1.0, None, None, 0.3) == babai_refine.LatticeParams.from_rcos(1.0, 0.3)
+    # the angle flags still give c = fl(rho*cos(theta))
+    argv = ["geometry", "--theta-rad", repr(math.acos(0.3)), "--format", "json"]
+    rc, out, _ = run_cli(argv, capsys)
+    assert rc == 0 and json.loads(out)["L0"] == 0.29999999999999993
+
+
+@pytest.mark.parametrize("rcos", ["-0.1", "0.6"])
+def test_rcos_outside_the_region_exits_2_with_the_given_c(rcos, capsys):
+    rc, out, err = run_cli(["geometry", "--rcos", rcos], capsys)
+    assert rc == 2 and out == ""
+    assert err.strip().endswith(f"rho*cos(theta) must lie strictly in (0, 1/2), got {rcos}")
+
+
+def test_rcos_on_the_boundary_still_clamps(capsys):
+    rc, out, err = run_cli(["geometry", "--rcos", "0.5", "--format", "json"], capsys)
+    assert rc == 0 and "clamped" in err
+    assert json.loads(out)["theta_rad"] == math.acos(0.5) + 1e-6
+
+
 def test_geometry_invalid_params_exit_2(capsys):
     rc, _, err = run_cli(["geometry", "--rho", "0.5", "--theta-deg", "80"], capsys)
     assert rc == 2

@@ -1,6 +1,8 @@
-"""Smoke test: every narrative demo script runs to completion."""
+"""Smoke test: every narrative demo script and the README's library example
+run to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,3 +21,11 @@ def test_demo_runs(script):
         [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_library_example_runs():
+    """The README's "Library" code block, run as written."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    code = re.match(r"\s*```python\n(.*?)\n```", section, re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})

@@ -146,21 +146,21 @@ GOLDEN = {
     "cli/sweep-grid50-budget8": "513534140e96b61c63504971b3eec1e360e2f1c0cc2d6d91c297c16417a58d65",
     "cli/sweep-grid40-budget3": "09c39dad682c8a8c5c38b1d85af7cae5d6845b81b51f267682d2352fde497f32",
     "cli/sweep-rho1.2-grid20-budget6": "59fb84f95ce44cdcbf3d230a1a349014e7d1b061057f1fb40962fc35f3006819",
-    "cli/geometry-rcos0.3": "4e8ca514cbffab0e7d727bb407ba59c58a401486b903d1eb91d4a490c6c40a3e",
+    "cli/geometry-rcos0.3": "71722d5018505c2fbb9ae80f6fe2e0ddad7248338eda3537f3cd81b909355d17",
     "cli/geometry-60deg": "ca9afba6f9155e630181371ece9fab24b0b6a43988fa594a8efbb11cf9196119",
-    "cli/geometry-rcos1e-6": "0d6634402bb23705f8a98d8d5be2da31053227123a720bc7cd382319a89e53fa",
-    "cli/analyze-12-rcos0.3": "3bf7ab8a7c99160b796673b531ae45a03144cf50bf9156922e5abc2fa551afa6",
+    "cli/geometry-rcos1e-6": "be78da4881a0bcb14d1680f2d6dd69d33ae861e77ffac22ac42a775ecc0fb643",
+    "cli/analyze-12-rcos0.3": "16d2974139fe45a76c44ea202ab71427a040f757837af61a3d3985995147a061",
     "cli/analyze-12-61deg": "3393cd64f305f16b3e443c5754ad98dbcae5e2d763adf4c1742e551030af2826",
-    "cli/analyze-21-rcos0.3": "5a699ca56f951b5cc909b5e9aa985c6e99eb2803fc778d6c801a980bd0d6e1ce",
+    "cli/analyze-21-rcos0.3": "28ffc9e4f10a29f3a2d2d8652728205d3fc70c6f4a23a7fcad985b49e48147b5",
     "cli/analyze-21-89deg": "0a8352ac04a006f1935590d45b9c41b41243a79819eb70e65f68e114eea1f1a9",
     "cli/analyze-21-90deg": "2b11bd9ff36825a3db0d91531026e72d34123db2ba832932f37819c6572199d0",
-    "cli/tradeoff-12": "11b21a5a89b942f673de48e588a41a2aea2eba8075275984938f1bf7ec31b335",
-    "cli/analyze-inf-rcos0.3": "8e325b859203e4fddcd6bcae0bbd9102cf5266696433541ca541d35679284e63",
-    "cli/analyze-babai-rcos0.3": "af726a65a18e155c95dfdd16910d57f1b26d2455b7e0bf6f36ab5a0d8af2144c",
+    "cli/tradeoff-12": "27990415982f9af1d090d4d49ce520448815a0e9e03a794cee6438a063905af8",
+    "cli/analyze-inf-rcos0.3": "69863a87a46513538e368accf5bd1528ea606ea1cdf74de113b569543d1520a9",
+    "cli/analyze-babai-rcos0.3": "1492e3d10cd15ca02d5a1f9712cf336e89960ae039b7c1fd7850aa81f1967e97",
     "cli/analyze-babai-90deg": "e9fafac27a4755527f8be4e380b45a346d08a8a3a0884ac530def83a3661754a",
     "cli/tradeoff-21": "f73fd83e5c5c400862ca8a602ac6e77c701700a581e94bb83cc7251b1ff3be94",
     "cli/tradeoff-21-budget5": "64306aade5dd98e7dde6567c2608819a1190516bf7f4686c3ca5f3aff20d5106",
-    "cli/tradeoff-12-budget4": "56001b198812b294576460027527e94e0b9af968fecd20ba19f6862208ed79fd",
+    "cli/tradeoff-12-budget4": "cfaf16fd7f9f41040bdfc8978560a05294dfadce2da3da3734fd9c1e181a07aa",
     "boundary/params_main/12-2-3": "a24baf802ab6b9b031b8c53ff109970ca343acd94bf0860ce0c04714f99e95d5",
     "boundary/params_main/12-300-700": "f555aceefd8e58ea808b12bc9bbc1840bd2540d778a7fa54c524855a0c7e95d9",
     "boundary/params_main/21-4": "20a9819288c45cec94ed22c180f77979010014a89cd19bd798778e6f725f037d",

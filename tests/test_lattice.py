@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from babai_refine import (
     InvalidParams,
@@ -45,6 +47,93 @@ def test_params_validity_boundaries():
         LatticeParams(rho=1.0, theta=2.0)  # rho*cos(theta) < 0
     with pytest.raises(InvalidParams):
         LatticeParams(rho=1.0, theta=float("nan"))
+
+
+PROPERTY = settings(max_examples=500, derandomize=True, database=None, deadline=None)
+
+
+@PROPERTY
+@given(lattices(rcos_min=1e-12))
+def test_v2_from_theta_is_the_trigonometric_product(params):
+    """From (rho, theta), v2 is computed once: fl(rho*cos), fl(rho*sin)."""
+    assert params.rcos == params.rho * math.cos(params.theta)
+    assert params.rsin == params.rho * math.sin(params.theta)
+
+
+@PROPERTY
+@given(
+    st.floats(1.0, 1e100),
+    st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+)
+def test_from_rcos_keeps_c_exactly(rho, c):
+    """from_rcos stores c as given and H = sqrt((rho - c)(rho + c)): three
+    correctly rounded operations under a correctly rounded sqrt, so within
+    2 ulps of the exact sqrt(rho^2 - c^2)."""
+    params = LatticeParams.from_rcos(rho, c)
+    assert params.rcos == c and params.rho == rho
+    assert params.theta == math.acos(c / rho)
+    with mpmath.workdps(50):
+        exact = mpmath.sqrt(mpmath.mpf(rho) ** 2 - mpmath.mpf(c) ** 2)
+        assert abs(mpmath.mpf(params.rsin) - exact) <= 2 * math.ulp(float(exact))
+
+
+def test_from_rcos_validates_c_like_the_theta_route():
+    for c in (0.0, -0.1, 0.5, 0.6, math.nan, math.inf):
+        with pytest.raises(InvalidParams, match=r"rho\*cos\(theta\) must lie strictly"):
+            LatticeParams.from_rcos(1.0, c)
+    with pytest.raises(InvalidParams, match=r"got -0.1$"):
+        LatticeParams.from_rcos(1.0, -0.1)
+    with pytest.raises(InvalidParams, match="rho must be >= 1"):
+        LatticeParams.from_rcos(0.9, 0.3)
+    with pytest.raises(InvalidParams, match="finite"):
+        LatticeParams.from_rcos(math.nan, 0.3)
+
+
+def test_from_rcos_is_another_lattice_than_its_theta():
+    """c = 0.3 and c = cos(acos(0.3)) = 0.29999999999999993 are two lattices:
+    equality, hash and cell_geometry's cache keep them apart."""
+    exact, via_theta = LatticeParams.from_rcos(1.0, 0.3), LatticeParams(1.0, math.acos(0.3))
+    assert exact.theta == via_theta.theta and exact.rcos != via_theta.rcos
+    assert exact != via_theta and hash(exact) != hash(via_theta)
+    assert cell_geometry(exact).L0 == 0.3 and cell_geometry(exact).t_1 == 0.15
+    assert cell_geometry(via_theta).L0 == 0.29999999999999993
+    assert LatticeParams.from_rcos(1.0, 0.3) == exact
+
+
+U = 2.0**-53  # unit roundoff
+
+
+@pytest.mark.parametrize("exact_rcos", [False, True])
+@PROPERTY
+@given(data=st.data())
+def test_heights_match_50_digit_reference(exact_rcos, data):
+    """H1, H21 and H22 against their rational forms in (c, H) at 50 digits,
+    with c = rho*cos(theta) and H = rho*sin(theta) exact (or c as given).
+
+    Bound: c and H carry at most about 1.5u each (libm cos/sin within an
+    ulp, times rho), each of the five operations adds u/2, and H1, H22 are
+    at most first-order in the error of c: 5u in all, asserted as 8u.  H21
+    holds 1 - 2c, which magnifies the error of c by 1/(1 - 2c) (up to 5e5
+    here); its bound is 8u/(1 - 2c).
+    """
+    params = data.draw(lattices(rcos_min=1e-12, exact_rcos=exact_rcos))
+    g = cell_geometry(params)
+    with mpmath.workdps(50):
+        rho, theta = mpmath.mpf(params.rho), mpmath.mpf(params.theta)
+        if exact_rcos:
+            c = mpmath.mpf(params.rcos)
+            h = mpmath.sqrt(rho**2 - c**2)
+        else:
+            c, h = rho * mpmath.cos(theta), rho * mpmath.sin(theta)
+        want = {
+            "H1": c * (1 - c) / (2 * h),
+            "H21": c * (1 - 2 * c) / (2 * h),
+            "H22": c**2 / (2 * h),
+        }
+        for name, exact in want.items():
+            rel = abs((mpmath.mpf(getattr(g, name)) - exact) / exact)
+            bound = 8 * U / (1 - 2 * float(c)) if name == "H21" else 8 * U
+            assert rel <= bound, (name, float(rel))
 
 
 def test_babai_examples(params_main):

@@ -7,6 +7,7 @@ import pytest
 from babai_refine import (
     ErrorRectangle,
     IntegerPair,
+    LatticeParams,
     OutOfCell,
     Point2,
     analytics,
@@ -214,6 +215,18 @@ def test_quantizer_of_another_lattice_is_rejected(params_main, params_hex):
             run(x, params_main, q)
         with pytest.raises(ValueError, match="quantizer was built for"):
             replay_decision(messages, params_main, scheme, q)
+
+
+def test_quantizer_of_the_theta_route_lattice_is_rejected():
+    """from_rcos(1, 0.3) and LatticeParams(1, acos(0.3)) share theta but not
+    c, so a quantizer of one is a quantizer of another lattice."""
+    exact = LatticeParams.from_rcos(1.0, 0.3)
+    via_theta = LatticeParams(rho=1.0, theta=math.acos(0.3))
+    x = Point2(0.1, 0.05)
+    for a, b in ((exact, via_theta), (via_theta, exact)):
+        run_single_round_12(x, a, quantizer_12(a, 2, 3))
+        with pytest.raises(ValueError, match="quantizer was built for"):
+            run_single_round_12(x, a, quantizer_12(b, 2, 3))
 
 
 def test_quantizers_from_the_same_arguments_are_equal(params_main, params_hex):
