@@ -17,15 +17,13 @@ from babai_refine import (
     babai_nearest_plane,
     cell_geometry,
     exact_nearest_point,
-    make_generator,
     strip_cuts,
 )
 
 params = LatticeParams(rho=1.0, theta=math.acos(0.3))
-gen = make_generator(params)
 g = cell_geometry(params)
 
-print("basis v1 =", gen.v1, " v2 =", gen.v2, " det =", gen.det)
+print(f"basis v1 = (1, 0)  v2 = (rcos, rsin) = ({params.rcos}, {params.rsin})  det = {params.rsin}")
 print(f"Babai cell: (-1/2, 1/2] x (-{g.H / 2:.5f}, {g.H / 2:.5f}]")
 print(f"x1 thresholds: t_m2={g.t_m2}  t_m1={g.t_m1}  t_1={g.t_1}  t_2={g.t_2}")
 print(f"interval lengths: L0={g.L0}  L1={g.L1}  L2={g.L2}  (sum with mirrors = 1)")
@@ -43,8 +41,8 @@ print()
 
 # where the two decoders disagree
 x = Point2(0.45, 0.45)
-print(f"point {tuple(x)}: Babai -> {tuple(babai_nearest_plane(x, gen))}, "
-      f"exact -> {tuple(exact_nearest_point(x, gen))}")
+print(f"point {tuple(x)}: Babai -> {tuple(babai_nearest_plane(x, params))}, "
+      f"exact -> {tuple(exact_nearest_point(x, params))}")
 
 # a vertical strip through the cell and its decision structure
 for x1 in (0.0, 0.25, 0.45):

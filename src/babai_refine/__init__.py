@@ -49,7 +49,6 @@ from .lattice import (
     CellGeometry,
     CrossSection,
     CutSpec,
-    Generator,
     IntegerPair,
     LatticeParams,
     Point2,

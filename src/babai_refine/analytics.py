@@ -10,13 +10,14 @@ expected cost.  All rate figures are ideal-codelength entropies.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetTooSmall, DegenerateInterval, InvalidDistribution
+from .errors import BudgetTooSmall, DegenerateInterval, InvalidDistribution, require_int
 from .lattice import CellGeometry, CrossSection, LatticeParams, cell_geometry, cross_section
 
 _SUM_TOL = 1e-10
@@ -93,6 +94,7 @@ def coefficients_12(
 
 def pe_12(params: LatticeParams, n1: int, n2: int) -> float:
     """Exact error probability alpha1/n1 + alpha2/n2 of the 12 scheme."""
+    require_int(n1=n1, n2=n2)
     if n1 < 1 or n2 < 1:
         raise ValueError("quantizer sizes must be >= 1")
     co = coefficients_12(params)
@@ -105,6 +107,7 @@ def bin_edges_12(params: LatticeParams, n1: int, n2: int) -> np.ndarray:
     N2 equal bins on each outer interval, N1 on each inner one, and a single
     bin on the cut-free centre.
     """
+    require_int(n1=n1, n2=n2)
     if n1 < 1 or n2 < 1:
         raise ValueError("quantizer sizes must be >= 1")
     g = cell_geometry(params)
@@ -121,6 +124,7 @@ def bin_edges_12(params: LatticeParams, n1: int, n2: int) -> np.ndarray:
 
 def bin_edges_21(params: LatticeParams, n: int) -> np.ndarray:
     """Edges of the 2*n + 1 bins over (-H/2, H/2], ascending."""
+    require_int(n=n)
     if n < 1:
         raise ValueError("quantizer size must be >= 1")
     g = cell_geometry(params)
@@ -277,14 +281,26 @@ def kappa_21(params: LatticeParams) -> float:
     return _kappa(g, (-g.H / 2.0, g.tau_m1), False, 2.0 / g.H)
 
 
+def _curve_12(params: LatticeParams) -> tuple[CellGeometry, Scheme12Coefficients]:
+    """The geometry and coefficients the optimal 12 curve is solved from.
+
+    Its n1/n2 ratio divides by alpha2*L1 ~ (rho*cos(theta))^2/16, which at
+    the far rectangular end is subnormal (c below about 4e-154, where the
+    ratio has lost its bits) or 0 (below about 6e-162): DegenerateInterval.
+    """
+    g = cell_geometry(params)
+    co = coefficients_12(params)
+    if co.alpha2 * g.L1 < sys.float_info.min:
+        raise DegenerateInterval(f"alpha2*L1 is subnormal or 0 at rho*cos(theta) = {params.rcos}")
+    return g, co
+
+
 def optimal_n1(params: LatticeParams, n2: int) -> int:
     """Rate-constrained minimiser N1(N2) = ceil(alpha1*L2*N2 / (alpha2*L1))."""
+    require_int(n2=n2)
     if n2 < 1:
         raise ValueError("n2 must be >= 1")
-    g = cell_geometry(params)
-    if g.L1 <= 0.0:
-        raise DegenerateInterval("L1 = 0 (hexagonal limit); use n1 = 1")
-    co = coefficients_12(params)
+    g, co = _curve_12(params)
     return max(1, math.ceil(co.alpha1 * g.L2 * n2 / (co.alpha2 * g.L1)))
 
 
@@ -302,6 +318,7 @@ class TradeoffPoint:
 
 def tradeoff_curve_12(params: LatticeParams, n2_max: int) -> list[TradeoffPoint]:
     """Pareto (rate, pe) points for n2 = 1..n2_max with n1 = optimal_n1(n2)."""
+    require_int(n2_max=n2_max)
     if n2_max < 1:
         raise ValueError("n2_max must be >= 1")
     points = [curve_point(params, "12", n2) for n2 in range(1, n2_max + 1)]
@@ -320,10 +337,7 @@ def asymptotic_constant_12(params: LatticeParams, form: str = "geometric") -> fl
     restates it with P_i = L_i/L and exponent 1/(1-P0).  Both evaluate
     identically (L = 1).
     """
-    g = cell_geometry(params)
-    if g.L1 <= 0.0:
-        raise DegenerateInterval("L1 = 0 (hexagonal limit)")
-    co = coefficients_12(params)
+    g, co = _curve_12(params)
     kap = kappa_12(params)
     ratio = co.alpha1 * g.L2 / (co.alpha2 * g.L1)
     lead = co.alpha2 * (1.0 + g.L1 / g.L2) * ratio ** (g.L1 / (g.L1 + g.L2))
@@ -347,6 +361,7 @@ def beta_21(params: LatticeParams) -> float:
 
 def pe_21(params: LatticeParams, n: int) -> float:
     """Exact error probability beta/n of the 21 scheme."""
+    require_int(n=n)
     if n < 1:
         raise ValueError("quantizer size must be >= 1")
     return beta_21(params) / n
@@ -354,6 +369,7 @@ def pe_21(params: LatticeParams, n: int) -> float:
 
 def rate_21(params: LatticeParams, n: int) -> float:
     """Total rate H(Q) + (1-Q0)*log2(N) + kappa of the 21 scheme."""
+    require_int(n=n)
     if n < 1:
         raise ValueError("quantizer size must be >= 1")
     q = round1_distributions(params)[0].probs
@@ -361,8 +377,13 @@ def rate_21(params: LatticeParams, n: int) -> float:
 
 
 def asymptotic_constant_21(params: LatticeParams) -> float:
-    """Limit of pe * 2^(R/(1-Q0)) for the 21 scheme: beta * 2^((H(Q)+kappa)/(1-Q0))."""
+    """Limit of pe * 2^(R/(1-Q0)) for the 21 scheme: beta * 2^((H(Q)+kappa)/(1-Q0)).
+
+    1 - Q0 = 2*H1/H rounds to 0 at the far rectangular end
+    (DegenerateInterval)."""
     q = round1_distributions(params)[0].probs
+    if q[1] == 1.0:
+        raise DegenerateInterval(f"1 - Q0 = 0.0 at rho*cos(theta) = {params.rcos}")
     return beta_21(params) * 2.0 ** ((_entropy_raw(q) + kappa_21(params)) / (1.0 - q[1]))
 
 

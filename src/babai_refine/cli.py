@@ -47,39 +47,36 @@ def _fmt(v: float) -> str:
 def resolve_params(rho: float, theta_deg, theta_rad, rcos) -> LatticeParams:
     """Build LatticeParams from the CLI angle flags.
 
-    --rcos sets c = rho*cos(theta) exactly (from_rcos), the angle flags
-    c = fl(rho*cos(theta)).  c within 1e-9 of 0 or 1/2 clamps theta inward by
-    1e-6 rad (notice on stderr); other invalid input raises InvalidParams.
+    --rcos sets c = rho*cos(theta) exactly (from_rcos, which also rejects
+    every c outside (0, 1/2)), the angle flags c = fl(rho*cos(theta)).  c
+    within 1e-9 of 0 or 1/2 clamps theta inward by 1e-6 rad (notice on
+    stderr); other invalid input raises InvalidParams.
     """
     check_rho(rho)
     given = [v for v in (theta_deg, theta_rad, rcos) if v is not None]
     if len(given) != 1:
         raise InvalidParams("specify exactly one of --theta-deg, --theta-rad, --rcos")
-    if theta_deg is not None:
-        theta = math.radians(theta_deg)
-    elif theta_rad is not None:
-        theta = theta_rad
+    if rcos is not None:
+        c = rcos
     else:
-        if not -1.0 <= rcos / rho <= 1.0:
-            raise InvalidParams(f"rcos/rho = {rcos / rho} outside [-1, 1]")
-        theta = math.acos(rcos / rho)
-    c = rho * math.cos(theta)
+        theta = math.radians(theta_deg) if theta_deg is not None else theta_rad
+        c = rho * math.cos(theta)
     if abs(c - 0.5) < 1e-9:
-        clamped = theta + _CLAMP_EPS
+        step = _CLAMP_EPS
     elif abs(c) < 1e-9:
-        clamped = theta - _CLAMP_EPS
-    else:
-        clamped = None
-    if clamped is not None:
-        print(
-            f"notice: theta={theta:.9f} rad is on the boundary of the valid "
-            f"region; clamped to {clamped:.9f}",
-            file=sys.stderr,
-        )
-        theta = clamped
+        step = -_CLAMP_EPS
     elif rcos is not None:
         return LatticeParams.from_rcos(rho, rcos)
-    return LatticeParams(rho=rho, theta=theta)
+    else:
+        return LatticeParams(rho=rho, theta=theta)
+    if rcos is not None:
+        theta = math.acos(rcos / rho)
+    print(
+        f"notice: theta={theta:.9f} rad is on the boundary of the valid "
+        f"region; clamped to {theta + step:.9f}",
+        file=sys.stderr,
+    )
+    return LatticeParams(rho=rho, theta=theta + step)
 
 
 def _geometry_dict(params: LatticeParams) -> dict:

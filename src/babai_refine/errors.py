@@ -1,4 +1,4 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the int check its entries share."""
 
 
 class BabaiRefineError(Exception):
@@ -18,7 +18,7 @@ class InvalidDistribution(BabaiRefineError, ValueError):
 
 
 class DegenerateInterval(BabaiRefineError, ValueError):
-    """An interval of the quantizer partition has zero length (hexagonal limit)."""
+    """A length or coefficient a formula divides by rounds to zero (the far rectangular end)."""
 
 
 class QuadratureFailure(BabaiRefineError, RuntimeError):
@@ -27,3 +27,11 @@ class QuadratureFailure(BabaiRefineError, RuntimeError):
 
 class BudgetTooSmall(BabaiRefineError, ValueError):
     """Rate budget below the rate of the coarsest quantizer."""
+
+
+def require_int(**values) -> None:
+    """Each named count, size, seed or round limit must be an int; a bool or
+    float is never coerced (ValueError)."""
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, got {value!r}")

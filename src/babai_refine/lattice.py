@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParams, OutOfCell
+from .errors import InvalidParams, OutOfCell, require_int
 
 
 class IntegerPair(NamedTuple):
@@ -65,7 +65,8 @@ class LatticeParams:
 
     c = rho*cos(theta) must lie strictly in (0, 1/2) (the rectangular and
     hexagonal ends are studied via small offsets).  v2 = (rcos, rsin) = (c, H)
-    is stored once; every cell constant is rational in it.  Equality and hash
+    is stored once; with v1 = (1, 0) it is the basis the decoders read, and
+    every cell constant is rational in it.  Equality and hash
     include v2, so from_rcos(rho, c), which keeps c exactly, is not the
     lattice of its theta when fl(rho*cos(theta)) != c.
     """
@@ -92,22 +93,10 @@ class LatticeParams:
         return params
 
 
-@dataclass(frozen=True)
-class Generator:
-    """Column basis of the lattice; upper triangular by construction."""
-
-    v1: tuple[float, float]
-    v2: tuple[float, float]
-    det: float
-
-
-def make_generator(params: LatticeParams) -> Generator:
-    """Basis matrix with v2 = (rcos, rsin); det = rsin > 0."""
-    return Generator(
-        v1=(1.0, 0.0),
-        v2=(params.rcos, params.rsin),
-        det=params.rsin,
-    )
+def make_generator(params: LatticeParams) -> LatticeParams:
+    """The basis v1 = (1, 0), v2 = (rcos, rsin) is params itself; kept as the
+    identity for callers written against the former basis type."""
+    return params
 
 
 def _round_half_low(y: float) -> int:
@@ -115,37 +104,38 @@ def _round_half_low(y: float) -> int:
     return int(math.ceil(y - 0.5))
 
 
-def babai_nearest_plane(x: Point2, gen: Generator) -> IntegerPair:
+def babai_nearest_plane(x: Point2, params: LatticeParams) -> IntegerPair:
     """Nearest-plane decode: round x2 against v2, then x1 against v1.
 
     The residual x - V@u always lands in the half-open Babai cell
     (-1/2, 1/2] x (-H/2, H/2].
     """
-    u2 = _round_half_low(x[1] / gen.v2[1])
-    u1 = _round_half_low(x[0] - gen.v2[0] * u2)
+    u2 = _round_half_low(x[1] / params.rsin)
+    u1 = _round_half_low(x[0] - params.rcos * u2)
     return IntegerPair(u1, u2)
 
 
-def lattice_point(u: IntegerPair, gen: Generator) -> Point2:
-    """Plane coordinates of the lattice point V @ u."""
-    return Point2(u[0] * gen.v1[0] + u[1] * gen.v2[0], u[1] * gen.v2[1])
+def lattice_point(u: IntegerPair, params: LatticeParams) -> Point2:
+    """Plane coordinates of the lattice point V @ u = u1*v1 + u2*v2."""
+    return Point2(u[0] + u[1] * params.rcos, u[1] * params.rsin)
 
 
-def exact_nearest_point(x: Point2, gen: Generator, window: int = 2) -> IntegerPair:
+def exact_nearest_point(x: Point2, params: LatticeParams, window: int = 2) -> IntegerPair:
     """True closest lattice point by brute force around the Babai point.
 
     Scans the (2*window+1)^2 integer window centred on the nearest-plane
     decode (window=2 is already generous; the minimiser differs from the
     Babai point by at most a relevant vector).  Ties go to the candidate
-    with the smallest (u2, u1).
+    with the smallest (u2, u1).  window must be an int (ValueError).
     """
-    b = babai_nearest_plane(x, gen)
+    require_int(window=window)
+    b = babai_nearest_plane(x, params)
     best: IntegerPair | None = None
     best_d2 = math.inf
     for du2 in range(-window, window + 1):
         for du1 in range(-window, window + 1):
             u = IntegerPair(b.u1 + du1, b.u2 + du2)
-            p = lattice_point(u, gen)
+            p = lattice_point(u, params)
             dx = x[0] - p[0]
             dy = x[1] - p[1]
             d2 = dx * dx + dy * dy
@@ -156,16 +146,16 @@ def exact_nearest_point(x: Point2, gen: Generator, window: int = 2) -> IntegerPa
     return best
 
 
-def relevant_vectors(gen: Generator) -> list[IntegerPair]:
+def relevant_vectors() -> list[IntegerPair]:
     """The six lattice vectors whose bisectors carry the Voronoi faces."""
     base = [IntegerPair(1, 0), IntegerPair(0, 1), IntegerPair(-1, 1)]
     return [v for r in base for v in (r, -r)]
 
 
-def in_voronoi_cell(x: Point2, gen: Generator) -> bool:
+def in_voronoi_cell(x: Point2, params: LatticeParams) -> bool:
     """Closed-cell membership: x.(Vr) <= |Vr|^2/2 for all six relevant r."""
-    for r in relevant_vectors(gen):
-        n = lattice_point(r, gen)
+    for r in relevant_vectors():
+        n = lattice_point(r, params)
         if x[0] * n[0] + x[1] * n[1] > 0.5 * (n[0] ** 2 + n[1] ** 2):
             return False
     return True
@@ -240,7 +230,6 @@ class CutSpec:
 @lru_cache(maxsize=256)
 def cell_geometry(params: LatticeParams) -> CellGeometry:
     """Thresholds, lengths, heights and boundary segments of B(0), rational in v2 = (c, H)."""
-    gen = make_generator(params)
     c = params.rcos
     H = params.rsin
     H1 = c * (1.0 - c) / (2.0 * H)
@@ -254,7 +243,7 @@ def cell_geometry(params: LatticeParams) -> CellGeometry:
         (IntegerPair(-1, 1), (-0.5, t_m2), top),
         (IntegerPair(1, -1), (t_2, 0.5), bottom),
     ):
-        n = lattice_point(r, gen)
+        n = lattice_point(r, params)
         offset = 0.5 * (n[0] ** 2 + n[1] ** 2)
         segments.append(BoundarySegment(r, n, offset, x1_span, x2_span, slope=-n[0] / n[1]))
     return CellGeometry(

@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import analytics, protocols
+from .errors import require_int
 from .lattice import LatticeParams, Point2, babai_error_probability, cell_geometry
 from .protocols import DEFAULT_MAX_ROUNDS
 
@@ -89,7 +90,7 @@ def sample_uniform_babai_cell(params: LatticeParams, trial_index: int, seed: int
 
     trial_index must be an int in [0, 2^64), like the seed (ValueError).
     """
-    _require_int("trial_index", trial_index)
+    require_int(trial_index=trial_index)
     if not 0 <= trial_index <= _U64:
         raise ValueError(f"trial_index must be in [0, 2**64), got {trial_index}")
     x1, x2 = sample_cell_arrays(params, np.array([trial_index], dtype=np.uint64), seed)
@@ -105,14 +106,8 @@ def _mix64_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _require_int(name: str, value) -> None:
-    """A count, size or seed must be an int; a bool or float is never coerced."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-
-
 def _check_seed(seed) -> None:
-    _require_int("seed", seed)
+    require_int(seed=seed)
     if not 0 <= seed <= _U64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
@@ -342,6 +337,7 @@ def run_batch_infinite(
     (for the geometric halting-law checks), each in the shape of x1.  The
     coordinates, bits and decision rule are run_infinite_rounds'.
     """
+    require_int(max_rounds=max_rounds)
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     shape = np.shape(x1)
@@ -408,10 +404,9 @@ def run_batch_infinite(
         extra_rounds[unhalted] = max_rounds - 1
         bits[unhalted] = lbits
         halted[unhalted] = False
-        c, s = params.rcos, params.rsin
-        for side, n1 in ((right, c), (left, c - 1.0)):
+        for side, u1m in ((right, 1), (left, -1)):
             sel = live[side[live]]
-            far[sel] = ex1[sel] * n1 + ex2[sel] * s > 0.5 * (n1 * n1 + s * s)
+            far[sel] = protocols._beyond_bisector(params, u1m, ex1[sel], ex2[sel])
 
     rounds = extra_rounds + 1
     entered = np.zeros(n, dtype=bool)
@@ -545,8 +540,7 @@ class SimConfig:
             raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {self.scheme!r}")
         _check_seed(self.seed)
         given = [f for f in _SIZE_FIELDS if getattr(self, f) is not None]
-        for f in ("trials", "max_rounds", *given):
-            _require_int(f, getattr(self, f))
+        require_int(**{f: getattr(self, f) for f in ("trials", "max_rounds", *given)})
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.max_rounds < 1:

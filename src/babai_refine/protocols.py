@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytics
-from .errors import OutOfCell
+from .errors import OutOfCell, require_int
 from .lattice import (
     CrossSection,
     IntegerPair,
@@ -227,7 +227,8 @@ def error_rectangle(params: LatticeParams, u2: int, u1: int) -> ErrorRectangle:
 
 def _beyond_bisector(params: LatticeParams, u1m: int, x1: float, x2: float) -> bool:
     """True if (x1, x2) lies strictly on the neighbour's side of the bisector
-    of error rectangle u1m in the mirrored frame (run_batch_infinite's test)."""
+    of error rectangle u1m in the mirrored frame; elementwise on arrays, as
+    run_batch_infinite calls it."""
     c, s = params.rcos, params.rsin
     n1 = c if u1m == 1 else c - 1.0
     return x1 * n1 + x2 * s > 0.5 * (n1 * n1 + s * s)
@@ -251,8 +252,10 @@ def run_infinite_rounds(
     same coordinates and the same bits.
 
     A transcript that exhausts max_rounds is returned with halted=False and
-    the decision taken from an exact side test of x itself.
+    the decision taken from an exact side test of x itself.  max_rounds must
+    be an int >= 1 (ValueError).
     """
+    require_int(max_rounds=max_rounds)
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     _require_in_cell(x, params)

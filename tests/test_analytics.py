@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from babai_refine import (
     BudgetTooSmall,
+    DegenerateInterval,
     Distribution,
     InvalidDistribution,
     LatticeParams,
@@ -23,6 +24,7 @@ from babai_refine import (
     kappa_21,
     nbar_infinite,
     optimal_n1,
+    Point2,
     pe_12,
     pe_21,
     pe_at_rate,
@@ -30,6 +32,13 @@ from babai_refine import (
     rate_21,
     rbar_infinite,
     round1_distributions,
+    bin_edges_12,
+    bin_edges_21,
+    exact_nearest_point,
+    quantizer_12,
+    quantizer_21,
+    run_batch_infinite,
+    run_infinite_rounds,
     tradeoff_curve_12,
 )
 from babai_refine.analytics import _row_entropies, budget_pe
@@ -521,3 +530,58 @@ def test_pe_at_rate_near_degenerate_limits(scheme, theta, monkeypatch):
         assert interp <= below * (1.0 + 1e-12), budget
         assert below == budget_point(params, scheme, budget).pe, budget
         prev = below
+
+
+@pytest.mark.parametrize("rcos", [1e-160, 1e-300])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: optimal_n1(p, 3),
+        lambda p: curve_point(p, "12", 3),
+        lambda p: budget_point(p, "12", 10.0),
+        lambda p: asymptotic_constant_12(p),
+        lambda p: asymptotic_constant_21(p),
+    ],
+    ids=["optimal_n1", "curve_point", "budget_point", "asymptotic_12", "asymptotic_21"],
+)
+def test_far_rectangular_end_is_a_degenerate_interval(call, rcos):
+    """Below rho*cos(theta) ~ 1e-17, 1 - Q0 rounds to 0; below ~4e-154,
+    alpha2*L1 is subnormal (at 1e-160 the n1/n2 ratio reads 100.79 for an
+    exact 1 - 2c) and below ~6e-162 it is 0.  The formulas that divide by
+    them raise DegenerateInterval, never ZeroDivisionError or a lost ratio."""
+    with pytest.raises(DegenerateInterval, match=r"at rho\*cos\(theta\) = "):
+        call(LatticeParams.from_rcos(1.0, rcos))
+
+
+_X = Point2(0.45, 0.45)
+_ARR = np.array([0.45])
+
+# every library entry that takes a quantizer size or a round limit
+_INT_ENTRIES = {
+    "pe_12-n1": lambda p, v: pe_12(p, v, 2),
+    "pe_12-n2": lambda p, v: pe_12(p, 2, v),
+    "pe_21": lambda p, v: pe_21(p, v),
+    "rate_12-n1": lambda p, v: rate_12(p, v, 2),
+    "rate_12-n2": lambda p, v: rate_12(p, 2, v),
+    "rate_21": lambda p, v: rate_21(p, v),
+    "bin_edges_12": lambda p, v: bin_edges_12(p, 2, v),
+    "bin_edges_21": lambda p, v: bin_edges_21(p, v),
+    "quantizer_12-n1": lambda p, v: quantizer_12(p, v, 2),
+    "quantizer_12-n2": lambda p, v: quantizer_12(p, 2, v),
+    "quantizer_21": lambda p, v: quantizer_21(p, v),
+    "optimal_n1": lambda p, v: optimal_n1(p, v),
+    "curve_point-12": lambda p, v: curve_point(p, "12", v),
+    "curve_point-21": lambda p, v: curve_point(p, "21", v),
+    "tradeoff_curve_12": lambda p, v: tradeoff_curve_12(p, v),
+    "run_infinite_rounds": lambda p, v: run_infinite_rounds(_X, p, v),
+    "run_batch_infinite": lambda p, v: run_batch_infinite(p, _ARR, _ARR, v),
+    "exact_nearest_point": lambda p, v: exact_nearest_point(_X, p, window=v),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True], ids=repr)
+@pytest.mark.parametrize("entry", list(_INT_ENTRIES), ids=str)
+def test_sizes_and_round_limits_must_be_ints(params_main, entry, value):
+    """A float or bool size is never truncated or coerced (ValueError)."""
+    with pytest.raises(ValueError, match="must be an int"):
+        _INT_ENTRIES[entry](params_main, value)

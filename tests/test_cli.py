@@ -56,17 +56,22 @@ def test_rcos_names_its_lattice_exactly(capsys):
     assert rc == 0 and json.loads(out)["L0"] == 0.29999999999999993
 
 
-@pytest.mark.parametrize("rcos", ["-0.1", "0.6"])
+@pytest.mark.parametrize("rcos", ["-0.1", "0.6", "2", "-3", "inf", "nan"])
 def test_rcos_outside_the_region_exits_2_with_the_given_c(rcos, capsys):
+    """Every c outside (0, 1/2), past acos's domain too, gets from_rcos's message."""
     rc, out, err = run_cli(["geometry", "--rcos", rcos], capsys)
     assert rc == 2 and out == ""
-    assert err.strip().endswith(f"rho*cos(theta) must lie strictly in (0, 1/2), got {rcos}")
+    want = f"rho*cos(theta) must lie strictly in (0, 1/2), got {float(rcos)}"
+    assert err.strip().endswith(want)
 
 
 def test_rcos_on_the_boundary_still_clamps(capsys):
     rc, out, err = run_cli(["geometry", "--rcos", "0.5", "--format", "json"], capsys)
     assert rc == 0 and "clamped" in err
     assert json.loads(out)["theta_rad"] == math.acos(0.5) + 1e-6
+    rc, out, err = run_cli(["geometry", "--rcos", "1e-12", "--format", "json"], capsys)
+    assert rc == 0 and "clamped" in err
+    assert json.loads(out)["theta_rad"] == math.acos(1e-12) - 1e-6
 
 
 def test_geometry_invalid_params_exit_2(capsys):

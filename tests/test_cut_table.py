@@ -19,7 +19,6 @@ from babai_refine import (
     cell_geometry,
     cross_section,
     exact_nearest_point,
-    make_generator,
     row_cuts,
     strip_cuts,
 )
@@ -55,12 +54,11 @@ def _check_against_oracle(params, spec, coord, vertical):
     half = params.rsin / 2.0 if vertical else 0.5
     edges = [-half, *spec.cuts, half]
     assert len(spec.labels) == len(edges) - 1
-    gen = make_generator(params)
     for label, a, b in zip(spec.labels, edges[:-1], edges[1:]):
         if b - a > PIECE_MIN:
             mid = 0.5 * (a + b)
             probe = Point2(coord, mid) if vertical else Point2(mid, coord)
-            assert label == exact_nearest_point(probe, gen), (coord, spec)
+            assert label == exact_nearest_point(probe, params), (coord, spec)
     for below, above in zip(spec.labels[:-1], spec.labels[1:]):
         assert below != above, (coord, spec)
 

@@ -29,12 +29,14 @@ from conftest import lattices, random_valid_params
 SIN03 = math.sqrt(1.0 - 0.09)  # sin(acos(0.3))
 
 
-def test_make_generator_main(params_main):
-    gen = make_generator(params_main)
-    assert gen.v1 == (1.0, 0.0)
-    assert math.isclose(gen.v2[0], 0.3, rel_tol=1e-15)
-    assert math.isclose(gen.v2[1], SIN03, rel_tol=1e-15)
-    assert math.isclose(gen.det, SIN03, rel_tol=1e-15)
+def test_params_are_the_basis_main(params_main):
+    """v1 = (1, 0) and v2 = (rcos, rsin) are read off the params themselves;
+    make_generator is the identity."""
+    assert lattice_point(IntegerPair(1, 0), params_main) == (1.0, 0.0)
+    assert lattice_point(IntegerPair(0, 1), params_main) == (params_main.rcos, params_main.rsin)
+    assert math.isclose(params_main.rcos, 0.3, rel_tol=1e-15)
+    assert math.isclose(params_main.rsin, SIN03, rel_tol=1e-15)
+    assert make_generator(params_main) is params_main
 
 
 def test_params_validity_boundaries():
@@ -137,22 +139,20 @@ def test_heights_match_50_digit_reference(exact_rcos, data):
 
 
 def test_babai_examples(params_main):
-    gen = make_generator(params_main)
-    assert babai_nearest_plane(Point2(0.0, 0.0), gen) == (0, 0)
+    assert babai_nearest_plane(Point2(0.0, 0.0), params_main) == (0, 0)
     # round(1.5/0.95394) = 2, round(0.8 - 0.6) = 0
-    assert babai_nearest_plane(Point2(0.8, 1.5), gen) == (0, 2)
-    assert babai_nearest_plane(Point2(0.45, 0.45), gen) == (0, 0)
+    assert babai_nearest_plane(Point2(0.8, 1.5), params_main) == (0, 2)
+    assert babai_nearest_plane(Point2(0.45, 0.45), params_main) == (0, 0)
 
 
 def test_babai_residual_containment():
     rng = np.random.default_rng(3)
     for params in random_valid_params(20, seed=5):
-        gen = make_generator(params)
         h = params.rsin / 2.0
         for _ in range(200):
             x = Point2(*(rng.uniform(-3, 3, size=2)))
-            u = babai_nearest_plane(x, gen)
-            p = lattice_point(u, gen)
+            u = babai_nearest_plane(x, params)
+            p = lattice_point(u, params)
             r1, r2 = x[0] - p[0], x[1] - p[1]
             assert -0.5 < r1 <= 0.5
             assert -h < r2 <= h
@@ -160,76 +160,69 @@ def test_babai_residual_containment():
 
 def test_babai_tie_convention(params_main):
     # residual lands in the half-open cell, so x1 = 1/2 stays with u1 = 0
-    gen = make_generator(params_main)
-    assert babai_nearest_plane(Point2(0.5, 0.0), gen) == (0, 0)
-    assert babai_nearest_plane(Point2(1.5, 0.0), gen) == (1, 0)
-    assert babai_nearest_plane(Point2(0.0, params_main.rsin / 2), gen) == (0, 0)
+    assert babai_nearest_plane(Point2(0.5, 0.0), params_main) == (0, 0)
+    assert babai_nearest_plane(Point2(1.5, 0.0), params_main) == (1, 0)
+    assert babai_nearest_plane(Point2(0.0, params_main.rsin / 2), params_main) == (0, 0)
 
 
 def test_exact_nearest_examples(params_main):
-    gen = make_generator(params_main)
-    assert exact_nearest_point(Point2(0.0, 0.0), gen) == (0, 0)
+    assert exact_nearest_point(Point2(0.0, 0.0), params_main) == (0, 0)
     # Babai keeps (0,0) here but v2 is strictly closer
     x = Point2(0.45, 0.45)
-    assert exact_nearest_point(x, gen) == (0, 1)
+    assert exact_nearest_point(x, params_main) == (0, 1)
     d0 = x[0] ** 2 + x[1] ** 2
-    v2 = lattice_point(IntegerPair(0, 1), gen)
+    v2 = lattice_point(IntegerPair(0, 1), params_main)
     d2 = (x[0] - v2[0]) ** 2 + (x[1] - v2[1]) ** 2
     assert math.isclose(d0, 0.405, rel_tol=1e-12)
     assert math.isclose(d2, 0.2764547, abs_tol=5e-7)
-    assert exact_nearest_point(Point2(0.8, 1.5), gen) == (0, 2)
+    assert exact_nearest_point(Point2(0.8, 1.5), params_main) == (0, 2)
 
 
 def test_exact_nearest_beats_babai():
     rng = np.random.default_rng(11)
     for params in random_valid_params(10, seed=7):
-        gen = make_generator(params)
         for _ in range(300):
             x = Point2(*(rng.uniform(-3, 3, size=2)))
-            pb = lattice_point(babai_nearest_plane(x, gen), gen)
-            pe = lattice_point(exact_nearest_point(x, gen), gen)
+            pb = lattice_point(babai_nearest_plane(x, params), params)
+            pe = lattice_point(exact_nearest_point(x, params), params)
             db = (x[0] - pb[0]) ** 2 + (x[1] - pb[1]) ** 2
             de = (x[0] - pe[0]) ** 2 + (x[1] - pe[1]) ** 2
             assert de <= db + 1e-15
 
 
 def test_relevant_vectors(params_main):
-    gen = make_generator(params_main)
-    vecs = relevant_vectors(gen)
+    vecs = relevant_vectors()
     assert len(vecs) == 6
     assert {tuple(v) for v in vecs} == {(1, 0), (-1, 0), (0, 1), (0, -1), (-1, 1), (1, -1)}
-    norms = sorted((lattice_point(v, gen)[0] ** 2 + lattice_point(v, gen)[1] ** 2) for v in vecs)
+    norms = sorted(x1**2 + x2**2 for x1, x2 in (lattice_point(v, params_main) for v in vecs))
     # quadratic-form values 1, rho^2, 1 - 2*rho*cos + rho^2, each twice
     assert np.allclose(norms, [1.0, 1.0, 1.0, 1.0, 1.4, 1.4], rtol=1e-12)
 
 
 def test_voronoi_membership_vs_oracle(params_main):
-    gen = make_generator(params_main)
     rng = np.random.default_rng(19)
     hits = 0
     for _ in range(10_000):
         x = Point2(*(rng.uniform(-1.2, 1.2, size=2)))
-        inside = in_voronoi_cell(x, gen)
+        inside = in_voronoi_cell(x, params_main)
         hits += inside
-        assert inside == (exact_nearest_point(x, gen) == (0, 0))
+        assert inside == (exact_nearest_point(x, params_main) == (0, 0))
     assert 0 < hits < 10_000
 
 
 def test_voronoi_membership_examples(params_main):
-    gen = make_generator(params_main)
-    assert in_voronoi_cell(Point2(0.0, 0.0), gen)
+    assert in_voronoi_cell(Point2(0.0, 0.0), params_main)
     # x . v2 = 0.56427 > |v2|^2 / 2 = 0.5
-    assert not in_voronoi_cell(Point2(0.45, 0.45), gen)
+    assert not in_voronoi_cell(Point2(0.45, 0.45), params_main)
 
 
 def test_exact_nearest_in_cell_takes_neighbor_values(params_main):
-    gen = make_generator(params_main)
     h = params_main.rsin / 2
     rng = np.random.default_rng(23)
     allowed = {(0, 0), (0, 1), (0, -1), (-1, 1), (1, -1)}
     for _ in range(5_000):
         x = Point2(rng.uniform(-0.5, 0.5), rng.uniform(-h, h))
-        assert tuple(exact_nearest_point(x, gen)) in allowed
+        assert tuple(exact_nearest_point(x, params_main)) in allowed
 
 
 def test_cell_geometry_main(params_main):
@@ -414,7 +407,6 @@ def test_cut_regions_decode_like_the_oracle(params):
     """Decoding a point by its strip (or row) region reproduces the exact
     nearest point: the cuts at a given abscissa are the true boundary
     crossings there."""
-    gen = make_generator(params)
     h = params.rsin / 2
     rng = np.random.default_rng(101)
     for _ in range(250):
@@ -422,10 +414,10 @@ def test_cut_regions_decode_like_the_oracle(params):
         x2 = float(rng.uniform(-h, h))
         spec = strip_cuts(params, x1)
         region = sum(x2 > c for c in spec.cuts)
-        assert spec.labels[region] == exact_nearest_point(Point2(x1, x2), gen)
+        assert spec.labels[region] == exact_nearest_point(Point2(x1, x2), params)
         spec = row_cuts(params, x2)
         region = sum(x1 > c for c in spec.cuts)
-        assert spec.labels[region] == exact_nearest_point(Point2(x1, x2), gen)
+        assert spec.labels[region] == exact_nearest_point(Point2(x1, x2), params)
 
 
 def test_cuts_out_of_cell(params_main):
@@ -493,13 +485,12 @@ def _clipped_babai_error(params) -> float:
     """Area of B(0) \\ V(0) over det V, independent of cell_geometry: the Babai
     rectangle clipped against the six Voronoi half-planes.  (det - area)/det
     cancels near the rectangular end, so it is exact only in absolute terms."""
-    gen = make_generator(params)
-    H = params.rsin
+    H = params.rsin  # det V of the basis (1, 0), (rcos, rsin)
     poly = [(-0.5, -H / 2), (0.5, -H / 2), (0.5, H / 2), (-0.5, H / 2)]
-    for r in relevant_vectors(gen):
-        n = lattice_point(r, gen)
+    for r in relevant_vectors():
+        n = lattice_point(r, params)
         poly = _clip_polygon_halfplane(poly, n, 0.5 * (n[0] ** 2 + n[1] ** 2))
-    return (gen.det - _polygon_area(poly)) / gen.det
+    return (H - _polygon_area(poly)) / H
 
 
 @settings(max_examples=500, derandomize=True, database=None, deadline=None)

@@ -16,7 +16,6 @@ from babai_refine import (
     derive_seed,
     exact_nearest_batch,
     exact_nearest_point,
-    make_generator,
     quantizer_12,
     quantizer_21,
     run_batch_12,
@@ -132,24 +131,22 @@ def test_sampler_ks_uniform(params_main):
 
 
 def test_babai_batch_matches_scalar(params_main):
-    gen = make_generator(params_main)
     rng = np.random.default_rng(5)
     x1 = rng.uniform(-3, 3, size=500)
     x2 = rng.uniform(-3, 3, size=500)
     u1, u2 = babai_batch(params_main, x1, x2)
     for i in range(500):
-        want = babai_nearest_plane(Point2(x1[i], x2[i]), gen)
+        want = babai_nearest_plane(Point2(x1[i], x2[i]), params_main)
         assert (u1[i], u2[i]) == want
 
 
 def test_exact_nearest_batch_matches_scalar(params_main):
-    gen = make_generator(params_main)
     rng = np.random.default_rng(7)
     x1 = rng.uniform(-3, 3, size=500)
     x2 = rng.uniform(-3, 3, size=500)
     e1, e2 = exact_nearest_batch(params_main, x1, x2)
     for i in range(500):
-        want = exact_nearest_point(Point2(x1[i], x2[i]), gen)
+        want = exact_nearest_point(Point2(x1[i], x2[i]), params_main)
         assert (e1[i], e2[i]) == want
 
 
@@ -240,10 +237,9 @@ def test_exact_nearest_batch_equals_window_scan(params):
     r1, r2 = _window_scan(params, x1, x2)
     assert e1.dtype == r1.dtype and e2.dtype == r2.dtype
     assert e1.tobytes() == r1.tobytes() and e2.tobytes() == r2.tobytes()
-    gen = make_generator(params)
     checked = list(range(0, 2 * n, 997)) + list(range(2 * n, len(x1)))
     for i in checked:
-        assert (e1[i], e2[i]) == exact_nearest_point(Point2(x1[i], x2[i]), gen)
+        assert (e1[i], e2[i]) == exact_nearest_point(Point2(x1[i], x2[i]), params)
 
 
 def _edge_lattices():

@@ -16,7 +16,6 @@ from babai_refine import (
     error_rectangle,
     exact_nearest_point,
     lattice_point,
-    make_generator,
     quantizer_12,
     quantizer_21,
     replay_decision,
@@ -64,8 +63,7 @@ def test_run_12_outer_strip(params_main):
     assert t.messages[1].symbol == 1
     assert math.isclose(t.messages[0].ideal_bits, -math.log2(0.15), rel_tol=1e-12)
     assert t.decision == (0, 1)
-    gen = make_generator(params_main)
-    assert t.decision == exact_nearest_point(x, gen)
+    assert t.decision == exact_nearest_point(x, params_main)
 
 
 def test_run_12_bits_model(params_main):
@@ -97,7 +95,7 @@ def test_run_21_top_row(params_main):
     assert t.messages[0].symbol == 1
     assert t.messages[1].symbol == -1
     assert t.decision == (-1, 1)
-    assert t.decision == exact_nearest_point(x, make_generator(params_main))
+    assert t.decision == exact_nearest_point(x, params_main)
 
 
 def test_run_inf_center(params_main):
@@ -133,24 +131,22 @@ def test_run_inf_halts_on_zero_symbols(params_main):
     assert [m.symbol for m in t.messages] == [1, 0]
     assert t.rounds == 1 and t.halted
     assert t.decision == (0, 0)
-    assert t.decision == exact_nearest_point(x, make_generator(params_main))
+    assert t.decision == exact_nearest_point(x, params_main)
 
 
 def test_run_inf_zero_error(params_main):
-    gen = make_generator(params_main)
     for x in _uniform_cell(params_main, 20_000, seed=5):
         t = run_infinite_rounds(x, params_main)
         assert t.halted
-        assert t.decision == exact_nearest_point(x, gen)
+        assert t.decision == exact_nearest_point(x, params_main)
 
 
 @pytest.mark.parametrize("params", random_valid_params(6, seed=83))
 def test_run_inf_zero_error_other_lattices(params):
-    gen = make_generator(params)
     for x in _uniform_cell(params, 2_000, seed=7):
         t = run_infinite_rounds(x, params)
         assert t.halted
-        assert t.decision == exact_nearest_point(x, gen)
+        assert t.decision == exact_nearest_point(x, params)
 
 
 def test_determinism(params_main):
@@ -352,11 +348,10 @@ def test_mirror_symmetry(params_main):
 
 def test_error_rectangle_diagonal(params_main):
     """The Voronoi boundary joins opposite corners of each error rectangle."""
-    gen = make_generator(params_main)
     for u2 in (-1, 1):
         for u1 in (-1, 1):
             rect = error_rectangle(params_main, u2, u1)
-            n = lattice_point(rect.neighbor, gen)
+            n = lattice_point(rect.neighbor, params_main)
             off = 0.5 * (n[0] ** 2 + n[1] ** 2)
             if rect.positive_slope:
                 corners = [(rect.x_lo, rect.y_lo), (rect.x_hi, rect.y_hi)]
@@ -382,11 +377,10 @@ def test_error_rectangles_are_the_threshold_boxes(params):
 
 def test_bisection_recursion_keeps_diagonal(params_main):
     """Surviving sub-rectangles keep the bisector as their exact diagonal."""
-    gen = make_generator(params_main)
     rng = np.random.default_rng(17)
     for u1 in (-1, 1):
         rect = error_rectangle(params_main, 1, u1)
-        n = lattice_point(rect.neighbor, gen)
+        n = lattice_point(rect.neighbor, params_main)
         off = 0.5 * (n[0] ** 2 + n[1] ** 2)
         x_lo, x_hi, y_lo, y_hi = rect.x_lo, rect.x_hi, rect.y_lo, rect.y_hi
         for _ in range(20):
@@ -412,7 +406,7 @@ def test_max_rounds_unhalted(params_main):
     t = run_infinite_rounds(x, params_main, max_rounds=1)
     assert not t.halted
     assert len(t.messages) == 2
-    assert t.decision == exact_nearest_point(x, make_generator(params_main))
+    assert t.decision == exact_nearest_point(x, params_main)
 
 
 def test_out_of_cell(params_main):

@@ -22,7 +22,6 @@ from babai_refine import (
     cell_geometry,
     exact_nearest_point,
     lattice_point,
-    make_generator,
     protocols,
     replay_decision,
     round1_distributions,
@@ -109,12 +108,11 @@ def _all_points(params) -> list[Point2]:
 def _assert_oracle(params, x: Point2, decision, probe: Point2 | None = None) -> None:
     """decision is the exact nearest point of `probe` (default x), up to ties."""
     probe = x if probe is None else probe
-    gen = make_generator(params)
-    oracle = exact_nearest_point(probe, gen)
+    oracle = exact_nearest_point(probe, params)
     if tuple(decision) != tuple(oracle):
         d2 = [
             (probe[0] - p[0]) ** 2 + (probe[1] - p[1]) ** 2
-            for p in (lattice_point(decision, gen), lattice_point(oracle, gen))
+            for p in (lattice_point(decision, params), lattice_point(oracle, params))
         ]
         assert d2[0] - d2[1] <= TIE, (x, decision, oracle)
 
