@@ -30,22 +30,21 @@ _CHUNK = 1 << 20
 # reuse freed pages instead of faulting in fresh 8 MB arrays.
 _BLOCK = 1 << 16
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _unit_open_closed(seed: int, index: np.ndarray, slot: int) -> np.ndarray:
-    """Uniform double in (0, 1], a pure function of (seed, index, slot).
+def _mixed_draws(z: np.ndarray, scale: float) -> np.ndarray:
+    """SplitMix64's finaliser on the counters z, in place, as uniform doubles.
 
-    SplitMix64 of seed + (2*index + slot + 1) * golden, computed in place on
-    a private copy of the indices.
+    The draw k = mix(z) >> 11 stands for u = (k + 1) * 2^-53 in (0, 1], and
+    the result is (u - 1/2) * scale.  It is computed as
+    (k - (2^52 - 1)) * (scale * 2^-53): the centred draw is an int64 of
+    magnitude at most 2^52, so its float is exact, and scaling by a power of
+    two commutes with rounding, so the single rounding of the product is
+    that of (u - 1/2) * scale (none at all for scale = 1).
     """
-    z = index.astype(np.uint64)
-    z *= np.uint64(2)
-    z += np.uint64(slot + 1)
-    z *= _GOLDEN
-    z += np.uint64(seed)
     t = np.empty_like(z)
     for shift, mix in ((30, _MIX1), (27, _MIX2)):
         np.right_shift(z, np.uint64(shift), out=t)
@@ -54,9 +53,9 @@ def _unit_open_closed(seed: int, index: np.ndarray, slot: int) -> np.ndarray:
     np.right_shift(z, np.uint64(31), out=t)
     z ^= t
     z >>= np.uint64(11)
-    u = z.astype(np.float64)
-    u += 1.0
-    u *= 2.0**-53
+    z -= np.uint64((1 << 52) - 1)  # wraps below 0: read as int64 it is k - (2^52 - 1)
+    u = z.view(np.int64).astype(np.float64)
+    u *= scale * 2.0**-53
     return u
 
 
@@ -64,6 +63,14 @@ def sample_cell_arrays(
     params: LatticeParams, trial_index: np.ndarray, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform points over (-1/2,1/2] x (-H/2,H/2], one per trial index.
+
+    Slot j in {0, 1} of trial i draws k = SplitMix64(seed + (2i + j + 1)g)
+    >> 11 (g the golden-ratio constant, arithmetic mod 2^64) and
+    u = (k + 1) * 2^-53 in (0, 1]; x1 = u - 1/2 from slot 0 and
+    x2 = (u - 1/2) * H from slot 1.  The counters are computed folded, as
+    i * 2g + (g + seed) and that plus g, an identity mod 2^64, and the draws
+    as _mixed_draws states, so the points are those of the definition bit
+    for bit.
 
     The seed must be an int in [0, 2^64), and the trial indices integers in
     [0, 2^64): an integer-dtype array (uint64 is used with no scan) or a list
@@ -77,12 +84,11 @@ def sample_cell_arrays(
             raise ValueError(f"trial indices must be integers, got dtype {idx.dtype}")
         if idx.dtype.kind == "i" and idx.min() < 0:
             raise ValueError("trial indices must be >= 0")
-    x1 = _unit_open_closed(seed, idx, 0)
-    x1 -= 0.5
-    x2 = _unit_open_closed(seed, idx, 1)
-    x2 -= 0.5
-    x2 *= params.rsin
-    return x1, x2
+    z0 = idx.astype(np.uint64)
+    z0 *= np.uint64((2 * _GOLDEN) & _U64)
+    z0 += np.uint64((_GOLDEN + seed) & _U64)
+    z1 = np.add(z0, np.uint64(_GOLDEN))
+    return _mixed_draws(z0, 1.0), _mixed_draws(z1, params.rsin)
 
 
 def sample_uniform_babai_cell(params: LatticeParams, trial_index: int, seed: int) -> Point2:
@@ -115,7 +121,7 @@ def _check_seed(seed) -> None:
 def derive_seed(seed: int, stream: int) -> int:
     """Deterministic 64-bit sub-seed for a named stream of a master seed."""
     _check_seed(seed)
-    base = (seed + 0x9E3779B97F4A7C15 * (stream + 1)) & _U64
+    base = (seed + _GOLDEN * (stream + 1)) & _U64
     return _mix64_int(_mix64_int(base))
 
 
@@ -136,7 +142,8 @@ def babai_batch(params: LatticeParams, x1: np.ndarray, x2: np.ndarray) -> tuple[
 # per du2 row, in the 5x5 window's ascending (du2, du1) scan order.
 _RELEVANT_ROWS = ((-1, (0, 1)), (0, (-1, 0, 1)), (1, (-1, 0)))
 
-# Safety margin of exact_nearest_batch's pre-filter per unit of 1 + |x1| + |x2|.
+# Safety margin of exact_nearest_batch's pre-filter per unit of
+# 1 + max|x1| + max|x2| over the call's points.
 _MARGIN = 2.0**-30
 
 
@@ -183,49 +190,42 @@ def exact_nearest_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized nearest point: Babai unless the residual may leave V(0).
 
-    For a reduced basis (0 < rho*cos(theta) < 1/2) the Voronoi cell V(0)'s
-    faces lie on the bisectors of the six relevant vectors +-v1, +-v2,
-    +-(v2 - v1), and the Babai cell (-1/2, 1/2] x (-H/2, H/2] is covered by
-    V(0) and the cells of those six neighbours (Agrell, Eriksson, Vardy &
-    Zeger, "Closest point search in lattices", IEEE Trans. IT 2002; SPLAG
-    ch. 20).  Inside the Babai cell, V(0) misses only four corner error
-    triangles, so the nearest point is the Babai point b unless the
-    residual r = x - V b lies in one of them.
+    For a reduced basis (0 < rho*cos(theta) < 1/2) the Voronoi cell V(0) is
+    the hexagon |r.n| <= |n|^2/2 for the three face normals n = v1, v2 and
+    v2 - v1 (the relevant vectors +-n; Agrell, Eriksson, Vardy & Zeger,
+    "Closest point search in lattices", IEEE Trans. IT 2002; SPLAG ch. 20).
+    So the nearest point is the Babai point b unless the residual
+    r = x - V b lies outside that hexagon; inside the Babai cell this
+    happens only in the four corner error triangles.
 
-    Pre-filter.  With the margin m = 2^-30 * (1 + |x1| + |x2|), a trial is
-    safe, and its answer is b + 0.0, when |r1| + m < 1/2 and either
-    |r2| + m < tau_1 = -tau_m1 (the central band), or r lies
-    inside both bisectors of its outer band by m, r.n + m|n| < |n|^2/2 with
-    n = v2 and v2 - v1 for r2 > 0 and n = -v2 and v1 - v2 otherwise.  Each
-    test is a strict comparison, so NaN (and the infinite m of an infinite
-    coordinate) fails it.  Every other trial (the error triangles, a band
-    of width m around their edges and around x1 = +-1/2, non-finite points,
-    and every point with 1 + |x1| + |x2| >= 2^29, where m >= 1/2) is
-    compacted and scanned over b and its six relevant neighbours.  The
-    `+ 0.0` turns a Babai -0.0 into +0.0, as the scan's b + du does.
+    Pre-filter.  With one margin per call, M = 2^-30 * (1 + max|x1| +
+    max|x2|), a trial is safe, and its answer is b + 0.0, when
+    |r1| < 1/2 - M and |r.n| < |n|^2/2 - M|n| for n = v2 and n = v2 - v1;
+    the thresholds are scalars.  Every other trial (outside the hexagon, in
+    a band of width M inside its faces, or non-finite) is compacted and
+    scanned over b and its six relevant neighbours.  The comparisons are
+    strict, so a NaN residual fails them; a NaN or infinite coordinate
+    makes M NaN or infinite, and a point with 1 + |x1| + |x2| >= 2^29 makes
+    M >= 1/2, so one such point sends its whole call to the scan: the same
+    answers, only slower.  The `+ 0.0` turns a Babai -0.0 into +0.0, as
+    the scan's b + du does.
 
-    Why the filter is exact.  Passing it puts the open disc of radius m
-    about r inside V(0).  For the v1 faces this is the r1 test.  In the
-    central band, r.v2 < c(1/2 - m) + s(tau_1 - m) = |v2|^2/2 - (c + s)m
-    (c = rho*cos(theta), s = H), so r is more than (c + s)m/|v2| >= m from
-    the v2 face; likewise (1 - c + s)m/|v2 - v1| >= m from the v2 - v1 face,
-    and by symmetry from the other two.  In an outer band the two tested
-    faces hold by construction, and the opposite band's faces are farther
-    than m because m < 1/2 and rho >= 1.  So every other lattice point k is
-    farther from x than b is, in squared distance, by 2|k|m >= 2m: over
-    10^5 times the rounding error of r and of the scan's squared distances
-    (tens of ulps of 1 + |x1| + |x2|), so the float scan, too, ranks b
-    strictly first.  An x1 margin at the thresholds t_* would not do in
-    the outer bands: the v2 face turns horizontal as rho*cos(theta) -> 0,
-    so a point m left of t_1 near the top edge can lie within rounding
-    error of it.
+    Why the filter is exact.  Passing it puts the open disc of radius M
+    about r inside V(0): r is more than M from each of the six faces.  V(0)
+    lies on 0's side of the bisector of every other lattice point Vk, so
+    r.k + M|k| < |k|^2/2, and Vk is farther from x than Vb is, in squared
+    distance, by |k|^2 - 2r.k > 2M|k| >= 2M (|k| >= 1 in a reduced basis
+    with rho >= 1).  M is at least each trial's own 2^-30 * (1 + |x1| +
+    |x2|), and that is over 10^5 times the rounding error of r, of the
+    thresholds and of the scan's squared distances (tens of ulps of
+    1 + |x1| + |x2|, at rho of order 1), so the float scan, too, ranks b
+    strictly first.
 
     The scanned trials resolve exact ties to the lexicographically smallest
     coordinates, as the scalar oracle does, and the result equals the full
     5x5 window scan bit for bit.
     """
     c, s = params.rcos, params.rsin
-    g = cell_geometry(params)
     shape = np.shape(x1)
     x1 = np.ravel(x1)  # the trials are compacted by flat index
     x2 = np.ravel(x2)
@@ -236,41 +236,26 @@ def exact_nearest_batch(
     r1 = np.multiply(c, b2)
     np.add(b1, r1, out=r1)
     np.subtract(x1, r1, out=r1)
-    m = np.abs(x1)
-    t = np.abs(x2)
-    m += t
-    m += 1.0
-    m *= _MARGIN
-    np.abs(r1, out=t)
-    t += m
-    safe = t < 0.5
-    np.abs(r2, out=t)
-    t += m
-    central = t < g.tau_1  # the band is symmetric: tau_m1 = -tau_1
-    # outer-band trials: test the two bisectors of their band, mirrored to the top
-    outer = np.flatnonzero(safe & ~central)
-    safe &= central
-    q1 = r1[outer]
-    q2 = r2[outer]
-    mo = m[outer]
-    flip = q2 <= 0.0
-    np.negative(q1, out=q1, where=flip)
-    np.absolute(q2, out=q2)
-    q2 *= s
-    side = np.empty_like(q1)
-    ok = np.ones(len(outer), dtype=bool)
+    m = _MARGIN * (1.0 + _max_abs(x1) + _max_abs(x2))
+    t = np.abs(r1)
+    safe = t < 0.5 - m
+    r2 *= s  # r.n = n1*r1 + s*r2 for both tested normals
     for n1 in (c, c - 1.0):
-        np.multiply(n1, q1, out=side)
-        side += q2
-        side += math.hypot(n1, s) * mo
-        ok &= side < 0.5 * (n1 * n1 + s * s)
-    safe[outer[ok]] = True
+        np.multiply(n1, r1, out=t)
+        t += r2
+        np.abs(t, out=t)
+        safe &= t < 0.5 * (n1 * n1 + s * s) - m * math.hypot(n1, s)
     rest = np.flatnonzero(~safe)
     b1 += 0.0
     b2 += 0.0
     if rest.size:
         b1[rest], b2[rest] = _scan_relevant(c, s, x1[rest], x2[rest], b1[rest], b2[rest])
     return b1.reshape(shape), b2.reshape(shape)
+
+
+def _max_abs(x: np.ndarray) -> float:
+    """max|x| over the array (0.0 if empty; NaN if any entry is NaN)."""
+    return float(np.max(np.abs(x), initial=0.0))
 
 
 def _single_round_batch(

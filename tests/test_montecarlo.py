@@ -88,6 +88,45 @@ def test_samplers_accept_the_trial_index_range_ends(params_main):
     assert all(x.shape == (0,) for x in sample_cell_arrays(params_main, [], 7))
 
 
+_U64 = (1 << 64) - 1
+
+
+def _splitmix64(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
+    return z ^ (z >> 31)
+
+
+def _reference_point(rsin, seed, trial_index):
+    """The sampler's definition in Python ints: slot j of trial i draws
+    k = SplitMix64(seed + (2i + j + 1) * golden) >> 11, u = (k + 1) * 2^-53,
+    and the point is (u0 - 1/2, (u1 - 1/2) * H)."""
+    x = []
+    for slot in (0, 1):
+        k = _splitmix64((seed + (2 * trial_index + slot + 1) * 0x9E3779B97F4A7C15) & _U64) >> 11
+        x.append((k + 1) * 2.0**-53 - 0.5)
+    return x[0], x[1] * rsin
+
+
+_REFERENCE_INDICES = [0, 1, 2**32 - 1, 2**63] + list(range(2**64 - 2**16, 2**64))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("rho", [1.0, 1.4])
+def test_samplers_equal_a_python_splitmix64(rho, seed):
+    """Both samplers give the definition's points bit for bit, at indices
+    and seeds where the folded counter i * 2g + (g + seed) wraps mod 2^64."""
+    params = LatticeParams(rho=rho, theta=math.acos(0.3 / rho))
+    want = np.array([_reference_point(params.rsin, seed, i) for i in _REFERENCE_INDICES])
+    x1, x2 = sample_cell_arrays(params, np.array(_REFERENCE_INDICES, dtype=np.uint64), seed)
+    _assert_same_bytes((x1, x2), (want[:, 0].copy(), want[:, 1].copy()))
+    # the scalar sampler costs tens of microseconds a call: the named indices
+    # and a stride of the top block, its ends included
+    for k in [0, 1, 2, 3, *range(4, len(_REFERENCE_INDICES), 1021), len(_REFERENCE_INDICES) - 1]:
+        got = sample_uniform_babai_cell(params, _REFERENCE_INDICES[k], seed)
+        assert np.array(got).tobytes() == want[k].tobytes()
+
+
 def test_sampler_determinism(params_main):
     idx = np.arange(1000, dtype=np.uint64)
     a1, a2 = sample_cell_arrays(params_main, idx, seed=42)
@@ -319,6 +358,100 @@ def test_exact_nearest_batch_rectangle_edges(params):
     y1, y2 = (a.ravel().copy() for a in np.meshgrid(odd, odd))
     with np.errstate(invalid="ignore"):  # inf - inf in both scans
         _assert_same_bytes(exact_nearest_batch(params, y1, y2), _window_scan(params, y1, y2))
+
+
+@pytest.mark.parametrize("params", _edge_lattices())
+@pytest.mark.parametrize(
+    "extra", [(2.0**28, 0.0), (np.nan, 0.0), (2.0**29, 0.0)], ids=["far", "nan", "past-half"]
+)
+def test_exact_nearest_batch_one_margin_per_call(params, extra):
+    """One far point widens the whole call's margin, to about 1/4 at 2^28; a
+    NaN, or a point at 2^29 (margin past 1/2), sends every trial of the call
+    to the scan.  The answers stay the window scan's, byte for byte."""
+    x1, x2 = _rectangle_edge_points(params)
+    x1 = np.append(x1, extra[0])
+    x2 = np.append(x2, extra[1])
+    _assert_same_bytes(exact_nearest_batch(params, x1, x2), _window_scan(params, x1, x2))
+
+
+def _counting_scan(monkeypatch):
+    """Wrap montecarlo._scan_relevant; return the list of (x1, x2) it is given."""
+    seen = []
+    scan = montecarlo._scan_relevant
+
+    def counting(c, s, x1, x2, b1, b2):
+        seen.append((x1.copy(), x2.copy()))
+        return scan(c, s, x1, x2, b1, b2)
+
+    monkeypatch.setattr(montecarlo, "_scan_relevant", counting)
+    return seen
+
+
+@pytest.mark.parametrize("params", _oracle_lattices())
+def test_exact_nearest_batch_scans_few_babai_trials(params, monkeypatch):
+    """On in-cell points the scan gets the trials whose nearest point is not
+    the Babai point, and at most 0.1 % of the block besides."""
+    n = 1 << 16
+    x1, x2 = sample_cell_arrays(params, np.arange(n, dtype=np.uint64), seed=20)
+    seen = _counting_scan(monkeypatch)
+    e1, e2 = exact_nearest_batch(params, x1, x2)
+    b1, b2 = babai_batch(params, x1, x2)
+    moved = np.count_nonzero((e1 != b1) | (e2 != b2))
+    assert sum(len(a) for a, _ in seen) <= moved + 0.001 * n
+
+
+def _hexagon_face_points(params, m):
+    """Points a quarter, half and three quarters along each face of V(0),
+    moved along the face's inward normal by each of 4m, 2m, m, m/2, 0, -m/2
+    and -m (negative: outward) and by +-1 ulp; returns x1, x2 and the inward
+    distance of each point."""
+    c, s = params.rcos, params.rsin
+    rel = [(1.0, 0.0), (c, s), (c - 1.0, s)]
+    rel += [(-a, -b) for a, b in rel]
+    verts = []
+    for (a1, a2), (b1, b2) in zip(rel, rel[1:] + rel[:1]):
+        det = a1 * b2 - a2 * b1
+        ra, rb = 0.5 * (a1 * a1 + a2 * a2), 0.5 * (b1 * b1 + b2 * b2)
+        verts.append(((ra * b2 - rb * a2) / det, (a1 * rb - b1 * ra) / det))
+    pts, inward = [], []
+    for i, (n1, n2) in enumerate(rel):
+        (p1, p2), (q1, q2) = verts[i - 1], verts[i]  # the face of n
+        norm = math.hypot(n1, n2)
+        for f in (0.25, 0.5, 0.75):
+            for d in (4 * m, 2 * m, m, m / 2, 0.0, -m / 2, -m):
+                pts.append((p1 + f * (q1 - p1) - d * n1 / norm, p2 + f * (q2 - p2) - d * n2 / norm))
+                inward.append(d)
+    xy = np.array(pts)
+    x1 = np.concatenate([xy[:, 0], np.nextafter(xy[:, 0], np.inf), np.nextafter(xy[:, 0], -np.inf)])
+    x2 = np.concatenate([xy[:, 1], np.nextafter(xy[:, 1], -np.inf), np.nextafter(xy[:, 1], np.inf)])
+    return x1, x2, np.tile(inward, 3)
+
+
+@pytest.mark.parametrize("params", _oracle_lattices())
+def test_exact_nearest_batch_filter_edge_is_the_margin(params, monkeypatch):
+    """At the hexagon's faces the pre-filter keeps the Babai point exactly for
+    the residuals more than the call's margin M inside V(0).
+
+    Two anchor points at (2, 2) and (-2, -2) fix M = 5 * 2^-30.  Of the
+    points whose Babai point is 0 (so the residual is the point), those 2M
+    or more inside every face are never scanned, those within M/2 of a face
+    or outside always are, and every answer is the window scan's.
+    """
+    m = 5 * 2.0**-30
+    y1, y2, inward = _hexagon_face_points(params, m)
+    assert np.max(np.abs(y1)) <= 2.0 and np.max(np.abs(y2)) <= 2.0
+    x1 = np.concatenate([y1, [2.0, -2.0]])
+    x2 = np.concatenate([y2, [2.0, -2.0]])
+    assert montecarlo._MARGIN * (1.0 + np.max(np.abs(x1)) + np.max(np.abs(x2))) == m
+    seen = _counting_scan(monkeypatch)
+    _assert_same_bytes(exact_nearest_batch(params, x1, x2), _window_scan(params, x1, x2))
+    scanned = {(a, b) for s1, s2 in seen for a, b in zip(s1.tolist(), s2.tolist())}
+    b1, b2 = babai_batch(params, y1, y2)
+    at_zero = (b1 == 0.0) & (b2 == 0.0)
+    was_scanned = np.array([(a, b) in scanned for a, b in zip(y1.tolist(), y2.tolist())])
+    assert not np.any(was_scanned[at_zero & (inward >= 2 * m)])
+    assert np.all(was_scanned[at_zero & (inward <= m / 2)])
+    assert np.any(at_zero & (inward >= 2 * m)) and np.any(at_zero & (inward <= m / 2))
 
 
 def test_exact_nearest_batch_keeps_shape(params_main):
