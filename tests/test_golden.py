@@ -55,6 +55,11 @@ CLI_CASES = {
     "sweep-grid50-budget8": ["sweep", "--rho", "1", "--grid", "50", "--budget", "8"],
     "sweep-grid40-budget3": ["sweep", "--grid", "40", "--budget", "3"],
     "sweep-rho1.2-grid20-budget6": ["sweep", "--rho", "1.2", "--grid", "20", "--budget", "6"],
+    # the empirical columns: every row's 21 size and the first row's 12 size
+    # are clipped to the simulated-size cap, with the derived per-row seeds
+    "sweep-grid4-budget8-trials4096": [
+        "sweep", "--rho", "1", "--grid", "4", "--budget", "8", "--trials", "4096", "--seed", "7"
+    ],
     "geometry-rcos0.3": ["geometry", "--rcos", "0.3", "--format", "json"],
     "geometry-60deg": ["geometry", "--theta-deg", "60", "--format", "json"],
     "geometry-rcos1e-6": ["geometry", "--rcos", "1e-6", "--format", "text"],
@@ -146,6 +151,7 @@ GOLDEN = {
     "cli/sweep-grid50-budget8": "513534140e96b61c63504971b3eec1e360e2f1c0cc2d6d91c297c16417a58d65",
     "cli/sweep-grid40-budget3": "09c39dad682c8a8c5c38b1d85af7cae5d6845b81b51f267682d2352fde497f32",
     "cli/sweep-rho1.2-grid20-budget6": "59fb84f95ce44cdcbf3d230a1a349014e7d1b061057f1fb40962fc35f3006819",
+    "cli/sweep-grid4-budget8-trials4096": "721cace360faf56217a3018f843d46843402c8c295813220651848d4e51030a7",
     "cli/geometry-rcos0.3": "71722d5018505c2fbb9ae80f6fe2e0ddad7248338eda3537f3cd81b909355d17",
     "cli/geometry-60deg": "ca9afba6f9155e630181371ece9fab24b0b6a43988fa594a8efbb11cf9196119",
     "cli/geometry-rcos1e-6": "be78da4881a0bcb14d1680f2d6dd69d33ae861e77ffac22ac42a775ecc0fb643",
