@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import schemes
 from .errors import BudgetTooSmall, DegenerateInterval, InvalidDistribution, require_int
 from .lattice import CellGeometry, CrossSection, LatticeParams, cell_geometry, cross_section
 
@@ -26,8 +27,6 @@ _SUM_TOL = 1e-10
 _SERIES_U = 0.25
 # bins per cut table of bin_sections, which bounds its memory at any quantizer size
 _RATE_CHUNK = 1 << 12
-# the 12-scheme rate costs O(n2) to evaluate exactly; the 21-scheme is O(1)
-_MAX_CURVE_SIZE = {"12": 1 << 20, "21": 1 << 62}
 
 
 @dataclass(frozen=True)
@@ -316,6 +315,17 @@ class TradeoffPoint:
     n: int | None = None
 
 
+def point_12(params: LatticeParams, n1: int, n2: int) -> TradeoffPoint:
+    """The 12 scheme's (rate, pe) point at sizes (n1, n2)."""
+    h1, h2 = rate_12(params, n1, n2)
+    return TradeoffPoint(rate_bits=h1 + h2, pe=pe_12(params, n1, n2), n1=n1, n2=n2)
+
+
+def point_21(params: LatticeParams, n: int) -> TradeoffPoint:
+    """The 21 scheme's (rate, pe) point at size n."""
+    return TradeoffPoint(rate_bits=rate_21(params, n), pe=pe_21(params, n), n=n)
+
+
 def tradeoff_curve_12(params: LatticeParams, n2_max: int) -> list[TradeoffPoint]:
     """Pareto (rate, pe) points for n2 = 1..n2_max with n1 = optimal_n1(n2)."""
     require_int(n2_max=n2_max)
@@ -414,21 +424,16 @@ def nbar_infinite(params: LatticeParams) -> float:
 
 
 def curve_point(params: LatticeParams, scheme: str, size: int) -> TradeoffPoint:
-    """The (rate, pe) point of a scheme at one size index.
+    """The (rate, pe) point at one size index: the scheme table entry's `curve`.
 
     For scheme "12" the index is n2 with n1 = optimal_n1(n2); for "21" it is
-    the single size n.  Any other scheme, the int 12 included, raises
-    ValueError.
+    the single size n.  A scheme without a curve, or not a name in the
+    table (the int 12 included), raises ValueError.
     """
-    if scheme == "12":
-        n1 = optimal_n1(params, size)
-        h1, h2 = rate_12(params, n1, size)
-        return TradeoffPoint(
-            rate_bits=h1 + h2, pe=pe_12(params, n1, size), n1=n1, n2=size
-        )
-    if scheme == "21":
-        return TradeoffPoint(rate_bits=rate_21(params, size), pe=pe_21(params, size), n=size)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    entry = schemes.SCHEMES.get(scheme) if isinstance(scheme, str) else None
+    if entry is None or entry.curve is None:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return entry.curve(params, size)
 
 
 def _last_within(within: Callable[[int], bool], start: int, cap: int) -> int:
@@ -497,9 +502,6 @@ def _seed_21(params: LatticeParams, rate_budget: float, cap: int) -> int:
     return min(max(int(2.0 ** (excess / slope)), 1), cap)
 
 
-_SEEDS = {"12": _seed_12, "21": _seed_21}
-
-
 def _budget_search(
     params: LatticeParams, scheme: str, rate_budget: float
 ) -> tuple[int, Callable[[int], TradeoffPoint]]:
@@ -507,14 +509,15 @@ def _budget_search(
     evaluator the search used.
 
     The search gallops from a seed solved on the scheme's closed-form rate
-    (_seed_12, _seed_21), then bisects.  The seed lands on or next to the
-    answer (the 21 seed up to its rounding, which near theta = pi/2, where
-    the answer passes 2^45, is worth more than one size), so the search
-    reads the curve at 1 and at the answer or its neighbours.  Where the
-    rate is monotone in the size the answer does not depend on the seed:
-    it is the largest size within the budget (or the cap).  The evaluator
-    remembers the search's probes, so re-reading the found point or its
-    neighbour costs nothing; it lives only as long as the caller keeps it.
+    (its table entry's `seed`: _seed_12, _seed_21), then bisects, within
+    the entry's `cap`.  The seed lands on or next to the answer (the 21
+    seed up to its rounding, which near theta = pi/2, where the answer
+    passes 2^45, is worth more than one size), so the search reads the
+    curve at 1 and at the answer or its neighbours.  Where the rate is
+    monotone in the size the answer does not depend on the seed: it is the
+    largest size within the budget (or the cap).  The evaluator remembers
+    the search's probes, so re-reading the found point or its neighbour
+    costs nothing; it lives only as long as the caller keeps it.
     """
     if not math.isfinite(rate_budget):
         raise ValueError("rate budget must be finite")
@@ -531,9 +534,9 @@ def _budget_search(
             f"budget {rate_budget} below coarsest rate "
             f"{first.rate_bits:.6f} of scheme {scheme}"
         )
-    cap = _MAX_CURVE_SIZE[scheme]
-    seed = _SEEDS[scheme](params, rate_budget, cap)
-    return _last_within(lambda n: point(n).rate_bits <= rate_budget, seed, cap), point
+    entry = schemes.SCHEMES[scheme]
+    seed = entry.seed(params, rate_budget, entry.cap)
+    return _last_within(lambda n: point(n).rate_bits <= rate_budget, seed, entry.cap), point
 
 
 def budget_point(
@@ -560,7 +563,7 @@ def budget_pe(
     """budget_point and the interpolated pe of pe_at_rate, from one search."""
     size, point = _budget_search(params, scheme, rate_budget)
     below = point(size)
-    if size < _MAX_CURVE_SIZE[scheme]:
+    if size < schemes.SCHEMES[scheme].cap:
         pair = (below, point(size + 1))
     else:
         pair = (point(size - 1), below)

@@ -21,23 +21,16 @@ import math
 import sys
 from dataclasses import asdict
 
-from . import analytics, montecarlo, protocols
+from . import analytics, montecarlo, protocols, schemes
 from .errors import (
     BabaiRefineError,
     InvalidParams,
     QuadratureFailure,
 )
-from .lattice import (
-    LatticeParams,
-    Point2,
-    babai_error_probability,
-    cell_geometry,
-    check_rho,
-)
+from .lattice import LatticeParams, Point2, cell_geometry, check_rho
 
 _CLAMP_EPS = 1e-6
 _SIM_SIZE_CAP = 4096
-_BY_ALIAS = {s.alias: s for s in montecarlo.SCHEMES.values()}
 
 
 def _fmt(v: float) -> str:
@@ -103,12 +96,18 @@ def cmd_geometry(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _scheme_flags(args, scheme: montecarlo.Scheme, size_default: int | None) -> dict:
+def _scheme(alias: str) -> schemes.Scheme:
+    """The scheme table's entry for a --scheme alias."""
+    return next(s for s in schemes.SCHEMES.values() if s.alias == alias)
+
+
+def _scheme_flags(args, scheme: schemes.Scheme, size_default: int | None) -> dict:
     """The size and round-limit flags the scheme takes, as keyword values.
 
     A flag given for a scheme that does not take it is invalid input, never
     ignored.  A size the scheme takes but was not given gets size_default
-    (None: the scheme requires it), and an omitted round limit the default.
+    (None: the scheme requires it); an omitted round limit is left out, for
+    the callee's default.
     """
     takes = scheme.sizes + (("max_rounds",) if scheme.round_limit else ())
     given = {
@@ -119,66 +118,15 @@ def _scheme_flags(args, scheme: montecarlo.Scheme, size_default: int | None) -> 
     extra = ["--" + f.replace("_", "-") for f in given if f not in takes]
     if extra:
         raise InvalidParams(f"scheme {scheme.alias!r} takes no {' or '.join(extra)}")
-    flags = dict.fromkeys(scheme.sizes, size_default)
-    if scheme.round_limit:
-        flags["max_rounds"] = protocols.DEFAULT_MAX_ROUNDS
-    return {**flags, **given}
+    return {**dict.fromkeys(scheme.sizes, size_default), **given}
 
 
 def cmd_analyze(args) -> str:
     params = resolve_params(args.rho, args.theta_deg, args.theta_rad, args.rcos)
-    scheme = args.scheme
-    flags = _scheme_flags(args, _BY_ALIAS[scheme], 1)
-    doc: dict = {"scheme": scheme, "rho": params.rho, "theta_rad": params.theta}
-    if scheme == "babai":
-        doc["pe_babai"] = babai_error_probability(params)
-    elif scheme == "12":
-        n1, n2 = flags["n1"], flags["n2"]
-        geo = analytics.coefficients_12(params)
-        printed = analytics.coefficients_12(params, provenance="printed")
-        h1, h2 = analytics.rate_12(params, n1, n2)
-        g = cell_geometry(params)
-        doc.update(
-            {
-                "n1": n1,
-                "n2": n2,
-                "alpha1": geo.alpha1,
-                "alpha2": geo.alpha2,
-                "alpha1_printed": printed.alpha1,
-                "alpha2_printed": printed.alpha2,
-                "alpha_ratio": geo.alpha2 * g.L1 / (geo.alpha1 * g.L2),
-                "alpha_ratio_printed": printed.alpha2 * g.L1 / (printed.alpha1 * g.L2),
-                "pe": analytics.pe_12(params, n1, n2),
-                "h_u1": h1,
-                "h_u2_given_u1": h2,
-                "rate_bits": h1 + h2,
-                "kappa": analytics.kappa_12(params),
-                "asymptotic_constant": analytics.asymptotic_constant_12(params),
-            }
-        )
-    elif scheme == "21":
-        n = flags["n"]
-        doc.update(
-            {
-                "n": n,
-                "beta": analytics.beta_21(params),
-                "pe": analytics.pe_21(params, n),
-                "rate_bits": analytics.rate_21(params, n),
-                "kappa": analytics.kappa_21(params),
-                "asymptotic_constant": analytics.asymptotic_constant_21(params),
-            }
-        )
-    else:  # inf
-        q, p = analytics.round1_distributions(params)
-        doc.update(
-            {
-                "rbar_bits": analytics.rbar_infinite(params),
-                "nbar_rounds": analytics.nbar_infinite(params),
-                "q": list(q.probs),
-                "p": list(p.probs),
-            }
-        )
-    return json.dumps(doc)
+    scheme = _scheme(args.scheme)
+    sizes = _scheme_flags(args, scheme, 1)
+    doc = {"scheme": args.scheme, "rho": params.rho, "theta_rad": params.theta, **sizes}
+    return json.dumps({**doc, **scheme.analyze(params, **sizes)})
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -192,18 +140,13 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 def cmd_tradeoff(args) -> str:
     params = resolve_params(args.rho, args.theta_deg, args.theta_rad, args.rcos)
-    scheme = _BY_ALIAS[args.scheme]
+    scheme = _scheme(args.scheme)
     if args.max_size < 1:
         raise InvalidParams("--max-size must be >= 1")
     if args.budget is not None and not math.isfinite(args.budget):
         raise InvalidParams("rate budget must be finite")
-    g = cell_geometry(params)
-    if scheme.name == "12":
-        exponent = g.L / (2.0 * (g.L1 + g.L2))
-        points = analytics.tradeoff_curve_12(params, args.max_size)
-    else:
-        exponent = 1.0 / (1.0 - g.H0 / g.H)
-        points = [analytics.curve_point(params, "21", n) for n in range(1, args.max_size + 1)]
+    exponent = scheme.exponent(cell_geometry(params))
+    points = scheme.tradeoff(params, args.max_size)
     sizes = scheme.sizes
     header = [*sizes, "rate_bits", "pe", "pe_scaled"]
     rows = [
@@ -219,7 +162,7 @@ def cmd_tradeoff(args) -> str:
 
 def cmd_simulate(args) -> str:
     params = resolve_params(args.rho, args.theta_deg, args.theta_rad, args.rcos)
-    scheme = _BY_ALIAS[args.scheme]
+    scheme = _scheme(args.scheme)
     config = montecarlo.SimConfig(
         params=params,
         scheme=scheme.name,
@@ -232,7 +175,7 @@ def cmd_simulate(args) -> str:
 
 def cmd_trace(args) -> str:
     params = resolve_params(args.rho, args.theta_deg, args.theta_rad, args.rcos)
-    scheme = _BY_ALIAS[args.scheme]
+    scheme = _scheme(args.scheme)
     sizes = _scheme_flags(args, scheme, 1)
     max_rounds = sizes.pop("max_rounds", protocols.DEFAULT_MAX_ROUNDS)
     q = scheme.quantizer(params, **sizes)
@@ -247,6 +190,10 @@ def cmd_sweep(args) -> str:
         raise InvalidParams("max_rounds must be >= 1")
     if args.trials < 0:
         raise InvalidParams("trials must be >= 0")
+    if not math.isfinite(args.budget):
+        raise InvalidParams("rate budget must be finite")
+    if (args.theta_deg, args.theta_rad, args.rcos) != (None, None, None):
+        raise InvalidParams("sweep varies theta itself; drop --theta-deg, --theta-rad and --rcos")
     rho = check_rho(args.rho)
     theta_lo = math.acos(min(1.0, 1.0 / (2.0 * rho)))
     theta_hi = math.pi / 2.0
@@ -257,53 +204,27 @@ def cmd_sweep(args) -> str:
         hi = theta_hi - _CLAMP_EPS
         step = (hi - lo) / (args.grid - 1)
         thetas = [lo + i * step for i in range(args.grid)]
-    header = [
-        "theta_rad",
-        "rho",
-        "pe12_below",
-        "pe12_interp",
-        "pe21_below",
-        "pe21_interp",
-        "rbar_bits",
-        "nbar_rounds",
-        "pe_babai",
-    ]
+    table = list(schemes.SCHEMES.values())
+    header = ["theta_rad", "rho", *(c for s in table for c in s.columns)]
     empirical = args.trials > 0
     if empirical:
-        header += [
-            f"{stem}_emp{suffix}"
-            for s in montecarlo.SCHEMES.values()
-            for stem, _ in s.sweep
-            for suffix in ("", "_stderr")
-        ]
+        header += [f"{stem}_emp{x}" for s in table for stem, _ in s.sweep for x in ("", "_stderr")]
     rows = []
     for i, theta in enumerate(thetas):
         params = LatticeParams(rho=rho, theta=theta)
-        budget = {
-            s.name: analytics.budget_pe(params, s.name, args.budget)
-            for s in montecarlo.SCHEMES.values()
-            if s.sizes
-        }
-        row = [theta, rho]
-        for point, pe_interp in budget.values():
-            row += [point.pe, pe_interp]
-        row += [
-            analytics.rbar_infinite(params),
-            analytics.nbar_infinite(params),
-            babai_error_probability(params),
-        ]
+        closed = [s.closed(s.name, params, args.budget) for s in table]
+        row = [theta, rho, *(v for values, _ in closed for v in values)]
         if empirical:
-            for j, scheme in enumerate(montecarlo.SCHEMES.values()):
+            for j, (scheme, (_, point)) in enumerate(zip(table, closed)):
                 # cap the simulated quantizer sizes; the saturated tail of the
                 # 21 curve near theta = pi/2 returns astronomically fine points
-                point = budget[scheme.name][0] if scheme.sizes else None
                 sizes = {f: min(getattr(point, f), _SIM_SIZE_CAP) for f in scheme.sizes}
                 report = montecarlo.simulate(
                     montecarlo.SimConfig(
                         params=params,
                         scheme=scheme.name,
                         trials=args.trials,
-                        seed=montecarlo.derive_seed(args.seed, len(montecarlo.SCHEMES) * i + j),
+                        seed=montecarlo.derive_seed(args.seed, len(table) * i + j),
                         max_rounds=args.max_rounds,
                         **sizes,
                     )
@@ -326,23 +247,25 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_size_flags(p: argparse.ArgumentParser, default: int | None) -> None:
     # None tells an omitted flag from a given one; _scheme_flags fills it in
-    for scheme in montecarlo.SCHEMES.values():
-        for field in scheme.sizes:
-            p.add_argument(
-                "--" + field,
-                type=int,
-                default=None,
-                help=f"scheme {scheme.alias} only, "
-                + (f"default {default}" if default is not None else "required there"),
-            )
+    table = schemes.SCHEMES.values()
+    for field in dict.fromkeys(f for s in table for f in s.sizes):
+        aliases = [s.alias for s in table if field in s.sizes]
+        p.add_argument(
+            "--" + field,
+            type=int,
+            default=None,
+            help=f"scheme {' or '.join(aliases)} only, "
+            + (f"default {default}" if default is not None else "required there"),
+        )
 
 
 def _add_round_limit_flag(p: argparse.ArgumentParser) -> None:
+    limited = [s.alias for s in schemes.SCHEMES.values() if s.round_limit]
     p.add_argument(
         "--max-rounds",
         type=int,
         default=None,
-        help=f"scheme inf only, default {protocols.DEFAULT_MAX_ROUNDS}",
+        help=f"scheme {' or '.join(limited)} only, default {protocols.DEFAULT_MAX_ROUNDS}",
     )
 
 
@@ -353,6 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
         "Voronoi partition: geometry, rate/error analysis, protocol simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    table = schemes.SCHEMES.values()
+    aliases = [s.alias for s in table]
 
     p = sub.add_parser("geometry", help="dump the Babai/Voronoi cell constants")
     _add_param_flags(p)
@@ -361,21 +286,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="closed-form error/rate figures for a scheme")
     _add_param_flags(p)
-    p.add_argument("--scheme", choices=tuple(_BY_ALIAS), required=True)
+    p.add_argument("--scheme", choices=aliases, required=True)
     _add_size_flags(p, 1)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("tradeoff", help="CSV rate/error curve for a scheme")
     _add_param_flags(p)
-    sized = tuple(a for a, s in _BY_ALIAS.items() if s.sizes)
-    p.add_argument("--scheme", choices=sized, required=True)
+    p.add_argument("--scheme", choices=[s.alias for s in table if s.tradeoff], required=True)
     p.add_argument("--max-size", type=int, default=32)
     p.add_argument("--budget", type=float, default=None)
     p.set_defaults(func=cmd_tradeoff)
 
     p = sub.add_parser("simulate", help="Monte Carlo protocol simulation (JSON report)")
     _add_param_flags(p)
-    p.add_argument("--scheme", choices=tuple(_BY_ALIAS), required=True)
+    p.add_argument("--scheme", choices=aliases, required=True)
     _add_size_flags(p, None)
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
@@ -384,8 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="single-point protocol transcript (JSON)")
     _add_param_flags(p)
-    traced = tuple(a for a, s in _BY_ALIAS.items() if s.transcript)
-    p.add_argument("--scheme", choices=traced, required=True)
+    p.add_argument("--scheme", choices=[s.alias for s in table if s.transcript], required=True)
     p.add_argument("--x1", type=float, required=True)
     p.add_argument("--x2", type=float, required=True)
     _add_size_flags(p, 1)

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from . import analytics, protocols
+from . import analytics, protocols, schemes
 from .errors import require_int
-from .lattice import LatticeParams, Point2, babai_error_probability, cell_geometry
+from .lattice import LatticeParams, Point2, cell_geometry
 from .protocols import DEFAULT_MAX_ROUNDS
 
 # Trials per reduction chunk: its per-chunk float sums set a report's low
@@ -414,97 +413,8 @@ def run_batch_infinite(
     return {name: a.reshape(shape) for name, a in out.items()}
 
 
-def _one_round(out: dict[str, np.ndarray]) -> tuple:
-    """A single-round kernel's output as Scheme.kernel returns it."""
-    return out["dec1"], out["dec2"], out["u1_bits"] + out["u2_bits"], 1.0, 0
-
-
-def _infinite_kernel(params, x1, x2, max_rounds, _) -> tuple:
-    out = run_batch_infinite(params, x1, x2, max_rounds)
-    rounds = out["rounds"].astype(np.float64)
-    return out["dec1"], out["dec2"], out["bits"], rounds, int(np.sum(~out["halted"]))
-
-
-def _predict_12(params: LatticeParams, n1: int, n2: int) -> tuple[float, float, float]:
-    h1, h2 = analytics.rate_12(params, n1, n2)
-    return analytics.pe_12(params, n1, n2), h1 + h2, 1.0
-
-
-@dataclass(frozen=True)
-class Scheme:
-    """One scheme, as every place that dispatches on a scheme reads it.
-
-    `sizes` are the SimConfig size fields the scheme requires, and the only
-    ones it accepts.  `quantizer(params, **sizes)` builds the scheme's code
-    q (None if it has none); `kernel(params, x1, x2, max_rounds, q)` returns
-    per-trial decisions (dec1, dec2), bits and rounds (each an array, or one
-    float shared by every trial) and the unhalted count; `predict(params,
-    **sizes)` returns the closed-form (pe, bits, rounds); `transcript(x,
-    params, max_rounds, q)` runs the scalar protocol (None: there is none).
-    `sweep` pairs each of the sweep's empirical column stems with the
-    SimReport field it reports, and `round_limit` says whether the scheme
-    takes max_rounds (the others are called with it and ignore it).  The
-    callables look the kernels and protocols up by name when called, so a
-    wrapper installed on a module's name (the benchmark's tracer) sees
-    every call.
-    """
-
-    name: str
-    alias: str
-    sizes: tuple[str, ...]
-    kernel: Callable[..., tuple]
-    predict: Callable[..., tuple[float, float, float]]
-    transcript: Callable[..., protocols.Transcript] | None
-    sweep: tuple[tuple[str, str], ...]
-    round_limit: bool = False
-    quantizer: Callable[..., protocols.Quantizer | None] = lambda params: None
-
-
-SCHEMES = {
-    s.name: s
-    for s in (
-        Scheme(
-            "12", "12", ("n1", "n2"),
-            kernel=lambda params, x1, x2, _, q: _one_round(run_batch_12(params, q, x1, x2)),
-            predict=_predict_12,
-            transcript=lambda x, params, _, q: protocols.run_single_round_12(x, params, q),
-            sweep=(("pe12", "empirical_pe"),),
-            quantizer=lambda params, n1, n2: protocols.quantizer_12(params, n1, n2),
-        ),
-        Scheme(
-            "21", "21", ("n",),
-            kernel=lambda params, x1, x2, _, q: _one_round(run_batch_21(params, q, x1, x2)),
-            predict=lambda params, n: (
-                analytics.pe_21(params, n), analytics.rate_21(params, n), 1.0
-            ),
-            transcript=lambda x, params, _, q: protocols.run_single_round_21(x, params, q),
-            sweep=(("pe21", "empirical_pe"),),
-            quantizer=lambda params, n: protocols.quantizer_21(params, n),
-        ),
-        Scheme(
-            "infinite", "inf", (),
-            kernel=_infinite_kernel,
-            predict=lambda params: (
-                0.0, analytics.rbar_infinite(params), analytics.nbar_infinite(params)
-            ),
-            transcript=lambda x, params, max_rounds, _: protocols.run_infinite_rounds(
-                x, params, max_rounds
-            ),
-            sweep=(("rbar", "mean_bits"), ("nbar", "mean_rounds")),
-            round_limit=True,
-        ),
-        Scheme(
-            "babai_only", "babai", (),
-            # every trial keeps the Babai point, with no message
-            kernel=lambda *_: (0.0, 0.0, 0.0, 0.0, 0),
-            predict=lambda params: (babai_error_probability(params), 0.0, 0.0),
-            transcript=None,
-            sweep=(("pe_babai", "empirical_pe"),),
-        ),
-    )
-}
-
-_SIZE_FIELDS = tuple(dict.fromkeys(f for s in SCHEMES.values() for f in s.sizes))
+# SimConfig's size fields
+_SIZE_FIELDS = ("n1", "n2", "n")
 
 
 @dataclass(frozen=True)
@@ -521,8 +431,9 @@ class SimConfig:
     max_rounds: int = DEFAULT_MAX_ROUNDS
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {self.scheme!r}")
+        table = schemes.SCHEMES
+        if self.scheme not in table:
+            raise ValueError(f"scheme must be one of {tuple(table)}, got {self.scheme!r}")
         _check_seed(self.seed)
         given = [f for f in _SIZE_FIELDS if getattr(self, f) is not None]
         require_int(**{f: getattr(self, f) for f in ("trials", "max_rounds", *given)})
@@ -530,7 +441,7 @@ class SimConfig:
             raise ValueError("trials must be >= 1")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
-        sizes = SCHEMES[self.scheme].sizes
+        sizes = table[self.scheme].sizes
         if any(getattr(self, f) is None for f in sizes):
             raise ValueError(f"scheme {self.scheme!r} requires {' and '.join(sizes)}")
         extra = [f for f in _SIZE_FIELDS if f not in sizes and getattr(self, f) is not None]
@@ -540,7 +451,7 @@ class SimConfig:
     @property
     def sizes(self) -> dict[str, int]:
         """The scheme's size fields and their values."""
-        return {f: getattr(self, f) for f in SCHEMES[self.scheme].sizes}
+        return {f: getattr(self, f) for f in schemes.SCHEMES[self.scheme].sizes}
 
 
 @dataclass(frozen=True)
@@ -573,7 +484,7 @@ def simulate(config: SimConfig) -> SimReport:
     of the means and standard errors.
     """
     params = config.params
-    scheme = SCHEMES[config.scheme]
+    scheme = schemes.SCHEMES[config.scheme]
     q = scheme.quantizer(params, **config.sizes)
     n_err = 0
     n_unhalted = 0

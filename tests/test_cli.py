@@ -12,7 +12,7 @@ import pytest
 
 import babai_refine
 from babai_refine.cli import build_parser, main, resolve_params, _geometry_dict
-from babai_refine import InvalidParams, montecarlo, rbar_infinite
+from babai_refine import InvalidParams, rbar_infinite, schemes
 from babai_refine.protocols import DEFAULT_MAX_ROUNDS
 
 
@@ -249,7 +249,8 @@ def test_sweep_empty_grid_exit_2(capsys):
 def test_zero_sizes_and_rounds_exit_2(argv, capsys):
     """Zero sizes, round limits and sizes a scheme does not take are
     rejected, never coerced to 1 or ignored."""
-    rc, out, err = run_cli(argv + ["--rcos", "0.3"], capsys)
+    angle = [] if argv[0] == "sweep" else ["--rcos", "0.3"]  # sweep rejects an angle
+    rc, out, err = run_cli(argv + angle, capsys)
     assert rc == 2 and out == "" and "error" in err
 
 
@@ -272,8 +273,27 @@ def test_out_of_range_seeds_and_counts_exit_2(argv, capsys):
     """A seed outside [0, 2**64), a negative sweep trial count or a rho
     below 1 is rejected, never reduced modulo 2**64, read as no trials or
     divided by."""
-    rc, out, err = run_cli(argv + ["--rcos", "0.3"], capsys)
+    angle = [] if argv[0] == "sweep" else ["--rcos", "0.3"]  # sweep rejects an angle
+    rc, out, err = run_cli(argv + angle, capsys)
     assert rc == 2 and out == "" and "error" in err
+
+
+@pytest.mark.parametrize(
+    "angle",
+    [
+        ["--theta-deg", "70"],
+        ["--theta-rad", "1.2"],
+        ["--rcos", "0.3"],
+        ["--theta-deg", "70", "--rcos", "0.3"],
+        ["--theta-rad", "nan"],
+    ],
+)
+@pytest.mark.parametrize("trials", ["0", "1000"])
+def test_sweep_rejects_angle_flags(angle, trials, capsys):
+    """sweep varies theta itself, so an angle flag is invalid input, never
+    ignored: one, two at once, or a NaN."""
+    rc, out, err = run_cli(["sweep", "--grid", "2", "--trials", trials] + angle, capsys)
+    assert rc == 2 and out == "" and "sweep varies theta itself" in err
 
 
 @pytest.mark.parametrize(
@@ -368,17 +388,17 @@ def test_resolve_params_flag_rules():
 
 def test_scheme_choices_and_size_flags_come_from_the_scheme_table():
     """Each subcommand's --scheme choices and its --n1/--n2/--n flags are the
-    sets montecarlo.SCHEMES implies, and each size flag names its scheme."""
-    schemes = list(montecarlo.SCHEMES.values())
-    aliases = {s.alias for s in schemes}
-    size_flags = {"--" + f: s.alias for s in schemes for f in s.sizes}
+    sets schemes.SCHEMES implies, and each size flag names its scheme."""
+    table = list(schemes.SCHEMES.values())
+    aliases = {s.alias for s in table}
+    size_flags = {"--" + f: s.alias for s in table for f in s.sizes}
     assert set(size_flags) == {"--n1", "--n2", "--n"}
     want = {
         "geometry": (None, False),
         "analyze": (aliases, True),
-        "tradeoff": ({s.alias for s in schemes if s.sizes}, False),
+        "tradeoff": ({s.alias for s in table if s.sizes}, False),
         "simulate": (aliases, True),
-        "trace": ({s.alias for s in schemes if s.transcript}, True),
+        "trace": ({s.alias for s in table if s.transcript}, True),
         "sweep": (None, False),
     }
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))

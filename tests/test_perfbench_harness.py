@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from babai_refine import montecarlo
+from babai_refine import analytics, cli, montecarlo
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -52,6 +52,42 @@ def test_tracer_sees_every_scheme_kernel(harness, params_main):
     assert count["montecarlo.simulate"] == 3
     for kernel in ("run_batch_12", "run_batch_21", "run_batch_infinite"):
         assert count[f"montecarlo.{kernel}"] == 1, kernel
+
+
+def test_tracer_sees_calls_through_the_scheme_table(harness, params_main, monkeypatch, capsys):
+    """The scheme table's transcript and curve callables reach the traced
+    names: `trace` runs each scalar protocol once, and every probe of a
+    budget search is a traced curve_point (each 12 probe one rate_12)."""
+    _, tracing = harness
+    probes = []
+    curve_point = analytics.curve_point
+
+    def recorded(params, scheme, size):
+        probes.append(scheme)
+        return curve_point(params, scheme, size)
+
+    monkeypatch.setattr(analytics, "curve_point", recorded)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        for sizes in (["12", "--n1", "2", "--n2", "3"], ["21", "--n", "4"], ["inf"]):
+            argv = ["trace", "--rcos", "0.3", "--x1", "0.4", "--x2", "0.3", "--scheme", *sizes]
+            assert cli.main(argv) == 0
+        for scheme in ("12", "21"):
+            analytics.budget_point(params_main, scheme, 8.0)
+        tracer.active = False
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    calls, _ = tracer.self_times(0, tracer.mark())
+    count = dict(zip(tracing.SPAN_NAMES, calls.tolist()))
+    for protocol in ("run_single_round_12", "run_single_round_21", "run_infinite_rounds"):
+        assert count[f"protocols.{protocol}"] == 1, protocol
+    assert count["analytics.budget_point"] == 2
+    assert probes.count("12") >= 2 and probes.count("21") >= 2
+    assert count["analytics.curve_point"] == len(probes)
+    assert count["analytics.rate_12"] == probes.count("12")
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ bisection kept here and never evaluate a curve point twice within one call;
 on both curves it starts from a closed-form seed and needs fewer probes.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from babai_refine import LatticeParams, analytics, cell_geometry, cross_section
+from babai_refine import LatticeParams, analytics, cell_geometry, cross_section, schemes
 from babai_refine.analytics import _entropy_raw, _fsum_rows, _row_entropies, bin_edges_12
 from babai_refine.cli import main
 
@@ -189,7 +190,7 @@ def _budget_search_reference(params, scheme, rate_budget):
             f"budget {rate_budget} below coarsest rate "
             f"{first.rate_bits:.6f} of scheme {scheme}"
         )
-    cap = analytics._MAX_CURVE_SIZE[str(scheme)]
+    cap = schemes.SCHEMES[str(scheme)].cap
     lo = 1
     hi = None
     h = 2
@@ -288,7 +289,9 @@ def budget_cases(draw):
 def test_seeded_budget_search_equals_reference(case):
     scheme, params, cap, budget = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(analytics._MAX_CURVE_SIZE, scheme, cap)
+        mp.setitem(
+            schemes.SCHEMES, scheme, dataclasses.replace(schemes.SCHEMES[scheme], cap=cap)
+        )
         try:
             want = _budget_search_reference(params, scheme, budget)[0]
         except analytics.BudgetTooSmall as exc:
@@ -367,7 +370,7 @@ def test_sweep_reads_curves_near_the_answer(monkeypatch, capsys):
     sweep_calls = calls[:]
     rows = list(dict.fromkeys(params for params, _, _ in sweep_calls))
     assert len(rows) == 4
-    cap = analytics._MAX_CURVE_SIZE["12"]
+    cap = schemes.SCHEMES["12"].cap
     for params in rows:
         read = {
             scheme: [n for p, s, n in sweep_calls if p == params and s == scheme]
