@@ -186,10 +186,15 @@ def cmd_trace(args) -> str:
 def cmd_sweep(args) -> str:
     if args.grid < 1:
         raise InvalidParams("grid must have at least one point")
-    if args.max_rounds < 1:
-        raise InvalidParams("max_rounds must be >= 1")
     if args.trials < 0:
         raise InvalidParams("trials must be >= 0")
+    empirical = args.trials > 0
+    if not empirical and (args.seed, args.max_rounds) != (None, None):
+        raise InvalidParams("--seed and --max-rounds set the empirical columns; give --trials > 0")
+    seed = 0 if args.seed is None else args.seed
+    max_rounds = protocols.DEFAULT_MAX_ROUNDS if args.max_rounds is None else args.max_rounds
+    if max_rounds < 1:
+        raise InvalidParams("max_rounds must be >= 1")
     if not math.isfinite(args.budget):
         raise InvalidParams("rate budget must be finite")
     if (args.theta_deg, args.theta_rad, args.rcos) != (None, None, None):
@@ -206,7 +211,6 @@ def cmd_sweep(args) -> str:
         thetas = [lo + i * step for i in range(args.grid)]
     table = list(schemes.SCHEMES.values())
     header = ["theta_rad", "rho", *(c for s in table for c in s.columns)]
-    empirical = args.trials > 0
     if empirical:
         header += [f"{stem}_emp{x}" for s in table for stem, _ in s.sweep for x in ("", "_stderr")]
     rows = []
@@ -224,8 +228,8 @@ def cmd_sweep(args) -> str:
                         params=params,
                         scheme=scheme.name,
                         trials=args.trials,
-                        seed=montecarlo.derive_seed(args.seed, len(table) * i + j),
-                        max_rounds=args.max_rounds,
+                        seed=montecarlo.derive_seed(seed, len(table) * i + j),
+                        max_rounds=max_rounds,
                         **sizes,
                     )
                 )
@@ -320,8 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=50, help="number of theta gridpoints")
     p.add_argument("--budget", type=float, default=4.0, help="rate budget in bits")
     p.add_argument("--trials", type=int, default=0, help="empirical trials per row (0: none)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-rounds", type=int, default=protocols.DEFAULT_MAX_ROUNDS)
+    p.add_argument("--seed", type=int, default=None, help="with --trials only, default 0")
+    p.add_argument(
+        "--max-rounds",
+        type=int,
+        default=None,
+        help=f"with --trials only, default {protocols.DEFAULT_MAX_ROUNDS}",
+    )
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -6,11 +6,22 @@ whatever block of trials it is computed in.  The run_batch_* kernels
 evaluate a whole array of trials at once and return per-trial arrays;
 simulate() reduces them into a SimReport with binomial / sample standard
 errors next to the closed-form predictions.
+
+Every per-trial array of the block pipeline (sampler, oracle, kernels,
+error flags) and of the chunk reduction is taken from a Workspace and
+written in place.  simulate() uses one workspace per thread, built on the
+thread's first call and grown to the largest block and chunk it has seen,
+so later calls fault in no fresh pages; it holds no more than one call of
+that size needs at its peak (about 25 MB after a 2^20-trial call, most of
+it the chunk's bits and rounds) and is freed with its thread.  Called
+without a workspace, the batch functions take a fresh one, so the arrays
+they return belong to the caller.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,17 +36,77 @@ from .protocols import DEFAULT_MAX_ROUNDS
 _CHUNK = 1 << 20
 # Trials per block of the per-trial stages (sampling, oracle, kernel, error
 # flags).  Any size gives the same report; at 2^16 a block's float64 arrays
-# are 512 KB, so the stages' elementwise passes stay in a 2 MB L2 cache and
-# reuse freed pages instead of faulting in fresh 8 MB arrays.
+# are 512 KB, so the stages' elementwise passes stay in a 2 MB L2 cache, and
+# the workspace keeps them across blocks and calls instead of faulting in
+# fresh pages for each.
 _BLOCK = 1 << 16
+# np.flatnonzero has no out=: it runs on pieces of this many trials, so the
+# index arrays it allocates stay at 64 KB, the size of numpy's own ufunc
+# buffers, below malloc's mmap threshold.
+_PIECE = 1 << 13
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _mixed_draws(z: np.ndarray, scale: float) -> np.ndarray:
-    """SplitMix64's finaliser on the counters z, in place, as uniform doubles.
+class Workspace:
+    """Named arrays reused across calls, each grown to the largest size asked.
+
+    `ws(name, n, dtype)` is the array `name` of n entries, a view of a byte
+    buffer kept under that name; its contents are whatever was last written
+    there.  A stage's returned arrays have names of their own, shared only
+    by stages that never run on the same block (the kernels' "dec1",
+    "int0", ...); its scratch, dead once it returns, uses the shared names
+    "tmp0", "tmp1", "tmp2" (8-byte entries) and "mask0", ... (1-byte).
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, n: int, dtype=np.float64) -> np.ndarray:
+        nbytes = n * np.dtype(dtype).itemsize
+        buf = self._buffers.get(name)
+        if buf is None or len(buf) < nbytes:
+            buf = self._buffers[name] = np.empty(nbytes, np.uint8)
+        return buf[:nbytes].view(dtype)
+
+
+_THREAD = threading.local()
+
+
+def _thread_workspace() -> Workspace:
+    """This thread's workspace, built on its first simulate call."""
+    ws = getattr(_THREAD, "workspace", None)
+    if ws is None:
+        ws = _THREAD.workspace = Workspace()
+    return ws
+
+
+def _arange(out: np.ndarray) -> np.ndarray:
+    """out[i] = i for an integer array, by doubling the filled prefix
+    (np.arange has no out=)."""
+    out[:1] = 0
+    k = 1
+    while k < len(out):
+        np.add(out[: min(k, len(out) - k)], k, out=out[k : 2 * k])
+        k *= 2
+    return out
+
+
+def _flatnonzero(mask: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.flatnonzero(mask) written to the front of out, which it returns."""
+    count = 0
+    for lo in range(0, len(mask), _PIECE):
+        found = np.flatnonzero(mask[lo : lo + _PIECE])
+        np.add(found, lo, out=out[count : count + len(found)])
+        count += len(found)
+    return out[:count]
+
+
+def _mixed_draws(z: np.ndarray, scale: float, t: np.ndarray) -> np.ndarray:
+    """SplitMix64's finaliser on the counters z, in place, as uniform doubles
+    over z's own memory (t is scratch of z's size).
 
     The draw k = mix(z) >> 11 stands for u = (k + 1) * 2^-53 in (0, 1], and
     the result is (u - 1/2) * scale.  It is computed as
@@ -44,7 +115,6 @@ def _mixed_draws(z: np.ndarray, scale: float) -> np.ndarray:
     two commutes with rounding, so the single rounding of the product is
     that of (u - 1/2) * scale (none at all for scale = 1).
     """
-    t = np.empty_like(z)
     for shift, mix in ((30, _MIX1), (27, _MIX2)):
         np.right_shift(z, np.uint64(shift), out=t)
         z ^= t
@@ -53,13 +123,15 @@ def _mixed_draws(z: np.ndarray, scale: float) -> np.ndarray:
     z ^= t
     z >>= np.uint64(11)
     z -= np.uint64((1 << 52) - 1)  # wraps below 0: read as int64 it is k - (2^52 - 1)
-    u = z.view(np.int64).astype(np.float64)
+    u = z.view(np.float64)
+    # in place, 8 bytes to the same 8 bytes: copyto reads each entry before writing it
+    np.copyto(u, z.view(np.int64))
     u *= scale * 2.0**-53
     return u
 
 
 def sample_cell_arrays(
-    params: LatticeParams, trial_index: np.ndarray, seed: int
+    params: LatticeParams, trial_index: np.ndarray, seed: int, *, workspace: Workspace | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform points over (-1/2,1/2] x (-H/2,H/2], one per trial index.
 
@@ -74,7 +146,8 @@ def sample_cell_arrays(
     The seed must be an int in [0, 2^64), and the trial indices integers in
     [0, 2^64): an integer-dtype array (uint64 is used with no scan) or a list
     of ints.  A float, bool or object array or a negative entry raises
-    ValueError; an empty array, of any dtype, holds nothing to check.
+    ValueError; an empty array, of any dtype, holds nothing to check.  The
+    points are written to `workspace` (a fresh one if None).
     """
     _check_seed(seed)
     idx = np.asarray(trial_index)
@@ -83,11 +156,17 @@ def sample_cell_arrays(
             raise ValueError(f"trial indices must be integers, got dtype {idx.dtype}")
         if idx.dtype.kind == "i" and idx.min() < 0:
             raise ValueError("trial indices must be >= 0")
-    z0 = idx.astype(np.uint64)
+    ws = Workspace() if workspace is None else workspace
+    n = idx.size
+    z0 = ws("x1", n, np.uint64)
+    np.copyto(z0, idx.reshape(-1), casting="unsafe")
     z0 *= np.uint64((2 * _GOLDEN) & _U64)
     z0 += np.uint64((_GOLDEN + seed) & _U64)
-    z1 = np.add(z0, np.uint64(_GOLDEN))
-    return _mixed_draws(z0, 1.0), _mixed_draws(z1, params.rsin)
+    z1 = np.add(z0, np.uint64(_GOLDEN), out=ws("x2", n, np.uint64))
+    t = ws("tmp0", n, np.uint64)
+    x1 = _mixed_draws(z0, 1.0, t)
+    x2 = _mixed_draws(z1, params.rsin, t)
+    return x1.reshape(idx.shape), x2.reshape(idx.shape)
 
 
 def sample_uniform_babai_cell(params: LatticeParams, trial_index: int, seed: int) -> Point2:
@@ -124,13 +203,19 @@ def derive_seed(seed: int, stream: int) -> int:
     return _mix64_int(_mix64_int(base))
 
 
-def babai_batch(params: LatticeParams, x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized nearest-plane decode."""
+def babai_batch(
+    params: LatticeParams, x1: np.ndarray, x2: np.ndarray, *, workspace: Workspace | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized nearest-plane decode, written to `workspace` (a fresh one
+    if None)."""
+    ws = Workspace() if workspace is None else workspace
     c, s = params.rcos, params.rsin
-    u2 = np.divide(x2, s)
+    shape = np.shape(x2)
+    size = math.prod(shape)
+    u2 = np.divide(x2, s, out=ws("nearest2", size).reshape(shape))
     u2 -= 0.5
     np.ceil(u2, out=u2)
-    u1 = np.multiply(c, u2)
+    u1 = np.multiply(c, u2, out=ws("nearest1", size).reshape(shape))
     np.subtract(x1, u1, out=u1)
     u1 -= 0.5
     np.ceil(u1, out=u1)
@@ -153,17 +238,24 @@ def _scan_relevant(
 
     They are visited in the window's ascending (u2, u1) order with
     strict-improvement updates, and each distance is the same float
-    expression as the full window scan's, in preallocated buffers.
+    expression as the full window scan's, in buffers "scan4", ... of the
+    workspace of the exact_nearest_batch call that runs the scan (a fresh
+    one outside such a call).
     """
-    best_d2 = np.full(x1.shape, np.inf)
-    best_u1 = np.zeros_like(x1)
-    best_u2 = np.zeros_like(x1)
-    cu1 = np.empty_like(best_d2)
-    cu2 = np.empty_like(best_d2)
-    c_cu2 = np.empty_like(best_d2)
-    dy2 = np.empty_like(best_d2)
-    d2 = np.empty_like(best_d2)
-    better = np.empty(x1.shape, dtype=bool)
+    ws = getattr(_THREAD, "scan_workspace", None) or Workspace()
+    n = len(x1)
+    best_d2 = ws("scan4", n)
+    best_d2.fill(np.inf)
+    best_u1 = ws("scan5", n)
+    best_u1.fill(0.0)
+    best_u2 = ws("scan6", n)
+    best_u2.fill(0.0)
+    cu1 = ws("scan7", n)
+    cu2 = ws("scan8", n)
+    c_cu2 = ws("scan9", n)
+    dy2 = ws("scan10", n)
+    d2 = ws("scan11", n)
+    better = ws("scan12", n, bool)
     for du2, du1s in _RELEVANT_ROWS:
         np.add(b2, du2, out=cu2)
         np.multiply(c, cu2, out=c_cu2)
@@ -185,7 +277,7 @@ def _scan_relevant(
 
 
 def exact_nearest_batch(
-    params: LatticeParams, x1: np.ndarray, x2: np.ndarray
+    params: LatticeParams, x1: np.ndarray, x2: np.ndarray, *, workspace: Workspace | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized nearest point: Babai unless the residual may leave V(0).
 
@@ -222,43 +314,119 @@ def exact_nearest_batch(
 
     The scanned trials resolve exact ties to the lexicographically smallest
     coordinates, as the scalar oracle does, and the result equals the full
-    5x5 window scan bit for bit.
+    5x5 window scan bit for bit.  The answers are written to `workspace` (a
+    fresh one if None).
     """
+    ws = Workspace() if workspace is None else workspace
     c, s = params.rcos, params.rsin
     shape = np.shape(x1)
     x1 = np.ravel(x1)  # the trials are compacted by flat index
     x2 = np.ravel(x2)
-    b1, b2 = babai_batch(params, x1, x2)
+    n = len(x1)
+    b1, b2 = babai_batch(params, x1, x2, workspace=ws)
     # the residual, in the scan's expressions for the candidate b itself
-    r2 = np.multiply(s, b2)
+    r2 = np.multiply(s, b2, out=ws("tmp0", n))
     np.subtract(x2, r2, out=r2)
-    r1 = np.multiply(c, b2)
+    r1 = np.multiply(c, b2, out=ws("tmp1", n))
     np.add(b1, r1, out=r1)
     np.subtract(x1, r1, out=r1)
-    m = _MARGIN * (1.0 + _max_abs(x1) + _max_abs(x2))
-    t = np.abs(r1)
-    safe = t < 0.5 - m
+    t = ws("tmp2", n)
+    m = _MARGIN * (1.0 + _max_abs(x1, t) + _max_abs(x2, t))
+    np.abs(r1, out=t)
+    safe = np.less(t, 0.5 - m, out=ws("mask0", n, bool))
+    inside = ws("mask1", n, bool)
     r2 *= s  # r.n = n1*r1 + s*r2 for both tested normals
     for n1 in (c, c - 1.0):
         np.multiply(n1, r1, out=t)
         t += r2
         np.abs(t, out=t)
-        safe &= t < 0.5 * (n1 * n1 + s * s) - m * math.hypot(n1, s)
-    rest = np.flatnonzero(~safe)
+        safe &= np.less(t, 0.5 * (n1 * n1 + s * s) - m * math.hypot(n1, s), out=inside)
+    rest = _flatnonzero(np.logical_not(safe, out=safe), ws("tmp0", n, np.intp))
     b1 += 0.0
     b2 += 0.0
     if rest.size:
-        b1[rest], b2[rest] = _scan_relevant(c, s, x1[rest], x2[rest], b1[rest], b2[rest])
+        k = rest.size
+        compact = [
+            np.take(a, rest, out=ws(f"scan{i}", k), mode="clip")
+            for i, a in enumerate((x1, x2, b1, b2))
+        ]
+        _THREAD.scan_workspace = ws
+        try:
+            b1[rest], b2[rest] = _scan_relevant(c, s, *compact)
+        finally:
+            _THREAD.scan_workspace = None
     return b1.reshape(shape), b2.reshape(shape)
 
 
-def _max_abs(x: np.ndarray) -> float:
-    """max|x| over the array (0.0 if empty; NaN if any entry is NaN)."""
-    return float(np.max(np.abs(x), initial=0.0))
+def _max_abs(x: np.ndarray, t: np.ndarray) -> float:
+    """max|x| over the array (0.0 if empty; NaN if any entry is NaN), with t
+    as scratch of x's size."""
+    return float(np.max(np.abs(x, out=t), initial=0.0))
+
+
+def _bin_runs(q: protocols.Quantizer) -> tuple[int, ...]:
+    """Bins per run of equal-width bins of q, in edge order: the x1
+    intervals of analytics.bin_edges_12, or the x2 bands of bin_edges_21."""
+    if q.vertical:
+        n1, n2 = q.sizes
+        return (n2, n1, 1, n1, n2)
+    (n,) = q.sizes
+    return (n, 1, n)
+
+
+def _bin_index(q: protocols.Quantizer, first: np.ndarray, ws: Workspace) -> np.ndarray:
+    """searchsorted(q.edges, first, side="left") - 1, clipped to q's bins.
+
+    np.searchsorted has no out=, so the bin is found by arithmetic.  A
+    trial's run of equal-width bins is the number of run starts it lies
+    above; within the run, the floor of its coordinate scaled to bin units
+    estimates the bin, clipped to the axis.  One step against the stored
+    edges then gives the half-open bin edges[i] < first <= edges[i + 1],
+    so the result is searchsorted's wherever the estimate is within one bin
+    of it, which holds while each bin is wider than a few ulps of the
+    coordinates.  Below the axis it is bin 0; above it, and at NaN (which
+    searchsorted sorts last), the last bin.  Returns the workspace's
+    "int0" array.
+    """
+    edges = q.edges
+    last = len(edges) - 2
+    n = len(first)
+    starts, scales, offsets = [], [], []
+    start = 0
+    for count in _bin_runs(q):
+        lo, hi = edges[start], edges[start + count]
+        scale = count / (hi - lo) if hi > lo else 0.0
+        starts.append(start)
+        scales.append(scale)
+        offsets.append(start - lo * scale)
+        start += count
+    above = ws("mask0", n, bool)
+    run = ws("mask1", n, np.uint8)
+    run.fill(0)
+    for start in starts[1:]:
+        run += np.greater(first, edges[start], out=above).view(np.uint8)
+    step = ws("tmp2", n, np.intp)
+    np.copyto(step, run)
+    est = np.take(scales, step, out=ws("tmp1", n), mode="clip")
+    with np.errstate(over="ignore"):  # a huge coordinate's estimate overflows to +-inf
+        est *= first
+        est += np.take(offsets, step, out=ws("tmp0", n), mode="clip")
+    np.floor(est, out=est)
+    np.fmin(est, last, out=est)  # fmin and fmax send NaN to the last bin
+    np.fmax(est, 0.0, out=est)
+    pos = ws("int0", n, np.intp)
+    np.copyto(pos, est, casting="unsafe")
+    lower = np.take(edges, pos, out=est, mode="clip")
+    upper = np.take(edges[1:], pos, out=ws("tmp0", n), mode="clip")
+    np.copyto(step, np.less_equal(first, lower, out=above))
+    pos -= step
+    np.copyto(step, np.greater(first, upper, out=above))
+    pos += step
+    return np.clip(pos, 0, last, out=pos)
 
 
 def _single_round_batch(
-    q: protocols.Quantizer, x1: np.ndarray, x2: np.ndarray
+    q: protocols.Quantizer, x1: np.ndarray, x2: np.ndarray, ws: Workspace
 ) -> dict[str, np.ndarray]:
     """Shared body of the single-round kernels, in the speaking order of q.
 
@@ -271,41 +439,74 @@ def _single_round_batch(
         first, second, (a, b) = x1, x2, ("u1", "u2")
     else:
         first, second, (a, b) = x2, x1, ("u2", "u1")
-    edges, table = q.edges, q.table
-    pos = np.clip(np.searchsorted(edges, first, side="left") - 1, 0, len(edges) - 2)
-    sym = np.where(second > table.hi[pos], 1, np.where(second <= table.lo[pos], -1, 0))
-    flat = 3 * pos + sym + 1
-    bits1 = q.bin_bits[pos]
-    pos -= q.center  # the bin symbol, in place: one fewer live per-trial array
-    labels = table.labels.reshape(-1)  # (bin, region, coordinate), flat
-    return {
+    shape = np.shape(first)
+    first = np.ravel(first)
+    second = np.ravel(second)
+    n = len(first)
+    table = q.table
+    pos = _bin_index(q, first, ws)
+    cut = np.take(table.hi, pos, out=ws("tmp1", n), mode="clip")
+    up = np.greater(second, cut, out=ws("mask0", n, bool))
+    np.take(table.lo, pos, out=cut, mode="clip")
+    down = np.less_equal(second, cut, out=ws("mask1", n, bool))
+    np.greater(down, up, out=down)  # at or below the lower cut and not above the upper
+    sym = ws("int1", n, np.intp)
+    np.copyto(sym, up)
+    flat = ws("tmp2", n, np.intp)
+    np.copyto(flat, down)
+    sym -= flat
+    np.multiply(pos, 3, out=flat)
+    flat += sym
+    flat += 1  # the (bin, region) entry, 3 * pos + sym + 1
+    out = {
         f"{a}_symbol": pos,
         f"{b}_symbol": sym,
-        f"{a}_bits": bits1,
-        f"{b}_bits": q.answer_bits.reshape(-1)[flat],
-        "dec1": labels[2 * flat].astype(np.float64),
-        "dec2": labels[2 * flat + 1].astype(np.float64),
+        f"{a}_bits": np.take(q.bin_bits, pos, out=ws("bits", n), mode="clip"),
+        f"{b}_bits": np.take(q.answer_bits.reshape(-1), flat, out=ws("bits2", n), mode="clip"),
     }
+    pos -= q.center  # the bin symbol
+    labels = table.labels.reshape(-1)  # (bin, region, coordinate), flat
+    label = ws("mask1", n, np.int8)
+    flat *= 2
+    for name in ("dec1", "dec2"):
+        out[name] = ws(name, n)
+        np.copyto(out[name], np.take(labels, flat, out=label, mode="clip"))
+        flat += 1
+    return {name: v.reshape(shape) for name, v in out.items()}
 
 
 def run_batch_12(
-    params: LatticeParams, q: protocols.Quantizer, x1: np.ndarray, x2: np.ndarray
+    params: LatticeParams,
+    q: protocols.Quantizer,
+    x1: np.ndarray,
+    x2: np.ndarray,
+    *,
+    workspace: Workspace | None = None,
 ) -> dict[str, np.ndarray]:
     """Vectorized 12-order single round over arrays of in-cell points.
 
     Returns u1_symbol, u2_symbol, u1_bits, u2_bits, dec1, dec2 per trial,
     read from q, which must come from protocols.quantizer_12 on params
-    (ValueError otherwise), as for protocols.run_single_round_12.
+    (ValueError otherwise), as for protocols.run_single_round_12, and
+    written to `workspace` (a fresh one if None).
     """
-    return _single_round_batch(protocols._checked("12", q, params), x1, x2)
+    q = protocols._checked("12", q, params)
+    return _single_round_batch(q, x1, x2, Workspace() if workspace is None else workspace)
 
 
 def run_batch_21(
-    params: LatticeParams, q: protocols.Quantizer, x1: np.ndarray, x2: np.ndarray
+    params: LatticeParams,
+    q: protocols.Quantizer,
+    x1: np.ndarray,
+    x2: np.ndarray,
+    *,
+    workspace: Workspace | None = None,
 ) -> dict[str, np.ndarray]:
     """Vectorized 21-order single round (S2 quantizes, S1 answers), read from
-    q, which must come from protocols.quantizer_21 on params."""
-    return _single_round_batch(protocols._checked("21", q, params), x1, x2)
+    q, which must come from protocols.quantizer_21 on params, and written to
+    `workspace` (a fresh one if None)."""
+    q = protocols._checked("21", q, params)
+    return _single_round_batch(q, x1, x2, Workspace() if workspace is None else workspace)
 
 
 def run_batch_infinite(
@@ -313,94 +514,129 @@ def run_batch_infinite(
     x1: np.ndarray,
     x2: np.ndarray,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
+    *,
+    workspace: Workspace | None = None,
 ) -> dict[str, np.ndarray]:
     """Vectorized infinite-round scheme.
 
     Returns per-trial total bits, rounds, decisions, halted flags, the
     entered-error-rectangle indicator and the number of bisection rounds
-    (for the geometric halting-law checks), each in the shape of x1.  The
-    coordinates, bits and decision rule are run_infinite_rounds'.
+    (for the geometric halting-law checks), each in the shape of x1 and
+    written to `workspace` (a fresh one if None).  The coordinates, bits
+    and decision rule are run_infinite_rounds'.
     """
     require_int(max_rounds=max_rounds)
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
+    ws = Workspace() if workspace is None else workspace
     shape = np.shape(x1)
     x1 = np.ravel(x1)  # the trials are compacted by flat index
     x2 = np.ravel(x2)
+    n = len(x1)
     g = cell_geometry(params)
-    # round 1 costs the protocol's own math.log2 bits (np.log2 can differ by an ulp)
+    # round 1 costs the protocol's own math.log2 bits (np.log2 can differ by an ulp):
+    # the band's, plus the interval's outside the middle band, by round-1 cell
+    # 3 * (u2 + 1) + (u1 + 1) in the mirrored frame
     q_bits, p_bits = (
         [-math.log2(p) for p in dist.probs] for dist in analytics.round1_distributions(params)
     )
-    n = len(x1)
-    top = x2 > g.tau_1
-    bottom = x2 <= g.tau_m1
-    bits = np.where(top, q_bits[2], np.where(bottom, q_bits[0], q_bits[1]))
+    cell_bits = [qb + pb if band != 1 else qb for band, qb in enumerate(q_bits) for pb in p_bits]
 
-    # round 1 for the active trials (u2 != 0), mirrored so u2 = -1 reads as +1
-    act = np.flatnonzero(top | bottom)
-    flip = bottom[act]
-    mirror = act[flip]
-    ax1 = x1[act]
-    ax2 = x2[act]
-    np.negative(ax1, out=ax1, where=flip)
-    np.negative(ax2, out=ax2, where=flip)
-    right = ax1 > g.t_1
-    left = ax1 <= g.t_m2
-    bits[act] += np.where(right, p_bits[2], np.where(left, p_bits[0], p_bits[1]))
+    top = np.greater(x2, g.tau_1, out=ws("mask0", n, bool))
+    bottom = np.less_equal(x2, g.tau_m1, out=ws("mask1", n, bool))
+    # u2 = -1 is mirrored through the origin to read as +1
+    sign = ws("tmp0", n)
+    np.copyto(sign, bottom)
+    sign *= -2.0
+    sign += 1.0
+    mx1 = np.multiply(x1, sign, out=ws("tmp1", n))
+    right = np.greater(mx1, g.t_1, out=ws("mask2", n, bool))
+    left = np.less_equal(mx1, g.t_m2, out=ws("mask3", n, bool))
+    cell8 = np.add(top.view(np.uint8), 1, out=ws("mask4", n, np.uint8))
+    cell8 -= bottom.view(np.uint8)
+    cell8 *= 3
+    cell8 += 1
+    cell8 += right.view(np.uint8)
+    cell8 -= left.view(np.uint8)  # 3 * (u2 + 1) + (u1 + 1), in 0 .. 8
+    cell = ws("tmp2", n, np.intp)
+    np.copyto(cell, cell8)
+    bits = np.take(cell_bits, cell, out=ws("bits", n), mode="clip")
 
-    # the entered trials (u1 != 0) and their coordinates in the error rectangle
-    sub = np.flatnonzero(right | left)
-    entered_idx = act[sub]
-    ex1 = ax1[sub]
-    ex2 = ax2[sub]
-    right = right[sub]
-    left = ~right
-    y1 = np.empty(len(sub))
-    y1[right] = (ex1[right] - g.t_1) / (0.5 - g.t_1)
-    y1[left] = 1.0 - (ex1[left] + 0.5) / (g.t_m2 + 0.5)
-    y2 = (ex2 - g.tau_1) / g.H1
+    # the entered trials (u2 != 0 and u1 != 0) and their coordinates in the error rectangle
+    entered = np.logical_or(right, left, out=ws("entered", n, bool))
+    entered &= np.logical_or(top, bottom, out=top)
+    e_idx = _flatnonzero(entered, cell)
+    e = len(e_idx)
+    ex1 = np.take(mx1, e_idx, out=ws("ex1", e), mode="clip")
+    mx2 = np.multiply(x2, sign, out=mx1)  # mx1 is read no more
+    ex2 = np.take(mx2, e_idx, out=ws("ex2", e), mode="clip")
+    e_right = np.take(right, e_idx, out=ws("e_right", e, bool), mode="clip")
+    e_left = np.logical_not(e_right, out=ws("e_left", e, bool))
+    y1 = np.subtract(ex1, g.t_1, out=ws("y1_0", e))
+    y1 /= 0.5 - g.t_1
+    y1_left = np.add(ex1, 0.5, out=ws("y1_1", e))
+    y1_left /= g.t_m2 + 0.5
+    np.subtract(1.0, y1_left, out=y1_left)
+    np.copyto(y1, y1_left, where=e_left)
+    y2 = np.subtract(ex2, g.tau_1, out=ws("y2_0", e))
+    y2 /= g.H1
 
-    # bisection on the live trials, one binary-expansion bit per node per round
-    extra_rounds = np.zeros(n, dtype=np.int64)
-    far = np.zeros(len(sub), dtype=bool)
-    live = np.arange(len(sub))
-    lbits = bits[entered_idx]
+    # bisection on the live trials, one binary-expansion bit per node per
+    # round; every round writes its results for all live trials, so a
+    # trial keeps those of the round it halts in (or the last round)
+    e_bits = np.take(bits, e_idx, out=ws("e_bits", e), mode="clip")
+    e_rounds = ws("e_rounds", e, np.int64)
+    e_rounds.fill(max_rounds - 1)
+    far = ws("far", e, bool)
+    live = _arange(ws("live0", e, np.intp))
+    lbits = ws("lbits0", e)
+    np.copyto(lbits, e_bits)
     for k in range(1, max_rounds):
-        if live.size == 0:
+        m = len(live)
+        if m == 0:
             break
-        bit1 = y1 > 0.5
-        bit2 = y2 > 0.5
+        bit1 = np.greater(y1, 0.5, out=ws("bit1", m, bool))
+        bit2 = np.greater(y2, 0.5, out=ws("bit2", m, bool))
         lbits += 2.0
-        y1 = 2.0 * y1 - bit1
-        y2 = 2.0 * y2 - bit2
-        stop = bit1 == bit2
-        done = live[stop]
-        extra_rounds[entered_idx[done]] = k
-        bits[entered_idx[done]] = lbits[stop]
-        far[done] = bit1[stop]
-        go = ~stop
-        live, lbits, y1, y2 = live[go], lbits[go], y1[go], y2[go]
-    halted = np.ones(n, dtype=bool)
-    if live.size:
+        as_float = ws("bit_value", m)
+        for y, bit in ((y1, bit1), (y2, bit2)):
+            y *= 2.0
+            np.copyto(as_float, bit)
+            y -= as_float
+        e_rounds[live] = k
+        e_bits[live] = lbits
+        far[live] = bit1
+        go = _flatnonzero(np.not_equal(bit1, bit2, out=bit2), ws("go", m, np.intp))
+        side = k % 2
+        live, lbits, y1, y2 = (
+            np.take(v, go, out=ws(f"{name}{side}", len(go), v.dtype), mode="clip")
+            for v, name in ((live, "live"), (lbits, "lbits"), (y1, "y1_"), (y2, "y2_"))
+        )
+    halted = ws("halted", n, bool)
+    halted.fill(True)
+    if len(live):
         # unhalted trials: exact side test against the rectangle's bisector
-        unhalted = entered_idx[live]
-        extra_rounds[unhalted] = max_rounds - 1
-        bits[unhalted] = lbits
-        halted[unhalted] = False
-        for side, u1m in ((right, 1), (left, -1)):
+        halted[e_idx[live]] = False
+        for side, u1m in ((e_right, 1), (e_left, -1)):
             sel = live[side[live]]
             far[sel] = protocols._beyond_bisector(params, u1m, ex1[sel], ex2[sel])
 
-    rounds = extra_rounds + 1
-    entered = np.zeros(n, dtype=bool)
-    entered[entered_idx] = True
-    dec1 = np.zeros(n)
-    dec2 = np.zeros(n)
-    dec1[entered_idx] = np.where(far & left, -1.0, 0.0)
-    dec2[entered_idx] = np.where(far, 1.0, 0.0)
-    dec1[mirror] *= -1.0
-    dec2[mirror] *= -1.0
+    extra_rounds = ws("int0", n, np.int64)
+    extra_rounds.fill(0)
+    extra_rounds[e_idx] = e_rounds
+    rounds = np.add(extra_rounds, 1, out=ws("int1", n, np.int64))
+    bits[e_idx] = e_bits
+    far_all = ws("mask0", n, bool)
+    far_all.fill(False)
+    far_all[e_idx] = far
+    dec2 = ws("dec2", n)
+    np.copyto(dec2, far_all)
+    # dec1 = -1 on the far side of a left rectangle, else 0 (not -0.0)
+    dec1 = ws("dec1", n)
+    np.copyto(dec1, np.greater(far_all, right, out=far_all))
+    np.subtract(0.0, dec1, out=dec1)
+    dec1 *= sign  # mirrored back: times -1.0 where u2 = -1, so 0.0 turns -0.0 there
+    dec2 *= sign
     out = {
         "dec1": dec1,
         "dec2": dec2,
@@ -482,31 +718,45 @@ def simulate(config: SimConfig) -> SimReport:
     change the report; the bits and rounds are reduced over fixed chunks of
     `_CHUNK` trials in index order, and the chunk size does set the low bits
     of the means and standard errors.
+
+    Every per-trial array lives in this thread's workspace: the block's
+    trial indices, points, oracle answers, kernel outputs and error flags,
+    and the chunk's bits and rounds (squared in place for the sums).  It is
+    built on the thread's first call, grown to the largest block and chunk
+    the thread has run and kept until the thread ends, so a repeated call
+    allocates no per-trial memory; it holds what one call of that size
+    needs at its peak, about 25 MB after a 2^20-trial call.
     """
     params = config.params
     scheme = schemes.SCHEMES[config.scheme]
     q = scheme.quantizer(params, **config.sizes)
+    ws = _thread_workspace()
     n_err = 0
     n_unhalted = 0
     bit_sums = []
     round_sums = []
     total = config.trials
+    # the blocks tile [0, total) in order, so each block's trial indices are
+    # the previous block's advanced by its length
+    index = _arange(ws("trials", min(_BLOCK, total), np.uint64))
     for lo in range(0, total, _CHUNK):
         hi = min(lo + _CHUNK, total)
-        bit_array = np.empty(hi - lo)
-        round_array = np.empty(hi - lo)
+        bit_array = ws("chunk_bits", hi - lo)
+        round_array = ws("chunk_rounds", hi - lo)
         for a in range(lo, hi, _BLOCK):
-            x1, x2 = sample_cell_arrays(
-                params, np.arange(a, min(a + _BLOCK, hi), dtype=np.uint64), config.seed
-            )
-            e1, e2 = exact_nearest_batch(params, x1, x2)
+            trials = index[: min(a + _BLOCK, hi) - a]
+            x1, x2 = sample_cell_arrays(params, trials, config.seed, workspace=ws)
+            e1, e2 = exact_nearest_batch(params, x1, x2, workspace=ws)
             dec1, dec2, block_bits, block_rounds, unhalted = scheme.kernel(
-                params, x1, x2, config.max_rounds, q
+                params, x1, x2, config.max_rounds, q, ws
             )
-            n_err += int(np.sum((dec1 != e1) | (dec2 != e2)))
+            wrong = np.not_equal(dec1, e1, out=ws("mask0", len(trials), bool))
+            wrong |= np.not_equal(dec2, e2, out=ws("mask1", len(trials), bool))
+            n_err += int(np.count_nonzero(wrong))
             n_unhalted += unhalted
             bits = _store(bit_array, a - lo, block_bits)
             rounds = _store(round_array, a - lo, block_rounds)
+            index += np.uint64(len(trials))
         bit_sums.append(_sums(bits, hi - lo))
         round_sums.append(_sums(rounds, hi - lo))
 
@@ -535,8 +785,11 @@ def simulate(config: SimConfig) -> SimReport:
 def _store(chunk: np.ndarray, at: int, values):
     """Write a block's per-trial values into its chunk's array from `at` and
     return the array, or return the one value every trial shares when the
-    kernel gives one (the array is then never written)."""
-    if np.ndim(values) == 0:
+    kernel gives one, or the block's own array when it is the whole chunk
+    (the chunk's array is then never written).  The round counts may stay
+    int64 there: their sums and sums of squares are exact in int64 and in
+    float64 alike."""
+    if np.ndim(values) == 0 or len(values) == len(chunk):
         return values
     chunk[at : at + len(values)] = values
     return chunk
@@ -544,10 +797,11 @@ def _store(chunk: np.ndarray, at: int, values):
 
 def _sums(values, n: int) -> tuple[float, float]:
     """Sum and sum of squares of n per-trial values, or of one value n times
-    (exact for the integer round counts)."""
+    (exact for the integer round counts); an array is squared in place."""
     if np.ndim(values) == 0:
         return values * n, values * values * n
-    return float(np.sum(values)), float(np.sum(values * values))
+    total = float(np.sum(values))
+    return total, float(np.sum(np.multiply(values, values, out=values)))
 
 
 def _mean_and_stderr(sums: list[tuple[float, float]], n: int) -> tuple[float, float]:

@@ -21,17 +21,19 @@ from .lattice import LatticeParams, babai_error_probability, cell_geometry
 def _one_round(batch: str) -> Callable[..., tuple]:
     """The Scheme.kernel of a single-round batch kernel of montecarlo."""
 
-    def kernel(params, x1, x2, _, q) -> tuple:
-        out = getattr(montecarlo, batch)(params, q, x1, x2)
-        return out["dec1"], out["dec2"], out["u1_bits"] + out["u2_bits"], 1.0, 0
+    def kernel(params, x1, x2, _, q, workspace) -> tuple:
+        out = getattr(montecarlo, batch)(params, q, x1, x2, workspace=workspace)
+        bits = np.add(out["u1_bits"], out["u2_bits"], out=out["u1_bits"])
+        return out["dec1"], out["dec2"], bits, 1.0, 0
 
     return kernel
 
 
-def _infinite_kernel(params, x1, x2, max_rounds, _) -> tuple:
-    out = montecarlo.run_batch_infinite(params, x1, x2, max_rounds)
-    rounds = out["rounds"].astype(np.float64)
-    return out["dec1"], out["dec2"], out["bits"], rounds, int(np.sum(~out["halted"]))
+def _infinite_kernel(params, x1, x2, max_rounds, _, workspace) -> tuple:
+    out = montecarlo.run_batch_infinite(params, x1, x2, max_rounds, workspace=workspace)
+    halted = out["halted"]
+    unhalted = halted.size - int(np.count_nonzero(halted))
+    return out["dec1"], out["dec2"], out["bits"], out["rounds"], unhalted
 
 
 def _analyze_12(params: LatticeParams, n1: int, n2: int) -> dict:
@@ -93,9 +95,10 @@ class Scheme:
     `sizes` are the SimConfig size fields it requires and the only ones it
     accepts; `round_limit` says whether it takes max_rounds (the others get
     it and ignore it).  `quantizer(params, **sizes)` builds its code q (None
-    if it has none); `kernel(params, x1, x2, max_rounds, q)` returns
-    per-trial decisions (dec1, dec2), bits and rounds (each an array, or one
-    float for every trial) and the unhalted count; `predict(params, **sizes)`
+    if it has none); `kernel(params, x1, x2, max_rounds, q, workspace)`
+    returns per-trial decisions (dec1, dec2), bits and rounds (each an array
+    in the montecarlo workspace, or one number for every trial) and the
+    unhalted count; `predict(params, **sizes)`
     the closed-form (pe, bits, rounds); `transcript(x, params, max_rounds,
     q)` runs the scalar protocol (None: there is none).  `analyze(params,
     **sizes)` gives the `analyze` JSON fields after the sizes.  A sweep row

@@ -297,6 +297,33 @@ def test_sweep_rejects_angle_flags(angle, trials, capsys):
 
 
 @pytest.mark.parametrize(
+    "flags",
+    [
+        ["--seed", "99", "--max-rounds", "3"],
+        ["--seed", "5"],
+        ["--seed", "0"],
+        ["--max-rounds", "3"],
+        ["--max-rounds", str(DEFAULT_MAX_ROUNDS)],
+        ["--trials", "0", "--seed", "5"],
+        ["--trials", "0", "--max-rounds", "0"],
+    ],
+)
+def test_sweep_seed_and_round_limit_need_trials(flags, capsys):
+    """--seed and --max-rounds set only the empirical columns, so a sweep
+    without trials rejects them, even at their default values, and never
+    prints the closed-form table as if they had been used."""
+    rc, out, err = run_cli(["sweep", "--grid", "2"] + flags, capsys)
+    assert rc == 2 and out == "" and "--trials" in err
+
+
+def test_sweep_empirical_flags_take_their_defaults(capsys):
+    rc, want, _ = run_cli(["sweep", "--grid", "1", "--trials", "1000"], capsys)
+    assert rc == 0
+    given = ["--seed", "0", "--max-rounds", str(DEFAULT_MAX_ROUNDS)]
+    assert run_cli(["sweep", "--grid", "1", "--trials", "1000"] + given, capsys) == (0, want, "")
+
+
+@pytest.mark.parametrize(
     "omitted,given",
     [
         (["analyze", "--scheme", "12"], ["--n1", "1", "--n2", "1"]),

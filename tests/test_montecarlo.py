@@ -1,5 +1,12 @@
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -786,3 +793,176 @@ def test_report_independent_of_block_size(lattice, case, trials, block, request,
     want = _DEFAULT_BLOCK_REPORTS[key]
     monkeypatch.setattr(montecarlo, "_BLOCK", block)
     assert _report_fields(simulate(config)) == want
+
+
+# --- the per-thread workspace ------------------------------------------------
+
+# the benchmark's three lattices and four schemes
+_WS_LATTICES = {
+    "hexagonal": LatticeParams(rho=1.0, theta=math.pi / 3 + 1e-6),
+    "rcos0.3": LatticeParams(rho=1.0, theta=math.acos(0.3)),
+    "near-rectangular": LatticeParams(rho=1.0, theta=math.pi / 2 - 1e-3),
+}
+_WS_SCHEMES = (
+    ("babai_only", {}),
+    ("infinite", {}),
+    ("12", {"n1": 2, "n2": 3}),
+    ("21", {"n": 4}),
+)
+# one block, a partial last block, and a second reduction chunk
+_WS_TRIALS = (1 << 15, (1 << 16) + 3, (1 << 20) + 5)
+
+# Runs each config given on stdin on a thread of its own, so each starts
+# from an empty workspace, and prints its report's fields.
+_FRESH_REPORTS = """
+import json, sys, threading
+from babai_refine import LatticeParams, SimConfig, simulate
+from babai_refine.montecarlo import SimReport
+
+def fields(config):
+    report = []
+    thread = threading.Thread(target=lambda: report.append(simulate(config)))
+    thread.start()
+    thread.join()
+    return [v.hex() if isinstance(v, float) else v for v in report[0].__dict__.values()]
+
+out = []
+for rho, theta, scheme, trials, sizes in json.load(sys.stdin):
+    params = LatticeParams(rho=rho, theta=theta)
+    out.append(fields(SimConfig(params=params, scheme=scheme, trials=trials, seed=99, **sizes)))
+print(json.dumps(out))
+"""
+
+
+def test_workspace_reuse_never_leaks_between_calls():
+    """Interleaved simulate calls on one thread equal fresh runs.
+
+    The calls go through every scheme and benchmark lattice at 2^15 trials,
+    then at 2^20 + 5 (a second chunk: the workspace grows), then at 2^16 + 3
+    (a partial last block, over buffers a larger call filled).  Each report
+    equals the same config's report in a separate process, where every
+    config runs on a new thread and so on an empty workspace.
+    """
+    cases = [
+        (lat, scheme, sizes, trials)
+        for trials in (_WS_TRIALS[0], _WS_TRIALS[2], _WS_TRIALS[1])
+        for lat in _WS_LATTICES
+        for scheme, sizes in _WS_SCHEMES
+    ]
+    got = []
+    for lat, scheme, sizes, trials in cases:
+        config = SimConfig(_WS_LATTICES[lat], scheme, trials=trials, seed=99, **sizes)
+        got.append(list(_report_fields(simulate(config))))
+    request = [
+        (_WS_LATTICES[lat].rho, _WS_LATTICES[lat].theta, scheme, trials, sizes)
+        for lat, scheme, sizes, trials in cases
+    ]
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_REPORTS],
+        input=json.dumps(request),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=600,
+        check=True,
+    )
+    fresh = json.loads(done.stdout)
+    for case, a, b in zip(cases, got, fresh):
+        assert a == b, case
+    assert len(fresh) == len(cases)
+
+
+def test_held_batch_arrays_keep_their_values(params_main, params_hex):
+    """Arrays returned by the batch functions belong to the caller: later
+    batch calls and simulate calls on the same thread leave them as they were."""
+    idx = np.arange(5000, dtype=np.uint64)
+    q12, q21 = quantizer_12(params_main, 2, 3), quantizer_21(params_main, 4)
+
+    def calls(params, seed):
+        x1, x2 = sample_cell_arrays(params, idx, seed)
+        out = [x1, x2, *exact_nearest_batch(params, x1, x2)]
+        if params == params_main:
+            out += _arrays_of(run_batch_12(params, q12, x1, x2))
+            out += _arrays_of(run_batch_21(params, q21, x1, x2))
+        out += _arrays_of(run_batch_infinite(params, x1, x2))
+        return out
+
+    held = calls(params_main, 1)
+    want = [a.copy() for a in held]
+    calls(params_main, 2)
+    calls(params_hex, 3)
+    for scheme, sizes in _WS_SCHEMES:
+        config = SimConfig(params_main, scheme, trials=(1 << 16) + 3, seed=4, **sizes)
+        simulate(config)
+    _assert_same_bytes(held, want)
+    assert all(a.flags.writeable for a in held)
+
+
+@pytest.mark.parametrize("lattice", list(_WS_LATTICES))
+def test_bin_index_is_searchsorted(lattice):
+    """The single-round kernels' arithmetic bin index equals
+    clip(searchsorted(edges, x, side="left") - 1) on every edge and one ulp
+    either side, for both axes, off the axis, at +-inf, at 1e308 and at NaN."""
+    params = _WS_LATTICES[lattice]
+    extra = np.array([np.inf, -np.inf, np.nan, 1e308, -1e308, 0.0, -0.0, 2.0, -2.0])
+    for n in (*range(1, 65), 4096):
+        for q in (
+            quantizer_12(params, n, n),
+            quantizer_12(params, n, max(65 - n, 7)),
+            quantizer_21(params, n),
+        ):
+            edges = q.edges
+            x = np.concatenate(
+                [edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf), extra]
+            )
+            want = np.clip(np.searchsorted(edges, x, side="left") - 1, 0, len(edges) - 2)
+            got = montecarlo._bin_index(q, x, montecarlo.Workspace())
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (q.sizes, q.vertical)
+
+
+def test_two_threads_simulate_at_once():
+    """Exactly two threads run different configs at the same time, each on
+    its own workspace, and each report equals the serial one."""
+    configs = [
+        SimConfig(_WS_LATTICES["hexagonal"], "infinite", trials=(1 << 18) + 7, seed=5),
+        SimConfig(_WS_LATTICES["rcos0.3"], "12", trials=(1 << 18) + 11, seed=6, n1=2, n2=3),
+    ]
+    serial = [simulate(c) for c in configs]
+    start = threading.Barrier(2)
+    reports = [None, None]
+
+    def run(i):
+        start.wait(timeout=60)
+        reports[i] = simulate(configs[i])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=300)
+        assert not t.is_alive()
+    assert reports == serial
+
+
+@pytest.mark.parametrize("trials", [1 << 15, 1 << 20])
+@pytest.mark.parametrize("lattice", list(_WS_LATTICES))
+def test_repeated_simulate_allocates_no_per_trial_memory(lattice, trials):
+    """After one call of a config, a second identical call raises the
+    memory tracemalloc traces (numpy's data included) by under 256 KB at
+    its peak, where a single 2^15-trial float64 array is 256 KB."""
+    for scheme, sizes in _WS_SCHEMES:
+        config = SimConfig(_WS_LATTICES[lattice], scheme, trials=trials, seed=8, **sizes)
+        tracemalloc.start()
+        try:
+            simulate(config)
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            simulate(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 256 * 1024, (scheme, peak - base)
