@@ -5,17 +5,20 @@ trial number), so every trial is a pure function of (seed, trial_index),
 whatever block of trials it is computed in.  The run_batch_* kernels
 evaluate a whole array of trials at once and return per-trial arrays;
 simulate() reduces them into a SimReport with binomial / sample standard
-errors next to the closed-form predictions.
+errors next to the closed-form predictions.  A decision is an error when it
+differs from the exact nearest point; simulate() certifies each decision
+against the Voronoi hexagon and runs the nearest-point oracle
+exact_nearest_batch only on the trials that test leaves in doubt.
 
-Every per-trial array of the block pipeline (sampler, oracle, kernels,
-error flags) and of the chunk reduction is taken from a Workspace and
-written in place.  simulate() uses one workspace per thread, built on the
-thread's first call and grown to the largest block and chunk it has seen,
-so later calls fault in no fresh pages; it holds no more than one call of
-that size needs at its peak (about 25 MB after a 2^20-trial call, most of
-it the chunk's bits and rounds) and is freed with its thread.  Called
-without a workspace, the batch functions take a fresh one, so the arrays
-they return belong to the caller.
+Every per-trial array of the block pipeline (sampler, kernels, hexagon
+test, oracle, error flags) and of the chunk reduction is taken from a
+Workspace and written in place.  simulate() uses one workspace per thread,
+built on the thread's first call and grown to the largest block and chunk
+it has seen, so later calls fault in no fresh pages; it holds no more than
+one call of that size needs at its peak (about 25 MB after a 2^20-trial
+call, most of it the chunk's bits and rounds) and is freed with its thread.
+Called without a workspace, the batch functions take a fresh one, so the
+arrays they return belong to the caller.
 """
 
 from __future__ import annotations
@@ -226,23 +229,91 @@ def babai_batch(
 # per du2 row, in the 5x5 window's ascending (du2, du1) scan order.
 _RELEVANT_ROWS = ((-1, (0, 1)), (0, (-1, 0, 1)), (1, (-1, 0)))
 
-# Safety margin of exact_nearest_batch's pre-filter per unit of
-# 1 + max|x1| + max|x2| over the call's points.
+# Safety margin of the hexagon test per unit of 1 + max|x1| + max|x2| +
+# max|b1| + rho * max|b2| over the call's points and candidates.
 _MARGIN = 2.0**-30
 
 
+def _uncertified(
+    params: LatticeParams, x1: np.ndarray, x2: np.ndarray, b1, b2, ws: Workspace
+) -> np.ndarray:
+    """Flat indices of the trials whose candidate (b1, b2) the hexagon test
+    cannot certify as the nearest lattice point, in the workspace's "tmp0".
+
+    x1 and x2 are flat; b1 and b2 are arrays of their length or one number
+    each, the candidate of every trial.  For a reduced basis
+    (0 < rho*cos(theta) < 1/2) the Voronoi cell V(0) is the hexagon
+    |r.n| <= |n|^2/2 for the three face normals n = v1, v2 and v2 - v1 (the
+    relevant vectors +-n; Agrell, Eriksson, Vardy & Zeger, "Closest point
+    search in lattices", IEEE Trans. IT 2002; SPLAG ch. 20), so b is the
+    nearest point when the residual r = x - V b lies inside it.
+
+    The test.  With one margin per call, M = 2^-30 * (1 + max|x1| + max|x2| +
+    max|b1| + rho*max|b2|), a trial is certified when |r1| < 1/2 - M and
+    |r.n| < |n|^2/2 - M|n| for n = v2 and n = v2 - v1, with r in the window
+    scan's expressions for the candidate b; the thresholds are scalars.
+    Every other trial (outside the hexagon, in a band of width M inside its
+    faces, or non-finite) is returned.  The comparisons are strict, so a NaN
+    residual fails them; a NaN or infinite coordinate or candidate makes M
+    NaN or infinite, and a call with 1 + max|x1| + max|x2| + ... >= 2^29
+    has M >= 1/2, so one such trial leaves its whole call uncertified: the
+    callers then ask the scan, which gives the same answers, only slower.
+
+    Why the certificate is exact.  Passing the test puts the open disc of
+    radius M about r inside V(0): r is more than M from each of the six
+    faces.  V(0) lies on 0's side of the bisector of every other lattice
+    point Vk, so r.k + M|k| < |k|^2/2, and V(b + k) is farther from x than
+    Vb is, in squared distance, by |k|^2 - 2r.k > 2M|k| >= 2M (|k| >= 1 in a
+    reduced basis with rho >= 1).  M is at least each trial's own
+    2^-30 * (1 + |x1| + |x2| + |b1| + rho|b2|), and that is over 10^5 times
+    the rounding error of r (a few ulps of |x1| + |b1| + rho|b2| and of
+    |x2| + rho|b2|, as rho*cos(theta) < 1/2 <= rho/2), of the thresholds and
+    of the window scan's squared distances (tens of ulps of 1 + |x1| + |x2|
+    at rho of order 1, as a certified b lies within rho of x).  So a
+    certified b is the nearest point; it is the Babai point or one of its
+    six relevant neighbours, and the float window scan, too, ranks it
+    strictly first: it equals exact_nearest_batch's answer, up to the sign
+    of a zero.
+    """
+    c, s = params.rcos, params.rsin
+    n = len(x1)
+    # the residual, in the scan's expressions for the candidate b itself
+    r2 = np.multiply(s, b2, out=ws("tmp0", n))
+    np.subtract(x2, r2, out=r2)
+    r1 = np.multiply(c, b2, out=ws("tmp1", n))
+    np.add(b1, r1, out=r1)
+    np.subtract(x1, r1, out=r1)
+    t = ws("tmp2", n)
+    span = _max_abs(x1, t) + _max_abs(x2, t) + _max_abs(b1, t) + params.rho * _max_abs(b2, t)
+    m = _MARGIN * (1.0 + span)
+    np.abs(r1, out=t)
+    safe = np.less(t, 0.5 - m, out=ws("mask0", n, bool))
+    inside = ws("mask1", n, bool)
+    r2 *= s  # r.n = n1*r1 + s*r2 for both tested normals
+    for n1 in (c, c - 1.0):
+        np.multiply(n1, r1, out=t)
+        t += r2
+        np.abs(t, out=t)
+        safe &= np.less(t, 0.5 * (n1 * n1 + s * s) - m * math.hypot(n1, s), out=inside)
+    return _flatnonzero(np.logical_not(safe, out=safe), ws("tmp0", n, np.intp))
+
+
 def _scan_relevant(
-    c: float, s: float, x1: np.ndarray, x2: np.ndarray, b1: np.ndarray, b2: np.ndarray
+    c: float,
+    s: float,
+    x1: np.ndarray,
+    x2: np.ndarray,
+    b1: np.ndarray,
+    b2: np.ndarray,
+    ws: Workspace,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest of the Babai point (b1, b2) and its six relevant neighbours.
 
     They are visited in the window's ascending (u2, u1) order with
     strict-improvement updates, and each distance is the same float
-    expression as the full window scan's, in buffers "scan4", ... of the
-    workspace of the exact_nearest_batch call that runs the scan (a fresh
-    one outside such a call).
+    expression as the full window scan's, in the workspace's buffers
+    "scan4", ... .
     """
-    ws = getattr(_THREAD, "scan_workspace", None) or Workspace()
     n = len(x1)
     best_d2 = ws("scan4", n)
     best_d2.fill(np.inf)
@@ -281,36 +352,14 @@ def exact_nearest_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized nearest point: Babai unless the residual may leave V(0).
 
-    For a reduced basis (0 < rho*cos(theta) < 1/2) the Voronoi cell V(0) is
-    the hexagon |r.n| <= |n|^2/2 for the three face normals n = v1, v2 and
-    v2 - v1 (the relevant vectors +-n; Agrell, Eriksson, Vardy & Zeger,
-    "Closest point search in lattices", IEEE Trans. IT 2002; SPLAG ch. 20).
-    So the nearest point is the Babai point b unless the residual
-    r = x - V b lies outside that hexagon; inside the Babai cell this
-    happens only in the four corner error triangles.
-
-    Pre-filter.  With one margin per call, M = 2^-30 * (1 + max|x1| +
-    max|x2|), a trial is safe, and its answer is b + 0.0, when
-    |r1| < 1/2 - M and |r.n| < |n|^2/2 - M|n| for n = v2 and n = v2 - v1;
-    the thresholds are scalars.  Every other trial (outside the hexagon, in
-    a band of width M inside its faces, or non-finite) is compacted and
-    scanned over b and its six relevant neighbours.  The comparisons are
-    strict, so a NaN residual fails them; a NaN or infinite coordinate
-    makes M NaN or infinite, and a point with 1 + |x1| + |x2| >= 2^29 makes
-    M >= 1/2, so one such point sends its whole call to the scan: the same
-    answers, only slower.  The `+ 0.0` turns a Babai -0.0 into +0.0, as
-    the scan's b + du does.
-
-    Why the filter is exact.  Passing it puts the open disc of radius M
-    about r inside V(0): r is more than M from each of the six faces.  V(0)
-    lies on 0's side of the bisector of every other lattice point Vk, so
-    r.k + M|k| < |k|^2/2, and Vk is farther from x than Vb is, in squared
-    distance, by |k|^2 - 2r.k > 2M|k| >= 2M (|k| >= 1 in a reduced basis
-    with rho >= 1).  M is at least each trial's own 2^-30 * (1 + |x1| +
-    |x2|), and that is over 10^5 times the rounding error of r, of the
-    thresholds and of the scan's squared distances (tens of ulps of
-    1 + |x1| + |x2|, at rho of order 1), so the float scan, too, ranks b
-    strictly first.
+    The nearest point is the Babai point b unless the residual r = x - V b
+    lies outside the Voronoi hexagon V(0); inside the Babai cell this
+    happens only in the four corner error triangles.  Each trial whose
+    Babai point _uncertified's hexagon test certifies keeps it, as b + 0.0
+    (the `+ 0.0` turns a Babai -0.0 into +0.0, as the scan's b + du does).
+    The others (outside the hexagon, within the test's margin of a face, or
+    non-finite) are compacted and scanned over b and its six relevant
+    neighbours.
 
     The scanned trials resolve exact ties to the lexicographically smallest
     coordinates, as the scalar oracle does, and the result equals the full
@@ -318,30 +367,11 @@ def exact_nearest_batch(
     fresh one if None).
     """
     ws = Workspace() if workspace is None else workspace
-    c, s = params.rcos, params.rsin
     shape = np.shape(x1)
     x1 = np.ravel(x1)  # the trials are compacted by flat index
     x2 = np.ravel(x2)
-    n = len(x1)
     b1, b2 = babai_batch(params, x1, x2, workspace=ws)
-    # the residual, in the scan's expressions for the candidate b itself
-    r2 = np.multiply(s, b2, out=ws("tmp0", n))
-    np.subtract(x2, r2, out=r2)
-    r1 = np.multiply(c, b2, out=ws("tmp1", n))
-    np.add(b1, r1, out=r1)
-    np.subtract(x1, r1, out=r1)
-    t = ws("tmp2", n)
-    m = _MARGIN * (1.0 + _max_abs(x1, t) + _max_abs(x2, t))
-    np.abs(r1, out=t)
-    safe = np.less(t, 0.5 - m, out=ws("mask0", n, bool))
-    inside = ws("mask1", n, bool)
-    r2 *= s  # r.n = n1*r1 + s*r2 for both tested normals
-    for n1 in (c, c - 1.0):
-        np.multiply(n1, r1, out=t)
-        t += r2
-        np.abs(t, out=t)
-        safe &= np.less(t, 0.5 * (n1 * n1 + s * s) - m * math.hypot(n1, s), out=inside)
-    rest = _flatnonzero(np.logical_not(safe, out=safe), ws("tmp0", n, np.intp))
+    rest = _uncertified(params, x1, x2, b1, b2, ws)
     b1 += 0.0
     b2 += 0.0
     if rest.size:
@@ -350,17 +380,15 @@ def exact_nearest_batch(
             np.take(a, rest, out=ws(f"scan{i}", k), mode="clip")
             for i, a in enumerate((x1, x2, b1, b2))
         ]
-        _THREAD.scan_workspace = ws
-        try:
-            b1[rest], b2[rest] = _scan_relevant(c, s, *compact)
-        finally:
-            _THREAD.scan_workspace = None
+        b1[rest], b2[rest] = _scan_relevant(params.rcos, params.rsin, *compact, ws)
     return b1.reshape(shape), b2.reshape(shape)
 
 
-def _max_abs(x: np.ndarray, t: np.ndarray) -> float:
-    """max|x| over the array (0.0 if empty; NaN if any entry is NaN), with t
-    as scratch of x's size."""
+def _max_abs(x, t: np.ndarray) -> float:
+    """max|x| over the array or number x (0.0 if empty; NaN if any entry is
+    NaN), with t as scratch of an array x's size."""
+    if np.ndim(x) == 0:
+        return abs(float(x))
     return float(np.max(np.abs(x, out=t), initial=0.0))
 
 
@@ -712,15 +740,21 @@ class SimReport:
 def simulate(config: SimConfig) -> SimReport:
     """Run the configured scheme over `trials` uniform cell points.
 
-    Errors count decisions differing from the exact nearest point.  The
-    scheme's quantizer, if it has one, is built once per call.  The
+    Errors count decisions differing from the exact nearest point.  Each
+    block's decisions go through _uncertified's hexagon test first; only the
+    trials it cannot certify (the wrong decisions, and those within its
+    margin of a face of the hexagon) are compacted and passed to
+    exact_nearest_batch, so the count is the one that oracle would give on
+    every trial.  The scheme's quantizer, if it has one, is built once per
+    call.  The
     per-trial stages run on blocks of `_BLOCK` trials, whose size does not
     change the report; the bits and rounds are reduced over fixed chunks of
     `_CHUNK` trials in index order, and the chunk size does set the low bits
     of the means and standard errors.
 
     Every per-trial array lives in this thread's workspace: the block's
-    trial indices, points, oracle answers, kernel outputs and error flags,
+    trial indices, points, kernel outputs, hexagon test, trials in doubt with
+    the oracle's answers for them and error flags,
     and the chunk's bits and rounds (squared in place for the sums).  It is
     built on the thread's first call, grown to the largest block and chunk
     the thread has run and kept until the thread ends, so a repeated call
@@ -746,13 +780,10 @@ def simulate(config: SimConfig) -> SimReport:
         for a in range(lo, hi, _BLOCK):
             trials = index[: min(a + _BLOCK, hi) - a]
             x1, x2 = sample_cell_arrays(params, trials, config.seed, workspace=ws)
-            e1, e2 = exact_nearest_batch(params, x1, x2, workspace=ws)
             dec1, dec2, block_bits, block_rounds, unhalted = scheme.kernel(
                 params, x1, x2, config.max_rounds, q, ws
             )
-            wrong = np.not_equal(dec1, e1, out=ws("mask0", len(trials), bool))
-            wrong |= np.not_equal(dec2, e2, out=ws("mask1", len(trials), bool))
-            n_err += int(np.count_nonzero(wrong))
+            n_err += _count_errors(params, x1, x2, dec1, dec2, ws)
             n_unhalted += unhalted
             bits = _store(bit_array, a - lo, block_bits)
             rounds = _store(round_array, a - lo, block_rounds)
@@ -780,6 +811,25 @@ def simulate(config: SimConfig) -> SimReport:
         predicted_rounds=pred_rounds,
         unhalted_count=n_unhalted,
     )
+
+
+def _count_errors(params: LatticeParams, x1, x2, dec1, dec2, ws: Workspace) -> int:
+    """How many of a block's decisions (arrays, or one number each for every
+    trial) differ from the exact nearest point.  The oracle runs only on the
+    trials whose decision the hexagon test leaves uncertified, compacted
+    with their decisions into the workspace's "doubt0", ... buffers."""
+    doubt = _uncertified(params, x1, x2, dec1, dec2, ws)
+    k = len(doubt)
+    if not k:
+        return 0
+    y1, y2, d1, d2 = [
+        np.take(a, doubt, out=ws(f"doubt{i}", k), mode="clip") if np.ndim(a) else a
+        for i, a in enumerate((x1, x2, dec1, dec2))
+    ]
+    e1, e2 = exact_nearest_batch(params, y1, y2, workspace=ws)
+    wrong = np.not_equal(d1, e1, out=ws("mask0", k, bool))
+    wrong |= np.not_equal(d2, e2, out=ws("mask1", k, bool))
+    return int(np.count_nonzero(wrong))
 
 
 def _store(chunk: np.ndarray, at: int, values):

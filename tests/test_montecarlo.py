@@ -10,8 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from babai_refine import montecarlo, protocols
+from babai_refine import montecarlo, protocols, schemes
 from babai_refine import (
     LatticeParams,
     Point2,
@@ -35,6 +37,8 @@ from babai_refine import (
     sample_uniform_babai_cell,
     simulate,
 )
+
+from conftest import lattices
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, 5.0, True])
@@ -386,9 +390,9 @@ def _counting_scan(monkeypatch):
     seen = []
     scan = montecarlo._scan_relevant
 
-    def counting(c, s, x1, x2, b1, b2):
+    def counting(c, s, x1, x2, b1, b2, ws):
         seen.append((x1.copy(), x2.copy()))
-        return scan(c, s, x1, x2, b1, b2)
+        return scan(c, s, x1, x2, b1, b2, ws)
 
     monkeypatch.setattr(montecarlo, "_scan_relevant", counting)
     return seen
@@ -459,6 +463,43 @@ def test_exact_nearest_batch_filter_edge_is_the_margin(params, monkeypatch):
     assert not np.any(was_scanned[at_zero & (inward >= 2 * m)])
     assert np.all(was_scanned[at_zero & (inward <= m / 2)])
     assert np.any(at_zero & (inward >= 2 * m)) and np.any(at_zero & (inward <= m / 2))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(params=lattices(), seed=st.integers(0, 2**32))
+def test_certified_candidate_is_the_window_scans(params, seed):
+    """A candidate the hexagon test certifies is the window scan's answer.
+
+    The points lie on the faces of V(0) (and m/2 to 4m inside, up to m
+    outside, and an ulp off), in the Babai cell and in the box [-3, 3]^2,
+    with anchors at (3, 3) and (-3, -3) that fix the margin of the scalar
+    candidate 0 at m = 7 * 2^-30.  Each offset of the 5x5 window is tried as
+    arrays about the Babai point and as one scalar candidate for every
+    trial.  The Babai point is certified on most cell and box points, 0 on
+    most cell points and on every face point 2m or more inside V(0).
+    """
+    m = 7 * 2.0**-30
+    f1, f2, inward = _hexagon_face_points(params, m)
+    c1, c2 = sample_cell_arrays(params, np.arange(4096, dtype=np.uint64), seed)
+    r1, r2 = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(2, 4096))
+    x1 = np.concatenate([f1, c1, r1, [3.0, -3.0]])
+    x2 = np.concatenate([f2, c2, r2, [3.0, -3.0]])
+    w1, w2 = _window_scan(params, x1, x2)
+    b1, b2 = babai_batch(params, x1, x2)
+    ws = montecarlo.Workspace()
+    for du2 in (-2.0, -1.0, 0.0, 1.0, 2.0):
+        for du1 in (-2.0, -1.0, 0.0, 1.0, 2.0):
+            for u1, u2 in ((b1 + du1, b2 + du2), (du1, du2)):
+                sure = np.ones(len(x1), bool)
+                sure[montecarlo._uncertified(params, x1, x2, u1, u2, ws)] = False
+                got1, got2 = np.broadcast_to(u1, x1.shape), np.broadcast_to(u2, x1.shape)
+                assert np.all(got1[sure] == w1[sure]) and np.all(got2[sure] == w2[sure])
+                if (du1, du2) == (0.0, 0.0):
+                    # the Babai point on the cell and box points, 0 on the cell points
+                    kept = sure[len(f1) : None if np.ndim(u1) else len(f1) + len(c1)]
+                    assert np.count_nonzero(kept) > 0.8 * len(kept)
+                    if np.ndim(u1) == 0:
+                        assert np.all(sure[: len(f1)][inward >= 2 * m])
 
 
 def test_exact_nearest_batch_keeps_shape(params_main):
@@ -966,3 +1007,65 @@ def test_repeated_simulate_allocates_no_per_trial_memory(lattice, trials):
         finally:
             tracemalloc.stop()
         assert peak - base < 256 * 1024, (scheme, peak - base)
+
+
+# --- the error count --------------------------------------------------------
+
+
+@pytest.fixture
+def always_v1(monkeypatch):
+    """A scheme entry that decides (1, 0) on every trial, so that no decision
+    is certified and every one is wrong."""
+    entry = dataclasses.replace(
+        schemes.SCHEMES["babai_only"],
+        name="always_v1",
+        alias="v1",
+        kernel=lambda *_: (1.0, 0.0, 0.0, 0.0, 0),
+    )
+    monkeypatch.setitem(schemes.SCHEMES, entry.name, entry)
+    return entry
+
+
+def _brute_force_errors(config) -> int:
+    """exact_nearest_batch on every trial against the kernel's decisions."""
+    scheme = schemes.SCHEMES[config.scheme]
+    x1, x2 = sample_cell_arrays(
+        config.params, np.arange(config.trials, dtype=np.uint64), config.seed
+    )
+    q = scheme.quantizer(config.params, **config.sizes)
+    dec1, dec2, *_ = scheme.kernel(
+        config.params, x1, x2, config.max_rounds, q, montecarlo.Workspace()
+    )
+    e1, e2 = exact_nearest_batch(config.params, x1, x2)
+    return int(np.count_nonzero((dec1 != e1) | (dec2 != e2)))
+
+
+@pytest.mark.parametrize("lattice", list(_WS_LATTICES))
+@pytest.mark.parametrize(
+    "scheme,sizes", [pytest.param(*case, id=case[0]) for case in (*_WS_SCHEMES, ("always_v1", {}))]
+)
+def test_simulate_counts_the_brute_force_errors(lattice, scheme, sizes, always_v1, monkeypatch):
+    """simulate's error count equals the oracle's on every trial, and the
+    oracle sees the wrong trials and at most 0.1 % of the trials besides.
+
+    The count is read back from empirical_pe over (1 << 16) + 3 trials, a
+    full block and a partial one; the test-only always_v1 scheme decides
+    (1, 0), so every trial goes to the oracle and every one is wrong.
+    """
+    config = SimConfig(_WS_LATTICES[lattice], scheme, trials=(1 << 16) + 3, seed=23, **sizes)
+    want = _brute_force_errors(config)
+    seen = []
+    oracle = montecarlo.exact_nearest_batch
+
+    def counting(params, x1, x2, *, workspace=None):
+        seen.append(len(x1))
+        return oracle(params, x1, x2, workspace=workspace)
+
+    monkeypatch.setattr(montecarlo, "exact_nearest_batch", counting)
+    report = simulate(config)
+    assert round(report.empirical_pe * config.trials) == want
+    assert sum(seen) <= want + 0.001 * config.trials
+    if scheme == "always_v1":
+        assert want == sum(seen) == config.trials
+    if scheme == "infinite":
+        assert want == sum(seen) == 0
