@@ -144,7 +144,8 @@ def sample_cell_arrays(
     x2 = (u - 1/2) * H from slot 1.  The counters are computed folded, as
     i * 2g + (g + seed) and that plus g, an identity mod 2^64, and the draws
     as _mixed_draws states, so the points are those of the definition bit
-    for bit.
+    for bit, and |x1| <= 1/2 and |x2| <= H/2 hold exactly: rounding is
+    monotone, and the bounds are the extreme draw's exact products.
 
     The seed must be an int in [0, 2^64), and the trial indices integers in
     [0, 2^64): an integer-dtype array (uint64 is used with no scan) or a list
@@ -229,51 +230,54 @@ def babai_batch(
 # per du2 row, in the 5x5 window's ascending (du2, du1) scan order.
 _RELEVANT_ROWS = ((-1, (0, 1)), (0, (-1, 0, 1)), (1, (-1, 0)))
 
-# Safety margin of the hexagon test per unit of 1 + max|x1| + max|x2| +
-# max|b1| + rho * max|b2| over the call's points and candidates.
+# Safety margin of the hexagon test per unit of 1 + the call's span, a bound
+# on max|x1| + max|x2| + max|b1| + rho * max|b2| over its points and candidates.
 _MARGIN = 2.0**-30
 
 
 def _uncertified(
-    params: LatticeParams, x1: np.ndarray, x2: np.ndarray, b1, b2, ws: Workspace
+    params: LatticeParams, x1: np.ndarray, x2: np.ndarray, b1, b2, ws: Workspace, span=None
 ) -> np.ndarray:
     """Flat indices of the trials whose candidate (b1, b2) the hexagon test
     cannot certify as the nearest lattice point, in the workspace's "tmp0".
 
     x1 and x2 are flat; b1 and b2 are arrays of their length or one number
-    each, the candidate of every trial.  For a reduced basis
+    each, the candidate of every trial.  `span` is a bound on max|x1| +
+    max|x2| + max|b1| + rho*max|b2| that the caller knows (simulate's, from
+    the cell and the scheme's decision reach); if None, it is that sum,
+    measured from the arrays.  For a reduced basis
     (0 < rho*cos(theta) < 1/2) the Voronoi cell V(0) is the hexagon
     |r.n| <= |n|^2/2 for the three face normals n = v1, v2 and v2 - v1 (the
     relevant vectors +-n; Agrell, Eriksson, Vardy & Zeger, "Closest point
     search in lattices", IEEE Trans. IT 2002; SPLAG ch. 20), so b is the
     nearest point when the residual r = x - V b lies inside it.
 
-    The test.  With one margin per call, M = 2^-30 * (1 + max|x1| + max|x2| +
-    max|b1| + rho*max|b2|), a trial is certified when |r1| < 1/2 - M and
-    |r.n| < |n|^2/2 - M|n| for n = v2 and n = v2 - v1, with r in the window
-    scan's expressions for the candidate b; the thresholds are scalars.
-    Every other trial (outside the hexagon, in a band of width M inside its
-    faces, or non-finite) is returned.  The comparisons are strict, so a NaN
-    residual fails them; a NaN or infinite coordinate or candidate makes M
-    NaN or infinite, and a call with 1 + max|x1| + max|x2| + ... >= 2^29
-    has M >= 1/2, so one such trial leaves its whole call uncertified: the
-    callers then ask the scan, which gives the same answers, only slower.
+    The test.  With one margin per call, M = 2^-30 * (1 + span), a trial is
+    certified when |r1| < 1/2 - M and |r.n| < |n|^2/2 - M|n| for n = v2 and
+    n = v2 - v1, with r in the window scan's expressions for the candidate
+    b; the thresholds are scalars.  Every other trial (outside the hexagon,
+    in a band of width M inside its faces, or non-finite) is returned.  The
+    comparisons are strict, so a NaN residual fails them; a measured span is
+    NaN or infinite at a NaN or infinite coordinate or candidate, and a span
+    of 2^29 or more gives M >= 1/2, so one such trial leaves its whole call
+    uncertified: the callers then ask the scan, which gives the same
+    answers, only slower.
 
     Why the certificate is exact.  Passing the test puts the open disc of
     radius M about r inside V(0): r is more than M from each of the six
     faces.  V(0) lies on 0's side of the bisector of every other lattice
     point Vk, so r.k + M|k| < |k|^2/2, and V(b + k) is farther from x than
     Vb is, in squared distance, by |k|^2 - 2r.k > 2M|k| >= 2M (|k| >= 1 in a
-    reduced basis with rho >= 1).  M is at least each trial's own
-    2^-30 * (1 + |x1| + |x2| + |b1| + rho|b2|), and that is over 10^5 times
-    the rounding error of r (a few ulps of |x1| + |b1| + rho|b2| and of
-    |x2| + rho|b2|, as rho*cos(theta) < 1/2 <= rho/2), of the thresholds and
-    of the window scan's squared distances (tens of ulps of 1 + |x1| + |x2|
-    at rho of order 1, as a certified b lies within rho of x).  So a
-    certified b is the nearest point; it is the Babai point or one of its
-    six relevant neighbours, and the float window scan, too, ranks it
-    strictly first: it equals exact_nearest_batch's answer, up to the sign
-    of a zero.
+    reduced basis with rho >= 1).  As the span bounds the maxima, M is at
+    least each trial's own 2^-30 * (1 + |x1| + |x2| + |b1| + rho|b2|), and
+    that is over 10^5 times the rounding error of r (a few ulps of |x1| +
+    |b1| + rho|b2| and of |x2| + rho|b2|, as rho*cos(theta) < 1/2 <= rho/2),
+    of the thresholds and of the window scan's squared distances (tens of
+    ulps of 1 + |x1| + |x2| at rho of order 1, as a certified b lies within
+    rho of x).  So a certified b is the nearest point; it is the Babai point
+    or one of its six relevant neighbours, and the float window scan, too,
+    ranks it strictly first: it equals exact_nearest_batch's answer, up to
+    the sign of a zero.
     """
     c, s = params.rcos, params.rsin
     n = len(x1)
@@ -284,7 +288,8 @@ def _uncertified(
     np.add(b1, r1, out=r1)
     np.subtract(x1, r1, out=r1)
     t = ws("tmp2", n)
-    span = _max_abs(x1, t) + _max_abs(x2, t) + _max_abs(b1, t) + params.rho * _max_abs(b2, t)
+    if span is None:
+        span = _max_abs(x1, t) + _max_abs(x2, t) + _max_abs(b1, t) + params.rho * _max_abs(b2, t)
     m = _MARGIN * (1.0 + span)
     np.abs(r1, out=t)
     safe = np.less(t, 0.5 - m, out=ws("mask0", n, bool))
@@ -450,7 +455,8 @@ def _bin_index(q: protocols.Quantizer, first: np.ndarray, ws: Workspace) -> np.n
     pos -= step
     np.copyto(step, np.greater(first, upper, out=above))
     pos += step
-    return np.clip(pos, 0, last, out=pos)
+    np.minimum(pos, last, out=pos)
+    return np.maximum(pos, 0, out=pos)
 
 
 def _single_round_batch(
@@ -461,7 +467,8 @@ def _single_round_batch(
     The first speaker sends the bin of its coordinate; the other answers
     with the side of the cuts at that bin's midpoint its own coordinate
     falls on.  Returns per trial both symbols, their ideal bits and the
-    decision (dec1, dec2, float64), indexed from q as _single_round does.
+    decision (dec1, dec2, float64, gathered from q.decisions), indexed from
+    q as _single_round does.
     """
     if q.vertical:
         first, second, (a, b) = x1, x2, ("u1", "u2")
@@ -493,13 +500,8 @@ def _single_round_batch(
         f"{b}_bits": np.take(q.answer_bits.reshape(-1), flat, out=ws("bits2", n), mode="clip"),
     }
     pos -= q.center  # the bin symbol
-    labels = table.labels.reshape(-1)  # (bin, region, coordinate), flat
-    label = ws("mask1", n, np.int8)
-    flat *= 2
-    for name in ("dec1", "dec2"):
-        out[name] = ws(name, n)
-        np.copyto(out[name], np.take(labels, flat, out=label, mode="clip"))
-        flat += 1
+    for name, column in zip(("dec1", "dec2"), q.decisions):
+        out[name] = np.take(column, flat, out=ws(name, n), mode="clip")
     return {name: v.reshape(shape) for name, v in out.items()}
 
 
@@ -745,8 +747,9 @@ def simulate(config: SimConfig) -> SimReport:
     trials it cannot certify (the wrong decisions, and those within its
     margin of a face of the hexagon) are compacted and passed to
     exact_nearest_batch, so the count is the one that oracle would give on
-    every trial.  The scheme's quantizer, if it has one, is built once per
-    call.  The
+    every trial.  The test's margin is set once per call, from the cell's
+    bounds and the scheme's decision reach, not measured on each block.
+    The scheme's quantizer, if it has one, is built once per call.  The
     per-trial stages run on blocks of `_BLOCK` trials, whose size does not
     change the report; the bits and rounds are reduced over fixed chunks of
     `_CHUNK` trials in index order, and the chunk size does set the low bits
@@ -764,6 +767,10 @@ def simulate(config: SimConfig) -> SimReport:
     params = config.params
     scheme = schemes.SCHEMES[config.scheme]
     q = scheme.quantizer(params, **config.sizes)
+    reach1, reach2 = scheme.reach(params, q)
+    # the hexagon test's span for every block: the sampler keeps |x1| <= 1/2
+    # and |x2| <= H/2 exactly, and the scheme's decisions stay within its reach
+    span = 0.5 + 0.5 * params.rsin + reach1 + params.rho * reach2
     ws = _thread_workspace()
     n_err = 0
     n_unhalted = 0
@@ -783,7 +790,7 @@ def simulate(config: SimConfig) -> SimReport:
             dec1, dec2, block_bits, block_rounds, unhalted = scheme.kernel(
                 params, x1, x2, config.max_rounds, q, ws
             )
-            n_err += _count_errors(params, x1, x2, dec1, dec2, ws)
+            n_err += _count_errors(params, x1, x2, dec1, dec2, span, ws)
             n_unhalted += unhalted
             bits = _store(bit_array, a - lo, block_bits)
             rounds = _store(round_array, a - lo, block_rounds)
@@ -813,12 +820,13 @@ def simulate(config: SimConfig) -> SimReport:
     )
 
 
-def _count_errors(params: LatticeParams, x1, x2, dec1, dec2, ws: Workspace) -> int:
+def _count_errors(params: LatticeParams, x1, x2, dec1, dec2, span: float, ws: Workspace) -> int:
     """How many of a block's decisions (arrays, or one number each for every
     trial) differ from the exact nearest point.  The oracle runs only on the
-    trials whose decision the hexagon test leaves uncertified, compacted
-    with their decisions into the workspace's "doubt0", ... buffers."""
-    doubt = _uncertified(params, x1, x2, dec1, dec2, ws)
+    trials whose decision the hexagon test, given the call's span, leaves
+    uncertified, compacted with their decisions into the workspace's
+    "doubt0", ... buffers."""
+    doubt = _uncertified(params, x1, x2, dec1, dec2, ws, span)
     k = len(doubt)
     if not k:
         return 0

@@ -68,8 +68,12 @@ class Quantizer:
     i of `edges` (read-only float64) in the cell of `params`.  The code, read
     by transcripts and batch kernels alike, is read-only too: `bin_bits[i]`
     = -log2(width of bin i / axis span), `answer_bits[i, symbol + 1]` =
-    -log2(table.probs[i, symbol + 1]), inf for an empty region.  Equality
-    and hash use params, vertical and sizes alone, which determine the rest.
+    -log2(table.probs[i, symbol + 1]), inf for an empty region.
+    `decisions[j, i, symbol + 1]` is coordinate j of the decision
+    table.labels[i, symbol + 1] as a float64, read-only and C-contiguous, so
+    a batch kernel gathers each decision coordinate with one take at index
+    3 * i + symbol + 1.  Equality and hash use params, vertical and sizes
+    alone, which determine the rest.
     """
 
     params: LatticeParams
@@ -80,6 +84,7 @@ class Quantizer:
     table: CrossSection = field(compare=False, repr=False)
     bin_bits: np.ndarray = field(compare=False, repr=False)
     answer_bits: np.ndarray = field(compare=False, repr=False)
+    decisions: np.ndarray = field(compare=False, repr=False)
 
 
 def _ideal_bits(values: np.ndarray) -> np.ndarray:
@@ -96,9 +101,9 @@ def _ideal_bits(values: np.ndarray) -> np.ndarray:
 
 
 def _quantizer(params: LatticeParams, edges, vertical: bool, sizes: tuple[int, ...]) -> Quantizer:
-    """The quantizer with bin edges `edges` (a float64 array), its cut table
-    and code, the table built in analytics.bin_sections' chunks into arrays
-    of its final size, so no float64 copy of all the labels is ever held."""
+    """The quantizer with bin edges `edges` (a float64 array), its cut table,
+    code and decision columns, the table built in analytics.bin_sections'
+    chunks into arrays of its final size, its labels held as int8."""
     n = len(edges) - 1
     table = CrossSection(
         lo=np.empty(n), hi=np.empty(n), labels=np.empty((n, 3, 2), np.int8), probs=np.empty((n, 3))
@@ -111,9 +116,12 @@ def _quantizer(params: LatticeParams, edges, vertical: bool, sizes: tuple[int, .
         start += len(chunk_widths)
     widths /= edges[-1] - edges[0]
     bin_bits, answer_bits = _ideal_bits(widths), _ideal_bits(table.probs)
-    for a in (edges, bin_bits, answer_bits):
+    decisions = np.moveaxis(table.labels, 2, 0).astype(np.float64, order="C")
+    for a in (edges, bin_bits, answer_bits, decisions):
         a.setflags(write=False)
-    return Quantizer(params, vertical, sizes, sum(sizes), edges, table, bin_bits, answer_bits)
+    return Quantizer(
+        params, vertical, sizes, sum(sizes), edges, table, bin_bits, answer_bits, decisions
+    )
 
 
 def quantizer_12(params: LatticeParams, n1: int, n2: int) -> Quantizer:

@@ -36,6 +36,11 @@ def _infinite_kernel(params, x1, x2, max_rounds, _, workspace) -> tuple:
     return out["dec1"], out["dec2"], out["bits"], out["rounds"], unhalted
 
 
+def _quantizer_reach(params: LatticeParams, q: protocols.Quantizer) -> tuple[float, float]:
+    """max|dec1| and max|dec2| over every decision of q's table."""
+    return tuple(float(np.max(np.abs(column))) for column in q.decisions)
+
+
 def _analyze_12(params: LatticeParams, n1: int, n2: int) -> dict:
     geo = analytics.coefficients_12(params)
     printed = analytics.coefficients_12(params, provenance="printed")
@@ -98,7 +103,9 @@ class Scheme:
     if it has none); `kernel(params, x1, x2, max_rounds, q, workspace)`
     returns per-trial decisions (dec1, dec2), bits and rounds (each an array
     in the montecarlo workspace, or one number for every trial) and the
-    unhalted count; `predict(params, **sizes)`
+    unhalted count, and `reach(params, q)` bounds them: a pair (r1, r2) with
+    |dec1| <= r1 and |dec2| <= r2 on every trial, which sets simulate's
+    hexagon-test margin; `predict(params, **sizes)`
     the closed-form (pe, bits, rounds); `transcript(x, params, max_rounds,
     q)` runs the scalar protocol (None: there is none).  `analyze(params,
     **sizes)` gives the `analyze` JSON fields after the sizes.  A sweep row
@@ -123,6 +130,7 @@ class Scheme:
     columns: tuple[str, ...]
     closed: Callable[..., tuple[list[float], analytics.TradeoffPoint | None]]
     sweep: tuple[tuple[str, str], ...]
+    reach: Callable[..., tuple[float, float]]
     round_limit: bool = False
     quantizer: Callable[..., protocols.Quantizer | None] = lambda params: None
     curve: Callable[..., analytics.TradeoffPoint] | None = None
@@ -144,6 +152,7 @@ SCHEMES = {
             columns=("pe12_below", "pe12_interp"),
             closed=_at_budget,
             sweep=(("pe12", "empirical_pe"),),
+            reach=_quantizer_reach,
             quantizer=lambda params, n1, n2: protocols.quantizer_12(params, n1, n2),
             curve=lambda params, n: analytics.point_12(params, analytics.optimal_n1(params, n), n),
             seed=lambda *search: analytics._seed_12(*search),
@@ -160,6 +169,7 @@ SCHEMES = {
             columns=("pe21_below", "pe21_interp"),
             closed=_at_budget,
             sweep=(("pe21", "empirical_pe"),),
+            reach=_quantizer_reach,
             quantizer=lambda params, n: protocols.quantizer_21(params, n),
             curve=lambda params, n: analytics.point_21(params, n),
             seed=lambda *search: analytics._seed_21(*search),
@@ -182,6 +192,7 @@ SCHEMES = {
                 [analytics.rbar_infinite(params), analytics.nbar_infinite(params)], None
             ),
             sweep=(("rbar", "mean_bits"), ("nbar", "mean_rounds")),
+            reach=lambda params, q: (1.0, 1.0),  # each decision is sign * (0 or 1)
             round_limit=True,
         ),
         Scheme(
@@ -194,6 +205,7 @@ SCHEMES = {
             columns=("pe_babai",),
             closed=lambda _, params, budget: ([babai_error_probability(params)], None),
             sweep=(("pe_babai", "empirical_pe"),),
+            reach=lambda params, q: (0.0, 0.0),
         ),
     )
 }

@@ -157,6 +157,62 @@ def test_sampler_supports(params_main):
     assert np.all((x2 > -h) & (x2 <= h))
 
 
+def _unxorshift(z: int, shift: int) -> int:
+    """The z0 with z0 ^ (z0 >> shift) == z."""
+    z0 = z
+    for _ in range(64 // shift):
+        z0 = z ^ (z0 >> shift)
+    return z0
+
+
+def _splitmix64_inverse(v: int) -> int:
+    """The counter z with _splitmix64(z) == v: each xorshift and each odd
+    multiplier of the finaliser undone mod 2^64, in reverse order."""
+    z = _unxorshift(v, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & _U64
+    z = _unxorshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _U64
+    return _unxorshift(z, 30)
+
+
+# mixed words whose draws k = word >> 11 are 0 and 2^53 - 1, the extremes,
+# with the discarded low bits all clear and all set
+_EXTREME_WORDS = (0, (1 << 11) - 1, _U64 - ((1 << 11) - 1), _U64)
+
+
+def _assert_draws_within_the_cell(params):
+    """The extreme draws, through _mixed_draws and through both sampler
+    slots, give |x1| <= 1/2 and |x2| <= H/2 exactly, with equality at
+    k = 2^53 - 1: the bounds simulate's hexagon test takes for every block."""
+    counters = [_splitmix64_inverse(v) for v in _EXTREME_WORDS]
+    assert [_splitmix64(z) for z in counters] == list(_EXTREME_WORDS)
+    for scale in (1.0, params.rsin):
+        z = np.array(counters, dtype=np.uint64)
+        x = montecarlo._mixed_draws(z, scale, np.empty_like(z))
+        assert np.max(np.abs(x)) <= 0.5 * scale
+        assert x[2] == x[3] == 0.5 * scale
+        assert x[0] == x[1] == -(0.5 - 2.0**-53) * scale
+    g = 0x9E3779B97F4A7C15
+    for slot, bound in ((0, 0.5), (1, 0.5 * params.rsin)):
+        for k, z in enumerate(counters):
+            # trial 0's slot counter is seed + (slot + 1) * g
+            point = sample_cell_arrays(params, [0], (z - (slot + 1) * g) & _U64)
+            assert abs(point[slot][0]) <= bound
+            if k >= 2:
+                assert point[slot][0] == bound
+
+
+@pytest.mark.parametrize("lattice", ["hexagonal", "rcos0.3", "near-rectangular"])
+def test_sampler_bounds_hold_at_the_extreme_draws(lattice):
+    _assert_draws_within_the_cell(_WS_LATTICES[lattice])
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(params=lattices())
+def test_sampler_bounds_hold_at_the_extreme_draws_on_any_lattice(params):
+    _assert_draws_within_the_cell(params)
+
+
 def test_sampler_moments(params_main):
     n = 1_000_000
     idx = np.arange(n, dtype=np.uint64)
@@ -443,17 +499,23 @@ def test_exact_nearest_batch_filter_edge_is_the_margin(params, monkeypatch):
     """At the hexagon's faces the pre-filter keeps the Babai point exactly for
     the residuals more than the call's margin M inside V(0).
 
-    Two anchor points at (2, 2) and (-2, -2) fix M = 5 * 2^-30.  Of the
-    points whose Babai point is 0 (so the residual is the point), those 2M
-    or more inside every face are never scanned, those within M/2 of a face
-    or outside always are, and every answer is the window scan's.
+    Two anchor points at (2, 2) and (-2, -2) fix M = 2^-30 * (1 + 2 + 2 +
+    max|b1| + rho * max|b2|), b the anchors' Babai points: the call's
+    points and Babai points never exceed theirs.  Of the points whose Babai
+    point is 0 (so the residual is the point), those 2M or more inside every
+    face are never scanned, those within M/2 of a face or outside always
+    are, and every answer is the window scan's.
     """
-    m = 5 * 2.0**-30
+    anchors = np.array([2.0, -2.0])
+    a1, a2 = babai_batch(params, anchors, anchors)
+    m = montecarlo._MARGIN * (5.0 + np.max(np.abs(a1)) + params.rho * np.max(np.abs(a2)))
     y1, y2, inward = _hexagon_face_points(params, m)
-    assert np.max(np.abs(y1)) <= 2.0 and np.max(np.abs(y2)) <= 2.0
-    x1 = np.concatenate([y1, [2.0, -2.0]])
-    x2 = np.concatenate([y2, [2.0, -2.0]])
-    assert montecarlo._MARGIN * (1.0 + np.max(np.abs(x1)) + np.max(np.abs(x2))) == m
+    x1 = np.concatenate([y1, anchors])
+    x2 = np.concatenate([y2, anchors])
+    b1, b2 = babai_batch(params, x1, x2)
+    maxima = [np.max(np.abs(a)) for a in (x1, x2, b1, b2)]
+    assert maxima[:2] == [2.0, 2.0]
+    assert montecarlo._MARGIN * (1.0 + sum(maxima[:3]) + params.rho * maxima[3]) == m
     seen = _counting_scan(monkeypatch)
     _assert_same_bytes(exact_nearest_batch(params, x1, x2), _window_scan(params, x1, x2))
     scanned = {(a, b) for s1, s2 in seen for a, b in zip(s1.tolist(), s2.tolist())}
@@ -1021,6 +1083,7 @@ def always_v1(monkeypatch):
         name="always_v1",
         alias="v1",
         kernel=lambda *_: (1.0, 0.0, 0.0, 0.0, 0),
+        reach=lambda params, q: (1.0, 0.0),
     )
     monkeypatch.setitem(schemes.SCHEMES, entry.name, entry)
     return entry
@@ -1069,3 +1132,54 @@ def test_simulate_counts_the_brute_force_errors(lattice, scheme, sizes, always_v
         assert want == sum(seen) == config.trials
     if scheme == "infinite":
         assert want == sum(seen) == 0
+
+
+# every scheme table entry, its quantizers from one bin a side to hundreds,
+# and the infinite scheme with and without its unhalted fallback
+_REACH_CASES = (
+    ("babai_only", {}),
+    ("infinite", {}),
+    ("infinite", {"max_rounds": 1}),
+    *(("12", {"n1": n1, "n2": n2}) for n1, n2 in ((1, 1), (2, 3), (300, 700))),
+    *(("21", {"n": n}) for n in (1, 4, 999)),
+    ("always_v1", {}),
+)
+
+
+@pytest.mark.parametrize("lattice", list(_WS_LATTICES))
+@pytest.mark.parametrize(
+    "scheme,kw",
+    [pytest.param(s, kw, id="-".join(map(str, (s, *kw.values())))) for s, kw in _REACH_CASES],
+)
+def test_simulate_decisions_stay_within_the_scheme_reach(
+    lattice, scheme, kw, always_v1, monkeypatch
+):
+    """On every block simulate runs, the kernel's decisions lie within the
+    reach (r1, r2) its table entry states, and the span simulate gives the
+    hexagon test is at least the one the test measures from the block's
+    points and decisions, so its margin is too."""
+    assert set(schemes.SCHEMES) <= {case[0] for case in _REACH_CASES}
+    params = _WS_LATTICES[lattice]
+    config = SimConfig(params, scheme, trials=(1 << 16) + 3, seed=31, **kw)
+    entry = schemes.SCHEMES[scheme]
+    r1, r2 = entry.reach(params, entry.quantizer(params, **config.sizes))
+    blocks = []
+    uncertified = montecarlo._uncertified
+
+    def checking(params, x1, x2, b1, b2, ws, span=None):
+        if span is not None:
+            blocks.append(len(x1))
+            assert np.all(np.abs(b1) <= r1) and np.all(np.abs(b2) <= r2)
+            t = np.empty(len(x1))
+            measured = (
+                montecarlo._max_abs(x1, t)
+                + montecarlo._max_abs(x2, t)
+                + montecarlo._max_abs(b1, t)
+                + params.rho * montecarlo._max_abs(b2, t)
+            )
+            assert span >= measured
+        return uncertified(params, x1, x2, b1, b2, ws, span)
+
+    monkeypatch.setattr(montecarlo, "_uncertified", checking)
+    simulate(config)
+    assert blocks == [1 << 16, 3]

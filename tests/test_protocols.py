@@ -276,6 +276,28 @@ def test_quantizer_table_does_not_depend_on_chunking(chunk, params_main, params_
                 assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("lattice", ["params_main", "params_hex", "params_square"])
+def test_quantizer_decision_columns_are_the_labels(lattice, request):
+    """decisions[j, i, k] is the float of table.labels[i, k, j] on every
+    entry, at sizes from one bin a side to thousands, and the columns are
+    read-only and C-contiguous, so the batch kernels gather from them in place."""
+    params = request.getfixturevalue(lattice)
+    for q in (
+        *(quantizer_12(params, n1, n2) for n1, n2 in ((1, 1), (2, 3), (40, 70), (4096, 4096))),
+        *(quantizer_21(params, n) for n in (1, 4, 99, 4096)),
+    ):
+        labels = q.table.labels
+        assert q.decisions.dtype == np.float64
+        assert q.decisions.shape == (2, len(labels), 3)
+        assert q.decisions.flags.c_contiguous and not q.decisions.flags.writeable
+        for j, column in enumerate(q.decisions):
+            assert column.flags.c_contiguous and not column.flags.writeable
+            assert np.array_equal(column, labels[:, :, j])
+            assert not np.any(np.signbit(column) & (column == 0.0))  # no -0.0
+        with pytest.raises(ValueError):
+            q.decisions[0, 0, 0] = 7.0
+
+
 def _edited(t, symbols: dict[int, int], keep: int | None = None):
     """t's messages after a JSON round trip with some symbols replaced and
     only the first `keep` messages kept."""
