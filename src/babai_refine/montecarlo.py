@@ -7,8 +7,9 @@ evaluate a whole array of trials at once and return per-trial arrays;
 simulate() reduces them into a SimReport with binomial / sample standard
 errors next to the closed-form predictions.  A decision is an error when it
 differs from the exact nearest point; simulate() certifies each decision
-against the Voronoi hexagon and runs the nearest-point oracle
-exact_nearest_batch only on the trials that test leaves in doubt.
+against the Voronoi hexagon and scans for the nearest point, as the
+oracle exact_nearest_batch does, only on the trials that test leaves in
+doubt.
 
 Every per-trial array of the block pipeline (sampler, kernels, hexagon
 test, oracle, error flags) and of the chunk reduction is taken from a
@@ -459,6 +460,24 @@ def _bin_index(q: protocols.Quantizer, first: np.ndarray, ws: Workspace) -> np.n
     return np.maximum(pos, 0, out=pos)
 
 
+def _fill_rows(rows: protocols.BinRows, pos: np.ndarray, ws: Workspace) -> None:
+    """Fill the rows of the bins in pos that are not filled yet, in one call
+    of rows.fill, which passes over the filled ones.
+
+    It costs O(len(pos)) and no pass over the bins: each bin is passed
+    once, as the trial whose number survives the scatter of the trial
+    numbers into a per-bin array, of which only the entries of those bins
+    are touched.  Its scratch is "mask0", "tmp0" and "tmp1".
+    """
+    n = len(pos)
+    trial = _arange(ws("tmp0", n, np.intp))
+    owner = np.empty(len(rows.bin_bits), np.intp)
+    owner[pos] = trial  # of a repeated bin, one trial's number stays
+    kept = np.take(owner, pos, out=ws("tmp1", n, np.intp), mode="clip")
+    at = _flatnonzero(np.equal(kept, trial, out=ws("mask0", n, bool)), trial)
+    rows.fill(np.take(pos, at, out=kept[: len(at)], mode="clip"))
+
+
 def _single_round_batch(
     q: protocols.Quantizer, x1: np.ndarray, x2: np.ndarray, ws: Workspace
 ) -> dict[str, np.ndarray]:
@@ -467,8 +486,9 @@ def _single_round_batch(
     The first speaker sends the bin of its coordinate; the other answers
     with the side of the cuts at that bin's midpoint its own coordinate
     falls on.  Returns per trial both symbols, their ideal bits and the
-    decision (dec1, dec2, float64, gathered from q.decisions), indexed from
-    q as _single_round does.
+    decision (dec1, dec2, float64, gathered from q's decision columns),
+    indexed from q as _single_round does.  The rows of the bins the trials
+    fall in are filled first, those of no other bin.
     """
     if q.vertical:
         first, second, (a, b) = x1, x2, ("u1", "u2")
@@ -478,11 +498,18 @@ def _single_round_batch(
     first = np.ravel(first)
     second = np.ravel(second)
     n = len(first)
-    table = q.table
+    rows = q.rows
+    # read before the gather: if every row was filled then, every row it reads is
+    complete = rows.complete
     pos = _bin_index(q, first, ws)
-    cut = np.take(table.hi, pos, out=ws("tmp1", n), mode="clip")
+    bits = np.take(rows.bin_bits, pos, out=ws("bits", n), mode="clip")
+    # an unfilled row's bin_bits is NaN, and so is the sum of any gather of it
+    if not complete and math.isnan(np.add.reduce(bits)):
+        _fill_rows(rows, pos, ws)
+        np.take(rows.bin_bits, pos, out=bits, mode="clip")
+    cut = np.take(rows.hi, pos, out=ws("tmp1", n), mode="clip")
     up = np.greater(second, cut, out=ws("mask0", n, bool))
-    np.take(table.lo, pos, out=cut, mode="clip")
+    np.take(rows.lo, pos, out=cut, mode="clip")
     down = np.less_equal(second, cut, out=ws("mask1", n, bool))
     np.greater(down, up, out=down)  # at or below the lower cut and not above the upper
     sym = ws("int1", n, np.intp)
@@ -496,11 +523,11 @@ def _single_round_batch(
     out = {
         f"{a}_symbol": pos,
         f"{b}_symbol": sym,
-        f"{a}_bits": np.take(q.bin_bits, pos, out=ws("bits", n), mode="clip"),
-        f"{b}_bits": np.take(q.answer_bits.reshape(-1), flat, out=ws("bits2", n), mode="clip"),
+        f"{a}_bits": bits,
+        f"{b}_bits": np.take(rows.answer_bits.reshape(-1), flat, out=ws("bits2", n), mode="clip"),
     }
     pos -= q.center  # the bin symbol
-    for name, column in zip(("dec1", "dec2"), q.decisions):
+    for name, column in zip(("dec1", "dec2"), rows.decisions):
         out[name] = np.take(column, flat, out=ws(name, n), mode="clip")
     return {name: v.reshape(shape) for name, v in out.items()}
 
@@ -745,24 +772,26 @@ def simulate(config: SimConfig) -> SimReport:
     Errors count decisions differing from the exact nearest point.  Each
     block's decisions go through _uncertified's hexagon test first; only the
     trials it cannot certify (the wrong decisions, and those within its
-    margin of a face of the hexagon) are compacted and passed to
-    exact_nearest_batch, so the count is the one that oracle would give on
-    every trial.  The test's margin is set once per call, from the cell's
-    bounds and the scheme's decision reach, not measured on each block.
-    The scheme's quantizer, if it has one, is built once per call.  The
-    per-trial stages run on blocks of `_BLOCK` trials, whose size does not
-    change the report; the bits and rounds are reduced over fixed chunks of
-    `_CHUNK` trials in index order, and the chunk size does set the low bits
-    of the means and standard errors.
+    margin of a face of the hexagon) are compacted and scanned over their
+    Babai point and its six relevant neighbours, so the count is the one the
+    oracle exact_nearest_batch would give on every trial.  The test's margin
+    is set once per call, from the cell's bounds and the scheme's decision
+    reach, not measured on each block.  The scheme's quantizer, if it has
+    one, is built once per call with no row filled; each block fills the
+    rows of the bins its trials fall in, so the call pays for those bins
+    only.  The per-trial stages run on blocks of `_BLOCK` trials, whose size
+    does not change the report; the bits and rounds are reduced over fixed
+    chunks of `_CHUNK` trials in index order, and the chunk size does set
+    the low bits of the means and standard errors.
 
     Every per-trial array lives in this thread's workspace: the block's
     trial indices, points, kernel outputs, hexagon test, trials in doubt with
-    the oracle's answers for them and error flags,
-    and the chunk's bits and rounds (squared in place for the sums).  It is
-    built on the thread's first call, grown to the largest block and chunk
-    the thread has run and kept until the thread ends, so a repeated call
-    allocates no per-trial memory; it holds what one call of that size
-    needs at its peak, about 25 MB after a 2^20-trial call.
+    their nearest points and error flags, and the chunk's bits and rounds
+    (squared in place for the sums).  It is built on the thread's first
+    call, grown to the largest block and chunk the thread has run and kept
+    until the thread ends, so a repeated call allocates no per-trial memory;
+    it holds what one call of that size needs at its peak, about 25 MB after
+    a 2^20-trial call.
     """
     params = config.params
     scheme = schemes.SCHEMES[config.scheme]
@@ -822,10 +851,13 @@ def simulate(config: SimConfig) -> SimReport:
 
 def _count_errors(params: LatticeParams, x1, x2, dec1, dec2, span: float, ws: Workspace) -> int:
     """How many of a block's decisions (arrays, or one number each for every
-    trial) differ from the exact nearest point.  The oracle runs only on the
-    trials whose decision the hexagon test, given the call's span, leaves
-    uncertified, compacted with their decisions into the workspace's
-    "doubt0", ... buffers."""
+    trial) differ from the exact nearest point.  Only the trials whose
+    decision the hexagon test, given the call's span, leaves uncertified
+    are compacted with their decisions into the workspace's "doubt0", ...
+    buffers, and their nearest point is scanned from their Babai point and
+    its six relevant neighbours directly: exact_nearest_batch's answer up to
+    the sign of a zero, without its hexagon test of the Babai point, which
+    would certify few of them (none for Babai's own decisions)."""
     doubt = _uncertified(params, x1, x2, dec1, dec2, ws, span)
     k = len(doubt)
     if not k:
@@ -834,7 +866,8 @@ def _count_errors(params: LatticeParams, x1, x2, dec1, dec2, span: float, ws: Wo
         np.take(a, doubt, out=ws(f"doubt{i}", k), mode="clip") if np.ndim(a) else a
         for i, a in enumerate((x1, x2, dec1, dec2))
     ]
-    e1, e2 = exact_nearest_batch(params, y1, y2, workspace=ws)
+    b1, b2 = babai_batch(params, y1, y2, workspace=ws)
+    e1, e2 = _scan_relevant(params.rcos, params.rsin, y1, y2, b1, b2, ws)
     wrong = np.not_equal(d1, e1, out=ws("mask0", k, bool))
     wrong |= np.not_equal(d2, e2, out=ws("mask1", k, bool))
     return int(np.count_nonzero(wrong))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -32,12 +33,17 @@ from .lattice import (
     LatticeParams,
     Point2,
     cell_geometry,
+    cross_section,
 )
 
 S1 = "S1"
 S2 = "S2"
 
 DEFAULT_MAX_ROUNDS = 64
+
+# rows per cross_section call of a row fill: it bounds the fill's temporaries,
+# about 200 bytes a row, at about 200 KB
+_FILL_CHUNK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -56,6 +62,84 @@ class Transcript:
     halted: bool
 
 
+class BinRows:
+    """A quantizer's per-bin rows, each computed on first use.
+
+    Row i is bin i's line through its midpoint: its cuts `lo` and `hi`,
+    `labels` (int8) and region `probs` (a cross_section row), its decision
+    columns `decisions[:, i]` (the labels as float64) and its code lengths
+    `bin_bits[i]` and `answer_bits[i]`.  The arrays have the size of the
+    whole quantizer from the start, but row i holds its values only once it
+    is filled, and `bin_bits[i]` is NaN until then (a filled one never is);
+    `complete` is set once every row is filled.  Rows are filled under
+    `lock`, bin_bits last, so threads that share a quantizer fill each row
+    once, and a row whose bin_bits they read as a number is whole.
+    """
+
+    def __init__(self, geom, edges: np.ndarray, vertical: bool):
+        n = len(edges) - 1
+        self.geom, self.edges, self.vertical = geom, edges, vertical
+        self.lo = np.empty(n)
+        self.hi = np.empty(n)
+        self.labels = np.empty((n, 3, 2), np.int8)
+        self.probs = np.empty((n, 3))
+        self.decisions = np.empty((2, n, 3))
+        self.answer_bits = np.empty((n, 3))
+        self.bin_bits = np.full(n, math.nan)
+        self.unfilled = n
+        self.complete = n == 0
+        self.lock = threading.Lock()
+
+    def fill(self, bins: np.ndarray) -> None:
+        """Compute the rows of the distinct bins `bins` (an intp array) that
+        are not filled yet, _FILL_CHUNK rows at a time.
+
+        Row i of edges e takes the midpoint 0.5*(e[i] + e[i+1]), the width
+        (e[i+1] - e[i]) / (e[-1] - e[0]), cross_section at the midpoint and
+        _ideal_bits of the width and of the probs.  Each is elementwise, so
+        a row does not depend on which rows are filled with it, nor on the
+        chunk.
+        """
+        e = self.edges
+        with self.lock:
+            bins = bins[np.isnan(self.bin_bits[bins])]
+            for start in range(0, len(bins), _FILL_CHUNK):
+                part = bins[start : start + _FILL_CHUNK]
+                below, above = e[part], e[part + 1]
+                cuts = cross_section(self.geom, 0.5 * (below + above), self.vertical)
+                labels = cuts.labels.astype(np.int8)
+                self.lo[part] = cuts.lo
+                self.hi[part] = cuts.hi
+                self.labels[part] = labels
+                self.probs[part] = cuts.probs
+                self.decisions[:, part] = np.moveaxis(labels, 2, 0)
+                self.answer_bits[part] = _ideal_bits(cuts.probs)
+                self.bin_bits[part] = _ideal_bits((above - below) / (e[-1] - e[0]))
+            self.unfilled -= len(bins)
+            self.complete = not self.unfilled
+
+    def bits(self, pos: int) -> float:
+        """bin_bits[pos], with bin pos's row filled first: a scalar reader
+        calls it before it reads the rest of the row."""
+        bits = self.bin_bits.item(pos)
+        if math.isnan(bits):
+            self.fill(np.array([pos]))
+            bits = self.bin_bits.item(pos)
+        return bits
+
+    def whole(self) -> BinRows:
+        """These rows, with every one filled."""
+        if not self.complete:
+            self.fill(np.flatnonzero(np.isnan(self.bin_bits)))
+        return self
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.setflags(write=False)
+    return view
+
+
 @dataclass(frozen=True)
 class Quantizer:
     """Codebook of a single-round scheme over its first speaker's axis.
@@ -72,8 +156,14 @@ class Quantizer:
     `decisions[j, i, symbol + 1]` is coordinate j of the decision
     table.labels[i, symbol + 1] as a float64, read-only and C-contiguous, so
     a batch kernel gathers each decision coordinate with one take at index
-    3 * i + symbol + 1.  Equality and hash use params, vertical and sizes
-    alone, which determine the rest.
+    3 * i + symbol + 1.
+
+    A quantizer is built with its edges alone.  Each bin's row of the
+    table, code and decisions is computed when a transcript, a replay or a
+    batch kernel first reads it (`rows`, a BinRows), so a call pays only for
+    the bins it touches; `table`, `bin_bits`, `answer_bits` and `decisions`
+    fill every row when read and return the whole arrays.  Equality and
+    hash use params, vertical and sizes alone, which determine the rest.
     """
 
     params: LatticeParams
@@ -81,10 +171,28 @@ class Quantizer:
     sizes: tuple[int, ...]
     center: int = field(compare=False)
     edges: np.ndarray = field(compare=False, repr=False)
-    table: CrossSection = field(compare=False, repr=False)
-    bin_bits: np.ndarray = field(compare=False, repr=False)
-    answer_bits: np.ndarray = field(compare=False, repr=False)
-    decisions: np.ndarray = field(compare=False, repr=False)
+    rows: BinRows = field(compare=False, repr=False)
+
+    @property
+    def table(self) -> CrossSection:
+        rows = self.rows.whole()
+        return CrossSection(*map(_read_only, (rows.lo, rows.hi, rows.labels, rows.probs)))
+
+    @property
+    def bin_bits(self) -> np.ndarray:
+        return _read_only(self.rows.whole().bin_bits)
+
+    @property
+    def answer_bits(self) -> np.ndarray:
+        return _read_only(self.rows.whole().answer_bits)
+
+    @property
+    def decisions(self) -> np.ndarray:
+        return _read_only(self.rows.whole().decisions)
+
+    def __reduce__(self):
+        # pickled as what determines it (its rows hold a lock); unpickled with no row filled
+        return (quantizer_12 if self.vertical else quantizer_21, (self.params, *self.sizes))
 
 
 def _ideal_bits(values: np.ndarray) -> np.ndarray:
@@ -101,27 +209,11 @@ def _ideal_bits(values: np.ndarray) -> np.ndarray:
 
 
 def _quantizer(params: LatticeParams, edges, vertical: bool, sizes: tuple[int, ...]) -> Quantizer:
-    """The quantizer with bin edges `edges` (a float64 array), its cut table,
-    code and decision columns, the table built in analytics.bin_sections'
-    chunks into arrays of its final size, its labels held as int8."""
-    n = len(edges) - 1
-    table = CrossSection(
-        lo=np.empty(n), hi=np.empty(n), labels=np.empty((n, 3, 2), np.int8), probs=np.empty((n, 3))
-    )
-    widths = np.empty(n)
-    start = 0
-    for chunk_widths, part in analytics.bin_sections(cell_geometry(params), edges, vertical):
-        for whole, rows in zip((widths, *table), (chunk_widths, *part)):
-            whole[start : start + len(rows)] = rows
-        start += len(chunk_widths)
-    widths /= edges[-1] - edges[0]
-    bin_bits, answer_bits = _ideal_bits(widths), _ideal_bits(table.probs)
-    decisions = np.moveaxis(table.labels, 2, 0).astype(np.float64, order="C")
-    for a in (edges, bin_bits, answer_bits, decisions):
-        a.setflags(write=False)
-    return Quantizer(
-        params, vertical, sizes, sum(sizes), edges, table, bin_bits, answer_bits, decisions
-    )
+    """The quantizer with bin edges `edges` (a float64 array), none of its
+    rows filled yet."""
+    edges.setflags(write=False)
+    rows = BinRows(cell_geometry(params), edges, vertical)
+    return Quantizer(params, vertical, sizes, sum(sizes), edges, rows)
 
 
 def quantizer_12(params: LatticeParams, n1: int, n2: int) -> Quantizer:
@@ -154,8 +246,8 @@ def _require_in_cell(x: Point2, params: LatticeParams) -> None:
         raise OutOfCell(f"{tuple(x)} outside (-1/2,1/2] x (-{h},{h}]")
 
 
-def _decision(q: Quantizer, pos: int, symbol: int) -> IntegerPair:
-    return IntegerPair(*q.table.labels[pos, symbol + 1].tolist())
+def _decision(rows: BinRows, pos: int, symbol: int) -> IntegerPair:
+    return IntegerPair(rows.labels.item(pos, symbol + 1, 0), rows.labels.item(pos, symbol + 1, 1))
 
 
 def _single_round(x: Point2, params: LatticeParams, q: Quantizer) -> Transcript:
@@ -170,17 +262,17 @@ def _single_round(x: Point2, params: LatticeParams, q: Quantizer) -> Transcript:
         first, second, senders = x[0], x[1], (S1, S2)
     else:
         first, second, senders = x[1], x[0], (S2, S1)
-    table = q.table
     # the half-open bin edges[pos] < first <= edges[pos + 1]
     pos = min(max(bisect_left(q.edges, first) - 1, 0), len(q.edges) - 2)
-    symbol = 1 if second > table.hi[pos] else (-1 if second <= table.lo[pos] else 0)
-    bits1 = q.bin_bits.item(pos)
-    bits2 = q.answer_bits.item(pos, symbol + 1)
+    rows = q.rows
+    bits1 = rows.bits(pos)
+    symbol = 1 if second > rows.hi.item(pos) else (-1 if second <= rows.lo.item(pos) else 0)
+    bits2 = rows.answer_bits.item(pos, symbol + 1)
     return Transcript(
         messages=(Message(senders[0], pos - q.center, bits1), Message(senders[1], symbol, bits2)),
         rounds=1,
         total_bits=bits1 + bits2,
-        decision=_decision(q, pos, symbol),
+        decision=_decision(rows, pos, symbol),
         halted=True,
     )
 
@@ -356,7 +448,9 @@ def replay_decision(
     symbols = [m.symbol for m in messages]
     if q is not None:
         _expect(symbols, range(-q.center, len(q.edges) - 1 - q.center), (-1, 0, 1))
-        return _decision(q, symbols[0] + q.center, symbols[1])
+        pos = symbols[0] + q.center
+        q.rows.bits(pos)  # fills the row
+        return _decision(q.rows, pos, symbols[1])
     _expect(symbols[:1], (-1, 0, 1))
     if symbols[0] == 0:
         return IntegerPair(0, 0)

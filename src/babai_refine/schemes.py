@@ -36,11 +36,6 @@ def _infinite_kernel(params, x1, x2, max_rounds, _, workspace) -> tuple:
     return out["dec1"], out["dec2"], out["bits"], out["rounds"], unhalted
 
 
-def _quantizer_reach(params: LatticeParams, q: protocols.Quantizer) -> tuple[float, float]:
-    """max|dec1| and max|dec2| over every decision of q's table."""
-    return tuple(float(np.max(np.abs(column))) for column in q.decisions)
-
-
 def _analyze_12(params: LatticeParams, n1: int, n2: int) -> dict:
     geo = analytics.coefficients_12(params)
     printed = analytics.coefficients_12(params, provenance="printed")
@@ -152,7 +147,8 @@ SCHEMES = {
             columns=("pe12_below", "pe12_interp"),
             closed=_at_budget,
             sweep=(("pe12", "empirical_pe"),),
-            reach=_quantizer_reach,
+            # each label is (0, 0) or one of the four boundary neighbours
+            reach=lambda params, q: (1.0, 1.0),
             quantizer=lambda params, n1, n2: protocols.quantizer_12(params, n1, n2),
             curve=lambda params, n: analytics.point_12(params, analytics.optimal_n1(params, n), n),
             seed=lambda *search: analytics._seed_12(*search),
@@ -169,7 +165,7 @@ SCHEMES = {
             columns=("pe21_below", "pe21_interp"),
             closed=_at_budget,
             sweep=(("pe21", "empirical_pe"),),
-            reach=_quantizer_reach,
+            reach=lambda params, q: (1.0, 1.0),  # as for the 12 scheme
             quantizer=lambda params, n: protocols.quantizer_21(params, n),
             curve=lambda params, n: analytics.point_21(params, n),
             seed=lambda *search: analytics._seed_21(*search),

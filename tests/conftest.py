@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from babai_refine import LatticeParams
+from babai_refine import LatticeParams, cell_geometry, cross_section
 
 RCOS_MAIN = 0.3
 EPS = 1e-6
@@ -48,3 +48,41 @@ def lattices(draw, rcos_min=1e-6, exact_rcos=False):
     if exact_rcos:
         return LatticeParams.from_rcos(rho, rcos)
     return LatticeParams(rho=rho, theta=math.acos(rcos / rho))
+
+
+def _code_lengths(values: np.ndarray) -> np.ndarray:
+    return np.array(
+        [math.inf if v == 0.0 else -math.log2(v) for v in values.ravel().tolist()]
+    ).reshape(values.shape)
+
+
+def eager_rows(q) -> dict[str, np.ndarray]:
+    """Every row of quantizer q from one cross_section of all its bin
+    midpoints and one math.log2 per code entry (inf for an empty region),
+    by the names of q.rows: the rows filled on first use equal these bit
+    for bit."""
+    e = np.asarray(q.edges)
+    cuts = cross_section(cell_geometry(q.params), 0.5 * (e[:-1] + e[1:]), q.vertical)
+    labels = cuts.labels.astype(np.int8)
+    return {
+        "lo": cuts.lo,
+        "hi": cuts.hi,
+        "labels": labels,
+        "probs": cuts.probs,
+        "decisions": np.moveaxis(labels, 2, 0).astype(np.float64),
+        "bin_bits": _code_lengths((e[1:] - e[:-1]) / (e[-1] - e[0])),
+        "answer_bits": _code_lengths(cuts.probs),
+    }
+
+
+def filled_bins(q) -> np.ndarray:
+    """The bins whose row q has filled, ascending: those whose bin_bits is a number."""
+    return np.flatnonzero(~np.isnan(q.rows.bin_bits))
+
+
+def assert_rows_are_eager(q, bins) -> None:
+    """q's rows of `bins` equal eager_rows(q)'s bit for bit."""
+    for name, want in eager_rows(q).items():
+        got = getattr(q.rows, name)
+        got, want = (got[:, bins], want[:, bins]) if name == "decisions" else (got[bins], want[bins])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name

@@ -38,7 +38,7 @@ from babai_refine import (
     simulate,
 )
 
-from conftest import lattices
+from conftest import assert_rows_are_eager, eager_rows, filled_bins, lattices
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, 5.0, True])
@@ -1051,6 +1051,82 @@ def test_two_threads_simulate_at_once():
     assert reports == serial
 
 
+def test_two_threads_fill_one_fresh_quantizer():
+    """Two threads run the 21 kernel at once on one shared, fresh quantizer,
+    over different points in calls of a few hundred trials, so that their
+    row fills interleave.  Each output equals its serial result, the filled
+    count matches the rows filled, and the final table is the eager one."""
+    params = _WS_LATTICES["rcos0.3"]
+    points = [
+        [a.copy() for a in sample_cell_arrays(params, np.arange(1 << 13, dtype=np.uint64), seed)]
+        for seed in (41, 42)
+    ]
+    calls = [slice(lo, lo + 300) for lo in range(0, 1 << 13, 300)]
+
+    def run(q, x1, x2):
+        return [_arrays_of(run_batch_21(params, q, x1[c], x2[c])) for c in calls]
+
+    serial = [run(quantizer_21(params, 999), *p) for p in points]
+    q = quantizer_21(params, 999)
+    start = threading.Barrier(2)
+    outputs = [None, None]
+
+    def worker(i):
+        start.wait(timeout=60)
+        outputs[i] = run(q, *points[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(outputs, serial):
+        for got_call, want_call in zip(got, want, strict=True):
+            _assert_same_bytes(got_call, want_call)
+    assert q.rows.unfilled == len(q.edges) - 1 - len(filled_bins(q))
+    assert_rows_are_eager(q, filled_bins(q))
+    want = eager_rows(q)
+    assert q.table.labels.tobytes() == want["labels"].tobytes()
+    for name in ("lo", "hi", "probs"):
+        assert getattr(q.table, name).tobytes() == want[name].tobytes()
+    for name in ("bin_bits", "answer_bits", "decisions"):
+        assert getattr(q, name).tobytes() == want[name].tobytes()
+
+
+# the middle and last rows of `sweep --rho 1 --grid 3`: theta from the sweep's own
+# grid expression, near 75 degrees and pi/2 - 1e-6; the 21 budget point of both is
+# capped at 4096 bins a side
+_SWEEP_LO, _SWEEP_HI = math.pi / 3 + 1e-6, math.pi / 2 - 1e-6
+_SWEEP_ROWS = {
+    row: LatticeParams(rho=1.0, theta=_SWEEP_LO + row * ((_SWEEP_HI - _SWEEP_LO) / 2))
+    for row in (1, 2)
+}
+
+
+@pytest.mark.parametrize("row", list(_SWEEP_ROWS))
+def test_simulate_fills_only_the_bins_its_trials_land_in(row, monkeypatch):
+    """A 32768-trial simulate on quantizer_21(params, 4096), as sweep-empirical
+    runs it, fills the rows of exactly the bins its trials fall in."""
+    params = _SWEEP_ROWS[row]
+    built = []
+    build = protocols.quantizer_21
+    monkeypatch.setattr(protocols, "quantizer_21", lambda p, n: built.append(build(p, n)) or built[-1])
+    config = SimConfig(params, "21", trials=1 << 15, seed=derive_seed(3, row), n=4096)
+    simulate(config)
+    (q,) = built
+    _, x2 = sample_cell_arrays(params, np.arange(config.trials, dtype=np.uint64), config.seed)
+    landed = np.unique(np.clip(np.searchsorted(q.edges, x2, side="left") - 1, 0, len(q.edges) - 2))
+    assert np.array_equal(filled_bins(q), landed)
+    assert q.rows.unfilled == len(q.edges) - 1 - len(landed) > 0
+    assert_rows_are_eager(q, landed)
+
+
 @pytest.mark.parametrize("trials", [1 << 15, 1 << 20])
 @pytest.mark.parametrize("lattice", list(_WS_LATTICES))
 def test_repeated_simulate_allocates_no_per_trial_memory(lattice, trials):
@@ -1109,7 +1185,8 @@ def _brute_force_errors(config) -> int:
 )
 def test_simulate_counts_the_brute_force_errors(lattice, scheme, sizes, always_v1, monkeypatch):
     """simulate's error count equals the oracle's on every trial, and the
-    oracle sees the wrong trials and at most 0.1 % of the trials besides.
+    oracle's scan of the trials in doubt sees the wrong trials and at most
+    0.1 % of the trials besides.
 
     The count is read back from empirical_pe over (1 << 16) + 3 trials, a
     full block and a partial one; the test-only always_v1 scheme decides
@@ -1118,13 +1195,13 @@ def test_simulate_counts_the_brute_force_errors(lattice, scheme, sizes, always_v
     config = SimConfig(_WS_LATTICES[lattice], scheme, trials=(1 << 16) + 3, seed=23, **sizes)
     want = _brute_force_errors(config)
     seen = []
-    oracle = montecarlo.exact_nearest_batch
+    oracle = montecarlo._scan_relevant
 
-    def counting(params, x1, x2, *, workspace=None):
+    def counting(c, s, x1, x2, b1, b2, ws):
         seen.append(len(x1))
-        return oracle(params, x1, x2, workspace=workspace)
+        return oracle(c, s, x1, x2, b1, b2, ws)
 
-    monkeypatch.setattr(montecarlo, "exact_nearest_batch", counting)
+    monkeypatch.setattr(montecarlo, "_scan_relevant", counting)
     report = simulate(config)
     assert round(report.empirical_pe * config.trials) == want
     assert sum(seen) <= want + 0.001 * config.trials

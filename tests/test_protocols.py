@@ -1,8 +1,13 @@
+import copy
 import json
 import math
+import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from babai_refine import (
     ErrorRectangle,
@@ -16,10 +21,13 @@ from babai_refine import (
     error_rectangle,
     exact_nearest_point,
     lattice_point,
+    protocols,
     quantizer_12,
     quantizer_21,
     replay_decision,
     round1_distributions,
+    run_batch_12,
+    run_batch_21,
     run_infinite_rounds,
     run_single_round_12,
     run_single_round_21,
@@ -27,7 +35,7 @@ from babai_refine import (
     transcript_to_json,
 )
 
-from conftest import random_valid_params
+from conftest import assert_rows_are_eager, eager_rows, filled_bins, lattices, random_valid_params
 
 SIN03 = math.sqrt(0.91)
 
@@ -296,6 +304,97 @@ def test_quantizer_decision_columns_are_the_labels(lattice, request):
             assert not np.any(np.signbit(column) & (column == 0.0))  # no -0.0
         with pytest.raises(ValueError):
             q.decisions[0, 0, 0] = 7.0
+
+
+def test_quantizers_pickle_and_copy(params_main):
+    """A quantizer, with one row filled or none, pickles and copies to an
+    equal one with the same table."""
+    filled = quantizer_12(params_main, 2, 3)
+    run_single_round_12(Point2(0.1, 0.2), params_main, filled)
+    for q in (filled, quantizer_21(params_main, 4)):
+        for other in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q)):
+            assert other == q
+            for got, want in zip(other.table, q.table):
+                assert got.tobytes() == want.tobytes()
+
+
+def test_a_fresh_quantizer_fills_no_row(params_main, params_square, monkeypatch):
+    """Building a quantizer computes no cut and takes no logarithm, up to
+    4096 bins a side: every row waits for its first reader."""
+    calls = []
+    monkeypatch.setattr(protocols, "cross_section", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(math, "log2", lambda v: calls.append(v))
+    for params in (params_main, params_square):
+        for q in (quantizer_21(params, 4096), quantizer_12(params, 4096, 4096)):
+            assert filled_bins(q).size == 0
+            assert q.rows.unfilled == len(q.edges) - 1 and not q.rows.complete
+    assert calls == []
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    params=lattices(),
+    vertical=st.booleans(),
+    n1=st.integers(1, 30),
+    n2=st.integers(1, 30),
+    chunk=st.sampled_from([1, 7, 1 << 10]),
+    data=st.data(),
+)
+def test_rows_filled_in_any_order_are_the_eager_rows(params, vertical, n1, n2, chunk, data):
+    """Rows asked for in any order and subset (scalar transcripts and
+    replays, then batch kernel blocks, then the full-table attributes) are
+    one cross_section of all the bin midpoints plus math.log2, bit for bit,
+    whatever the fill's chunk, and before the full table is read exactly
+    the rows asked for are filled."""
+    with mock.patch.object(protocols, "_FILL_CHUNK", chunk):
+        _fill_rows_in_order(params, vertical, n1, n2, data)
+
+
+def _fill_rows_in_order(params, vertical, n1, n2, data):
+    q = quantizer_12(params, n1, n2) if vertical else quantizer_21(params, n1)
+    if vertical:
+        scheme, run, batch = "12", run_single_round_12, run_batch_12
+    else:
+        scheme, run, batch = "21", run_single_round_21, run_batch_21
+    edges = np.asarray(q.edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    other_half = (params.rsin if vertical else 1.0) / 2.0
+    bins = st.integers(0, len(mid) - 1)
+    asked = set()
+
+    def point(i, f):
+        return Point2(mid[i], f * other_half) if vertical else Point2(f * other_half, mid[i])
+
+    def check():
+        assert set(filled_bins(q).tolist()) == asked
+        assert_rows_are_eager(q, sorted(asked))
+
+    for i, f in data.draw(st.lists(st.tuples(bins, st.floats(-0.99, 0.99)), max_size=5)):
+        t = run(point(i, f), params, q)
+        assert t.messages[0].symbol == i - q.center
+        asked.add(i)
+        check()
+    for i, answer in data.draw(st.lists(st.tuples(bins, st.sampled_from((-1, 0, 1))), max_size=5)):
+        messages = (protocols.Message("S", i - q.center, 0.0), protocols.Message("S", answer, 0.0))
+        replay_decision(messages, params, scheme, q)
+        asked.add(i)
+        check()
+    for block in data.draw(st.lists(st.lists(bins, min_size=1, max_size=40), max_size=3)):
+        x1, x2 = np.array([point(i, 0.5) for i in block]).T
+        batch(params, q, x1, x2)
+        asked.update(block)
+        check()
+    want = eager_rows(q)
+    got = {
+        **q.table._asdict(),
+        "decisions": q.decisions,
+        "bin_bits": q.bin_bits,
+        "answer_bits": q.answer_bits,
+    }
+    for name, a in got.items():
+        assert not a.flags.writeable, name
+        assert a.dtype == want[name].dtype and a.tobytes() == want[name].tobytes(), name
+    assert q.rows.complete and q.rows.unfilled == 0
 
 
 def _edited(t, symbols: dict[int, int], keep: int | None = None):
