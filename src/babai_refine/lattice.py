@@ -51,6 +51,15 @@ def check_rho(rho: float) -> float:
     return rho
 
 
+def _frozen(cls, fields: dict):
+    """An instance of the frozen dataclass cls holding `fields` (name: value),
+    set in one dict update instead of __init__'s object.__setattr__ per
+    field; it runs no __post_init__, so the caller has checked the fields."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
 def _check_rcos(rho: float, c: float) -> float:
     """c if rho passes check_rho and c = rho*cos(theta) lies in (0, 1/2)."""
     check_rho(rho)
@@ -87,10 +96,8 @@ class LatticeParams:
         """The lattice with v2 = (c, sqrt(rho^2 - c^2)), c exactly as given;
         its theta = acos(c/rho) is for printing, nothing computes with it."""
         _check_rcos(rho, c)
-        params = object.__new__(cls)
         h = math.sqrt((rho - c) * (rho + c))
-        vars(params).update(rho=rho, theta=math.acos(c / rho), rcos=c, rsin=h)
-        return params
+        return _frozen(cls, {"rho": rho, "theta": math.acos(c / rho), "rcos": c, "rsin": h})
 
 
 def make_generator(params: LatticeParams) -> LatticeParams:
@@ -171,7 +178,7 @@ class BoundarySegment:
     """
 
     neighbor: IntegerPair
-    normal: tuple[float, float]
+    normal: Point2
     offset: float
     x1_span: tuple[float, float]
     x2_span: tuple[float, float]
@@ -227,6 +234,11 @@ class CutSpec:
     labels: tuple[IntegerPair, ...]
 
 
+# the neighbours whose boundary segments cross B(0), in lattice coordinates
+_V2, _MINUS_V2 = IntegerPair(0, 1), IntegerPair(0, -1)
+_V2_MINUS_V1, _V1_MINUS_V2 = IntegerPair(-1, 1), IntegerPair(1, -1)
+
+
 @lru_cache(maxsize=256)
 def cell_geometry(params: LatticeParams) -> CellGeometry:
     """Thresholds, lengths, heights and boundary segments of B(0), rational in v2 = (c, H)."""
@@ -238,31 +250,45 @@ def cell_geometry(params: LatticeParams) -> CellGeometry:
     top, bottom = (tau_1, H / 2.0), (-H / 2.0, -tau_1)
     segments = []
     for r, x1_span, x2_span in (
-        (IntegerPair(0, 1), (t_1, 0.5), top),
-        (IntegerPair(0, -1), (-0.5, t_m1), bottom),
-        (IntegerPair(-1, 1), (-0.5, t_m2), top),
-        (IntegerPair(1, -1), (t_2, 0.5), bottom),
+        (_V2, (t_1, 0.5), top),
+        (_MINUS_V2, (-0.5, t_m1), bottom),
+        (_V2_MINUS_V1, (-0.5, t_m2), top),
+        (_V1_MINUS_V2, (t_2, 0.5), bottom),
     ):
-        n = lattice_point(r, params)
-        offset = 0.5 * (n[0] ** 2 + n[1] ** 2)
-        segments.append(BoundarySegment(r, n, offset, x1_span, x2_span, slope=-n[0] / n[1]))
-    return CellGeometry(
-        t_m2=t_m2,
-        t_m1=t_m1,
-        t_1=t_1,
-        t_2=t_2,
-        tau_m1=-tau_1,
-        tau_1=tau_1,
-        L0=c,
-        L1=(1.0 - 2.0 * c) / 2.0,
-        L2=c / 2.0,
-        L=1.0,
-        H=H,
-        H0=H - 2.0 * H1,
-        H1=H1,
-        H21=c * (1.0 - 2.0 * c) / (2.0 * H),
-        H22=c * c / (2.0 * H),
-        boundary_segments=tuple(segments),
+        n1, n2 = r[0] + r[1] * c, r[1] * H  # lattice_point(r, params)
+        segments.append(
+            _frozen(
+                BoundarySegment,
+                {
+                    "neighbor": r,
+                    "normal": Point2(n1, n2),
+                    "offset": 0.5 * (n1**2 + n2**2),
+                    "x1_span": x1_span,
+                    "x2_span": x2_span,
+                    "slope": -n1 / n2,
+                },
+            )
+        )
+    return _frozen(
+        CellGeometry,
+        {
+            "t_m2": t_m2,
+            "t_m1": t_m1,
+            "t_1": t_1,
+            "t_2": t_2,
+            "tau_m1": -tau_1,
+            "tau_1": tau_1,
+            "L0": c,
+            "L1": (1.0 - 2.0 * c) / 2.0,
+            "L2": c / 2.0,
+            "L": 1.0,
+            "H": H,
+            "H0": H - 2.0 * H1,
+            "H1": H1,
+            "H21": c * (1.0 - 2.0 * c) / (2.0 * H),
+            "H22": c * c / (2.0 * H),
+            "boundary_segments": tuple(segments),
+        },
     )
 
 

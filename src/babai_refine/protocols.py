@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -394,38 +395,136 @@ def run_infinite_rounds(
     return Transcript(tuple(messages), rounds, total, decision, False)
 
 
+# json.dumps's spellings of the floats whose repr is not JSON
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_SENDERS = (S1, S2)
+_INT = frozenset((int,))
+_KEYS = ("messages", "rounds", "total_bits", "decision", "halted")
+_MESSAGE_KEYS = ("sender", "symbol", "ideal_bits")
+# A decoded message or transcript is built field by field with
+# object.__setattr__, as the frozen dataclass __init__ does, without its
+# Python call.  Not with vars(obj).update, as lattice._frozen builds the few
+# cached geometry objects: vars() gives each object a dict of its own, and
+# 3000 kept decoded transcripts took 3.4 MB that way against 1.7 MB.
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _float_text(value, name: str) -> str:
+    if type(value) is not float:
+        raise ValueError(f"{name} must be a float, got {value!r}")
+    text = repr(value)
+    return _NONFINITE.get(text, text)
+
+
+def _int_text(value, name: str) -> str:
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return repr(value)
+
+
 def transcript_to_json(t: Transcript) -> str:
-    """Serialize a transcript with stable field names and key order."""
-    doc = {
-        "messages": [
-            {"sender": m.sender, "symbol": m.symbol, "ideal_bits": m.ideal_bits}
-            for m in t.messages
-        ],
-        "rounds": t.rounds,
-        "total_bits": t.total_bits,
-        "decision": [t.decision.u1, t.decision.u2],
-        "halted": t.halted,
-    }
-    return json.dumps(doc)
+    """Serialize a transcript with stable field names and key order.
+
+    The text is json.dumps of {"messages": [{"sender", "symbol",
+    "ideal_bits"}, ...], "rounds", "total_bits", "decision": [u1, u2],
+    "halted"}, written here byte for byte as json.dumps writes it: ints by
+    int.__repr__, floats by float.__repr__ with NaN, Infinity and -Infinity.
+    A sender other than "S1"/"S2", a symbol, round count or decision entry
+    that is not an int (a bool or numpy int included), bits that are not a
+    float or a `halted` that is not a bool raise ValueError.
+    """
+    parts = []
+    for m in t.messages:
+        sender, symbol = m.sender, m.symbol
+        if type(sender) is not str or sender not in _SENDERS:
+            raise ValueError(f"sender must be 'S1' or 'S2', got {sender!r}")
+        if type(symbol) is not int:
+            raise ValueError(f"symbol must be an int, got {symbol!r}")
+        bits = _float_text(m.ideal_bits, "ideal_bits")
+        parts.append(f'{{"sender": "{sender}", "symbol": {symbol!r}, "ideal_bits": {bits}}}')
+    if type(t.halted) is not bool:
+        raise ValueError(f"halted must be a bool, got {t.halted!r}")
+    return (
+        f'{{"messages": [{", ".join(parts)}], "rounds": {_int_text(t.rounds, "rounds")}, '
+        f'"total_bits": {_float_text(t.total_bits, "total_bits")}, '
+        f'"decision": [{_int_text(t.decision.u1, "u1")}, {_int_text(t.decision.u2, "u2")}], '
+        f'"halted": {"true" if t.halted else "false"}}}'
+    )
+
+
+def _int_bits(value, name: str) -> float:
+    """The float of the JSON integer read where bits go, which are not a
+    float; anything else, or an integer beyond a float's range, raises."""
+    if type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a JSON number within a float's range, got {value!r}")
 
 
 def transcript_from_json(text: str) -> Transcript:
+    """The transcript that transcript_to_json wrote as `text`.
+
+    Parsed by json.loads, then checked, never coerced: a document that is
+    not an object with exactly the five keys, a message that is not an
+    object with exactly its three, a sender other than "S1"/"S2", a symbol,
+    round count or decision entry that is not a JSON integer (true and 1.0
+    included), bits that are not a JSON number (true included) and a
+    `halted` other than true/false raise ValueError.  Integer bits are read
+    as float(bits).
+    """
     doc = json.loads(text)
-    return Transcript(
-        messages=tuple(
-            Message(m["sender"], int(m["symbol"]), float(m["ideal_bits"]))
-            for m in doc["messages"]
-        ),
-        rounds=int(doc["rounds"]),
-        total_bits=float(doc["total_bits"]),
-        decision=IntegerPair(int(doc["decision"][0]), int(doc["decision"][1])),
-        halted=bool(doc["halted"]),
-    )
+    # an object of exactly n keys that has every key it needs has no other
+    try:
+        if type(doc) is not dict or len(doc) != len(_KEYS):
+            raise KeyError
+        messages, rounds, total_bits = doc["messages"], doc["rounds"], doc["total_bits"]
+        decision, halted = doc["decision"], doc["halted"]
+    except KeyError:
+        raise ValueError(f"a transcript must be an object with the keys {_KEYS}") from None
+    if type(messages) is not list:
+        raise ValueError(f"messages must be a list, got {messages!r}")
+    decoded = []
+    for m in messages:
+        try:
+            if type(m) is not dict or len(m) != len(_MESSAGE_KEYS):
+                raise KeyError
+            sender, symbol, bits = m["sender"], m["symbol"], m["ideal_bits"]
+        except KeyError:
+            raise ValueError(f"a message must be an object with the keys {_MESSAGE_KEYS}") from None
+        if sender not in _SENDERS:
+            raise ValueError(f"sender must be 'S1' or 'S2', got {sender!r}")
+        if type(symbol) is not int:
+            raise ValueError(f"symbol must be a JSON integer, got {symbol!r}")
+        if type(bits) is not float:
+            bits = _int_bits(bits, "ideal_bits")
+        message = _new(Message)
+        _set(message, "sender", sender)
+        _set(message, "symbol", symbol)
+        _set(message, "ideal_bits", bits)
+        decoded.append(message)
+    if type(rounds) is not int:
+        raise ValueError(f"rounds must be a JSON integer, got {rounds!r}")
+    if type(total_bits) is not float:
+        total_bits = _int_bits(total_bits, "total_bits")
+    if type(decision) is not list or len(decision) != 2 or not _INT.issuperset(map(type, decision)):
+        raise ValueError(f"decision must be a list of two JSON integers, got {decision!r}")
+    if type(halted) is not bool:
+        raise ValueError(f"halted must be true or false, got {halted!r}")
+    t = _new(Transcript)
+    _set(t, "messages", tuple(decoded))
+    _set(t, "rounds", rounds)
+    _set(t, "total_bits", total_bits)
+    _set(t, "decision", IntegerPair(*decision))
+    _set(t, "halted", halted)
+    return t
 
 
 def _expect(symbols: list[int], *alphabets) -> None:
     """One symbol per alphabet, each in its own (ValueError otherwise)."""
-    if len(symbols) != len(alphabets) or any(s not in a for s, a in zip(symbols, alphabets)):
+    if len(symbols) != len(alphabets) or not all(map(operator.contains, alphabets, symbols)):
         raise ValueError(f"symbols {symbols} do not fit the alphabets {list(alphabets)}")
 
 
@@ -440,12 +539,17 @@ def replay_decision(
     Demonstrates that both parties reach the same decision from what was
     communicated.  The single-round schemes need the quantizer of their
     own scheme built on params, and "infinite" takes none.  Anything else, a
-    missing message, a symbol outside its message's alphabet (a bin of the
+    missing message, a symbol that is not an int (a bool or a float; see
+    require_int) or lies outside its message's alphabet (a bin of the
     quantizer, a ternary answer or band, a bisection bit) and a transcript
     that never halted raise ValueError.
     """
     q = _checked(scheme, quantizer, params)
     symbols = [m.symbol for m in messages]
+    if not _INT.issuperset(map(type, symbols)):
+        # require_int's rule: an int subclass passes, a bool or a float never
+        for symbol in symbols:
+            require_int(symbol=symbol)
     if q is not None:
         _expect(symbols, range(-q.center, len(q.edges) - 1 - q.center), (-1, 0, 1))
         pos = symbols[0] + q.center

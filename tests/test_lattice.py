@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import struct
 
 import mpmath
 import numpy as np
@@ -7,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from babai_refine import (
+    BoundarySegment,
+    CellGeometry,
     InvalidParams,
     IntegerPair,
     LatticeParams,
@@ -502,3 +506,70 @@ def test_babai_error_probability_matches_rho_theta_form(params):
     pe = babai_error_probability(params)
     assert math.isclose(pe, _rho_theta_babai_error(params), rel_tol=2e-15)
     assert abs(pe - _clipped_babai_error(params)) <= 4 * 2.0**-52
+
+
+def _geometry_through_init(params):
+    """cell_geometry's fields, built as lattice.py built them through the
+    dataclass __init__s, with lattice_point and a fresh IntegerPair each."""
+    c, H = params.rcos, params.rsin
+    H1 = c * (1.0 - c) / (2.0 * H)
+    t_m2, t_m1, t_1, t_2 = (c - 1.0) / 2.0, -c / 2.0, c / 2.0, (1.0 - c) / 2.0
+    tau_1 = H / 2.0 - H1
+    top, bottom = (tau_1, H / 2.0), (-H / 2.0, -tau_1)
+    segments = []
+    for r, x1_span, x2_span in (
+        (IntegerPair(0, 1), (t_1, 0.5), top),
+        (IntegerPair(0, -1), (-0.5, t_m1), bottom),
+        (IntegerPair(-1, 1), (-0.5, t_m2), top),
+        (IntegerPair(1, -1), (t_2, 0.5), bottom),
+    ):
+        n = lattice_point(r, params)
+        offset = 0.5 * (n[0] ** 2 + n[1] ** 2)
+        segments.append(BoundarySegment(r, n, offset, x1_span, x2_span, slope=-n[0] / n[1]))
+    return CellGeometry(
+        t_m2=t_m2, t_m1=t_m1, t_1=t_1, t_2=t_2, tau_m1=-tau_1, tau_1=tau_1,
+        L0=c, L1=(1.0 - 2.0 * c) / 2.0, L2=c / 2.0, L=1.0,
+        H=H, H0=H - 2.0 * H1, H1=H1,
+        H21=c * (1.0 - 2.0 * c) / (2.0 * H), H22=c * c / (2.0 * H),
+        boundary_segments=tuple(segments),
+    )
+
+
+def _bits(value):
+    """value with every float replaced by its bytes, so -0.0 and 0.0 differ."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, (tuple, list)):
+        return tuple(map(_bits, value))
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    return value
+
+
+def test_cell_geometry_objects_equal_those_built_through_init():
+    """cell_geometry sets its frozen objects' fields without __init__; on
+    200 lattices they equal, hash and asdict like __init__-built ones, bit
+    for bit, keep their field types and stay frozen."""
+    lattices_200 = random_valid_params(100, seed=211) + [
+        LatticeParams.from_rcos(p.rho, p.rcos) for p in random_valid_params(100, seed=223)
+    ]
+    for params in lattices_200:
+        cell_geometry.cache_clear()
+        got, want = cell_geometry(params), _geometry_through_init(params)
+        assert got == want and hash(got) == hash(want)
+        assert _bits(dataclasses.asdict(got)) == _bits(dataclasses.asdict(want))
+        assert vars(got) == vars(want)
+        assert list(vars(got)) == [f.name for f in dataclasses.fields(CellGeometry)]
+        for seg, ref in zip(got.boundary_segments, want.boundary_segments, strict=True):
+            assert seg == ref and hash(seg) == hash(ref)
+            assert type(seg) is BoundarySegment
+            assert type(seg.neighbor) is IntegerPair and type(seg.normal) is Point2
+            assert list(vars(seg)) == [f.name for f in dataclasses.fields(BoundarySegment)]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                seg.offset = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.H1 = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del got.t_1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        LatticeParams.from_rcos(1.0, 0.3).rcos = 0.25

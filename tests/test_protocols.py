@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import pickle
@@ -541,11 +542,231 @@ def test_out_of_cell(params_main):
 
 
 def test_transcript_json_roundtrip(params_main):
+    """Transcripts of all three schemes: the text is json.dumps's, with the
+    keys in their order, and decodes to the transcript."""
     t = run_infinite_rounds(Point2(0.45, 0.45), params_main)
     text = transcript_to_json(t)
     assert transcript_from_json(text) == t
     doc_keys = list(__import__("json").loads(text))
     assert doc_keys == ["messages", "rounds", "total_bits", "decision", "halted"]
+    q12, q21 = quantizer_12(params_main, 2, 3), quantizer_21(params_main, 4)
+    for x in _uniform_cell(params_main, 300, seed=29):
+        for t in (
+            run_single_round_12(x, params_main, q12),
+            run_single_round_21(x, params_main, q21),
+            run_infinite_rounds(x, params_main),
+        ):
+            text = transcript_to_json(t)
+            assert text == _dumps_json(t)
+            assert transcript_from_json(text) == t
+
+
+def _dumps_json(t) -> str:
+    """The text of json.dumps on the transcript's dict, as transcript_to_json
+    once wrote it."""
+    return json.dumps(
+        {
+            "messages": [
+                {"sender": m.sender, "symbol": m.symbol, "ideal_bits": m.ideal_bits}
+                for m in t.messages
+            ],
+            "rounds": t.rounds,
+            "total_bits": t.total_bits,
+            "decision": [t.decision.u1, t.decision.u2],
+            "halted": t.halted,
+        }
+    )
+
+
+_EDGE_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1e300, -1e300, 1.0)
+_json_floats = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
+_json_ints = st.one_of(
+    st.integers(-5, 5), st.integers(), st.integers(2**63 - 2, 2**80), st.integers(-(2**80), -(2**63))
+)
+
+
+@st.composite
+def _any_transcripts(draw):
+    message = st.builds(protocols.Message, st.sampled_from(("S1", "S2")), _json_ints, _json_floats)
+    return protocols.Transcript(
+        messages=tuple(draw(st.lists(message, max_size=6))),
+        rounds=draw(_json_ints),
+        total_bits=draw(_json_floats),
+        decision=IntegerPair(draw(_json_ints), draw(_json_ints)),
+        halted=draw(st.booleans()),
+    )
+
+
+def _has_nan(t) -> bool:
+    return any(math.isnan(b) for b in (t.total_bits, *(m.ideal_bits for m in t.messages)))
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(_any_transcripts())
+def test_transcript_to_json_writes_the_bytes_of_json_dumps(t):
+    """Floats as float.__repr__ with NaN and +/-Infinity (-0.0, subnormals
+    and 1e300 included), ints as int.__repr__ past 2^63 and below zero: the
+    text is json.dumps's, and decoding it gives t back."""
+    text = transcript_to_json(t)
+    assert text == _dumps_json(t)
+    back = transcript_from_json(text)
+    assert transcript_to_json(back) == text
+    if not _has_nan(t):
+        assert back == t
+
+
+def _replaced(t, field: str, value):
+    """t with one field, or that field of its first message, set to value."""
+    if field in ("sender", "symbol", "ideal_bits"):
+        first = dataclasses.replace(t.messages[0], **{field: value})
+        return dataclasses.replace(t, messages=(first, *t.messages[1:]))
+    return dataclasses.replace(t, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sender", "Bob"),
+        ("sender", None),
+        ("symbol", True),
+        ("symbol", np.int64(1)),
+        ("symbol", 1.0),
+        ("ideal_bits", True),
+        ("ideal_bits", 1),
+        ("ideal_bits", np.float64(1.0)),
+        ("rounds", False),
+        ("rounds", np.int64(1)),
+        ("total_bits", True),
+        ("total_bits", np.float64(2.0)),
+        ("decision", IntegerPair(True, 0)),
+        ("decision", IntegerPair(0, np.int64(1))),
+        ("halted", 1),
+        ("halted", np.bool_(True)),
+    ],
+)
+def test_transcript_to_json_rejects_fields_of_other_types(field, value, params_main):
+    t = run_single_round_12(Point2(0.4, 0.3), params_main, quantizer_12(params_main, 2, 3))
+    transcript_to_json(t)
+    with pytest.raises(ValueError):
+        transcript_to_json(_replaced(t, field, value))
+
+
+def _doc(params_main) -> dict:
+    """A transcript's JSON object with four messages, which decodes."""
+    t = run_infinite_rounds(Point2(0.45, 0.45), params_main)
+    doc = json.loads(transcript_to_json(t))
+    assert transcript_from_json(json.dumps(doc)) == t
+    return doc
+
+
+def _rejected(doc) -> None:
+    with pytest.raises(ValueError):
+        transcript_from_json(json.dumps(doc))
+
+
+def test_transcript_from_json_rejects_a_document_it_once_coerced():
+    """sender 'Bob', symbol 1.9, string bits and rounds, bool total_bits,
+    float decision and string halted: each alone is rejected, so together too."""
+    text = (
+        '{"messages": [{"sender": "Bob", "symbol": 1.9, "ideal_bits": "2.5"}], "rounds": "3",'
+        ' "total_bits": true, "decision": [0.7, -1.2], "halted": "false"}'
+    )
+    with pytest.raises(ValueError):
+        transcript_from_json(text)
+
+
+def test_transcript_from_json_rejects_a_document_of_another_shape(params_main):
+    """Not an object, a key missing or unknown, in the transcript or in a message."""
+    for text in ("[]", "1", "null", '"transcript"', "true"):
+        with pytest.raises(ValueError):
+            transcript_from_json(text)
+    doc = _doc(params_main)
+    for key in doc:
+        _rejected({k: v for k, v in doc.items() if k != key})
+    _rejected({**doc, "extra": 0})
+    for key in doc["messages"][0]:
+        message = {k: v for k, v in doc["messages"][0].items() if k != key}
+        _rejected({**doc, "messages": [message, *doc["messages"][1:]]})
+    _rejected({**doc, "messages": [{**doc["messages"][0], "note": ""}, *doc["messages"][1:]]})
+    for messages in ({}, "S1", None, [1], [[]]):
+        _rejected({**doc, "messages": messages})
+
+
+def test_transcript_from_json_rejects_an_unknown_sender(params_main):
+    for sender in ("Bob", "s1", "", 1, None, ["S1"]):
+        doc = _doc(params_main)
+        doc["messages"][0]["sender"] = sender
+        _rejected(doc)
+
+
+def test_transcript_from_json_rejects_integers_that_are_not_json_integers(params_main):
+    """A symbol, `rounds` or decision entry that is a float (1.0 too), a
+    bool, a string or null; a decision that is not a list of two."""
+    doc = _doc(params_main)
+    for value in (1.9, 1.0, -0.0, True, False, "1", None, [1]):
+        bad_symbol = _doc(params_main)
+        bad_symbol["messages"][1]["symbol"] = value
+        _rejected(bad_symbol)
+        _rejected({**doc, "rounds": value})
+        _rejected({**doc, "decision": [value, 1]})
+        _rejected({**doc, "decision": [0, value]})
+    for decision in ([0], [0, 1, 1], "01", {"u1": 0, "u2": 1}, None):
+        _rejected({**doc, "decision": decision})
+
+
+def test_transcript_from_json_rejects_bits_that_are_not_json_numbers(params_main):
+    """ideal_bits or total_bits: a string, a bool, null, a list, or an
+    integer past a float's range; an integer in range reads as its float."""
+    doc = _doc(params_main)
+    for value in ("2.5", True, False, None, [1.0], 10**400):
+        bad_bits = _doc(params_main)
+        bad_bits["messages"][0]["ideal_bits"] = value
+        _rejected(bad_bits)
+        _rejected({**doc, "total_bits": value})
+    doc["messages"][2]["ideal_bits"] = 1
+    t = transcript_from_json(json.dumps({**doc, "total_bits": 7}))
+    assert type(t.messages[2].ideal_bits) is float and t.messages[2].ideal_bits == 1.0
+    assert type(t.total_bits) is float and t.total_bits == 7.0
+
+
+def test_transcript_from_json_rejects_halted_other_than_true_or_false(params_main):
+    doc = _doc(params_main)
+    for halted in ("false", "true", 0, 1, 1.0, None, []):
+        _rejected({**doc, "halted": halted})
+    assert transcript_from_json(json.dumps({**doc, "halted": False})).halted is False
+
+
+@pytest.mark.parametrize("scheme", ["12", "21"])
+def test_replay_rejects_single_round_symbols_that_are_not_ints(scheme, params_main):
+    """A float in range (1.0) or a bool passed the alphabet test before and
+    then raised TypeError or read as an int; now require_int's rule holds:
+    ValueError for both, while an int subclass replays like its int."""
+    q = quantizer_12(params_main, 2, 3) if scheme == "12" else quantizer_21(params_main, 4)
+    good = replay_decision(
+        (protocols.Message("S1", 1, 0.0), protocols.Message("S2", 1, 0.0)), params_main, scheme, q
+    )
+    for first, answer in ((1.0, 1), (True, 1), (np.int64(1), 1), (1, True), (1, 1.0)):
+        messages = (protocols.Message("S1", first, 0.0), protocols.Message("S2", answer, 0.0))
+        with pytest.raises(ValueError):
+            replay_decision(messages, params_main, scheme, q)
+
+    class Symbol(int):
+        pass
+
+    messages = (protocols.Message("S1", Symbol(1), 0.0), protocols.Message("S2", Symbol(1), 0.0))
+    assert replay_decision(messages, params_main, scheme, q) == good
+
+
+def test_replay_rejects_infinite_symbols_that_are_not_ints(params_main):
+    """(True, True, 1, 1) read as (1, 1, 1, 1) gave IntegerPair(0, True)."""
+    as_ints = tuple(protocols.Message("S", s, 0.0) for s in (1, 1, 1, 1))
+    assert replay_decision(as_ints, params_main, "infinite") == IntegerPair(0, 1)
+    for symbols in ((True, True, 1, 1), (1, 1, True, True), (1.0, 1, 1, 1), (1, 1, 1.0, 1.0)):
+        messages = tuple(protocols.Message("S", s, 0.0) for s in symbols)
+        with pytest.raises(ValueError):
+            replay_decision(messages, params_main, "infinite")
+    with pytest.raises(ValueError):
+        replay_decision((protocols.Message("S2", np.int64(0), 0.0),), params_main, "infinite")
 
 
 def test_quantizer_bin_structure(params_main):
