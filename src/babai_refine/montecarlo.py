@@ -7,17 +7,18 @@ evaluate a whole array of trials at once and return per-trial arrays;
 simulate() reduces them into a SimReport with binomial / sample standard
 errors next to the closed-form predictions.  A decision is an error when it
 differs from the exact nearest point; simulate() certifies each decision
-against the Voronoi hexagon and scans for the nearest point, as the
-oracle exact_nearest_batch does, only on the trials that test leaves in
-doubt.
+against the Voronoi hexagon and runs the oracle exact_nearest_batch, a
+plain scan of the Babai point and its six relevant neighbours, only on the
+trials that test leaves in doubt.
 
 Every per-trial array of the block pipeline (sampler, kernels, hexagon
-test, oracle, error flags) and of the chunk reduction is taken from a
-Workspace and written in place.  simulate() uses one workspace per thread,
-built on the thread's first call and grown to the largest block and chunk
-it has seen, so later calls fault in no fresh pages; it holds no more than
-one call of that size needs at its peak (about 25 MB after a 2^20-trial
-call, most of it the chunk's bits and rounds) and is freed with its thread.
+test, oracle, error flags) and of the chunk reduction, but for the index
+arrays np.flatnonzero returns, is taken from a Workspace and written in
+place.  simulate() uses one workspace per thread, built on the thread's
+first call and grown to the largest block and chunk it has seen, so later
+calls fault in no fresh pages; it holds no more than one call of that size
+needs at its peak (about 25 MB after a 2^20-trial call, most of it the
+chunk's bits and rounds) and is freed with its thread.
 Called without a workspace, the batch functions take a fresh one, so the
 arrays they return belong to the caller.
 """
@@ -44,10 +45,6 @@ _CHUNK = 1 << 20
 # the workspace keeps them across blocks and calls instead of faulting in
 # fresh pages for each.
 _BLOCK = 1 << 16
-# np.flatnonzero has no out=: it runs on pieces of this many trials, so the
-# index arrays it allocates stay at 64 KB, the size of numpy's own ufunc
-# buffers, below malloc's mmap threshold.
-_PIECE = 1 << 13
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -96,16 +93,6 @@ def _arange(out: np.ndarray) -> np.ndarray:
         np.add(out[: min(k, len(out) - k)], k, out=out[k : 2 * k])
         k *= 2
     return out
-
-
-def _flatnonzero(mask: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """np.flatnonzero(mask) written to the front of out, which it returns."""
-    count = 0
-    for lo in range(0, len(mask), _PIECE):
-        found = np.flatnonzero(mask[lo : lo + _PIECE])
-        np.add(found, lo, out=out[count : count + len(found)])
-        count += len(found)
-    return out[:count]
 
 
 def _mixed_draws(z: np.ndarray, scale: float, t: np.ndarray) -> np.ndarray:
@@ -237,16 +224,15 @@ _MARGIN = 2.0**-30
 
 
 def _uncertified(
-    params: LatticeParams, x1: np.ndarray, x2: np.ndarray, b1, b2, ws: Workspace, span=None
+    params: LatticeParams, x1: np.ndarray, x2: np.ndarray, b1, b2, span: float, ws: Workspace
 ) -> np.ndarray:
     """Flat indices of the trials whose candidate (b1, b2) the hexagon test
-    cannot certify as the nearest lattice point, in the workspace's "tmp0".
+    cannot certify as the nearest lattice point.
 
     x1 and x2 are flat; b1 and b2 are arrays of their length or one number
     each, the candidate of every trial.  `span` is a bound on max|x1| +
     max|x2| + max|b1| + rho*max|b2| that the caller knows (simulate's, from
-    the cell and the scheme's decision reach); if None, it is that sum,
-    measured from the arrays.  For a reduced basis
+    the cell and the decisions every scheme takes).  For a reduced basis
     (0 < rho*cos(theta) < 1/2) the Voronoi cell V(0) is the hexagon
     |r.n| <= |n|^2/2 for the three face normals n = v1, v2 and v2 - v1 (the
     relevant vectors +-n; Agrell, Eriksson, Vardy & Zeger, "Closest point
@@ -256,13 +242,11 @@ def _uncertified(
     The test.  With one margin per call, M = 2^-30 * (1 + span), a trial is
     certified when |r1| < 1/2 - M and |r.n| < |n|^2/2 - M|n| for n = v2 and
     n = v2 - v1, with r in the window scan's expressions for the candidate
-    b; the thresholds are scalars.  Every other trial (outside the hexagon,
-    in a band of width M inside its faces, or non-finite) is returned.  The
-    comparisons are strict, so a NaN residual fails them; a measured span is
-    NaN or infinite at a NaN or infinite coordinate or candidate, and a span
-    of 2^29 or more gives M >= 1/2, so one such trial leaves its whole call
-    uncertified: the callers then ask the scan, which gives the same
-    answers, only slower.
+    b; the normals and half-norms |n|^2/2 are those of the cell's boundary
+    segments of the neighbours (0, 1) and (-1, 1), and the thresholds are
+    scalars.  Every other trial (outside the hexagon, in a band of width M
+    inside its faces, or non-finite) is returned.  The comparisons are
+    strict, so a NaN residual fails them.
 
     Why the certificate is exact.  Passing the test puts the open disc of
     radius M about r inside V(0): r is more than M from each of the six
@@ -280,59 +264,67 @@ def _uncertified(
     ranks it strictly first: it equals exact_nearest_batch's answer, up to
     the sign of a zero.
     """
-    c, s = params.rcos, params.rsin
+    s = params.rsin
     n = len(x1)
     # the residual, in the scan's expressions for the candidate b itself
     r2 = np.multiply(s, b2, out=ws("tmp0", n))
     np.subtract(x2, r2, out=r2)
-    r1 = np.multiply(c, b2, out=ws("tmp1", n))
+    r1 = np.multiply(params.rcos, b2, out=ws("tmp1", n))
     np.add(b1, r1, out=r1)
     np.subtract(x1, r1, out=r1)
-    t = ws("tmp2", n)
-    if span is None:
-        span = _max_abs(x1, t) + _max_abs(x2, t) + _max_abs(b1, t) + params.rho * _max_abs(b2, t)
     m = _MARGIN * (1.0 + span)
+    t = ws("tmp2", n)
     np.abs(r1, out=t)
     safe = np.less(t, 0.5 - m, out=ws("mask0", n, bool))
     inside = ws("mask1", n, bool)
-    r2 *= s  # r.n = n1*r1 + s*r2 for both tested normals
-    for n1 in (c, c - 1.0):
+    r2 *= s  # r.n = n1*r1 + H*r2 for both tested normals (n1, H)
+    for face in cell_geometry(params).boundary_segments[::2]:  # of (0, 1) and (-1, 1)
+        n1, n2 = face.normal
         np.multiply(n1, r1, out=t)
         t += r2
         np.abs(t, out=t)
-        safe &= np.less(t, 0.5 * (n1 * n1 + s * s) - m * math.hypot(n1, s), out=inside)
-    return _flatnonzero(np.logical_not(safe, out=safe), ws("tmp0", n, np.intp))
+        safe &= np.less(t, face.offset - m * math.hypot(n1, n2), out=inside)
+    return np.flatnonzero(np.logical_not(safe, out=safe))
 
 
-def _scan_relevant(
-    c: float,
-    s: float,
-    x1: np.ndarray,
-    x2: np.ndarray,
-    b1: np.ndarray,
-    b2: np.ndarray,
-    ws: Workspace,
+def exact_nearest_batch(
+    params: LatticeParams, x1: np.ndarray, x2: np.ndarray, *, workspace: Workspace | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest of the Babai point (b1, b2) and its six relevant neighbours.
+    """Vectorized nearest point: the nearest of the Babai point b and its
+    six relevant neighbours b +- v1, b +- v2, b +- (v2 - v1).
 
-    They are visited in the window's ascending (u2, u1) order with
-    strict-improvement updates, and each distance is the same float
-    expression as the full window scan's, in the workspace's buffers
-    "scan4", ... .
+    The residual x - V b lies in the Babai cell, which the Voronoi cells of
+    0 and of the six relevant vectors cover, so one of the seven is the
+    nearest point; inside the Babai cell b itself is wrong only in the four
+    corner error triangles.  Every trial is scanned, with no hexagon test,
+    so the oracle is a reference independent of _uncertified, which simulate
+    trusts to pass over the trials it certifies.  The candidates are visited
+    in the 5x5 window's ascending (u2, u1) order with strict-improvement
+    updates, each distance in the window scan's float expression, so exact
+    ties resolve to the lexicographically smallest coordinates, as the
+    scalar oracle does, and the result equals the full window scan bit for
+    bit (a Babai -0.0 comes out +0.0, as the scan's b + du).  The answers
+    are written to `workspace` (a fresh one if None).
     """
+    ws = Workspace() if workspace is None else workspace
+    c, s = params.rcos, params.rsin
+    shape = np.shape(x1)
+    x1 = np.ravel(x1)
+    x2 = np.ravel(x2)
+    b1, b2 = babai_batch(params, x1, x2, workspace=ws)
     n = len(x1)
-    best_d2 = ws("scan4", n)
+    best_d2 = ws("scan0", n)
     best_d2.fill(np.inf)
-    best_u1 = ws("scan5", n)
+    best_u1 = ws("scan1", n)
     best_u1.fill(0.0)
-    best_u2 = ws("scan6", n)
+    best_u2 = ws("scan2", n)
     best_u2.fill(0.0)
-    cu1 = ws("scan7", n)
-    cu2 = ws("scan8", n)
-    c_cu2 = ws("scan9", n)
-    dy2 = ws("scan10", n)
-    d2 = ws("scan11", n)
-    better = ws("scan12", n, bool)
+    cu1 = ws("scan3", n)
+    cu2 = ws("scan4", n)
+    c_cu2 = ws("scan5", n)
+    dy2 = ws("scan6", n)
+    d2 = ws("scan7", n)
+    better = ws("scan8", n, bool)
     for du2, du1s in _RELEVANT_ROWS:
         np.add(b2, du2, out=cu2)
         np.multiply(c, cu2, out=c_cu2)
@@ -350,52 +342,7 @@ def _scan_relevant(
             np.copyto(best_d2, d2, where=better)
             np.copyto(best_u1, cu1, where=better)
             np.copyto(best_u2, cu2, where=better)
-    return best_u1, best_u2
-
-
-def exact_nearest_batch(
-    params: LatticeParams, x1: np.ndarray, x2: np.ndarray, *, workspace: Workspace | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized nearest point: Babai unless the residual may leave V(0).
-
-    The nearest point is the Babai point b unless the residual r = x - V b
-    lies outside the Voronoi hexagon V(0); inside the Babai cell this
-    happens only in the four corner error triangles.  Each trial whose
-    Babai point _uncertified's hexagon test certifies keeps it, as b + 0.0
-    (the `+ 0.0` turns a Babai -0.0 into +0.0, as the scan's b + du does).
-    The others (outside the hexagon, within the test's margin of a face, or
-    non-finite) are compacted and scanned over b and its six relevant
-    neighbours.
-
-    The scanned trials resolve exact ties to the lexicographically smallest
-    coordinates, as the scalar oracle does, and the result equals the full
-    5x5 window scan bit for bit.  The answers are written to `workspace` (a
-    fresh one if None).
-    """
-    ws = Workspace() if workspace is None else workspace
-    shape = np.shape(x1)
-    x1 = np.ravel(x1)  # the trials are compacted by flat index
-    x2 = np.ravel(x2)
-    b1, b2 = babai_batch(params, x1, x2, workspace=ws)
-    rest = _uncertified(params, x1, x2, b1, b2, ws)
-    b1 += 0.0
-    b2 += 0.0
-    if rest.size:
-        k = rest.size
-        compact = [
-            np.take(a, rest, out=ws(f"scan{i}", k), mode="clip")
-            for i, a in enumerate((x1, x2, b1, b2))
-        ]
-        b1[rest], b2[rest] = _scan_relevant(params.rcos, params.rsin, *compact, ws)
-    return b1.reshape(shape), b2.reshape(shape)
-
-
-def _max_abs(x, t: np.ndarray) -> float:
-    """max|x| over the array or number x (0.0 if empty; NaN if any entry is
-    NaN), with t as scratch of an array x's size."""
-    if np.ndim(x) == 0:
-        return abs(float(x))
-    return float(np.max(np.abs(x, out=t), initial=0.0))
+    return best_u1.reshape(shape), best_u2.reshape(shape)
 
 
 def _bin_runs(q: protocols.Quantizer) -> tuple[int, ...]:
@@ -474,7 +421,7 @@ def _fill_rows(rows: protocols.BinRows, pos: np.ndarray, ws: Workspace) -> None:
     owner = np.empty(len(rows.bin_bits), np.intp)
     owner[pos] = trial  # of a repeated bin, one trial's number stays
     kept = np.take(owner, pos, out=ws("tmp1", n, np.intp), mode="clip")
-    at = _flatnonzero(np.equal(kept, trial, out=ws("mask0", n, bool)), trial)
+    at = np.flatnonzero(np.equal(kept, trial, out=ws("mask0", n, bool)))
     rows.fill(np.take(pos, at, out=kept[: len(at)], mode="clip"))
 
 
@@ -622,7 +569,7 @@ def run_batch_infinite(
     # the entered trials (u2 != 0 and u1 != 0) and their coordinates in the error rectangle
     entered = np.logical_or(right, left, out=ws("entered", n, bool))
     entered &= np.logical_or(top, bottom, out=top)
-    e_idx = _flatnonzero(entered, cell)
+    e_idx = np.flatnonzero(entered)
     e = len(e_idx)
     ex1 = np.take(mx1, e_idx, out=ws("ex1", e), mode="clip")
     mx2 = np.multiply(x2, sign, out=mx1)  # mx1 is read no more
@@ -663,7 +610,7 @@ def run_batch_infinite(
         e_rounds[live] = k
         e_bits[live] = lbits
         far[live] = bit1
-        go = _flatnonzero(np.not_equal(bit1, bit2, out=bit2), ws("go", m, np.intp))
+        go = np.flatnonzero(np.not_equal(bit1, bit2, out=bit2))
         side = k % 2
         live, lbits, y1, y2 = (
             np.take(v, go, out=ws(f"{name}{side}", len(go), v.dtype), mode="clip")
@@ -772,11 +719,11 @@ def simulate(config: SimConfig) -> SimReport:
     Errors count decisions differing from the exact nearest point.  Each
     block's decisions go through _uncertified's hexagon test first; only the
     trials it cannot certify (the wrong decisions, and those within its
-    margin of a face of the hexagon) are compacted and scanned over their
-    Babai point and its six relevant neighbours, so the count is the one the
-    oracle exact_nearest_batch would give on every trial.  The test's margin
-    is set once per call, from the cell's bounds and the scheme's decision
-    reach, not measured on each block.  The scheme's quantizer, if it has
+    margin of a face of the hexagon) are compacted and given to the oracle
+    exact_nearest_batch, so the count is the one the oracle would give on
+    every trial.  The test's margin is set once per call, from the cell's
+    bounds and the decisions every scheme takes, (0, 0) or a relevant
+    neighbour, not measured on each block.  The scheme's quantizer, if it has
     one, is built once per call with no row filled; each block fills the
     rows of the bins its trials fall in, so the call pays for those bins
     only.  The per-trial stages run on blocks of `_BLOCK` trials, whose size
@@ -787,7 +734,9 @@ def simulate(config: SimConfig) -> SimReport:
     Every per-trial array lives in this thread's workspace: the block's
     trial indices, points, kernel outputs, hexagon test, trials in doubt with
     their nearest points and error flags, and the chunk's bits and rounds
-    (squared in place for the sums).  It is built on the thread's first
+    (squared in place for the sums).  Only the index arrays np.flatnonzero
+    returns are allocated; they hold at most about a sixth of a block, below
+    malloc's mmap threshold.  The workspace is built on the thread's first
     call, grown to the largest block and chunk the thread has run and kept
     until the thread ends, so a repeated call allocates no per-trial memory;
     it holds what one call of that size needs at its peak, about 25 MB after
@@ -796,10 +745,10 @@ def simulate(config: SimConfig) -> SimReport:
     params = config.params
     scheme = schemes.SCHEMES[config.scheme]
     q = scheme.quantizer(params, **config.sizes)
-    reach1, reach2 = scheme.reach(params, q)
     # the hexagon test's span for every block: the sampler keeps |x1| <= 1/2
-    # and |x2| <= H/2 exactly, and the scheme's decisions stay within its reach
-    span = 0.5 + 0.5 * params.rsin + reach1 + params.rho * reach2
+    # and |x2| <= H/2 exactly, and every scheme decides (0, 0) or a relevant
+    # neighbour, so |dec1| <= 1 and |dec2| <= 1
+    span = 0.5 + 0.5 * params.rsin + 1.0 + params.rho
     ws = _thread_workspace()
     n_err = 0
     n_unhalted = 0
@@ -854,11 +803,8 @@ def _count_errors(params: LatticeParams, x1, x2, dec1, dec2, span: float, ws: Wo
     trial) differ from the exact nearest point.  Only the trials whose
     decision the hexagon test, given the call's span, leaves uncertified
     are compacted with their decisions into the workspace's "doubt0", ...
-    buffers, and their nearest point is scanned from their Babai point and
-    its six relevant neighbours directly: exact_nearest_batch's answer up to
-    the sign of a zero, without its hexagon test of the Babai point, which
-    would certify few of them (none for Babai's own decisions)."""
-    doubt = _uncertified(params, x1, x2, dec1, dec2, ws, span)
+    buffers and given to exact_nearest_batch."""
+    doubt = _uncertified(params, x1, x2, dec1, dec2, span, ws)
     k = len(doubt)
     if not k:
         return 0
@@ -866,8 +812,7 @@ def _count_errors(params: LatticeParams, x1, x2, dec1, dec2, span: float, ws: Wo
         np.take(a, doubt, out=ws(f"doubt{i}", k), mode="clip") if np.ndim(a) else a
         for i, a in enumerate((x1, x2, dec1, dec2))
     ]
-    b1, b2 = babai_batch(params, y1, y2, workspace=ws)
-    e1, e2 = _scan_relevant(params.rcos, params.rsin, y1, y2, b1, b2, ws)
+    e1, e2 = exact_nearest_batch(params, y1, y2, workspace=ws)
     wrong = np.not_equal(d1, e1, out=ws("mask0", k, bool))
     wrong |= np.not_equal(d2, e2, out=ws("mask1", k, bool))
     return int(np.count_nonzero(wrong))

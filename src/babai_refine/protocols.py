@@ -528,6 +528,12 @@ def _expect(symbols: list[int], *alphabets) -> None:
         raise ValueError(f"symbols {symbols} do not fit the alphabets {list(alphabets)}")
 
 
+def _out_of_order(messages: tuple[Message, ...], scheme: str) -> ValueError:
+    """The error for messages whose senders break the scheme's speaking order."""
+    senders = [m.sender for m in messages]
+    return ValueError(f"senders {senders} are not the speaking order of scheme {scheme!r}")
+
+
 def replay_decision(
     messages: tuple[Message, ...],
     params: LatticeParams,
@@ -541,8 +547,11 @@ def replay_decision(
     own scheme built on params, and "infinite" takes none.  Anything else, a
     missing message, a symbol that is not an int (a bool or a float; see
     require_int) or lies outside its message's alphabet (a bin of the
-    quantizer, a ternary answer or band, a bisection bit) and a transcript
-    that never halted raise ValueError.
+    quantizer, a ternary answer or band, a bisection bit), a message from
+    the wrong party and a transcript that never halted raise ValueError.
+    The parties speak in the scheme's order: S1 then S2 for "12", S2 then
+    S1 for "21"; for "infinite", S2, then S1, then S1 and S2 in each
+    bisection round.
     """
     q = _checked(scheme, quantizer, params)
     symbols = [m.symbol for m in messages]
@@ -552,18 +561,28 @@ def replay_decision(
             require_int(symbol=symbol)
     if q is not None:
         _expect(symbols, range(-q.center, len(q.edges) - 1 - q.center), (-1, 0, 1))
+        first, second = (S1, S2) if q.vertical else (S2, S1)
+        if messages[0].sender != first or messages[1].sender != second:
+            raise _out_of_order(messages, scheme)
         pos = symbols[0] + q.center
         q.rows.bits(pos)  # fills the row
         return _decision(q.rows, pos, symbols[1])
     _expect(symbols[:1], (-1, 0, 1))
+    if messages[0].sender != S2:
+        raise _out_of_order(messages, scheme)
     if symbols[0] == 0:
         return IntegerPair(0, 0)
     _expect(symbols[1:2], (-1, 0, 1))
+    if messages[1].sender != S1:
+        raise _out_of_order(messages, scheme)
     u2, u1m = symbols[0], symbols[0] * symbols[1]
     if u1m == 0:
         return IntegerPair(0, 0)
-    for b, c in zip(symbols[2::2], symbols[3::2]):
+    for m1, m2 in zip(messages[2::2], messages[3::2]):
+        b, c = m1.symbol, m2.symbol
         _expect([b, c], (0, 1), (0, 1))
+        if m1.sender != S1 or m2.sender != S2:
+            raise _out_of_order(messages, scheme)
         if b == c:
             return _infinite_decision(u2, u1m, b == 1)
     raise ValueError("transcript did not halt; decision is not replayable")

@@ -98,12 +98,12 @@ class Scheme:
     if it has none); `kernel(params, x1, x2, max_rounds, q, workspace)`
     returns per-trial decisions (dec1, dec2), bits and rounds (each an array
     in the montecarlo workspace, or one number for every trial) and the
-    unhalted count, and `reach(params, q)` bounds them: a pair (r1, r2) with
-    |dec1| <= r1 and |dec2| <= r2 on every trial, which sets simulate's
-    hexagon-test margin; `predict(params, **sizes)`
-    the closed-form (pe, bits, rounds); `transcript(x, params, max_rounds,
-    q)` runs the scalar protocol (None: there is none).  `analyze(params,
-    **sizes)` gives the `analyze` JSON fields after the sizes.  A sweep row
+    unhalted count; each decision is (0, 0) or a relevant neighbour, so
+    |dec1| <= 1 and |dec2| <= 1, which simulate's hexagon-test margin
+    assumes.  `predict(params, **sizes)` gives the closed-form (pe, bits,
+    rounds); `transcript(x, params, max_rounds, q)` runs the scalar protocol
+    (None: there is none).  `analyze(params, **sizes)` gives the `analyze`
+    JSON fields after the sizes.  A sweep row
     holds each scheme's `columns`, valued by `closed(name, params, budget)`
     with the budget point that sizes its simulation (None without sizes),
     then an empirical pair per (stem, SimReport field) of `sweep`.  With
@@ -125,7 +125,6 @@ class Scheme:
     columns: tuple[str, ...]
     closed: Callable[..., tuple[list[float], analytics.TradeoffPoint | None]]
     sweep: tuple[tuple[str, str], ...]
-    reach: Callable[..., tuple[float, float]]
     round_limit: bool = False
     quantizer: Callable[..., protocols.Quantizer | None] = lambda params: None
     curve: Callable[..., analytics.TradeoffPoint] | None = None
@@ -147,8 +146,6 @@ SCHEMES = {
             columns=("pe12_below", "pe12_interp"),
             closed=_at_budget,
             sweep=(("pe12", "empirical_pe"),),
-            # each label is (0, 0) or one of the four boundary neighbours
-            reach=lambda params, q: (1.0, 1.0),
             quantizer=lambda params, n1, n2: protocols.quantizer_12(params, n1, n2),
             curve=lambda params, n: analytics.point_12(params, analytics.optimal_n1(params, n), n),
             seed=lambda *search: analytics._seed_12(*search),
@@ -165,7 +162,6 @@ SCHEMES = {
             columns=("pe21_below", "pe21_interp"),
             closed=_at_budget,
             sweep=(("pe21", "empirical_pe"),),
-            reach=lambda params, q: (1.0, 1.0),  # as for the 12 scheme
             quantizer=lambda params, n: protocols.quantizer_21(params, n),
             curve=lambda params, n: analytics.point_21(params, n),
             seed=lambda *search: analytics._seed_21(*search),
@@ -188,7 +184,6 @@ SCHEMES = {
                 [analytics.rbar_infinite(params), analytics.nbar_infinite(params)], None
             ),
             sweep=(("rbar", "mean_bits"), ("nbar", "mean_rounds")),
-            reach=lambda params, q: (1.0, 1.0),  # each decision is sign * (0 or 1)
             round_limit=True,
         ),
         Scheme(
@@ -201,7 +196,6 @@ SCHEMES = {
             columns=("pe_babai",),
             closed=lambda _, params, budget: ([babai_error_probability(params)], None),
             sweep=(("pe_babai", "empirical_pe"),),
-            reach=lambda params, q: (0.0, 0.0),
         ),
     )
 }

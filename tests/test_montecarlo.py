@@ -411,9 +411,15 @@ def _assert_same_bytes(got, want):
         assert g.tobytes() == w.tobytes()
 
 
+def _span(params, x1, x2, b1, b2) -> float:
+    """max|x1| + max|x2| + max|b1| + rho * max|b2| (b1, b2 arrays or numbers)."""
+    maxima = [float(np.max(np.abs(a))) for a in (x1, x2, b1, b2)]
+    return maxima[0] + maxima[1] + maxima[2] + params.rho * maxima[3]
+
+
 @pytest.mark.parametrize("params", _edge_lattices())
 def test_exact_nearest_batch_rectangle_edges(params):
-    """The pre-filtered oracle equals the window scan at the filter's edges.
+    """The oracle equals the window scan at the error rectangles' edges.
 
     Constructed points sit on, an ulp or two off, and a margin or two off
     the error rectangles' edges and corners, near and far from the origin;
@@ -429,42 +435,28 @@ def test_exact_nearest_batch_rectangle_edges(params):
 
 @pytest.mark.parametrize("params", _edge_lattices())
 @pytest.mark.parametrize(
-    "extra", [(2.0**28, 0.0), (np.nan, 0.0), (2.0**29, 0.0)], ids=["far", "nan", "past-half"]
+    "extra",
+    [(2.0**26, 0.0), (2.0**28, 0.0), (np.nan, 0.0), (2.0**29, 0.0)],
+    ids=["wide", "far", "nan", "past-half"],
 )
 def test_exact_nearest_batch_one_margin_per_call(params, extra):
-    """One far point widens the whole call's margin, to about 1/4 at 2^28; a
-    NaN, or a point at 2^29 (margin past 1/2), sends every trial of the call
-    to the scan.  The answers stay the window scan's, byte for byte."""
+    """One far point widens the whole call's margin, as it and its Babai
+    point enter the span: to about 1/8 at 2^26, past 1/2 at 2^28 and 2^29,
+    where, as at a NaN, every trial of the call is left uncertified.  Each
+    Babai point the hexagon test certifies, with the span measured from the
+    call, and each answer of the oracle is the window scan's, the oracle's
+    byte for byte."""
     x1, x2 = _rectangle_edge_points(params)
     x1 = np.append(x1, extra[0])
     x2 = np.append(x2, extra[1])
-    _assert_same_bytes(exact_nearest_batch(params, x1, x2), _window_scan(params, x1, x2))
-
-
-def _counting_scan(monkeypatch):
-    """Wrap montecarlo._scan_relevant; return the list of (x1, x2) it is given."""
-    seen = []
-    scan = montecarlo._scan_relevant
-
-    def counting(c, s, x1, x2, b1, b2, ws):
-        seen.append((x1.copy(), x2.copy()))
-        return scan(c, s, x1, x2, b1, b2, ws)
-
-    monkeypatch.setattr(montecarlo, "_scan_relevant", counting)
-    return seen
-
-
-@pytest.mark.parametrize("params", _oracle_lattices())
-def test_exact_nearest_batch_scans_few_babai_trials(params, monkeypatch):
-    """On in-cell points the scan gets the trials whose nearest point is not
-    the Babai point, and at most 0.1 % of the block besides."""
-    n = 1 << 16
-    x1, x2 = sample_cell_arrays(params, np.arange(n, dtype=np.uint64), seed=20)
-    seen = _counting_scan(monkeypatch)
-    e1, e2 = exact_nearest_batch(params, x1, x2)
+    w1, w2 = _window_scan(params, x1, x2)
+    _assert_same_bytes(exact_nearest_batch(params, x1, x2), (w1, w2))
     b1, b2 = babai_batch(params, x1, x2)
-    moved = np.count_nonzero((e1 != b1) | (e2 != b2))
-    assert sum(len(a) for a, _ in seen) <= moved + 0.001 * n
+    span = _span(params, x1, x2, b1, b2)
+    sure = np.ones(len(x1), bool)
+    sure[montecarlo._uncertified(params, x1, x2, b1, b2, span, montecarlo.Workspace())] = False
+    assert np.all(b1[sure] == w1[sure]) and np.all(b2[sure] == w2[sure])
+    assert np.any(sure) == (extra[0] < 2.0**27)
 
 
 def _hexagon_face_points(params, m):
@@ -495,36 +487,56 @@ def _hexagon_face_points(params, m):
 
 
 @pytest.mark.parametrize("params", _oracle_lattices())
-def test_exact_nearest_batch_filter_edge_is_the_margin(params, monkeypatch):
-    """At the hexagon's faces the pre-filter keeps the Babai point exactly for
-    the residuals more than the call's margin M inside V(0).
+def test_exact_nearest_batch_filter_edge_is_the_margin(params):
+    """At the hexagon's faces the hexagon test certifies the Babai point
+    exactly for the residuals more than the call's margin M inside V(0).
 
-    Two anchor points at (2, 2) and (-2, -2) fix M = 2^-30 * (1 + 2 + 2 +
-    max|b1| + rho * max|b2|), b the anchors' Babai points: the call's
-    points and Babai points never exceed theirs.  Of the points whose Babai
-    point is 0 (so the residual is the point), those 2M or more inside every
-    face are never scanned, those within M/2 of a face or outside always
-    are, and every answer is the window scan's.
+    Two anchor points at (2, 2) and (-2, -2) fix the span 2 + 2 + max|b1| +
+    rho * max|b2|, b the anchors' Babai points, and M = 2^-30 * (1 + span):
+    the call's points and Babai points never exceed theirs.  Of the points
+    whose Babai point is 0 (so the residual is the point), those 2M or more
+    inside every face are certified, those within M/2 of a face or outside
+    never are, and every answer, certified or from exact_nearest_batch, is
+    the window scan's.
     """
     anchors = np.array([2.0, -2.0])
     a1, a2 = babai_batch(params, anchors, anchors)
-    m = montecarlo._MARGIN * (5.0 + np.max(np.abs(a1)) + params.rho * np.max(np.abs(a2)))
+    span = 4.0 + np.max(np.abs(a1)) + params.rho * np.max(np.abs(a2))
+    m = montecarlo._MARGIN * (1.0 + span)
     y1, y2, inward = _hexagon_face_points(params, m)
     x1 = np.concatenate([y1, anchors])
     x2 = np.concatenate([y2, anchors])
     b1, b2 = babai_batch(params, x1, x2)
     maxima = [np.max(np.abs(a)) for a in (x1, x2, b1, b2)]
     assert maxima[:2] == [2.0, 2.0]
-    assert montecarlo._MARGIN * (1.0 + sum(maxima[:3]) + params.rho * maxima[3]) == m
-    seen = _counting_scan(monkeypatch)
-    _assert_same_bytes(exact_nearest_batch(params, x1, x2), _window_scan(params, x1, x2))
-    scanned = {(a, b) for s1, s2 in seen for a, b in zip(s1.tolist(), s2.tolist())}
-    b1, b2 = babai_batch(params, y1, y2)
-    at_zero = (b1 == 0.0) & (b2 == 0.0)
-    was_scanned = np.array([(a, b) in scanned for a, b in zip(y1.tolist(), y2.tolist())])
-    assert not np.any(was_scanned[at_zero & (inward >= 2 * m)])
-    assert np.all(was_scanned[at_zero & (inward <= m / 2)])
+    assert sum(maxima[:3]) + params.rho * maxima[3] == span
+    sure = np.ones(len(x1), bool)
+    sure[montecarlo._uncertified(params, x1, x2, b1, b2, span, montecarlo.Workspace())] = False
+    w1, w2 = _window_scan(params, x1, x2)
+    assert np.all(b1[sure] == w1[sure]) and np.all(b2[sure] == w2[sure])
+    _assert_same_bytes(exact_nearest_batch(params, x1, x2), (w1, w2))
+    at_zero = ((b1 == 0.0) & (b2 == 0.0))[: len(y1)]
+    certified = sure[: len(y1)]
+    assert np.all(certified[at_zero & (inward >= 2 * m)])
+    assert not np.any(certified[at_zero & (inward <= m / 2)])
     assert np.any(at_zero & (inward >= 2 * m)) and np.any(at_zero & (inward <= m / 2))
+
+
+@pytest.mark.parametrize("params", _oracle_lattices())
+def test_exact_nearest_batch_runs_no_hexagon_test(params, monkeypatch):
+    """The oracle is a reference independent of the hexagon test that
+    simulate trusts: with montecarlo._uncertified made to raise, it still
+    equals the window scan on the hexagon's face points and box points."""
+
+    def refuse(*args):
+        raise AssertionError("exact_nearest_batch ran the hexagon test")
+
+    monkeypatch.setattr(montecarlo, "_uncertified", refuse)
+    f1, f2, _ = _hexagon_face_points(params, 7 * 2.0**-30)
+    r1, r2 = np.random.default_rng(27).uniform(-3.0, 3.0, size=(2, 4096))
+    x1 = np.concatenate([f1, r1])
+    x2 = np.concatenate([f2, r2])
+    _assert_same_bytes(exact_nearest_batch(params, x1, x2), _window_scan(params, x1, x2))
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -553,7 +565,8 @@ def test_certified_candidate_is_the_window_scans(params, seed):
         for du1 in (-2.0, -1.0, 0.0, 1.0, 2.0):
             for u1, u2 in ((b1 + du1, b2 + du2), (du1, du2)):
                 sure = np.ones(len(x1), bool)
-                sure[montecarlo._uncertified(params, x1, x2, u1, u2, ws)] = False
+                span = _span(params, x1, x2, u1, u2)
+                sure[montecarlo._uncertified(params, x1, x2, u1, u2, span, ws)] = False
                 got1, got2 = np.broadcast_to(u1, x1.shape), np.broadcast_to(u2, x1.shape)
                 assert np.all(got1[sure] == w1[sure]) and np.all(got2[sure] == w2[sure])
                 if (du1, du2) == (0.0, 0.0):
@@ -1159,7 +1172,6 @@ def always_v1(monkeypatch):
         name="always_v1",
         alias="v1",
         kernel=lambda *_: (1.0, 0.0, 0.0, 0.0, 0),
-        reach=lambda params, q: (1.0, 0.0),
     )
     monkeypatch.setitem(schemes.SCHEMES, entry.name, entry)
     return entry
@@ -1195,13 +1207,13 @@ def test_simulate_counts_the_brute_force_errors(lattice, scheme, sizes, always_v
     config = SimConfig(_WS_LATTICES[lattice], scheme, trials=(1 << 16) + 3, seed=23, **sizes)
     want = _brute_force_errors(config)
     seen = []
-    oracle = montecarlo._scan_relevant
+    oracle = montecarlo.exact_nearest_batch
 
-    def counting(c, s, x1, x2, b1, b2, ws):
+    def counting(params, x1, x2, *, workspace=None):
         seen.append(len(x1))
-        return oracle(c, s, x1, x2, b1, b2, ws)
+        return oracle(params, x1, x2, workspace=workspace)
 
-    monkeypatch.setattr(montecarlo, "_scan_relevant", counting)
+    monkeypatch.setattr(montecarlo, "exact_nearest_batch", counting)
     report = simulate(config)
     assert round(report.empirical_pe * config.trials) == want
     assert sum(seen) <= want + 0.001 * config.trials
@@ -1231,31 +1243,22 @@ _REACH_CASES = (
 def test_simulate_decisions_stay_within_the_scheme_reach(
     lattice, scheme, kw, always_v1, monkeypatch
 ):
-    """On every block simulate runs, the kernel's decisions lie within the
-    reach (r1, r2) its table entry states, and the span simulate gives the
-    hexagon test is at least the one the test measures from the block's
-    points and decisions, so its margin is too."""
+    """On every block simulate runs, the kernel's decisions have |dec1| <= 1
+    and |dec2| <= 1, as every decision is (0, 0) or a relevant neighbour,
+    and the span simulate gives the hexagon test is at least the one the
+    test measures from the block's points and decisions, so its margin is
+    too."""
     assert set(schemes.SCHEMES) <= {case[0] for case in _REACH_CASES}
     params = _WS_LATTICES[lattice]
     config = SimConfig(params, scheme, trials=(1 << 16) + 3, seed=31, **kw)
-    entry = schemes.SCHEMES[scheme]
-    r1, r2 = entry.reach(params, entry.quantizer(params, **config.sizes))
     blocks = []
     uncertified = montecarlo._uncertified
 
-    def checking(params, x1, x2, b1, b2, ws, span=None):
-        if span is not None:
-            blocks.append(len(x1))
-            assert np.all(np.abs(b1) <= r1) and np.all(np.abs(b2) <= r2)
-            t = np.empty(len(x1))
-            measured = (
-                montecarlo._max_abs(x1, t)
-                + montecarlo._max_abs(x2, t)
-                + montecarlo._max_abs(b1, t)
-                + params.rho * montecarlo._max_abs(b2, t)
-            )
-            assert span >= measured
-        return uncertified(params, x1, x2, b1, b2, ws, span)
+    def checking(params, x1, x2, b1, b2, span, ws):
+        blocks.append(len(x1))
+        assert np.all(np.abs(b1) <= 1.0) and np.all(np.abs(b2) <= 1.0)
+        assert span >= _span(params, x1, x2, b1, b2)
+        return uncertified(params, x1, x2, b1, b2, span, ws)
 
     monkeypatch.setattr(montecarlo, "_uncertified", checking)
     simulate(config)

@@ -376,7 +376,8 @@ def _fill_rows_in_order(params, vertical, n1, n2, data):
         asked.add(i)
         check()
     for i, answer in data.draw(st.lists(st.tuples(bins, st.sampled_from((-1, 0, 1))), max_size=5)):
-        messages = (protocols.Message("S", i - q.center, 0.0), protocols.Message("S", answer, 0.0))
+        senders = ("S1", "S2") if vertical else ("S2", "S1")
+        messages = tuple(map(protocols.Message, senders, (i - q.center, answer), (0.0, 0.0)))
         replay_decision(messages, params, scheme, q)
         asked.add(i)
         check()
@@ -742,31 +743,84 @@ def test_replay_rejects_single_round_symbols_that_are_not_ints(scheme, params_ma
     then raised TypeError or read as an int; now require_int's rule holds:
     ValueError for both, while an int subclass replays like its int."""
     q = quantizer_12(params_main, 2, 3) if scheme == "12" else quantizer_21(params_main, 4)
+    s1, s2 = ("S1", "S2") if scheme == "12" else ("S2", "S1")
     good = replay_decision(
-        (protocols.Message("S1", 1, 0.0), protocols.Message("S2", 1, 0.0)), params_main, scheme, q
+        (protocols.Message(s1, 1, 0.0), protocols.Message(s2, 1, 0.0)), params_main, scheme, q
     )
     for first, answer in ((1.0, 1), (True, 1), (np.int64(1), 1), (1, True), (1, 1.0)):
-        messages = (protocols.Message("S1", first, 0.0), protocols.Message("S2", answer, 0.0))
+        messages = (protocols.Message(s1, first, 0.0), protocols.Message(s2, answer, 0.0))
         with pytest.raises(ValueError):
             replay_decision(messages, params_main, scheme, q)
 
     class Symbol(int):
         pass
 
-    messages = (protocols.Message("S1", Symbol(1), 0.0), protocols.Message("S2", Symbol(1), 0.0))
+    messages = (protocols.Message(s1, Symbol(1), 0.0), protocols.Message(s2, Symbol(1), 0.0))
     assert replay_decision(messages, params_main, scheme, q) == good
 
 
 def test_replay_rejects_infinite_symbols_that_are_not_ints(params_main):
     """(True, True, 1, 1) read as (1, 1, 1, 1) gave IntegerPair(0, True)."""
-    as_ints = tuple(protocols.Message("S", s, 0.0) for s in (1, 1, 1, 1))
+    senders = ("S2", "S1", "S1", "S2")
+    as_ints = tuple(map(protocols.Message, senders, (1, 1, 1, 1), (0.0,) * 4))
     assert replay_decision(as_ints, params_main, "infinite") == IntegerPair(0, 1)
     for symbols in ((True, True, 1, 1), (1, 1, True, True), (1.0, 1, 1, 1), (1, 1, 1.0, 1.0)):
-        messages = tuple(protocols.Message("S", s, 0.0) for s in symbols)
+        messages = tuple(map(protocols.Message, senders, symbols, (0.0,) * 4))
         with pytest.raises(ValueError):
             replay_decision(messages, params_main, "infinite")
     with pytest.raises(ValueError):
         replay_decision((protocols.Message("S2", np.int64(0), 0.0),), params_main, "infinite")
+
+
+def _sent_by(messages, senders):
+    """The messages with their senders replaced by `senders`, in order."""
+    return tuple(dataclasses.replace(m, sender=s) for m, s in zip(messages, senders))
+
+
+@pytest.mark.parametrize("scheme", ["12", "21"])
+def test_replay_rejects_single_round_senders_out_of_order(scheme, params_main):
+    """A single-round transcript replays only in its scheme's speaking order,
+    S1 then S2 for 12 and S2 then S1 for 21.  With the senders swapped (the
+    12 transcript at (0.4, 0.3) replayed to (0, 0) that way) or both
+    messages from one party, replay raises ValueError."""
+    if scheme == "12":
+        q = quantizer_12(params_main, 2, 3)
+        t = run_single_round_12(Point2(0.4, 0.3), params_main, q)
+    else:
+        q = quantizer_21(params_main, 4)
+        t = run_single_round_21(Point2(0.4, 0.3), params_main, q)
+    order = ("S1", "S2") if scheme == "12" else ("S2", "S1")
+    assert tuple(m.sender for m in t.messages) == order
+    assert replay_decision(_sent_by(t.messages, order), params_main, scheme, q) == t.decision
+    for senders in (order[::-1], ("S1", "S1"), ("S2", "S2"), ("S", "S")):
+        with pytest.raises(ValueError, match="speaking order"):
+            replay_decision(_sent_by(t.messages, senders), params_main, scheme, q)
+
+
+def test_replay_rejects_infinite_senders_out_of_order(params_main):
+    """The infinite scheme speaks S2, then S1, then S1 and S2 in each
+    bisection round.  Replay raises ValueError when the first two senders
+    are swapped or are one party, when a bisection pair is reversed or from
+    one party, and when a lone band message comes from S1."""
+    x = next(
+        x for x in _uniform_cell(params_main, 500, seed=3)
+        if len(run_infinite_rounds(x, params_main).messages) > 4
+    )
+    t = run_infinite_rounds(x, params_main)
+    order = [m.sender for m in t.messages]
+    assert order == ["S2", "S1"] + ["S1", "S2"] * (len(order) // 2 - 1)
+    assert replay_decision(t.messages, params_main, "infinite") == t.decision
+    wrong = [pair + order[2:] for pair in (["S1", "S2"], ["S1", "S1"], ["S2", "S2"])]
+    for k in range(2, len(order), 2):
+        wrong += [order[:k] + pair + order[k + 2 :] for pair in (["S2", "S1"], ["S1", "S1"])]
+    for senders in wrong:
+        with pytest.raises(ValueError, match="speaking order"):
+            replay_decision(_sent_by(t.messages, senders), params_main, "infinite")
+    band = run_infinite_rounds(Point2(0.0, 0.0), params_main).messages
+    assert len(band) == 1
+    assert replay_decision(band, params_main, "infinite") == IntegerPair(0, 0)
+    with pytest.raises(ValueError, match="speaking order"):
+        replay_decision(_sent_by(band, ["S1"]), params_main, "infinite")
 
 
 def test_quantizer_bin_structure(params_main):
