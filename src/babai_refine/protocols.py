@@ -23,6 +23,7 @@ import operator
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,15 +48,13 @@ DEFAULT_MAX_ROUNDS = 64
 _FILL_CHUNK = 1 << 10
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     sender: str
     symbol: int
     ideal_bits: float
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(NamedTuple):
     messages: tuple[Message, ...]
     rounds: int
     total_bits: float
@@ -66,15 +65,16 @@ class Transcript:
 class BinRows:
     """A quantizer's per-bin rows, each computed on first use.
 
-    Row i is bin i's line through its midpoint: its cuts `lo` and `hi`,
-    `labels` (int8) and region `probs` (a cross_section row), its decision
-    columns `decisions[:, i]` (the labels as float64) and its code lengths
-    `bin_bits[i]` and `answer_bits[i]`.  The arrays have the size of the
-    whole quantizer from the start, but row i holds its values only once it
-    is filled, and `bin_bits[i]` is NaN until then (a filled one never is);
-    `complete` is set once every row is filled.  Rows are filled under
-    `lock`, bin_bits last, so threads that share a quantizer fill each row
-    once, and a row whose bin_bits they read as a number is whole.
+    Row i is bin i's line through its midpoint, from its cross_section row:
+    the cuts `lo[i]` and `hi[i]`, the decision columns `decisions[:, i]`
+    (the labels as float64) and the code lengths `bin_bits[i]` and
+    `answer_bits[i]` (of the region probs).  The five arrays have the size
+    of the whole quantizer from the start, but row i holds its values only
+    once it is filled, and `bin_bits[i]` is NaN until then (a filled one
+    never is): that NaN is the only record of what is filled, and
+    `complete` says that none is left.  Rows are filled under `lock`,
+    bin_bits last, so threads that share a quantizer fill each row once,
+    and a row whose bin_bits they read as a number is whole.
     """
 
     def __init__(self, geom, edges: np.ndarray, vertical: bool):
@@ -82,12 +82,9 @@ class BinRows:
         self.geom, self.edges, self.vertical = geom, edges, vertical
         self.lo = np.empty(n)
         self.hi = np.empty(n)
-        self.labels = np.empty((n, 3, 2), np.int8)
-        self.probs = np.empty((n, 3))
         self.decisions = np.empty((2, n, 3))
         self.answer_bits = np.empty((n, 3))
         self.bin_bits = np.full(n, math.nan)
-        self.unfilled = n
         self.complete = n == 0
         self.lock = threading.Lock()
 
@@ -108,25 +105,19 @@ class BinRows:
                 part = bins[start : start + _FILL_CHUNK]
                 below, above = e[part], e[part + 1]
                 cuts = cross_section(self.geom, 0.5 * (below + above), self.vertical)
-                labels = cuts.labels.astype(np.int8)
                 self.lo[part] = cuts.lo
                 self.hi[part] = cuts.hi
-                self.labels[part] = labels
-                self.probs[part] = cuts.probs
-                self.decisions[:, part] = np.moveaxis(labels, 2, 0)
+                self.decisions[:, part] = np.moveaxis(cuts.labels, 2, 0)
                 self.answer_bits[part] = _ideal_bits(cuts.probs)
                 self.bin_bits[part] = _ideal_bits((above - below) / (e[-1] - e[0]))
-            self.unfilled -= len(bins)
-            self.complete = not self.unfilled
+            self.complete = not np.isnan(self.bin_bits).any()
 
     def bits(self, pos: int) -> float:
         """bin_bits[pos], with bin pos's row filled first: a scalar reader
         calls it before it reads the rest of the row."""
-        bits = self.bin_bits.item(pos)
-        if math.isnan(bits):
+        if math.isnan(self.bin_bits.item(pos)):
             self.fill(np.array([pos]))
-            bits = self.bin_bits.item(pos)
-        return bits
+        return self.bin_bits.item(pos)
 
     def whole(self) -> BinRows:
         """These rows, with every one filled."""
@@ -159,12 +150,13 @@ class Quantizer:
     a batch kernel gathers each decision coordinate with one take at index
     3 * i + symbol + 1.
 
-    A quantizer is built with its edges alone.  Each bin's row of the
-    table, code and decisions is computed when a transcript, a replay or a
-    batch kernel first reads it (`rows`, a BinRows), so a call pays only for
-    the bins it touches; `table`, `bin_bits`, `answer_bits` and `decisions`
-    fill every row when read and return the whole arrays.  Equality and
-    hash use params, vertical and sizes alone, which determine the rest.
+    A quantizer is built with its edges alone.  Each bin's cuts, code and
+    decisions are computed when a transcript, a replay or a batch kernel
+    first reads them (`rows`, a BinRows), so a call pays only for the bins
+    it touches; `bin_bits`, `answer_bits` and `decisions` fill every row
+    when read and return the whole arrays.  `table` is one cross_section of
+    every bin midpoint, computed on each read, and fills no row.  Equality
+    and hash use params, vertical and sizes alone, which determine the rest.
     """
 
     params: LatticeParams
@@ -176,8 +168,9 @@ class Quantizer:
 
     @property
     def table(self) -> CrossSection:
-        rows = self.rows.whole()
-        return CrossSection(*map(_read_only, (rows.lo, rows.hi, rows.labels, rows.probs)))
+        e = self.edges
+        cuts = cross_section(self.rows.geom, 0.5 * (e[:-1] + e[1:]), self.vertical)
+        return CrossSection(*map(_read_only, cuts._replace(labels=cuts.labels.astype(np.int8))))
 
     @property
     def bin_bits(self) -> np.ndarray:
@@ -248,7 +241,8 @@ def _require_in_cell(x: Point2, params: LatticeParams) -> None:
 
 
 def _decision(rows: BinRows, pos: int, symbol: int) -> IntegerPair:
-    return IntegerPair(rows.labels.item(pos, symbol + 1, 0), rows.labels.item(pos, symbol + 1, 1))
+    d = rows.decisions
+    return IntegerPair(int(d.item(0, pos, symbol + 1)), int(d.item(1, pos, symbol + 1)))
 
 
 def _single_round(x: Point2, params: LatticeParams, q: Quantizer) -> Transcript:
@@ -269,13 +263,8 @@ def _single_round(x: Point2, params: LatticeParams, q: Quantizer) -> Transcript:
     bits1 = rows.bits(pos)
     symbol = 1 if second > rows.hi.item(pos) else (-1 if second <= rows.lo.item(pos) else 0)
     bits2 = rows.answer_bits.item(pos, symbol + 1)
-    return Transcript(
-        messages=(Message(senders[0], pos - q.center, bits1), Message(senders[1], symbol, bits2)),
-        rounds=1,
-        total_bits=bits1 + bits2,
-        decision=_decision(rows, pos, symbol),
-        halted=True,
-    )
+    messages = (Message(senders[0], pos - q.center, bits1), Message(senders[1], symbol, bits2))
+    return Transcript(messages, 1, bits1 + bits2, _decision(rows, pos, symbol), True)
 
 
 def run_single_round_12(x: Point2, params: LatticeParams, q: Quantizer) -> Transcript:
@@ -295,8 +284,7 @@ def run_single_round_21(x: Point2, params: LatticeParams, q: Quantizer) -> Trans
     return _single_round(x, params, _checked("21", q, params))
 
 
-@dataclass(frozen=True)
-class ErrorRectangle:
+class ErrorRectangle(NamedTuple):
     """A round-1 cell whose Voronoi boundary is exactly its diagonal."""
 
     x_lo: float
@@ -399,15 +387,6 @@ def run_infinite_rounds(
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _SENDERS = (S1, S2)
 _INT = frozenset((int,))
-_KEYS = ("messages", "rounds", "total_bits", "decision", "halted")
-_MESSAGE_KEYS = ("sender", "symbol", "ideal_bits")
-# A decoded message or transcript is built field by field with
-# object.__setattr__, as the frozen dataclass __init__ does, without its
-# Python call.  Not with vars(obj).update, as lattice._frozen builds the few
-# cached geometry objects: vars() gives each object a dict of its own, and
-# 3000 kept decoded transcripts took 3.4 MB that way against 1.7 MB.
-_new = object.__new__
-_set = object.__setattr__
 
 
 def _float_text(value, name: str) -> str:
@@ -435,13 +414,12 @@ def transcript_to_json(t: Transcript) -> str:
     float or a `halted` that is not a bool raise ValueError.
     """
     parts = []
-    for m in t.messages:
-        sender, symbol = m.sender, m.symbol
+    for sender, symbol, bits in t.messages:
         if type(sender) is not str or sender not in _SENDERS:
             raise ValueError(f"sender must be 'S1' or 'S2', got {sender!r}")
         if type(symbol) is not int:
             raise ValueError(f"symbol must be an int, got {symbol!r}")
-        bits = _float_text(m.ideal_bits, "ideal_bits")
+        bits = _float_text(bits, "ideal_bits")
         parts.append(f'{{"sender": "{sender}", "symbol": {symbol!r}, "ideal_bits": {bits}}}')
     if type(t.halted) is not bool:
         raise ValueError(f"halted must be a bool, got {t.halted!r}")
@@ -478,33 +456,29 @@ def transcript_from_json(text: str) -> Transcript:
     doc = json.loads(text)
     # an object of exactly n keys that has every key it needs has no other
     try:
-        if type(doc) is not dict or len(doc) != len(_KEYS):
+        if type(doc) is not dict or len(doc) != len(Transcript._fields):
             raise KeyError
         messages, rounds, total_bits = doc["messages"], doc["rounds"], doc["total_bits"]
         decision, halted = doc["decision"], doc["halted"]
     except KeyError:
-        raise ValueError(f"a transcript must be an object with the keys {_KEYS}") from None
+        raise ValueError(f"a transcript must be an object with keys {Transcript._fields}") from None
     if type(messages) is not list:
         raise ValueError(f"messages must be a list, got {messages!r}")
     decoded = []
     for m in messages:
         try:
-            if type(m) is not dict or len(m) != len(_MESSAGE_KEYS):
+            if type(m) is not dict or len(m) != len(Message._fields):
                 raise KeyError
             sender, symbol, bits = m["sender"], m["symbol"], m["ideal_bits"]
         except KeyError:
-            raise ValueError(f"a message must be an object with the keys {_MESSAGE_KEYS}") from None
+            raise ValueError(f"a message must be an object with keys {Message._fields}") from None
         if sender not in _SENDERS:
             raise ValueError(f"sender must be 'S1' or 'S2', got {sender!r}")
         if type(symbol) is not int:
             raise ValueError(f"symbol must be a JSON integer, got {symbol!r}")
         if type(bits) is not float:
             bits = _int_bits(bits, "ideal_bits")
-        message = _new(Message)
-        _set(message, "sender", sender)
-        _set(message, "symbol", symbol)
-        _set(message, "ideal_bits", bits)
-        decoded.append(message)
+        decoded.append(Message(sender, symbol, bits))
     if type(rounds) is not int:
         raise ValueError(f"rounds must be a JSON integer, got {rounds!r}")
     if type(total_bits) is not float:
@@ -513,13 +487,7 @@ def transcript_from_json(text: str) -> Transcript:
         raise ValueError(f"decision must be a list of two JSON integers, got {decision!r}")
     if type(halted) is not bool:
         raise ValueError(f"halted must be true or false, got {halted!r}")
-    t = _new(Transcript)
-    _set(t, "messages", tuple(decoded))
-    _set(t, "rounds", rounds)
-    _set(t, "total_bits", total_bits)
-    _set(t, "decision", IntegerPair(*decision))
-    _set(t, "halted", halted)
-    return t
+    return Transcript(tuple(decoded), rounds, total_bits, IntegerPair(*decision), halted)
 
 
 def _expect(symbols: list[int], *alphabets) -> None:
@@ -532,6 +500,13 @@ def _out_of_order(messages: tuple[Message, ...], scheme: str) -> ValueError:
     """The error for messages whose senders break the scheme's speaking order."""
     senders = [m.sender for m in messages]
     return ValueError(f"senders {senders} are not the speaking order of scheme {scheme!r}")
+
+
+def _ends_at(messages: tuple[Message, ...], n: int, decision: IntegerPair) -> IntegerPair:
+    """decision, if the n-th message, which decides, is the last (ValueError otherwise)."""
+    if len(messages) != n:
+        raise ValueError(f"{len(messages) - n} message(s) follow the one that decides")
+    return decision
 
 
 def replay_decision(
@@ -548,7 +523,8 @@ def replay_decision(
     missing message, a symbol that is not an int (a bool or a float; see
     require_int) or lies outside its message's alphabet (a bin of the
     quantizer, a ternary answer or band, a bisection bit), a message from
-    the wrong party and a transcript that never halted raise ValueError.
+    the wrong party, a message after the one that decides and a transcript
+    that never halted raise ValueError.
     The parties speak in the scheme's order: S1 then S2 for "12", S2 then
     S1 for "21"; for "infinite", S2, then S1, then S1 and S2 in each
     bisection round.
@@ -571,19 +547,19 @@ def replay_decision(
     if messages[0].sender != S2:
         raise _out_of_order(messages, scheme)
     if symbols[0] == 0:
-        return IntegerPair(0, 0)
+        return _ends_at(messages, 1, IntegerPair(0, 0))
     _expect(symbols[1:2], (-1, 0, 1))
     if messages[1].sender != S1:
         raise _out_of_order(messages, scheme)
     u2, u1m = symbols[0], symbols[0] * symbols[1]
     if u1m == 0:
-        return IntegerPair(0, 0)
-    for m1, m2 in zip(messages[2::2], messages[3::2]):
+        return _ends_at(messages, 2, IntegerPair(0, 0))
+    for n, m1, m2 in zip(range(4, len(messages) + 1, 2), messages[2::2], messages[3::2]):
         b, c = m1.symbol, m2.symbol
         _expect([b, c], (0, 1), (0, 1))
         if m1.sender != S1 or m2.sender != S2:
             raise _out_of_order(messages, scheme)
         if b == c:
-            return _infinite_decision(u2, u1m, b == 1)
+            return _ends_at(messages, n, _infinite_decision(u2, u1m, b == 1))
     raise ValueError("transcript did not halt; decision is not replayable")
 

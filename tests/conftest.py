@@ -59,8 +59,8 @@ def _code_lengths(values: np.ndarray) -> np.ndarray:
 def eager_rows(q) -> dict[str, np.ndarray]:
     """Every row of quantizer q from one cross_section of all its bin
     midpoints and one math.log2 per code entry (inf for an empty region),
-    by the names of q.rows: the rows filled on first use equal these bit
-    for bit."""
+    by the names of q.rows and q.table: the rows filled on first use equal
+    these bit for bit."""
     e = np.asarray(q.edges)
     cuts = cross_section(cell_geometry(q.params), 0.5 * (e[:-1] + e[1:]), q.vertical)
     labels = cuts.labels.astype(np.int8)
@@ -81,8 +81,10 @@ def filled_bins(q) -> np.ndarray:
 
 
 def assert_rows_are_eager(q, bins) -> None:
-    """q's rows of `bins` equal eager_rows(q)'s bit for bit."""
+    """q's rows of `bins`, and its table's labels and probs there, equal
+    eager_rows(q)'s bit for bit."""
+    table = q.table
     for name, want in eager_rows(q).items():
-        got = getattr(q.rows, name)
+        got = getattr(table if name in ("labels", "probs") else q.rows, name)
         got, want = (got[:, bins], want[:, bins]) if name == "decisions" else (got[bins], want[bins])
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name

@@ -1102,7 +1102,7 @@ def test_two_threads_fill_one_fresh_quantizer():
     for got, want in zip(outputs, serial):
         for got_call, want_call in zip(got, want, strict=True):
             _assert_same_bytes(got_call, want_call)
-    assert q.rows.unfilled == len(q.edges) - 1 - len(filled_bins(q))
+    assert q.rows.complete == (len(filled_bins(q)) == len(q.edges) - 1)
     assert_rows_are_eager(q, filled_bins(q))
     want = eager_rows(q)
     assert q.table.labels.tobytes() == want["labels"].tobytes()
@@ -1136,7 +1136,7 @@ def test_simulate_fills_only_the_bins_its_trials_land_in(row, monkeypatch):
     _, x2 = sample_cell_arrays(params, np.arange(config.trials, dtype=np.uint64), config.seed)
     landed = np.unique(np.clip(np.searchsorted(q.edges, x2, side="left") - 1, 0, len(q.edges) - 2))
     assert np.array_equal(filled_bins(q), landed)
-    assert q.rows.unfilled == len(q.edges) - 1 - len(landed) > 0
+    assert len(filled_bins(q)) == len(landed) < len(q.edges) - 1 and not q.rows.complete
     assert_rows_are_eager(q, landed)
 
 

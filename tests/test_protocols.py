@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 import math
 import pickle
@@ -327,9 +326,23 @@ def test_a_fresh_quantizer_fills_no_row(params_main, params_square, monkeypatch)
     monkeypatch.setattr(math, "log2", lambda v: calls.append(v))
     for params in (params_main, params_square):
         for q in (quantizer_21(params, 4096), quantizer_12(params, 4096, 4096)):
-            assert filled_bins(q).size == 0
-            assert q.rows.unfilled == len(q.edges) - 1 and not q.rows.complete
+            assert filled_bins(q).size == 0 and not q.rows.complete
     assert calls == []
+
+
+def test_reading_the_table_fills_no_row(params_main):
+    """`table` is one cross_section of the bin midpoints, computed on read:
+    on a fresh quantizer_12(4096, 4096) it takes no logarithm and fills no
+    row, and its arrays are the eager rows' bit for bit."""
+    q = quantizer_12(params_main, 4096, 4096)
+    with mock.patch.object(math, "log2", side_effect=AssertionError("log2 called")):
+        table = q.table
+        assert filled_bins(q).size == 0 and not q.rows.complete
+    want = eager_rows(q)
+    for name in ("lo", "hi", "labels", "probs"):
+        got = getattr(table, name)
+        assert not got.flags.writeable, name
+        assert got.dtype == want[name].dtype and got.tobytes() == want[name].tobytes(), name
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -396,7 +409,7 @@ def _fill_rows_in_order(params, vertical, n1, n2, data):
     for name, a in got.items():
         assert not a.flags.writeable, name
         assert a.dtype == want[name].dtype and a.tobytes() == want[name].tobytes(), name
-    assert q.rows.complete and q.rows.unfilled == 0
+    assert q.rows.complete and len(filled_bins(q)) == len(q.edges) - 1
 
 
 def _edited(t, symbols: dict[int, int], keep: int | None = None):
@@ -544,7 +557,8 @@ def test_out_of_cell(params_main):
 
 def test_transcript_json_roundtrip(params_main):
     """Transcripts of all three schemes: the text is json.dumps's, with the
-    keys in their order, and decodes to the transcript."""
+    keys in their order, and decodes to the transcript, which hashes and
+    pickles equal to it and, like it, cannot be set."""
     t = run_infinite_rounds(Point2(0.45, 0.45), params_main)
     text = transcript_to_json(t)
     assert transcript_from_json(text) == t
@@ -559,7 +573,13 @@ def test_transcript_json_roundtrip(params_main):
         ):
             text = transcript_to_json(t)
             assert text == _dumps_json(t)
-            assert transcript_from_json(text) == t
+            back = transcript_from_json(text)
+            assert back == t and hash(back) == hash(t)
+            assert pickle.loads(pickle.dumps(back)) == t
+            with pytest.raises(AttributeError):
+                back.rounds = 2
+            with pytest.raises(AttributeError):
+                back.messages[0].symbol = 7
 
 
 def _dumps_json(t) -> str:
@@ -619,9 +639,9 @@ def test_transcript_to_json_writes_the_bytes_of_json_dumps(t):
 def _replaced(t, field: str, value):
     """t with one field, or that field of its first message, set to value."""
     if field in ("sender", "symbol", "ideal_bits"):
-        first = dataclasses.replace(t.messages[0], **{field: value})
-        return dataclasses.replace(t, messages=(first, *t.messages[1:]))
-    return dataclasses.replace(t, **{field: value})
+        first = t.messages[0]._replace(**{field: value})
+        return t._replace(messages=(first, *t.messages[1:]))
+    return t._replace(**{field: value})
 
 
 @pytest.mark.parametrize(
@@ -774,7 +794,7 @@ def test_replay_rejects_infinite_symbols_that_are_not_ints(params_main):
 
 def _sent_by(messages, senders):
     """The messages with their senders replaced by `senders`, in order."""
-    return tuple(dataclasses.replace(m, sender=s) for m, s in zip(messages, senders))
+    return tuple(m._replace(sender=s) for m, s in zip(messages, senders))
 
 
 @pytest.mark.parametrize("scheme", ["12", "21"])
@@ -821,6 +841,37 @@ def test_replay_rejects_infinite_senders_out_of_order(params_main):
     assert replay_decision(band, params_main, "infinite") == IntegerPair(0, 0)
     with pytest.raises(ValueError, match="speaking order"):
         replay_decision(_sent_by(band, ["S1"]), params_main, "infinite")
+
+
+# a halted transcript of `length` messages, then the messages appended to it
+_TRAILING = {
+    "band 0, then two more": ("infinite", 1, [("S1", 1), ("S2", 1)]),
+    "interval 0, then a bit pair": ("infinite", 2, [("S1", 1), ("S2", 1)]),
+    "14 messages, then S1": ("infinite", 14, [("S1", 1)]),
+    "14 messages, then a bit pair": ("infinite", 14, [("S1", 0), ("S2", 0)]),
+    "12, then a third": ("12", 2, [("S1", 0)]),
+    "21, then a third": ("21", 2, [("S2", 0)]),
+}
+
+
+@pytest.mark.parametrize("case", list(_TRAILING))
+def test_replay_rejects_messages_after_the_one_that_decides(case, params_main):
+    """A transcript ends with the message that decides: the band-0 symbol,
+    the interval-0 symbol, the first equal bit pair or a single round's
+    answer.  Replay raises ValueError on any message after it; the infinite
+    scheme once replayed a band-0 message followed by two more to (0, 0)."""
+    scheme, length, extra = _TRAILING[case]
+    q = {"12": quantizer_12(params_main, 2, 3), "21": quantizer_21(params_main, 4)}.get(scheme)
+    runs = {"12": run_single_round_12, "21": run_single_round_21}
+    transcripts = (
+        run_infinite_rounds(x, params_main) if q is None else runs[scheme](x, params_main, q)
+        for x in _uniform_cell(params_main, 20000, seed=5)
+    )
+    t = next(t for t in transcripts if len(t.messages) == length)
+    assert t.halted and replay_decision(t.messages, params_main, scheme, q) == t.decision
+    messages = t.messages + tuple(protocols.Message(s, symbol, 1.0) for s, symbol in extra)
+    with pytest.raises(ValueError):
+        replay_decision(messages, params_main, scheme, q)
 
 
 def test_quantizer_bin_structure(params_main):
