@@ -446,12 +446,10 @@ def _single_round_batch(
     second = np.ravel(second)
     n = len(first)
     rows = q.rows
-    # read before the gather: if every row was filled then, every row it reads is
-    complete = rows.complete
     pos = _bin_index(q, first, ws)
     bits = np.take(rows.bin_bits, pos, out=ws("bits", n), mode="clip")
     # an unfilled row's bin_bits is NaN, and so is the sum of any gather of it
-    if not complete and math.isnan(np.add.reduce(bits)):
+    if math.isnan(np.add.reduce(bits)):
         _fill_rows(rows, pos, ws)
         np.take(rows.bin_bits, pos, out=bits, mode="clip")
     cut = np.take(rows.hi, pos, out=ws("tmp1", n), mode="clip")

@@ -71,10 +71,10 @@ class BinRows:
     `answer_bits[i]` (of the region probs).  The five arrays have the size
     of the whole quantizer from the start, but row i holds its values only
     once it is filled, and `bin_bits[i]` is NaN until then (a filled one
-    never is): that NaN is the only record of what is filled, and
-    `complete` says that none is left.  Rows are filled under `lock`,
-    bin_bits last, so threads that share a quantizer fill each row once,
-    and a row whose bin_bits they read as a number is whole.
+    never is): that NaN is the only record of what is filled.  Rows are
+    filled under `lock`, bin_bits last, so threads that share a quantizer
+    fill each row once, and a row whose bin_bits they read as a number is
+    whole.
     """
 
     def __init__(self, geom, edges: np.ndarray, vertical: bool):
@@ -85,7 +85,6 @@ class BinRows:
         self.decisions = np.empty((2, n, 3))
         self.answer_bits = np.empty((n, 3))
         self.bin_bits = np.full(n, math.nan)
-        self.complete = n == 0
         self.lock = threading.Lock()
 
     def fill(self, bins: np.ndarray) -> None:
@@ -110,7 +109,6 @@ class BinRows:
                 self.decisions[:, part] = np.moveaxis(cuts.labels, 2, 0)
                 self.answer_bits[part] = _ideal_bits(cuts.probs)
                 self.bin_bits[part] = _ideal_bits((above - below) / (e[-1] - e[0]))
-            self.complete = not np.isnan(self.bin_bits).any()
 
     def bits(self, pos: int) -> float:
         """bin_bits[pos], with bin pos's row filled first: a scalar reader
@@ -121,8 +119,7 @@ class BinRows:
 
     def whole(self) -> BinRows:
         """These rows, with every one filled."""
-        if not self.complete:
-            self.fill(np.flatnonzero(np.isnan(self.bin_bits)))
+        self.fill(np.flatnonzero(np.isnan(self.bin_bits)))
         return self
 
 
@@ -554,12 +551,12 @@ def replay_decision(
     u2, u1m = symbols[0], symbols[0] * symbols[1]
     if u1m == 0:
         return _ends_at(messages, 2, IntegerPair(0, 0))
-    for n, m1, m2 in zip(range(4, len(messages) + 1, 2), messages[2::2], messages[3::2]):
-        b, c = m1.symbol, m2.symbol
+    for i in range(2, len(messages) - 1, 2):
+        b, c = symbols[i], symbols[i + 1]
         _expect([b, c], (0, 1), (0, 1))
-        if m1.sender != S1 or m2.sender != S2:
+        if messages[i].sender != S1 or messages[i + 1].sender != S2:
             raise _out_of_order(messages, scheme)
         if b == c:
-            return _ends_at(messages, n, _infinite_decision(u2, u1m, b == 1))
+            return _ends_at(messages, i + 2, _infinite_decision(u2, u1m, b == 1))
     raise ValueError("transcript did not halt; decision is not replayable")
 

@@ -1068,7 +1068,8 @@ def test_two_threads_fill_one_fresh_quantizer():
     """Two threads run the 21 kernel at once on one shared, fresh quantizer,
     over different points in calls of a few hundred trials, so that their
     row fills interleave.  Each output equals its serial result, the filled
-    count matches the rows filled, and the final table is the eager one."""
+    bins are those the trials fall in, and the final table and rows are the
+    eager ones."""
     params = _WS_LATTICES["rcos0.3"]
     points = [
         [a.copy() for a in sample_cell_arrays(params, np.arange(1 << 13, dtype=np.uint64), seed)]
@@ -1102,7 +1103,9 @@ def test_two_threads_fill_one_fresh_quantizer():
     for got, want in zip(outputs, serial):
         for got_call, want_call in zip(got, want, strict=True):
             _assert_same_bytes(got_call, want_call)
-    assert q.rows.complete == (len(filled_bins(q)) == len(q.edges) - 1)
+    x2 = np.concatenate([x2 for _, x2 in points])
+    landed = np.unique(np.clip(np.searchsorted(q.edges, x2, side="left") - 1, 0, len(q.edges) - 2))
+    assert np.array_equal(filled_bins(q), landed)
     assert_rows_are_eager(q, filled_bins(q))
     want = eager_rows(q)
     assert q.table.labels.tobytes() == want["labels"].tobytes()
@@ -1110,6 +1113,7 @@ def test_two_threads_fill_one_fresh_quantizer():
         assert getattr(q.table, name).tobytes() == want[name].tobytes()
     for name in ("bin_bits", "answer_bits", "decisions"):
         assert getattr(q, name).tobytes() == want[name].tobytes()
+    assert_rows_are_eager(q, filled_bins(q))
 
 
 # the middle and last rows of `sweep --rho 1 --grid 3`: theta from the sweep's own
@@ -1136,7 +1140,7 @@ def test_simulate_fills_only_the_bins_its_trials_land_in(row, monkeypatch):
     _, x2 = sample_cell_arrays(params, np.arange(config.trials, dtype=np.uint64), config.seed)
     landed = np.unique(np.clip(np.searchsorted(q.edges, x2, side="left") - 1, 0, len(q.edges) - 2))
     assert np.array_equal(filled_bins(q), landed)
-    assert len(filled_bins(q)) == len(landed) < len(q.edges) - 1 and not q.rows.complete
+    assert len(filled_bins(q)) == len(landed) < len(q.edges) - 1
     assert_rows_are_eager(q, landed)
 
 

@@ -269,9 +269,11 @@ def test_quantizer_code_lengths(lattice, chunk, request, monkeypatch):
 
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
 def test_quantizer_table_does_not_depend_on_chunking(chunk, params_main, params_hex, monkeypatch):
-    """The table, built chunk by chunk, equals one cross_section of all the
-    bin midpoints (labels as int8) bit for bit, whatever the chunk."""
+    """The table, and the stored rows filled chunk by chunk, equal one
+    cross_section of all the bin midpoints (labels as int8) bit for bit,
+    whatever the chunk."""
     monkeypatch.setattr(analytics, "_RATE_CHUNK", chunk)
+    monkeypatch.setattr(protocols, "_FILL_CHUNK", chunk)
     for params in (params_main, params_hex):
         for q in (quantizer_12(params, 40, 70), quantizer_21(params, 99)):
             edges = np.asarray(q.edges)
@@ -282,6 +284,10 @@ def test_quantizer_table_does_not_depend_on_chunking(chunk, params_main, params_
             for got, want in zip(q.table, whole):
                 assert (got.dtype, got.shape) == (want.dtype, want.shape)
                 assert got.tobytes() == want.tobytes()
+            rows = q.rows.whole()
+            assert rows.lo.tobytes() == whole.lo.tobytes()
+            assert rows.hi.tobytes() == whole.hi.tobytes()
+            assert rows.decisions.tobytes() == np.moveaxis(whole.labels, 2, 0).astype(float).tobytes()
 
 
 @pytest.mark.parametrize("lattice", ["params_main", "params_hex", "params_square"])
@@ -318,6 +324,19 @@ def test_quantizers_pickle_and_copy(params_main):
                 assert got.tobytes() == want.tobytes()
 
 
+def test_copied_quantizers_fill_the_same_rows(params_main):
+    """A pickled or copied quantizer starts with no row filled, and its
+    rows, once all filled, are the original's bit for bit."""
+    filled = quantizer_12(params_main, 2, 3)
+    run_single_round_12(Point2(0.1, 0.2), params_main, filled)
+    for q in (filled, quantizer_21(params_main, 4)):
+        for other in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q)):
+            assert filled_bins(other).size == 0
+            got, want = other.rows.whole(), q.rows.whole()
+            for name in ("lo", "hi", "decisions", "answer_bits", "bin_bits"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 def test_a_fresh_quantizer_fills_no_row(params_main, params_square, monkeypatch):
     """Building a quantizer computes no cut and takes no logarithm, up to
     4096 bins a side: every row waits for its first reader."""
@@ -326,7 +345,7 @@ def test_a_fresh_quantizer_fills_no_row(params_main, params_square, monkeypatch)
     monkeypatch.setattr(math, "log2", lambda v: calls.append(v))
     for params in (params_main, params_square):
         for q in (quantizer_21(params, 4096), quantizer_12(params, 4096, 4096)):
-            assert filled_bins(q).size == 0 and not q.rows.complete
+            assert filled_bins(q).size == 0
     assert calls == []
 
 
@@ -337,7 +356,7 @@ def test_reading_the_table_fills_no_row(params_main):
     q = quantizer_12(params_main, 4096, 4096)
     with mock.patch.object(math, "log2", side_effect=AssertionError("log2 called")):
         table = q.table
-        assert filled_bins(q).size == 0 and not q.rows.complete
+        assert filled_bins(q).size == 0
     want = eager_rows(q)
     for name in ("lo", "hi", "labels", "probs"):
         got = getattr(table, name)
@@ -409,7 +428,8 @@ def _fill_rows_in_order(params, vertical, n1, n2, data):
     for name, a in got.items():
         assert not a.flags.writeable, name
         assert a.dtype == want[name].dtype and a.tobytes() == want[name].tobytes(), name
-    assert q.rows.complete and len(filled_bins(q)) == len(q.edges) - 1
+    assert len(filled_bins(q)) == len(q.edges) - 1
+    assert_rows_are_eager(q, filled_bins(q))
 
 
 def _edited(t, symbols: dict[int, int], keep: int | None = None):
