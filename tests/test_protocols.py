@@ -287,7 +287,8 @@ def test_quantizer_table_does_not_depend_on_chunking(chunk, params_main, params_
             rows = q.rows.whole()
             assert rows.lo.tobytes() == whole.lo.tobytes()
             assert rows.hi.tobytes() == whole.hi.tobytes()
-            assert rows.decisions.tobytes() == np.moveaxis(whole.labels, 2, 0).astype(float).tobytes()
+            decisions = np.moveaxis(whole.labels, 2, 0).astype(np.float64)
+            assert rows.decisions.tobytes() == decisions.tobytes()
 
 
 @pytest.mark.parametrize("lattice", ["params_main", "params_hex", "params_square"])
