@@ -169,7 +169,7 @@ def _row_entropies(probs: np.ndarray) -> np.ndarray:
     positive = probs > 0.0
     p = probs[positive]
     terms = np.zeros_like(probs)
-    terms[positive] = p * np.fromiter(map(math.log2, p.tolist()), np.float64, count=p.size)
+    terms[positive] = p * np.fromiter(map(math.log2, memoryview(p)), np.float64, count=p.size)
     return -_fsum_rows(terms)
 
 

@@ -340,17 +340,19 @@ def cross_section(
             crosses = x >= span[0] if closed else x > span[0]
         else:
             crosses = x <= span[1] if closed else x < span[1]
-        if beyond > 0.0:
-            hi[crosses] = cut[crosses]
-            labels[crosses, 2] = seg.neighbor
-        else:
-            lo[crosses] = cut[crosses]
-            labels[crosses, 0] = seg.neighbor
+        region, cuts = (2, hi) if beyond > 0.0 else (0, lo)
+        np.copyto(cuts, cut, where=crosses)
+        for j, u in enumerate(seg.neighbor):
+            np.copyto(labels[..., region, j], u, where=crosses)
     span = geom.H if vertical else 1.0
     half = span / 2.0
     lo_in = np.maximum(lo, -half)
     hi_in = np.minimum(hi, half)
-    probs = np.stack([lo_in + half, hi_in - lo_in, half - hi_in], axis=-1) / span
+    probs = np.empty(x.shape + (3,))
+    np.add(lo_in, half, out=probs[..., 0])
+    np.subtract(hi_in, lo_in, out=probs[..., 1])
+    np.subtract(half, hi_in, out=probs[..., 2])
+    probs /= span
     return CrossSection(lo=lo, hi=hi, labels=labels, probs=probs)
 
 

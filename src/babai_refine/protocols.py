@@ -226,7 +226,9 @@ def _checked(scheme: str, q: Quantizer | None, params: LatticeParams) -> Quantiz
     if (None if q is None else q.vertical) != _AXIS[scheme]:
         want = "no quantizer" if _AXIS[scheme] is None else f"a quantizer from quantizer_{scheme}"
         raise ValueError(f"scheme {scheme!r} takes {want}")
-    if q is not None and q.params != params:
+    # a LatticeParams has finite fields, so it equals itself: `is` settles
+    # the common case before the field-by-field comparison
+    if q is not None and q.params is not params and q.params != params:
         raise ValueError(f"quantizer was built for {q.params}, not {params}")
     return q
 

@@ -4,7 +4,8 @@ For random valid lattices and the two near-degenerate endpoint lattices,
 the strip and row cuts must label every region by its exact nearest
 lattice point, never repeat a label across a cut, follow the half-open rules
 at the exact thresholds t_m2, t_m1, t_1, t_2 and tau_m1, tau_1, and mirror
-exactly under x -> -x.
+exactly under x -> -x.  The table must also equal, bit for bit, the
+reference kept here: the boolean-mask cross_section it replaced.
 """
 
 import math
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from babai_refine import (
+    CrossSection,
     LatticeParams,
     Point2,
     cell_geometry,
@@ -30,6 +32,37 @@ HEX = LatticeParams(rho=1.0, theta=math.pi / 3 + EPS)
 SQUARE = LatticeParams(rho=1.0, theta=math.pi / 2 - EPS)
 
 PIECE_MIN = 1e-9
+
+
+def reference_cross_section(geom, coords, vertical, closed=False):
+    """cross_section as it was before its writes became whole-array writes:
+    one boolean-mask assignment per cut and per label, kept verbatim as the
+    frozen reference the table must equal bit for bit."""
+    x = np.asarray(coords, dtype=np.float64)
+    lo = np.full(x.shape, -np.inf)
+    hi = np.full(x.shape, np.inf)
+    labels = np.zeros(x.shape + (3, 2))
+    for seg in geom.boundary_segments:
+        if vertical:
+            side, beyond, span, cut = seg.normal[0], seg.normal[1], seg.x1_span, seg.x2_at(x)
+        else:
+            side, beyond, span, cut = seg.normal[1], seg.normal[0], seg.x2_span, seg.x1_at(x)
+        if side > 0.0:
+            crosses = x >= span[0] if closed else x > span[0]
+        else:
+            crosses = x <= span[1] if closed else x < span[1]
+        if beyond > 0.0:
+            hi[crosses] = cut[crosses]
+            labels[crosses, 2] = seg.neighbor
+        else:
+            lo[crosses] = cut[crosses]
+            labels[crosses, 0] = seg.neighbor
+    span = geom.H if vertical else 1.0
+    half = span / 2.0
+    lo_in = np.maximum(lo, -half)
+    hi_in = np.minimum(hi, half)
+    probs = np.stack([lo_in + half, hi_in - lo_in, half - hi_in], axis=-1) / span
+    return CrossSection(lo=lo, hi=hi, labels=labels, probs=probs)
 
 
 @st.composite
@@ -112,3 +145,38 @@ def test_table_rows_are_the_scalar_cuts(params, us):
         present = [c for c in (table.lo[i], table.hi[i]) if np.isfinite(c)]
         assert tuple(present) == spec.cuts
         assert math.isclose(sum(table.probs[i]), 1.0, rel_tol=1e-12)
+
+
+def _edge_coords(params, u):
+    """Every threshold with both neighbouring floats, +/-0.0, the cell ends
+    +/-1/2 and +/-H/2, one NaN and one point a fraction u across the cell."""
+    strip_t, row_t = _thresholds(params)
+    h = params.rsin / 2.0
+    coords = [0.0, -0.0, 0.5, -0.5, h, -h, math.nan, 0.5 - u, h - u * params.rsin]
+    for t in (*strip_t, *row_t):
+        coords += [np.nextafter(t, -math.inf), t, np.nextafter(t, math.inf)]
+    return np.array(coords, dtype=np.float64)
+
+
+def _assert_same_table(got, want):
+    for name, a, b in zip(CrossSection._fields, got, want):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@PROPERTY
+@given(params=PARAMS, u=UNIT)
+def test_table_equals_the_frozen_reference(params, u):
+    """cross_section's lo, hi, labels and probs equal the reference's by
+    shape, dtype and bytes, so -0.0 and NaN count, for strips and rows, open
+    and closed spans, at every threshold and its neighbours, and on 0-d,
+    1-d and 2-d coordinates."""
+    g = cell_geometry(params)
+    coords = _edge_coords(params, u)
+    for vertical in (True, False):
+        for closed in (False, True):
+            for x in (coords, coords.reshape(3, -1), *coords):
+                _assert_same_table(
+                    cross_section(g, x, vertical, closed),
+                    reference_cross_section(g, x, vertical, closed),
+                )

@@ -233,6 +233,33 @@ def test_quantizer_of_the_theta_route_lattice_is_rejected():
             run_single_round_12(x, a, quantizer_12(b, 2, 3))
 
 
+@pytest.mark.parametrize("lattice", ["params_main", "params_hex"])
+def test_quantizer_of_an_equal_params_object_is_accepted(lattice, request):
+    """A quantizer built on a params object equal to, but not the same
+    object as, the one a run is given (rebuilt from the same rho and theta,
+    or a pickled copy) is accepted and gives what the run's own gives."""
+    params = request.getfixturevalue(lattice)
+    x = Point2(0.45, 0.4)
+    x1, x2 = np.array([0.45, 0.1, -0.4]), np.array([0.4, 0.05, -0.3])
+    for other in (
+        LatticeParams(rho=params.rho, theta=params.theta),
+        pickle.loads(pickle.dumps(params)),
+    ):
+        assert other == params and other is not params
+        for scheme, make, run, batch in (
+            ("12", lambda p: quantizer_12(p, 2, 3), run_single_round_12, run_batch_12),
+            ("21", lambda p: quantizer_21(p, 4), run_single_round_21, run_batch_21),
+        ):
+            q, own = make(other), make(params)
+            t = run(x, params, q)
+            assert t == run(x, params, own)
+            assert replay_decision(t.messages, params, scheme, q) == t.decision
+            got, want = batch(params, q, x1, x2), batch(params, own, x1, x2)
+            assert got.keys() == want.keys()
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), (scheme, name)
+
+
 def test_quantizers_from_the_same_arguments_are_equal(params_main, params_hex):
     assert quantizer_12(params_main, 2, 3) == quantizer_12(params_main, 2, 3)
     assert hash(quantizer_21(params_main, 4)) == hash(quantizer_21(params_main, 4))

@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from babai_refine import LatticeParams, analytics, cell_geometry, cross_section, schemes
+from babai_refine import LatticeParams, analytics, cell_geometry, schemes
 from babai_refine.analytics import _entropy_raw, _fsum_rows, _row_entropies, bin_edges_12
 from babai_refine.cli import main
 
 from conftest import EPS
+from test_cut_table import reference_cross_section
 
 HEX = LatticeParams(rho=1.0, theta=math.pi / 3 + EPS)
 HEX_TIGHT = LatticeParams(rho=1.0, theta=math.pi / 3 + 1e-12)
@@ -35,9 +36,11 @@ def _bits(x: float) -> str:
 
 
 def _h_u2_reference(params, n1, n2):
-    """H(U2|U1) as the per-bin loop: one _entropy_raw per bin, added in order."""
+    """H(U2|U1) as the per-bin loop: one _entropy_raw per bin, added in order,
+    on the probabilities of the frozen reference cut table, which shares no
+    code with cross_section."""
     edges = bin_edges_12(params, n1, n2)
-    probs = cross_section(
+    probs = reference_cross_section(
         cell_geometry(params), 0.5 * (edges[:-1] + edges[1:]), vertical=True
     ).probs
     h_u2 = 0.0
