@@ -6,7 +6,8 @@ class BabaiRefineError(Exception):
 
 
 class InvalidParams(BabaiRefineError, ValueError):
-    """Lattice parameters outside the supported region (rho >= 1, 0 < rho*cos(theta) < 1/2)."""
+    """Lattice parameters outside the supported region: rho >= 1,
+    0 < rho*cos(theta) < 1/2 and sin(theta) > 0."""
 
 
 class OutOfCell(BabaiRefineError, ValueError):

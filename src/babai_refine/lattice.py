@@ -73,7 +73,8 @@ class LatticeParams:
     """Length ratio rho (unitless, >= 1) and angle theta in radians.
 
     c = rho*cos(theta) must lie strictly in (0, 1/2) (the rectangular and
-    hexagonal ends are studied via small offsets).  v2 = (rcos, rsin) = (c, H)
+    hexagonal ends are studied via small offsets) and sin(theta) must be
+    positive, so that H = rho*sin(theta) > 0.  v2 = (rcos, rsin) = (c, H)
     is stored once; with v1 = (1, 0) it is the basis the decoders read, and
     every cell constant is rational in it.  Equality and hash
     include v2, so from_rcos(rho, c), which keeps c exactly, is not the
@@ -89,7 +90,10 @@ class LatticeParams:
         if not math.isfinite(self.theta):
             raise InvalidParams("rho and theta must be finite")
         c = _check_rcos(self.rho, self.rho * math.cos(self.theta))
-        vars(self).update(rcos=c, rsin=self.rho * math.sin(self.theta))
+        h = self.rho * math.sin(self.theta)
+        if h <= 0.0:
+            raise InvalidParams(f"sin(theta) must be positive, got rho*sin(theta) = {h}")
+        vars(self).update(rcos=c, rsin=h)
 
     @classmethod
     def from_rcos(cls, rho: float, c: float) -> "LatticeParams":
@@ -133,12 +137,14 @@ def exact_nearest_point(x: Point2, params: LatticeParams, window: int = 2) -> In
     Scans the (2*window+1)^2 integer window centred on the nearest-plane
     decode (window=2 is already generous; the minimiser differs from the
     Babai point by at most a relevant vector).  Ties go to the candidate
-    with the smallest (u2, u1).  window must be an int (ValueError).
+    with the smallest (u2, u1).  window must be an int >= 1 (ValueError):
+    every relevant neighbour of the Babai point lies in its 3x3 window.
     """
     require_int(window=window)
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     b = babai_nearest_plane(x, params)
-    best: IntegerPair | None = None
-    best_d2 = math.inf
+    best, best_d2 = b, math.inf
     for du2 in range(-window, window + 1):
         for du1 in range(-window, window + 1):
             u = IntegerPair(b.u1 + du1, b.u2 + du2)
@@ -149,7 +155,6 @@ def exact_nearest_point(x: Point2, params: LatticeParams, window: int = 2) -> In
             if d2 < best_d2:
                 best_d2 = d2
                 best = u
-    assert best is not None
     return best
 
 

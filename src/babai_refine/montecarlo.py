@@ -141,7 +141,7 @@ def sample_cell_arrays(
     ValueError; an empty array, of any dtype, holds nothing to check.  The
     points are written to `workspace` (a fresh one if None).
     """
-    _check_seed(seed)
+    _check_u64("seed", seed)
     idx = np.asarray(trial_index)
     if idx.dtype != np.uint64 and idx.size:
         if idx.dtype.kind not in "iu":
@@ -166,9 +166,7 @@ def sample_uniform_babai_cell(params: LatticeParams, trial_index: int, seed: int
 
     trial_index must be an int in [0, 2^64), like the seed (ValueError).
     """
-    require_int(trial_index=trial_index)
-    if not 0 <= trial_index <= _U64:
-        raise ValueError(f"trial_index must be in [0, 2**64), got {trial_index}")
+    _check_u64("trial_index", trial_index)
     x1, x2 = sample_cell_arrays(params, np.array([trial_index], dtype=np.uint64), seed)
     return Point2(float(x1[0]), float(x2[0]))
 
@@ -182,15 +180,18 @@ def _mix64_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _check_seed(seed) -> None:
-    require_int(seed=seed)
-    if not 0 <= seed <= _U64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+def _check_u64(name: str, value) -> None:
+    """value must be an int, not a bool, in [0, 2^64) (ValueError)."""
+    require_int(**{name: value})
+    if not 0 <= value <= _U64:
+        raise ValueError(f"{name} must be in [0, 2**64), got {value}")
 
 
 def derive_seed(seed: int, stream: int) -> int:
-    """Deterministic 64-bit sub-seed for a named stream of a master seed."""
-    _check_seed(seed)
+    """Deterministic 64-bit sub-seed for a named stream of a master seed;
+    the seed and the stream are each an int in [0, 2^64) (ValueError)."""
+    _check_u64("seed", seed)
+    _check_u64("stream", stream)
     base = (seed + _GOLDEN * (stream + 1)) & _U64
     return _mix64_int(_mix64_int(base))
 
@@ -672,7 +673,7 @@ class SimConfig:
         table = schemes.SCHEMES
         if self.scheme not in table:
             raise ValueError(f"scheme must be one of {tuple(table)}, got {self.scheme!r}")
-        _check_seed(self.seed)
+        _check_u64("seed", self.seed)
         given = [f for f in _SIZE_FIELDS if getattr(self, f) is not None]
         require_int(**{f: getattr(self, f) for f in ("trials", "max_rounds", *given)})
         if self.trials < 1:

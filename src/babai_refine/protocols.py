@@ -29,14 +29,7 @@ import numpy as np
 
 from . import analytics
 from .errors import OutOfCell, require_int
-from .lattice import (
-    CrossSection,
-    IntegerPair,
-    LatticeParams,
-    Point2,
-    cell_geometry,
-    cross_section,
-)
+from .lattice import IntegerPair, LatticeParams, Point2, cell_geometry, cross_section
 
 S1 = "S1"
 S2 = "S2"
@@ -67,14 +60,16 @@ class BinRows:
 
     Row i is bin i's line through its midpoint, from its cross_section row:
     the cuts `lo[i]` and `hi[i]`, the decision columns `decisions[:, i]`
-    (the labels as float64) and the code lengths `bin_bits[i]` and
-    `answer_bits[i]` (of the region probs).  The five arrays have the size
-    of the whole quantizer from the start, but row i holds its values only
-    once it is filled, and `bin_bits[i]` is NaN until then (a filled one
-    never is): that NaN is the only record of what is filled.  Rows are
-    filled under `lock`, bin_bits last, so threads that share a quantizer
-    fill each row once, and a row whose bin_bits they read as a number is
-    whole.
+    (the labels as float64; C-contiguous, so a batch kernel gathers each
+    coordinate with one take at index 3 * i + symbol + 1) and the code
+    lengths `bin_bits[i]` = -log2(width of bin i / axis span) and
+    `answer_bits[i, symbol + 1]` = -log2(the region's probability), inf for
+    an empty region.  The five arrays have the size of the whole quantizer
+    from the start, but row i holds its values only once it is filled, and
+    `bin_bits[i]` is NaN until then (a filled one never is): that NaN is the
+    only record of what is filled.  Rows are filled under `lock`, bin_bits
+    last, so threads that share a quantizer fill each row once, and a row
+    whose bin_bits they read as a number is whole.
     """
 
     def __init__(self, geom, edges: np.ndarray, vertical: bool):
@@ -117,17 +112,6 @@ class BinRows:
             self.fill(np.array([pos]))
         return self.bin_bits.item(pos)
 
-    def whole(self) -> BinRows:
-        """These rows, with every one filled."""
-        self.fill(np.flatnonzero(np.isnan(self.bin_bits)))
-        return self
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    view = a.view()
-    view.setflags(write=False)
-    return view
-
 
 @dataclass(frozen=True)
 class Quantizer:
@@ -137,23 +121,11 @@ class Quantizer:
     bins, S1 first); otherwise x2 is (scheme 21, sizes (N,): N | 1 | N bins,
     S2 first).  Bin symbols are centred: `center` indexes the cut-free middle
     bin, sent as 0, positive to the right, so mirroring negates the symbol.
-    Row i of `table` (int8 labels) cuts the line through the midpoint of bin
-    i of `edges` (read-only float64) in the cell of `params`.  The code, read
-    by transcripts and batch kernels alike, is read-only too: `bin_bits[i]`
-    = -log2(width of bin i / axis span), `answer_bits[i, symbol + 1]` =
-    -log2(table.probs[i, symbol + 1]), inf for an empty region.
-    `decisions[j, i, symbol + 1]` is coordinate j of the decision
-    table.labels[i, symbol + 1] as a float64, read-only and C-contiguous, so
-    a batch kernel gathers each decision coordinate with one take at index
-    3 * i + symbol + 1.
-
-    A quantizer is built with its edges alone.  Each bin's cuts, code and
-    decisions are computed when a transcript, a replay or a batch kernel
-    first reads them (`rows`, a BinRows), so a call pays only for the bins
-    it touches; `bin_bits`, `answer_bits` and `decisions` fill every row
-    when read and return the whole arrays.  `table` is one cross_section of
-    every bin midpoint, computed on each read, and fills no row.  Equality
-    and hash use params, vertical and sizes alone, which determine the rest.
+    A quantizer is built with its `edges` alone (read-only float64).  Its
+    code, read by transcripts, replays and batch kernels alike, is `rows` (a
+    BinRows), each bin's row computed when first read, so a call pays only
+    for the bins it touches.  Equality and hash use params, vertical and
+    sizes alone, which determine the rest.
     """
 
     params: LatticeParams
@@ -162,24 +134,6 @@ class Quantizer:
     center: int = field(compare=False)
     edges: np.ndarray = field(compare=False, repr=False)
     rows: BinRows = field(compare=False, repr=False)
-
-    @property
-    def table(self) -> CrossSection:
-        e = self.edges
-        cuts = cross_section(self.rows.geom, 0.5 * (e[:-1] + e[1:]), self.vertical)
-        return CrossSection(*map(_read_only, cuts._replace(labels=cuts.labels.astype(np.int8))))
-
-    @property
-    def bin_bits(self) -> np.ndarray:
-        return _read_only(self.rows.whole().bin_bits)
-
-    @property
-    def answer_bits(self) -> np.ndarray:
-        return _read_only(self.rows.whole().answer_bits)
-
-    @property
-    def decisions(self) -> np.ndarray:
-        return _read_only(self.rows.whole().decisions)
 
     def __reduce__(self):
         # pickled as what determines it (its rows hold a lock); unpickled with no row filled

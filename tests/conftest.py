@@ -59,8 +59,8 @@ def _code_lengths(values: np.ndarray) -> np.ndarray:
 def eager_rows(q) -> dict[str, np.ndarray]:
     """Every row of quantizer q from one cross_section of all its bin
     midpoints and one math.log2 per code entry (inf for an empty region),
-    by the names of q.rows and q.table: the rows filled on first use equal
-    these bit for bit."""
+    by the names of q.rows, with the cross_section's labels (as int8) and
+    probs: the rows filled on first use equal these bit for bit."""
     e = np.asarray(q.edges)
     cuts = cross_section(cell_geometry(q.params), 0.5 * (e[:-1] + e[1:]), q.vertical)
     labels = cuts.labels.astype(np.int8)
@@ -75,16 +75,25 @@ def eager_rows(q) -> dict[str, np.ndarray]:
     }
 
 
+ROW_NAMES = ("lo", "hi", "decisions", "bin_bits", "answer_bits")
+
+
 def filled_bins(q) -> np.ndarray:
     """The bins whose row q has filled, ascending: those whose bin_bits is a number."""
     return np.flatnonzero(~np.isnan(q.rows.bin_bits))
 
 
+def fill_every_row(q) -> np.ndarray:
+    """Fill every row of q, as a reader of the whole code does; return the bins."""
+    bins = np.arange(len(q.edges) - 1)
+    q.rows.fill(bins)
+    return bins
+
+
 def assert_rows_are_eager(q, bins) -> None:
-    """q's rows of `bins`, and its table's labels and probs there, equal
-    eager_rows(q)'s bit for bit."""
-    table = q.table
-    for name, want in eager_rows(q).items():
-        got = getattr(table if name in ("labels", "probs") else q.rows, name)
-        got, want = (got[:, bins], want[:, bins]) if name == "decisions" else (got[bins], want[bins])
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    """q's rows of `bins` equal eager_rows(q)'s bit for bit."""
+    want = eager_rows(q)
+    for name in ROW_NAMES:
+        got, w = getattr(q.rows, name), want[name]
+        got, w = (got[:, bins], w[:, bins]) if name == "decisions" else (got[bins], w[bins])
+        assert got.dtype == w.dtype and got.tobytes() == w.tobytes(), name

@@ -35,6 +35,7 @@ from babai_refine import (
     bin_edges_12,
     bin_edges_21,
     exact_nearest_point,
+    derive_seed,
     quantizer_12,
     quantizer_21,
     run_batch_infinite,
@@ -556,7 +557,7 @@ def test_far_rectangular_end_is_a_degenerate_interval(call, rcos):
 _X = Point2(0.45, 0.45)
 _ARR = np.array([0.45])
 
-# every library entry that takes a quantizer size or a round limit
+# every library entry that takes a quantizer size, a round limit, a window or a seed stream
 _INT_ENTRIES = {
     "pe_12-n1": lambda p, v: pe_12(p, v, 2),
     "pe_12-n2": lambda p, v: pe_12(p, 2, v),
@@ -576,6 +577,7 @@ _INT_ENTRIES = {
     "run_infinite_rounds": lambda p, v: run_infinite_rounds(_X, p, v),
     "run_batch_infinite": lambda p, v: run_batch_infinite(p, _ARR, _ARR, v),
     "exact_nearest_point": lambda p, v: exact_nearest_point(_X, p, window=v),
+    "derive_seed": lambda p, v: derive_seed(1, v),
 }
 
 

@@ -28,6 +28,8 @@ from babai_refine import (
     strip_cuts,
 )
 
+from babai_refine.cli import main
+
 from conftest import lattices, random_valid_params
 
 SIN03 = math.sqrt(1.0 - 0.09)  # sin(acos(0.3))
@@ -53,6 +55,30 @@ def test_params_validity_boundaries():
         LatticeParams(rho=1.0, theta=2.0)  # rho*cos(theta) < 0
     with pytest.raises(InvalidParams):
         LatticeParams(rho=1.0, theta=float("nan"))
+
+
+@pytest.mark.parametrize("theta", [-1.2, 2 * math.pi - 1.2])
+def test_params_reject_a_negative_sine(theta):
+    """rho*cos(theta) lies in (0, 1/2), but sin(theta) < 0 would make the
+    cell height H negative: rejected, not flipped."""
+    assert 0.0 < math.cos(theta) < 0.5
+    with pytest.raises(InvalidParams, match=r"sin\(theta\) must be positive"):
+        LatticeParams(rho=1.0, theta=theta)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["geometry", "--theta-deg", "-70"],
+        ["trace", "--scheme", "inf", "--theta-deg", "-70", "--x1", "0.1", "--x2", "0.1"],
+        ["simulate", "--scheme", "12", "--theta-deg", "-70", "--n1", "2", "--n2", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_rejects_a_negative_sine(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "sin(theta) must be positive" in err
 
 
 PROPERTY = settings(max_examples=500, derandomize=True, database=None, deadline=None)
@@ -180,6 +206,19 @@ def test_exact_nearest_examples(params_main):
     assert math.isclose(d0, 0.405, rel_tol=1e-12)
     assert math.isclose(d2, 0.2764547, abs_tol=5e-7)
     assert exact_nearest_point(Point2(0.8, 1.5), params_main) == (0, 2)
+
+
+def test_exact_nearest_window_must_hold_the_neighbours(params_main, params_hex, params_square):
+    """window=0 scanned only the Babai point ((0, 0) at (0.45, 0.45), not
+    (0, 1)) and window=-1 nothing: both raise.  Every relevant neighbour of
+    the Babai point lies in its 3x3 window, so window=1 finds what window=2 does."""
+    for window in (0, -1):
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            exact_nearest_point(Point2(0.45, 0.45), params_main, window=window)
+    rng = np.random.default_rng(5)
+    for params in (params_main, params_hex, params_square, *random_valid_params(5, seed=3)):
+        for x in map(Point2._make, rng.uniform(-3, 3, size=(400, 2)).tolist()):
+            assert exact_nearest_point(x, params, window=1) == exact_nearest_point(x, params)
 
 
 def test_exact_nearest_beats_babai():

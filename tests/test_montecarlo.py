@@ -38,7 +38,7 @@ from babai_refine import (
     simulate,
 )
 
-from conftest import assert_rows_are_eager, eager_rows, filled_bins, lattices
+from conftest import assert_rows_are_eager, fill_every_row, filled_bins, lattices
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, 5.0, True])
@@ -832,6 +832,11 @@ def test_simconfig_validation(params_main):
         with pytest.raises(ValueError, match="seed must be"):
             derive_seed(seed, 0)
     assert derive_seed(2**64 - 1, 0) != derive_seed(0, 0)
+    # so are streams: -1 gave stream 2**64 - 1's sub-seed, True stream 1's
+    for stream in (2**64, -1, 2.5, True):
+        with pytest.raises(ValueError, match="stream must be"):
+            derive_seed(1, stream)
+    assert derive_seed(1, 2**64 - 1) != derive_seed(1, 0)
     for field, value, scheme, sizes in (
         ("trials", True, "babai_only", {}),
         ("trials", 10.0, "babai_only", {}),
@@ -1107,13 +1112,7 @@ def test_two_threads_fill_one_fresh_quantizer():
     landed = np.unique(np.clip(np.searchsorted(q.edges, x2, side="left") - 1, 0, len(q.edges) - 2))
     assert np.array_equal(filled_bins(q), landed)
     assert_rows_are_eager(q, filled_bins(q))
-    want = eager_rows(q)
-    assert q.table.labels.tobytes() == want["labels"].tobytes()
-    for name in ("lo", "hi", "probs"):
-        assert getattr(q.table, name).tobytes() == want[name].tobytes()
-    for name in ("bin_bits", "answer_bits", "decisions"):
-        assert getattr(q, name).tobytes() == want[name].tobytes()
-    assert_rows_are_eager(q, filled_bins(q))
+    assert_rows_are_eager(q, fill_every_row(q))
 
 
 # the middle and last rows of `sweep --rho 1 --grid 3`: theta from the sweep's own

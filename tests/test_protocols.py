@@ -17,7 +17,6 @@ from babai_refine import (
     Point2,
     analytics,
     cell_geometry,
-    cross_section,
     error_rectangle,
     exact_nearest_point,
     lattice_point,
@@ -35,7 +34,15 @@ from babai_refine import (
     transcript_to_json,
 )
 
-from conftest import assert_rows_are_eager, eager_rows, filled_bins, lattices, random_valid_params
+from conftest import (
+    ROW_NAMES,
+    assert_rows_are_eager,
+    eager_rows,
+    fill_every_row,
+    filled_bins,
+    lattices,
+    random_valid_params,
+)
 
 SIN03 = math.sqrt(0.91)
 
@@ -274,82 +281,69 @@ def test_quantizers_from_the_same_arguments_are_equal(params_main, params_hex):
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
 @pytest.mark.parametrize("lattice", ["params_main", "params_hex", "params_square"])
 def test_quantizer_code_lengths(lattice, chunk, request, monkeypatch):
-    """The quantizer's code is read-only: the first message's bits are
-    -math.log2 of each bin's width over the axis span, the answer's bits
-    -math.log2 of each region's probability, inf exactly where it is 0."""
+    """Once filled, the quantizer's code holds the first message's bits,
+    -math.log2 of each bin's width over the axis span, and the answer's
+    bits, -math.log2 of each region's probability, inf exactly where it is 0."""
     monkeypatch.setattr(analytics, "_RATE_CHUNK", chunk)
     params = request.getfixturevalue(lattice)
     for q, span in ((quantizer_12(params, 40, 70), 1.0), (quantizer_21(params, 99), params.rsin)):
-        for bits in (q.bin_bits, q.answer_bits):
-            assert bits.dtype == np.float64 and not bits.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                bits[0] = 0.0
+        fill_every_row(q)
+        rows, eager_probs = q.rows, eager_rows(q)["probs"]
+        assert rows.bin_bits.dtype == rows.answer_bits.dtype == np.float64
         edges = q.edges.tolist()
         want = [-math.log2((b - a) / span) for a, b in zip(edges, edges[1:])]
-        assert [v.hex() for v in q.bin_bits.tolist()] == [v.hex() for v in want]
-        probs = q.table.probs.ravel().tolist()
+        assert [v.hex() for v in rows.bin_bits.tolist()] == [v.hex() for v in want]
+        probs = eager_probs.ravel().tolist()
         want = [math.inf if p == 0.0 else -math.log2(p) for p in probs]
-        assert q.answer_bits.shape == q.table.probs.shape
-        assert [v.hex() for v in q.answer_bits.ravel().tolist()] == [v.hex() for v in want]
+        assert rows.answer_bits.shape == eager_probs.shape
+        assert [v.hex() for v in rows.answer_bits.ravel().tolist()] == [v.hex() for v in want]
         assert 0.0 in probs  # the centre bin has two empty regions
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
 def test_quantizer_table_does_not_depend_on_chunking(chunk, params_main, params_hex, monkeypatch):
-    """The table, and the stored rows filled chunk by chunk, equal one
-    cross_section of all the bin midpoints (labels as int8) bit for bit,
-    whatever the chunk."""
+    """The stored rows, filled chunk by chunk, equal one cross_section of
+    all the bin midpoints plus math.log2 bit for bit, whatever the chunk."""
     monkeypatch.setattr(analytics, "_RATE_CHUNK", chunk)
     monkeypatch.setattr(protocols, "_FILL_CHUNK", chunk)
     for params in (params_main, params_hex):
         for q in (quantizer_12(params, 40, 70), quantizer_21(params, 99)):
-            edges = np.asarray(q.edges)
-            whole = cross_section(
-                cell_geometry(params), 0.5 * (edges[:-1] + edges[1:]), q.vertical
-            )
-            whole = whole._replace(labels=whole.labels.astype(np.int8))
-            for got, want in zip(q.table, whole):
-                assert (got.dtype, got.shape) == (want.dtype, want.shape)
-                assert got.tobytes() == want.tobytes()
-            rows = q.rows.whole()
-            assert rows.lo.tobytes() == whole.lo.tobytes()
-            assert rows.hi.tobytes() == whole.hi.tobytes()
-            decisions = np.moveaxis(whole.labels, 2, 0).astype(np.float64)
-            assert rows.decisions.tobytes() == decisions.tobytes()
+            assert_rows_are_eager(q, fill_every_row(q))
 
 
 @pytest.mark.parametrize("lattice", ["params_main", "params_hex", "params_square"])
 def test_quantizer_decision_columns_are_the_labels(lattice, request):
-    """decisions[j, i, k] is the float of table.labels[i, k, j] on every
-    entry, at sizes from one bin a side to thousands, and the columns are
-    read-only and C-contiguous, so the batch kernels gather from them in place."""
+    """Once filled, rows.decisions[j, i, k] is the float of the cut table's
+    labels[i, k, j] on every entry, at sizes from one bin a side to
+    thousands, and the columns are C-contiguous, so the batch kernels gather
+    from them in place."""
     params = request.getfixturevalue(lattice)
     for q in (
         *(quantizer_12(params, n1, n2) for n1, n2 in ((1, 1), (2, 3), (40, 70), (4096, 4096))),
         *(quantizer_21(params, n) for n in (1, 4, 99, 4096)),
     ):
-        labels = q.table.labels
-        assert q.decisions.dtype == np.float64
-        assert q.decisions.shape == (2, len(labels), 3)
-        assert q.decisions.flags.c_contiguous and not q.decisions.flags.writeable
-        for j, column in enumerate(q.decisions):
-            assert column.flags.c_contiguous and not column.flags.writeable
-            assert np.array_equal(column, labels[:, :, j])
+        fill_every_row(q)
+        decisions, labels = q.rows.decisions, eager_rows(q)["labels"]
+        assert decisions.dtype == np.float64
+        assert decisions.shape == (2, len(labels), 3)
+        assert decisions.flags.c_contiguous
+        for j, column in enumerate(decisions):
+            assert column.flags.c_contiguous
+            assert column.tobytes() == labels[:, :, j].astype(np.float64).tobytes()
             assert not np.any(np.signbit(column) & (column == 0.0))  # no -0.0
-        with pytest.raises(ValueError):
-            q.decisions[0, 0, 0] = 7.0
 
 
 def test_quantizers_pickle_and_copy(params_main):
     """A quantizer, with one row filled or none, pickles and copies to an
-    equal one with the same table."""
+    equal one with the same edges and centre, whose rows, once filled, are
+    the eager rows."""
     filled = quantizer_12(params_main, 2, 3)
     run_single_round_12(Point2(0.1, 0.2), params_main, filled)
     for q in (filled, quantizer_21(params_main, 4)):
         for other in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q)):
-            assert other == q
-            for got, want in zip(other.table, q.table):
-                assert got.tobytes() == want.tobytes()
+            assert other == q and hash(other) == hash(q)
+            assert other.edges.tobytes() == q.edges.tobytes() and other.center == q.center
+            assert_rows_are_eager(other, fill_every_row(other))
 
 
 def test_copied_quantizers_fill_the_same_rows(params_main):
@@ -360,9 +354,11 @@ def test_copied_quantizers_fill_the_same_rows(params_main):
     for q in (filled, quantizer_21(params_main, 4)):
         for other in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q)):
             assert filled_bins(other).size == 0
-            got, want = other.rows.whole(), q.rows.whole()
-            for name in ("lo", "hi", "decisions", "answer_bits", "bin_bits"):
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            fill_every_row(other)
+            fill_every_row(q)
+            for name in ROW_NAMES:
+                got, want = getattr(other.rows, name), getattr(q.rows, name)
+                assert got.tobytes() == want.tobytes(), name
 
 
 def test_a_fresh_quantizer_fills_no_row(params_main, params_square, monkeypatch):
@@ -377,21 +373,6 @@ def test_a_fresh_quantizer_fills_no_row(params_main, params_square, monkeypatch)
     assert calls == []
 
 
-def test_reading_the_table_fills_no_row(params_main):
-    """`table` is one cross_section of the bin midpoints, computed on read:
-    on a fresh quantizer_12(4096, 4096) it takes no logarithm and fills no
-    row, and its arrays are the eager rows' bit for bit."""
-    q = quantizer_12(params_main, 4096, 4096)
-    with mock.patch.object(math, "log2", side_effect=AssertionError("log2 called")):
-        table = q.table
-        assert filled_bins(q).size == 0
-    want = eager_rows(q)
-    for name in ("lo", "hi", "labels", "probs"):
-        got = getattr(table, name)
-        assert not got.flags.writeable, name
-        assert got.dtype == want[name].dtype and got.tobytes() == want[name].tobytes(), name
-
-
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(
     params=lattices(),
@@ -403,10 +384,10 @@ def test_reading_the_table_fills_no_row(params_main):
 )
 def test_rows_filled_in_any_order_are_the_eager_rows(params, vertical, n1, n2, chunk, data):
     """Rows asked for in any order and subset (scalar transcripts and
-    replays, then batch kernel blocks, then the full-table attributes) are
-    one cross_section of all the bin midpoints plus math.log2, bit for bit,
-    whatever the fill's chunk, and before the full table is read exactly
-    the rows asked for are filled."""
+    replays, then batch kernel blocks, then every row) are one cross_section
+    of all the bin midpoints plus math.log2, bit for bit, whatever the
+    fill's chunk, and before every row is asked for exactly the rows asked
+    for are filled."""
     with mock.patch.object(protocols, "_FILL_CHUNK", chunk):
         _fill_rows_in_order(params, vertical, n1, n2, data)
 
@@ -446,16 +427,7 @@ def _fill_rows_in_order(params, vertical, n1, n2, data):
         batch(params, q, x1, x2)
         asked.update(block)
         check()
-    want = eager_rows(q)
-    got = {
-        **q.table._asdict(),
-        "decisions": q.decisions,
-        "bin_bits": q.bin_bits,
-        "answer_bits": q.answer_bits,
-    }
-    for name, a in got.items():
-        assert not a.flags.writeable, name
-        assert a.dtype == want[name].dtype and a.tobytes() == want[name].tobytes(), name
+    fill_every_row(q)
     assert len(filled_bins(q)) == len(q.edges) - 1
     assert_rows_are_eager(q, filled_bins(q))
 
