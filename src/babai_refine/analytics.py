@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import schemes
+from . import lattice, schemes
 from .errors import BudgetTooSmall, DegenerateInterval, InvalidDistribution, require_int
 from .lattice import CellGeometry, CrossSection, LatticeParams, cell_geometry, cross_section
 
@@ -382,7 +382,7 @@ def rate_21(params: LatticeParams, n: int) -> float:
     require_int(n=n)
     if n < 1:
         raise ValueError("quantizer size must be >= 1")
-    q = round1_distributions(params)[0].probs
+    q = lattice.round1_code(params).q
     return _entropy_raw(q) + (1.0 - q[1]) * math.log2(n) + kappa_21(params)
 
 
@@ -391,7 +391,7 @@ def asymptotic_constant_21(params: LatticeParams) -> float:
 
     1 - Q0 = 2*H1/H rounds to 0 at the far rectangular end
     (DegenerateInterval)."""
-    q = round1_distributions(params)[0].probs
+    q = lattice.round1_code(params).q
     if q[1] == 1.0:
         raise DegenerateInterval(f"1 - Q0 = 0.0 at rho*cos(theta) = {params.rcos}")
     return beta_21(params) * 2.0 ** ((_entropy_raw(q) + kappa_21(params)) / (1.0 - q[1]))
@@ -404,10 +404,8 @@ def round1_distributions(params: LatticeParams) -> tuple[Distribution, Distribut
     over the coarse three-way x1 partition, conditioned on U2 = 1.  Both are
     indexed (-1, 0, +1).  P0 = 1/2 identically.
     """
-    g = cell_geometry(params)
-    q = Distribution((g.H1 / g.H, g.H0 / g.H, g.H1 / g.H))
-    p = Distribution((g.t_1, 0.5, g.t_2))
-    return q, p
+    code = lattice.round1_code(params)
+    return Distribution(code.q), Distribution(code.p)
 
 
 def rbar_infinite(params: LatticeParams) -> float:
@@ -494,7 +492,7 @@ def _seed_21(params: LatticeParams, rate_budget: float, cap: int) -> int:
     H(Q) + (1-Q0)*log2(n) + kappa_21 solved for n and clipped to [1, cap];
     the cap itself where 1-Q0 is too small for the rate to pass the budget
     below it."""
-    q = round1_distributions(params)[0].probs
+    q = lattice.round1_code(params).q
     slope = 1.0 - q[1]
     excess = rate_budget - (_entropy_raw(q) + kappa_21(params))
     if excess >= slope * math.log2(cap):

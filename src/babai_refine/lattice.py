@@ -239,6 +239,31 @@ class CutSpec:
     labels: tuple[IntegerPair, ...]
 
 
+class Round1Code(NamedTuple):
+    """The infinite scheme's round-1 thresholds, H1 (y2's scale), q, p and their code lengths."""
+
+    t_m2: float
+    t_1: float
+    tau_1: float
+    H1: float
+    q: tuple[float, float, float]
+    p: tuple[float, float, float]
+    q_bits: tuple[float, float, float]
+    p_bits: tuple[float, float, float]
+
+
+def round1_code(params: LatticeParams) -> Round1Code:
+    """params' round-1 code, per call: q (S2's band) and p (S1's interval given band +1) cost
+    -math.log2 bits, inf for 0 (rho >= 1 keeps q0, t_2 above 1/4; q1, t_1 can underflow)."""
+    c, H = params.rcos, params.rsin
+    H1 = c * (1.0 - c) / (2.0 * H)
+    q1, q0, t_1, t_2 = H1 / H, (H - 2.0 * H1) / H, c / 2.0, (1.0 - c) / 2.0
+    b1 = -math.log2(q1) if q1 > 0.0 else math.inf
+    b2 = -math.log2(t_1) if t_1 > 0.0 else math.inf
+    bits = ((b1, -math.log2(q0), b1), (b2, -math.log2(0.5), -math.log2(t_2)))
+    return Round1Code((c - 1.0) / 2.0, t_1, H / 2.0 - H1, H1, (q1, q0, q1), (t_1, 0.5, t_2), *bits)
+
+
 # the neighbours whose boundary segments cross B(0), in lattice coordinates
 _V2, _MINUS_V2 = IntegerPair(0, 1), IntegerPair(0, -1)
 _V2_MINUS_V1, _V1_MINUS_V2 = IntegerPair(-1, 1), IntegerPair(1, -1)
@@ -247,16 +272,13 @@ _V2_MINUS_V1, _V1_MINUS_V2 = IntegerPair(-1, 1), IntegerPair(1, -1)
 @lru_cache(maxsize=256)
 def cell_geometry(params: LatticeParams) -> CellGeometry:
     """Thresholds, lengths, heights and boundary segments of B(0), rational in v2 = (c, H)."""
-    c = params.rcos
-    H = params.rsin
-    H1 = c * (1.0 - c) / (2.0 * H)
-    t_m2, t_m1, t_1, t_2 = (c - 1.0) / 2.0, -c / 2.0, c / 2.0, (1.0 - c) / 2.0
-    tau_1 = H / 2.0 - H1
+    c, H = params.rcos, params.rsin
+    t_m2, t_1, tau_1, H1, _, (_, _, t_2) = round1_code(params)[:6]
     top, bottom = (tau_1, H / 2.0), (-H / 2.0, -tau_1)
     segments = []
     for r, x1_span, x2_span in (
         (_V2, (t_1, 0.5), top),
-        (_MINUS_V2, (-0.5, t_m1), bottom),
+        (_MINUS_V2, (-0.5, -t_1), bottom),
         (_V2_MINUS_V1, (-0.5, t_m2), top),
         (_V1_MINUS_V2, (t_2, 0.5), bottom),
     ):
@@ -278,7 +300,7 @@ def cell_geometry(params: LatticeParams) -> CellGeometry:
         CellGeometry,
         {
             "t_m2": t_m2,
-            "t_m1": t_m1,
+            "t_m1": -t_1,
             "t_1": t_1,
             "t_2": t_2,
             "tau_m1": -tau_1,

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analytics, protocols, schemes
+from . import protocols, schemes
 from .errors import require_int
-from .lattice import LatticeParams, Point2, cell_geometry
+from .lattice import LatticeParams, Point2, cell_geometry, round1_code
 from .protocols import DEFAULT_MAX_ROUNDS
 
 # Trials per reduction chunk: its per-chunk float sums set a report's low
@@ -533,28 +533,22 @@ def run_batch_infinite(
         raise ValueError("max_rounds must be >= 1")
     ws = Workspace() if workspace is None else workspace
     shape = np.shape(x1)
-    x1 = np.ravel(x1)  # the trials are compacted by flat index
-    x2 = np.ravel(x2)
+    x1, x2 = np.ravel(x1), np.ravel(x2)  # the trials are compacted by flat index
     n = len(x1)
-    g = cell_geometry(params)
-    # round 1 costs the protocol's own math.log2 bits (np.log2 can differ by an ulp):
-    # the band's, plus the interval's outside the middle band, by round-1 cell
-    # 3 * (u2 + 1) + (u1 + 1) in the mirrored frame
-    q_bits, p_bits = (
-        [-math.log2(p) for p in dist.probs] for dist in analytics.round1_distributions(params)
-    )
-    cell_bits = [qb + pb if band != 1 else qb for band, qb in enumerate(q_bits) for pb in p_bits]
+    t_m2, t_1, tau_1, H1, _, _, q_bits, p_bits = round1_code(params)
+    # the transcript's round-1 bits by cell 3 * (u2 + 1) + (u1 + 1), u1 in the mirrored frame
+    cell_bits = [qb + pb if u2 else qb for u2, qb in zip((-1, 0, 1), q_bits) for pb in p_bits]
 
-    top = np.greater(x2, g.tau_1, out=ws("mask0", n, bool))
-    bottom = np.less_equal(x2, g.tau_m1, out=ws("mask1", n, bool))
+    top = np.greater(x2, tau_1, out=ws("mask0", n, bool))
+    bottom = np.less_equal(x2, -tau_1, out=ws("mask1", n, bool))
     # u2 = -1 is mirrored through the origin to read as +1
     sign = ws("tmp0", n)
     np.copyto(sign, bottom)
     sign *= -2.0
     sign += 1.0
     mx1 = np.multiply(x1, sign, out=ws("tmp1", n))
-    right = np.greater(mx1, g.t_1, out=ws("mask2", n, bool))
-    left = np.less_equal(mx1, g.t_m2, out=ws("mask3", n, bool))
+    right = np.greater(mx1, t_1, out=ws("mask2", n, bool))
+    left = np.less_equal(mx1, t_m2, out=ws("mask3", n, bool))
     cell8 = np.add(top.view(np.uint8), 1, out=ws("mask4", n, np.uint8))
     cell8 -= bottom.view(np.uint8)
     cell8 *= 3
@@ -575,14 +569,14 @@ def run_batch_infinite(
     ex2 = np.take(mx2, e_idx, out=ws("ex2", e), mode="clip")
     e_right = np.take(right, e_idx, out=ws("e_right", e, bool), mode="clip")
     e_left = np.logical_not(e_right, out=ws("e_left", e, bool))
-    y1 = np.subtract(ex1, g.t_1, out=ws("y1_0", e))
-    y1 /= 0.5 - g.t_1
+    y1 = np.subtract(ex1, t_1, out=ws("y1_0", e))
+    y1 /= 0.5 - t_1
     y1_left = np.add(ex1, 0.5, out=ws("y1_1", e))
-    y1_left /= g.t_m2 + 0.5
+    y1_left /= t_m2 + 0.5
     np.subtract(1.0, y1_left, out=y1_left)
     np.copyto(y1, y1_left, where=e_left)
-    y2 = np.subtract(ex2, g.tau_1, out=ws("y2_0", e))
-    y2 /= g.H1
+    y2 = np.subtract(ex2, tau_1, out=ws("y2_0", e))
+    y2 /= H1
 
     # bisection on the live trials, one binary-expansion bit per node per
     # round; every round writes its results for all live trials, so a

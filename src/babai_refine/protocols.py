@@ -29,7 +29,7 @@ import numpy as np
 
 from . import analytics
 from .errors import OutOfCell, require_int
-from .lattice import IntegerPair, LatticeParams, Point2, cell_geometry, cross_section
+from .lattice import IntegerPair, LatticeParams, Point2, cell_geometry, cross_section, round1_code
 
 S1 = "S1"
 S2 = "S2"
@@ -301,25 +301,21 @@ def run_infinite_rounds(
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     _require_in_cell(x, params)
-    g = cell_geometry(params)
-    q_dist, p_dist = analytics.round1_distributions(params)
-    u2 = 1 if x[1] > g.tau_1 else (-1 if x[1] <= g.tau_m1 else 0)
-    messages = [Message(S2, u2, -math.log2(q_dist.probs[u2 + 1]))]
+    t_m2, t_1, tau_1, H1, _, _, q_bits, p_bits = round1_code(params)
+    u2 = 1 if x[1] > tau_1 else (-1 if x[1] <= -tau_1 else 0)
+    messages = [Message(S2, u2, q_bits[u2 + 1])]
     if u2 == 0:
         return Transcript(tuple(messages), 1, messages[0].ideal_bits, IntegerPair(0, 0), True)
 
     mx1, mx2 = (-x[0], -x[1]) if u2 == -1 else (x[0], x[1])
-    u1m = 1 if mx1 > g.t_1 else (-1 if mx1 <= g.t_m2 else 0)
-    messages.append(Message(S1, u2 * u1m, -math.log2(p_dist.probs[u1m + 1])))
+    u1m = 1 if mx1 > t_1 else (-1 if mx1 <= t_m2 else 0)
+    messages.append(Message(S1, u2 * u1m, p_bits[u1m + 1]))
     total = messages[0].ideal_bits + messages[1].ideal_bits
     if u1m == 0:
         return Transcript(tuple(messages), 1, total, IntegerPair(0, 0), True)
 
-    if u1m == 1:
-        y1 = (mx1 - g.t_1) / (0.5 - g.t_1)
-    else:
-        y1 = 1.0 - (mx1 + 0.5) / (g.t_m2 + 0.5)
-    y2 = (mx2 - g.tau_1) / g.H1
+    y1 = (mx1 - t_1) / (0.5 - t_1) if u1m == 1 else 1.0 - (mx1 + 0.5) / (t_m2 + 0.5)
+    y2 = (mx2 - tau_1) / H1
     rounds = 1
     while rounds < max_rounds:
         b = 1 if y1 > 0.5 else 0

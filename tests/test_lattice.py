@@ -28,7 +28,9 @@ from babai_refine import (
     strip_cuts,
 )
 
+from babai_refine.analytics import _SUM_TOL, round1_distributions
 from babai_refine.cli import main
+from babai_refine.lattice import round1_code
 
 from conftest import lattices, random_valid_params
 
@@ -612,3 +614,40 @@ def test_cell_geometry_objects_equal_those_built_through_init():
             del got.t_1
     with pytest.raises(dataclasses.FrozenInstanceError):
         LatticeParams.from_rcos(1.0, 0.3).rcos = 0.25
+
+
+_RCOS_EDGES = (5e-324, 1e-300, 1e-16, 0.3, math.nextafter(0.5, 0.0))
+
+
+@st.composite
+def _round1_lattices(draw):
+    """rho in [1, 1.5] and c from the edge values or uniform in (0, 1/2),
+    as from_rcos(rho, c) or built from theta = acos(c/rho)."""
+    rho = draw(st.floats(1.0, 1.5))
+    c = draw(st.sampled_from(_RCOS_EDGES) | st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+    if draw(st.booleans()):
+        return LatticeParams.from_rcos(rho, c)
+    try:
+        return LatticeParams(rho=rho, theta=math.acos(c / rho))
+    except InvalidParams:  # rho*cos(theta) rounded onto 0 or 1/2
+        return LatticeParams.from_rcos(rho, c)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(_round1_lattices())
+def test_round1_code_is_the_geometry_and_the_distributions(params):
+    """round1_code's thresholds are cell_geometry's fields and its
+    probabilities round1_distributions', bit for bit; its code lengths are
+    -math.log2 of them (-0.0 for 1), inf for 0; and the probabilities are a
+    distribution over the whole domain, so a reader may skip the checks."""
+    code = round1_code(params)
+    g = cell_geometry(params)
+    want = (g.t_m2, g.t_1, g.tau_1, -g.tau_m1, g.H1, -g.t_m1, g.t_2)
+    got = (code.t_m2, code.t_1, code.tau_1, code.tau_1, code.H1, code.p[0], code.p[2])
+    assert _bits(got) == _bits(want)
+    q, p = round1_distributions(params)
+    assert _bits((code.q, code.p)) == _bits((q.probs, p.probs))
+    for probs, bits in ((code.q, code.q_bits), (code.p, code.p_bits)):
+        assert _bits(bits) == _bits(tuple(-math.log2(v) if v > 0.0 else math.inf for v in probs))
+        assert all(math.isfinite(v) and v >= 0.0 for v in probs)
+        assert abs(math.fsum(probs) - 1.0) <= _SUM_TOL

@@ -565,6 +565,23 @@ def test_max_rounds_unhalted(params_main):
     assert t.decision == exact_nearest_point(x, params_main)
 
 
+def test_infinite_transcripts_build_no_cell_geometry(params_main):
+    """A scalar infinite transcript reads its round-1 code from round1_code,
+    not from a cold cell_geometry: after the cache is cleared, transcripts
+    that halt in band 0, on interval 0, in a bisection round and unhalted,
+    their replays and JSON round trips leave cell_geometry with no miss."""
+    pts = [Point2(0.0, 0.0), Point2(0.0, 0.45), Point2(0.45, 0.45), Point2(-0.45, -0.45)]
+    pts += _uniform_cell(params_main, 200, seed=13)
+    cell_geometry.cache_clear()
+    for x in pts:
+        for max_rounds in (1, protocols.DEFAULT_MAX_ROUNDS):
+            t = run_infinite_rounds(x, params_main, max_rounds)
+            assert transcript_from_json(transcript_to_json(t)) == t
+            if t.halted:
+                assert replay_decision(t.messages, params_main, "infinite") == t.decision
+    assert cell_geometry.cache_info().misses == 0
+
+
 def test_out_of_cell(params_main):
     q = quantizer_12(params_main, 1, 1)
     with pytest.raises(OutOfCell):

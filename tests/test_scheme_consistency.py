@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from babai_refine import (
     LatticeParams,
     Point2,
+    SimConfig,
     cell_geometry,
     exact_nearest_point,
     lattice_point,
@@ -28,6 +29,7 @@ from babai_refine import (
     run_batch_12,
     run_batch_21,
     run_batch_infinite,
+    simulate,
 )
 
 from test_golden import _points
@@ -78,6 +80,26 @@ def test_round1_bits_are_math_log2(lattice):
         assert [m.ideal_bits.hex() for m in t.messages] == [b.hex() for b in want], x
         assert float(out["bits"][i]).hex() == math.fsum(want).hex() == t.total_bits.hex(), x
     assert outcomes == {(u2, u1) for u2 in (-1, 1) for u1 in (-1, 0, 1)}
+
+
+def test_infinite_scheme_at_the_smallest_rcos():
+    """At rho*cos(theta) = 5e-324, H1 and t_1 round to 0: the bands +-1 and
+    interval -1 are empty and their code lengths inf, so the kernel's round-1
+    table holds inf where -math.log2(0) would raise.  Every point halts in
+    band 0, with -0.0 bits, in both paths, and simulate reports pe 0."""
+    params = LatticeParams.from_rcos(1.0, 5e-324)
+    report = simulate(SimConfig(params=params, scheme="infinite", trials=70_000, seed=3))
+    assert report.empirical_pe == 0.0 and report.unhalted_count == 0
+    rng = np.random.default_rng(17)
+    pts = [Point2(-a, -b * params.rsin) for a, b in rng.uniform(-0.5, 0.5, size=(1000, 2))]
+    pts += [Point2(0.5, params.rsin / 2.0), Point2(0.5, -params.rsin / 2.0 * (1.0 - 2**-52))]
+    out = run_batch_infinite(params, np.array([x[0] for x in pts]), np.array([x[1] for x in pts]))
+    for i, x in enumerate(pts):
+        t = protocols.run_infinite_rounds(x, params)
+        assert t.total_bits.hex() == float(out["bits"][i]).hex() == (-0.0).hex(), x
+        assert t.rounds == out["rounds"][i] == 1, x
+        assert t.decision == (out["dec1"][i], out["dec2"][i]) == (0, 0), x
+        assert t.halted and out["halted"][i], x
 
 
 def _near_diagonal_points(params) -> list[Point2]:
