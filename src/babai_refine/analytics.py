@@ -13,19 +13,19 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import lattice, schemes
 from .errors import BudgetTooSmall, DegenerateInterval, InvalidDistribution, require_int
-from .lattice import CellGeometry, CrossSection, LatticeParams, cell_geometry, cross_section
+from .lattice import CellGeometry, LatticeParams, cell_geometry, cross_section
 
 _SUM_TOL = 1e-10
 # below this |u|, _mean_p_ln_p sums its series, whose terms shrink at least
 # 16-fold each, because there the divided difference cancels too many digits
 _SERIES_U = 0.25
-# bins per cut table of bin_sections, which bounds its memory at any quantizer size
+# bins per cut table of _weighted_entropy, which bounds its memory at any quantizer size
 _RATE_CHUNK = 1 << 12
 
 
@@ -100,40 +100,41 @@ def pe_12(params: LatticeParams, n1: int, n2: int) -> float:
     return co.alpha1 / n1 + co.alpha2 / n2
 
 
+def _edges(knots: tuple[float, ...], counts: tuple[int, ...]) -> np.ndarray:
+    """knots[0], then counts[i] equal bins over (knots[i], knots[i + 1]], from
+    one arange and bit for bit np.linspace(a, b, m + 1)[1:]: k*((b - a)/m) + a,
+    b at k = m, and (k/m)*(b - a) + a where the step underflows to 0."""
+    k = np.arange(1, max(counts) + 1, dtype=np.float64)
+    out = np.empty(sum(counts) + 1)
+    out[0], lo = knots[0], 1
+    for a, b, m in zip(knots, knots[1:], counts):
+        step = (b - a) / m
+        np.add(k[:m] * step if step else k[:m] / m * (b - a), a, out=out[lo : lo + m])
+        lo += m
+        out[lo - 1] = b
+    return out
+
+
 def bin_edges_12(params: LatticeParams, n1: int, n2: int) -> np.ndarray:
     """Edges of the 2*n1 + 2*n2 + 1 bins over (-1/2, 1/2], ascending.
 
-    N2 equal bins on each outer interval, N1 on each inner one, and a single
-    bin on the cut-free centre.
+    N2 equal bins on each outer interval, N1 on each inner one and one on
+    the cut-free centre, placed as np.linspace places them (see _edges).
     """
     require_int(n1=n1, n2=n2)
     if n1 < 1 or n2 < 1:
         raise ValueError("quantizer sizes must be >= 1")
     g = cell_geometry(params)
-    return np.concatenate(
-        [
-            np.linspace(-0.5, g.t_m2, n2 + 1),
-            np.linspace(g.t_m2, g.t_m1, n1 + 1)[1:],
-            np.array([g.t_1]),
-            np.linspace(g.t_1, g.t_2, n1 + 1)[1:],
-            np.linspace(g.t_2, 0.5, n2 + 1)[1:],
-        ]
-    )
+    return _edges((-0.5, g.t_m2, g.t_m1, g.t_1, g.t_2, 0.5), (n2, n1, 1, n1, n2))
 
 
 def bin_edges_21(params: LatticeParams, n: int) -> np.ndarray:
-    """Edges of the 2*n + 1 bins over (-H/2, H/2], ascending."""
+    """Edges of the 2*n + 1 bins over (-H/2, H/2], ascending, as np.linspace puts them (_edges)."""
     require_int(n=n)
     if n < 1:
         raise ValueError("quantizer size must be >= 1")
     g = cell_geometry(params)
-    return np.concatenate(
-        [
-            np.linspace(-g.H / 2.0, g.tau_m1, n + 1),
-            np.array([g.tau_1]),
-            np.linspace(g.tau_1, g.H / 2.0, n + 1)[1:],
-        ]
-    )
+    return _edges((-g.H / 2.0, g.tau_m1, g.tau_1, g.H / 2.0), (n, 1, n))
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,15 +174,31 @@ def _row_entropies(probs: np.ndarray) -> np.ndarray:
     return -_fsum_rows(terms)
 
 
-def bin_sections(
-    g: CellGeometry, edges: np.ndarray, vertical: bool
-) -> Iterator[tuple[np.ndarray, CrossSection]]:
-    """The bins of `edges` in ascending chunks of _RATE_CHUNK: per chunk, the
-    bin widths and the cut table of the strips (vertical) or rows through
-    the bin midpoints."""
-    for lo in range(0, len(edges) - 1, _RATE_CHUNK):
-        chunk = edges[lo : lo + _RATE_CHUNK + 1]
-        yield np.diff(chunk), cross_section(g, 0.5 * (chunk[:-1] + chunk[1:]), vertical)
+def _weighted_entropy(g: CellGeometry, edges: np.ndarray, vertical: bool) -> float:
+    """Sum, bin by bin in ascending order (np.add.accumulate adds
+    sequentially), of each bin's width times _entropy_raw of the strip
+    (vertical) or row through its midpoint.  B(0) is centrally symmetric, so
+    bins i and n - 1 - i share a cut table (_RATE_CHUNK // 2 pairs a table),
+    and a row equal to its partner's reversed, bit for bit, takes the
+    partner's entropy: _row_entropies does not depend on a row's order, as
+    fsum rounds correctly."""
+    n = len(edges) - 1
+    terms = np.zeros(n + 1)  # terms[0] = 0.0 starts the sum, as in a per-bin loop
+    half, pairs = (n + 1) // 2, max(_RATE_CHUNK // 2, 1)
+    for lo in range(0, half, pairs):
+        k = min(pairs, half - lo)
+        left, right = edges[lo : lo + k + 1], edges[n - lo - k : n - lo + 1]
+        mids = np.concatenate((left[:-1] + left[1:], right[:-1] + right[1:]))
+        probs = cross_section(g, np.multiply(mids, 0.5, out=mids), vertical).probs
+        near, far = probs[:k], probs[k:][::-1]
+        differ = near[:, ::-1] != far
+        own = differ[:, 0] | differ[:, 1] | differ[:, 2]
+        h = _row_entropies(np.concatenate((near, far[own])))
+        h_far = h[:k].copy()
+        h_far[own] = h[k:]
+        np.multiply(left[1:] - left[:-1], h[:k], out=terms[lo + 1 : lo + k + 1])
+        np.multiply(right[1:] - right[:-1], h_far[::-1], out=terms[n - lo - k + 1 : n - lo + 1])
+    return float(np.add.accumulate(terms, out=terms)[-1])
 
 
 def _h_u1(g: CellGeometry, n1: int, n2: int) -> float:
@@ -197,18 +214,15 @@ def rate_12(params: LatticeParams, n1: int, n2: int) -> tuple[float, float]:
     """(H(U1), H(U2|U1)) in bits for the 12 scheme at sizes (n1, n2).
 
     H(U1) is the bin-index entropy; H(U2|U1) averages, over bins, the exact
-    entropy of the ternary answer with cuts at the bin-midpoint heights.  It
-    is summed bin by bin in ascending order (the cut-free centre bin adds
-    -0.0; np.add.accumulate adds sequentially), so its value does not depend
-    on how the bins are chunked.
+    entropy of the ternary answer with cuts at the bin-midpoint heights, one
+    set of logarithms per mirrored pair of strips that agree.  Summed bin by
+    bin in ascending order (the centre bin adds -0.0), it does not depend on
+    the chunking.  Besides the edges it holds one float64 per bin (the terms
+    waiting for that sum) and one chunk's cut table (see _weighted_entropy).
     """
     edges = bin_edges_12(params, n1, n2)
     g = cell_geometry(params)
-    h_u2 = 0.0
-    for widths, table in bin_sections(g, edges, vertical=True):
-        weighted = widths * _row_entropies(table.probs)
-        h_u2 = float(np.add.accumulate(np.concatenate(([h_u2], weighted)))[-1])
-    return _h_u1(g, n1, n2), h_u2
+    return _h_u1(g, n1, n2), _weighted_entropy(g, edges, True)
 
 
 def _g(p: float) -> float:
@@ -294,13 +308,19 @@ def _curve_12(params: LatticeParams) -> tuple[CellGeometry, Scheme12Coefficients
     return g, co
 
 
+def _n1_rule(params: LatticeParams) -> Callable[[int], int]:
+    """optimal_n1(params, .) with its constants computed once."""
+    g, co = _curve_12(params)
+    num, den = co.alpha1 * g.L2, co.alpha2 * g.L1
+    return lambda n2: max(1, math.ceil(num * n2 / den))
+
+
 def optimal_n1(params: LatticeParams, n2: int) -> int:
     """Rate-constrained minimiser N1(N2) = ceil(alpha1*L2*N2 / (alpha2*L1))."""
     require_int(n2=n2)
     if n2 < 1:
         raise ValueError("n2 must be >= 1")
-    g, co = _curve_12(params)
-    return max(1, math.ceil(co.alpha1 * g.L2 * n2 / (co.alpha2 * g.L1)))
+    return _n1_rule(params)(n2)
 
 
 @dataclass(frozen=True)
@@ -482,9 +502,8 @@ def _seed_12(params: LatticeParams, rate_budget: float, cap: int) -> int:
     """
     g = cell_geometry(params)
     kappa = kappa_12(params)
-    return _last_within(
-        lambda n: _h_u1(g, optimal_n1(params, n), n) + kappa <= rate_budget, 1, cap
-    )
+    n1 = _n1_rule(params)
+    return _last_within(lambda n: _h_u1(g, n1(n), n) + kappa <= rate_budget, 1, cap)
 
 
 def _seed_21(params: LatticeParams, rate_budget: float, cap: int) -> int:

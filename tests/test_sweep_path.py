@@ -1,22 +1,33 @@
-"""The closed-form sweep path: rate_12's array kernel and the budget search.
+"""The closed-form sweep path: the bin edges, rate_12's array kernel and the
+budget search.
 
-rate_12 sums H(U2|U1) chunk by chunk in whole arrays; it must give the bits
-of the per-bin loop kept here as the reference, including the sign of zero.
+The bin edges must equal the np.linspace expression kept here, bit for bit.
+rate_12 sums H(U2|U1) chunk by chunk in whole arrays, taking a mirrored
+pair of strips' logarithms once; it must give the bits of the per-bin loop
+kept here as the reference, including the sign of zero.
 The budget search must find the point of the plain exponential search plus
 bisection kept here and never evaluate a curve point twice within one call;
 on both curves it starts from a closed-form seed and needs fewer probes.
 """
 
 import dataclasses
+import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from babai_refine import LatticeParams, analytics, cell_geometry, schemes
-from babai_refine.analytics import _entropy_raw, _fsum_rows, _row_entropies, bin_edges_12
+from babai_refine.analytics import (
+    _entropy_raw,
+    _fsum_rows,
+    _row_entropies,
+    bin_edges_12,
+    bin_edges_21,
+)
 from babai_refine.cli import main
 
 from conftest import EPS
@@ -57,6 +68,76 @@ def lattices(draw):
 
 
 PARAMS = st.one_of(st.sampled_from([HEX, HEX_TIGHT, SQUARE, SQUARE_TIGHT]), lattices())
+
+
+def _bin_edges_12_reference(params, n1, n2):
+    """bin_edges_12 as four np.linspace calls and a concatenate, frozen."""
+    g = cell_geometry(params)
+    return np.concatenate(
+        [
+            np.linspace(-0.5, g.t_m2, n2 + 1),
+            np.linspace(g.t_m2, g.t_m1, n1 + 1)[1:],
+            np.array([g.t_1]),
+            np.linspace(g.t_1, g.t_2, n1 + 1)[1:],
+            np.linspace(g.t_2, 0.5, n2 + 1)[1:],
+        ]
+    )
+
+
+def _bin_edges_21_reference(params, n):
+    """bin_edges_21 as two np.linspace calls and a concatenate, frozen."""
+    g = cell_geometry(params)
+    return np.concatenate(
+        [
+            np.linspace(-g.H / 2.0, g.tau_m1, n + 1),
+            np.array([g.tau_1]),
+            np.linspace(g.tau_1, g.H / 2.0, n + 1)[1:],
+        ]
+    )
+
+
+# at c = 5e-324 t_1 rounds to 0 and t_m2 to -1/2; at c = 1e-300 H1 is lost
+# in tau_1, so the bottom band's step is 0 and takes linspace's zero-step branch
+EDGE_PARAMS = st.one_of(
+    PARAMS,
+    st.builds(
+        LatticeParams.from_rcos,
+        st.floats(1.0, 1.5),
+        st.sampled_from([5e-324, 1e-320, 1e-300, 1e-16, 0.3, math.nextafter(0.5, 0.0)]),
+    ),
+)
+EDGE_SIZE = st.one_of(st.integers(1, 20), st.integers(1, 5000))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(params=EDGE_PARAMS, n1=EDGE_SIZE, n2=EDGE_SIZE)
+@example(params=LatticeParams.from_rcos(1.0, 1e-300), n1=1, n2=5000)
+@example(params=LatticeParams.from_rcos(1.0, 5e-324), n1=5000, n2=1)
+def test_bin_edges_equal_linspace(params, n1, n2):
+    want_12 = _bin_edges_12_reference(params, n1, n2)
+    assert bin_edges_12(params, n1, n2).tobytes() == want_12.tobytes()
+    assert bin_edges_21(params, n2).tobytes() == _bin_edges_21_reference(params, n2).tobytes()
+
+
+# knots whose gaps, divided by the bin counts, underflow to 0 but are not 0
+SUBNORMAL = st.integers(1, 1 << 12).map(lambda k: k * 5e-324)
+
+
+@PROPERTY
+@given(
+    start=st.one_of(st.floats(-1.0, 1.0), SUBNORMAL),
+    gaps=st.lists(st.one_of(st.floats(0.0, 1.0), SUBNORMAL), min_size=1, max_size=5),
+    counts=st.lists(st.integers(1, 5000), min_size=5, max_size=5),
+)
+def test_edges_equal_linspace(start, gaps, counts):
+    knots = list(itertools.accumulate([start, *gaps]))
+    counts = counts[: len(gaps)]
+    want = np.concatenate(
+        [knots[:1]] + [np.linspace(a, b, m + 1)[1:] for a, b, m in zip(knots, knots[1:], counts)]
+    )
+    assert analytics._edges(tuple(knots), tuple(counts)).tobytes() == want.tobytes()
+
+
 SIZES = st.one_of(
     st.sampled_from([(1, 1), (2, 3)]),
     st.tuples(st.integers(1, 400), st.integers(1, 400)),
@@ -107,10 +188,11 @@ def test_row_entropies_equal_entropy_raw():
 
 
 class _CountingMath:
-    """Stands in for the math module in analytics and counts fsum calls."""
+    """Stands in for the math module in analytics and counts fsum and log2 calls."""
 
     def __init__(self):
         self.fsum_calls = 0
+        self.log2_calls = 0
 
     def __getattr__(self, name):
         return getattr(math, name)
@@ -118,6 +200,10 @@ class _CountingMath:
     def fsum(self, values):
         self.fsum_calls += 1
         return math.fsum(values)
+
+    def log2(self, x):
+        self.log2_calls += 1
+        return math.log2(x)
 
 
 # triples whose last TwoSum error is not 0: fl(s2 + t) is a double rounding
@@ -173,6 +259,68 @@ TERMS = st.one_of(
 def test_fsum_rows_equals_fsum(rows):
     got = _fsum_rows(np.array(rows, dtype=np.float64))
     assert [_bits(v) for v in got.tolist()] == [_bits(math.fsum(r)) for r in rows]
+
+
+# probability rows whose terms' TwoSum chain falls back to fsum in every order
+FALLBACK_PROBS = [
+    (1.4461359793533422e-39, 4.216054100572951e-22, 0.005423363075529499),
+    (0.19808169928298688, 7.876089044248607e-06, 3.7342785486961586e-29),
+]
+PROB = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.floats(0.0, 1.0),
+    st.floats(-40.0, 0.0).map(lambda e: 10.0**e),
+)
+
+
+def _packed(values):
+    return {struct.pack("<d", v) for v in values}
+
+
+@PROPERTY
+@given(row=st.tuples(PROB, PROB, PROB))
+@example(row=(0.0, 1.0, 0.0))
+@example(row=(1.0, 0.0, 0.0))
+@example(row=(0.0, 0.3, 0.7))
+@example(row=FALLBACK_PROBS[0])
+@example(row=FALLBACK_PROBS[1])
+def test_row_entropies_do_not_depend_on_column_order(row):
+    """The fact rate_12's mirrored strips rest on: a row's entropy has the
+    same bits in all six orders of its columns (and is _entropy_raw's)."""
+    got = _row_entropies(np.array(list(itertools.permutations(row)))).tolist()
+    assert _packed(got) == _packed([_entropy_raw(row)])
+
+
+@pytest.mark.parametrize("row", FALLBACK_PROBS)
+def test_fallback_probability_rows_fall_back_in_every_order(row, monkeypatch):
+    terms = [p * math.log2(p) for p in row]
+    for order in itertools.permutations(terms):
+        assert _two_sum_chain(*order)[1] != 0.0
+    counting = _CountingMath()
+    monkeypatch.setattr(analytics, "math", counting)
+    _row_entropies(np.array(list(itertools.permutations(row))))
+    assert counting.fsum_calls == 6
+
+
+def test_rate_12_takes_mirrored_strips_logarithms_once(monkeypatch):
+    """At the hexagonal row (1, 4830), 9663 bins over three cut tables, most
+    strips through mirrored bins hold the same probabilities in reverse,
+    bit for bit, and the others differ in the last bits: rate_12 takes the
+    logarithms of at most 0.6 of the positive probabilities, and the bits
+    of the per-bin loop."""
+    n1, n2 = 1, 4830
+    edges = bin_edges_12(HEX, n1, n2)
+    probs = reference_cross_section(
+        cell_geometry(HEX), 0.5 * (edges[:-1] + edges[1:]), vertical=True
+    ).probs
+    mirrored = (probs.view(np.int64) == probs[::-1, ::-1].copy().view(np.int64)).all(axis=1)
+    assert 0 < np.count_nonzero(mirrored) < len(mirrored)
+    counting = _CountingMath()
+    monkeypatch.setattr(analytics, "math", counting)
+    _, h_u2 = analytics.rate_12(HEX, n1, n2)
+    assert counting.log2_calls <= 0.6 * np.count_nonzero(probs > 0.0)
+    monkeypatch.undo()
+    assert _bits(h_u2) == _bits(_h_u2_reference(HEX, n1, n2))
 
 
 def _budget_search_reference(params, scheme, rate_budget):
