@@ -201,13 +201,15 @@ def _weighted_entropy(g: CellGeometry, edges: np.ndarray, vertical: bool) -> flo
     return float(np.add.accumulate(terms, out=terms)[-1])
 
 
-def _h_u1(g: CellGeometry, n1: int, n2: int) -> float:
-    """H(U1) of the 12 scheme: the interval entropy plus log2 of each bin count."""
-    return (
-        _entropy_raw((g.L0, g.L1, g.L1, g.L2, g.L2))
-        + 2.0 * g.L1 * math.log2(n1)
-        + 2.0 * g.L2 * math.log2(n2)
-    )
+def _interval_entropy(g: CellGeometry) -> float:
+    """Entropy in bits of the 12 scheme's five intervals, (L0, L1, L1, L2, L2)."""
+    return _entropy_raw((g.L0, g.L1, g.L1, g.L2, g.L2))
+
+
+def _h_u1(g: CellGeometry, h_len: float, n1: int, n2: int) -> float:
+    """H(U1) of the 12 scheme: the interval entropy h_len plus log2 of each
+    bin count; a search passes the same h_len at every probe."""
+    return h_len + 2.0 * g.L1 * math.log2(n1) + 2.0 * g.L2 * math.log2(n2)
 
 
 def rate_12(params: LatticeParams, n1: int, n2: int) -> tuple[float, float]:
@@ -222,7 +224,7 @@ def rate_12(params: LatticeParams, n1: int, n2: int) -> tuple[float, float]:
     """
     edges = bin_edges_12(params, n1, n2)
     g = cell_geometry(params)
-    return _h_u1(g, n1, n2), _weighted_entropy(g, edges, True)
+    return _h_u1(g, _interval_entropy(g), n1, n2), _weighted_entropy(g, edges, True)
 
 
 def _g(p: float) -> float:
@@ -372,7 +374,7 @@ def asymptotic_constant_12(params: LatticeParams, form: str = "geometric") -> fl
     ratio = co.alpha1 * g.L2 / (co.alpha2 * g.L1)
     lead = co.alpha2 * (1.0 + g.L1 / g.L2) * ratio ** (g.L1 / (g.L1 + g.L2))
     if form == "geometric":
-        h_len = _entropy_raw((g.L0, g.L1, g.L1, g.L2, g.L2))
+        h_len = _interval_entropy(g)
         return lead * 2.0 ** (g.L * (kap + h_len) / (2.0 * (g.L1 + g.L2)))
     if form == "probability":
         p = (g.L0 / g.L, g.L1 / g.L, g.L1 / g.L, g.L2 / g.L, g.L2 / g.L)
@@ -502,8 +504,9 @@ def _seed_12(params: LatticeParams, rate_budget: float, cap: int) -> int:
     """
     g = cell_geometry(params)
     kappa = kappa_12(params)
+    h_len = _interval_entropy(g)
     n1 = _n1_rule(params)
-    return _last_within(lambda n: _h_u1(g, n1(n), n) + kappa <= rate_budget, 1, cap)
+    return _last_within(lambda n: _h_u1(g, h_len, n1(n), n) + kappa <= rate_budget, 1, cap)
 
 
 def _seed_21(params: LatticeParams, rate_budget: float, cap: int) -> int:

@@ -273,45 +273,38 @@ def _add_round_limit_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="babai-refine",
-        description="Refining a 2-D nearest-plane (Babai) partition into the "
-        "Voronoi partition: geometry, rate/error analysis, protocol simulation.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    table = schemes.SCHEMES.values()
-    aliases = [s.alias for s in table]
-
-    p = sub.add_parser("geometry", help="dump the Babai/Voronoi cell constants")
-    _add_param_flags(p)
+def _geometry_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_geometry)
 
-    p = sub.add_parser("analyze", help="closed-form error/rate figures for a scheme")
-    _add_param_flags(p)
-    p.add_argument("--scheme", choices=aliases, required=True)
+
+def _analyze_args(p: argparse.ArgumentParser) -> None:
+    table = schemes.SCHEMES.values()
+    p.add_argument("--scheme", choices=[s.alias for s in table], required=True)
     _add_size_flags(p, 1)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("tradeoff", help="CSV rate/error curve for a scheme")
-    _add_param_flags(p)
+
+def _tradeoff_args(p: argparse.ArgumentParser) -> None:
+    table = schemes.SCHEMES.values()
     p.add_argument("--scheme", choices=[s.alias for s in table if s.tradeoff], required=True)
     p.add_argument("--max-size", type=int, default=32)
     p.add_argument("--budget", type=float, default=None)
     p.set_defaults(func=cmd_tradeoff)
 
-    p = sub.add_parser("simulate", help="Monte Carlo protocol simulation (JSON report)")
-    _add_param_flags(p)
-    p.add_argument("--scheme", choices=aliases, required=True)
+
+def _simulate_args(p: argparse.ArgumentParser) -> None:
+    table = schemes.SCHEMES.values()
+    p.add_argument("--scheme", choices=[s.alias for s in table], required=True)
     _add_size_flags(p, None)
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
     _add_round_limit_flag(p)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("trace", help="single-point protocol transcript (JSON)")
-    _add_param_flags(p)
+
+def _trace_args(p: argparse.ArgumentParser) -> None:
+    table = schemes.SCHEMES.values()
     p.add_argument("--scheme", choices=[s.alias for s in table if s.transcript], required=True)
     p.add_argument("--x1", type=float, required=True)
     p.add_argument("--x2", type=float, required=True)
@@ -319,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_round_limit_flag(p)
     p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("sweep", help="theta sweep CSV (fixed-budget comparison)")
-    _add_param_flags(p)
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", type=int, default=50, help="number of theta gridpoints")
     p.add_argument("--budget", type=float, default=4.0, help="rate budget in bits")
     p.add_argument("--trials", type=int, default=0, help="empirical trials per row (0: none)")
@@ -333,12 +326,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_sweep)
 
+
+# Each subcommand's help line and the function that adds its own flags
+# (after the angle and output flags every subcommand takes) and its func.
+_SUBCOMMANDS = {
+    "geometry": ("dump the Babai/Voronoi cell constants", _geometry_args),
+    "analyze": ("closed-form error/rate figures for a scheme", _analyze_args),
+    "tradeoff": ("CSV rate/error curve for a scheme", _tradeoff_args),
+    "simulate": ("Monte Carlo protocol simulation (JSON report)", _simulate_args),
+    "trace": ("single-point protocol transcript (JSON)", _trace_args),
+    "sweep": ("theta sweep CSV (fixed-budget comparison)", _sweep_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with the flags of `command` only.
+
+    The root parser and all six subparsers, each with its help line, are
+    always built: the root usage, the root --help and the root's errors (an
+    unknown command, an argument left over after a valid one) read only
+    those, so they are the same whatever `command` is.  Only the subparser
+    named exactly `command` gets its flags and its func; any other value,
+    None included, gets every subparser's, so an abbreviated or unknown
+    command and -h take the whole parser's path on every argparse version.
+    """
+    parser = argparse.ArgumentParser(
+        prog="babai-refine",
+        description="Refining a 2-D nearest-plane (Babai) partition into the "
+        "Voronoi partition: geometry, rate/error analysis, protocol simulation.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    whole = command not in _SUBCOMMANDS
+    for name, (help_line, add_args) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if whole or name == command:
+            _add_param_flags(p)
+            add_args(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run the subcommand argv names (sys.argv[1:] when argv is None).
+
+    The parser is built on every call, with the flags of argv[0]'s
+    subcommand alone (see build_parser): a call pays for the subcommand it
+    runs, not for all six.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         text = args.func(args)
     except QuadratureFailure as exc:

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -12,7 +13,7 @@ import pytest
 
 import babai_refine
 from babai_refine.cli import build_parser, main, resolve_params, _geometry_dict
-from babai_refine import InvalidParams, rbar_infinite, schemes
+from babai_refine import InvalidParams, cli, rbar_infinite, schemes
 from babai_refine.protocols import DEFAULT_MAX_ROUNDS
 
 
@@ -438,3 +439,83 @@ def test_scheme_choices_and_size_flags_come_from_the_scheme_table():
         assert set(size_flags) & set(flags) == (set(size_flags) if sized else set()), name
         for flag, alias in size_flags.items() if sized else ():
             assert flags[flag].help.startswith(f"scheme {alias} only"), (name, flag)
+
+
+_COMMANDS = ("geometry", "analyze", "tradeoff", "simulate", "trace", "sweep")
+_ARGV_TABLE = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["swee", "--grid", "2"],
+    ["sweep", "--grid", "2", "extra"],
+    *([c, "--help"] for c in _COMMANDS),
+    *([c] for c in _COMMANDS),
+    *([c, "--bogus"] for c in _COMMANDS),
+    ["geometry", "--rcos", "0.3"],
+    ["analyze", "--scheme", "12", "--rcos", "0.3"],
+    ["tradeoff", "--scheme", "21", "--rcos", "0.3", "--max-size", "4"],
+    ["simulate", "--scheme", "babai", "--rcos", "0.3", "--trials", "1000"],
+    ["trace", "--scheme", "12", "--rcos", "0.3", "--n1", "2", "--n2", "3", "--x1", "0.4", "--x2", "0.3"],
+    ["sweep", "--grid", "2"],
+    ["sweep", "--grid", "0"],
+]
+
+
+def _outcome(argv, capsys):
+    """main(argv)'s exit code (returned, or raised as SystemExit), stdout and stderr."""
+    try:
+        code = ("return", main(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", _ARGV_TABLE, ids=lambda argv: " ".join(argv) or "(none)")
+def test_output_equals_the_whole_parsers(argv, capsys, monkeypatch):
+    """main prints the same bytes and exits with the same code, from argv or
+    from sys.argv, as when its parser is the whole build_parser()'s: help,
+    usage and errors of the root and of each subcommand, and real runs."""
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _outcome(argv, capsys)
+    monkeypatch.setattr(sys, "argv", ["babai-refine", *argv])
+    assert _outcome(None, capsys) == got
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+    assert _outcome(argv, capsys) == got
+
+
+@pytest.mark.parametrize(
+    "argv, flagged",
+    [
+        (["sweep", "--grid", "2"], {"sweep"}),
+        *(([c, "--help"], {c}) for c in _COMMANDS),
+        *((argv, set(_COMMANDS)) for argv in ([], ["-h"], ["swee", "--grid", "2"], ["bogus"])),
+    ],
+)
+def test_main_adds_the_flags_of_the_named_subcommand_only(argv, flagged, capsys, monkeypatch):
+    """main builds every subparser, but adds flags only to the one argv[0]
+    names exactly; anything else gets every subparser's flags."""
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(build_parser(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    with contextlib.suppress(SystemExit):
+        main(argv)
+    capsys.readouterr()
+    (parser,) = built
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(_COMMANDS)
+    # a subparser without flags has only its -h action
+    assert {name for name, p in sub.choices.items() if len(p._actions) > 1} == flagged
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_root_usage_and_help_stay_whole(command):
+    """The root parser's usage and help name all six subcommands and their
+    help lines, whichever subcommand gets its flags."""
+    assert build_parser(command).format_help() == build_parser().format_help()
+    assert build_parser(command).format_usage() == build_parser().format_usage()

@@ -15,7 +15,6 @@ from babai_refine import (
     LatticeParams,
     OutOfCell,
     Point2,
-    analytics,
     cell_geometry,
     error_rectangle,
     exact_nearest_point,
@@ -283,8 +282,9 @@ def test_quantizers_from_the_same_arguments_are_equal(params_main, params_hex):
 def test_quantizer_code_lengths(lattice, chunk, request, monkeypatch):
     """Once filled, the quantizer's code holds the first message's bits,
     -math.log2 of each bin's width over the axis span, and the answer's
-    bits, -math.log2 of each region's probability, inf exactly where it is 0."""
-    monkeypatch.setattr(analytics, "_RATE_CHUNK", chunk)
+    bits, -math.log2 of each region's probability, inf exactly where it is 0,
+    whatever the chunk the rows are filled in."""
+    monkeypatch.setattr(protocols, "_FILL_CHUNK", chunk)
     params = request.getfixturevalue(lattice)
     for q, span in ((quantizer_12(params, 40, 70), 1.0), (quantizer_21(params, 99), params.rsin)):
         fill_every_row(q)
@@ -304,7 +304,6 @@ def test_quantizer_code_lengths(lattice, chunk, request, monkeypatch):
 def test_quantizer_table_does_not_depend_on_chunking(chunk, params_main, params_hex, monkeypatch):
     """The stored rows, filled chunk by chunk, equal one cross_section of
     all the bin midpoints plus math.log2 bit for bit, whatever the chunk."""
-    monkeypatch.setattr(analytics, "_RATE_CHUNK", chunk)
     monkeypatch.setattr(protocols, "_FILL_CHUNK", chunk)
     for params in (params_main, params_hex):
         for q in (quantizer_12(params, 40, 70), quantizer_21(params, 99)):

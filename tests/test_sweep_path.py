@@ -495,6 +495,23 @@ def test_pe_at_rate_adds_at_most_one_curve_point(params, scheme, budget, monkeyp
     assert len(set(calls)) == len(calls) <= n_budget_point + 1
 
 
+@pytest.mark.parametrize("params", [MAIN, HEX, SQUARE], ids=["rcos0.3", "hex", "square"])
+def test_seed_12_takes_the_interval_entropy_once(params, monkeypatch):
+    """_seed_12 takes the entropy of the five intervals once per search, not
+    at each of its probes of H(U1)."""
+    calls = []
+
+    def counting(probs):
+        calls.append(tuple(probs))
+        return _entropy_raw(probs)
+
+    analytics.kappa_12(params)
+    monkeypatch.setattr(analytics, "_entropy_raw", counting)
+    assert analytics._seed_12(params, 8.0, schemes.SCHEMES["12"].cap) > 1
+    g = cell_geometry(params)
+    assert calls == [(g.L0, g.L1, g.L1, g.L2, g.L2)]
+
+
 def test_sweep_evaluates_each_rate_once(monkeypatch, capsys):
     seen = []
     for name in ("rate_12", "rate_21"):
