@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import lattice, schemes
-from .errors import BudgetTooSmall, DegenerateInterval, InvalidDistribution, require_int
+from .errors import BudgetTooSmall, DegenerateInterval, InvalidDistribution, require_count
 from .lattice import CellGeometry, LatticeParams, cell_geometry, cross_section
 
 _SUM_TOL = 1e-10
@@ -93,9 +93,7 @@ def coefficients_12(
 
 def pe_12(params: LatticeParams, n1: int, n2: int) -> float:
     """Exact error probability alpha1/n1 + alpha2/n2 of the 12 scheme."""
-    require_int(n1=n1, n2=n2)
-    if n1 < 1 or n2 < 1:
-        raise ValueError("quantizer sizes must be >= 1")
+    require_count(n1=n1, n2=n2)
     co = coefficients_12(params)
     return co.alpha1 / n1 + co.alpha2 / n2
 
@@ -121,18 +119,14 @@ def bin_edges_12(params: LatticeParams, n1: int, n2: int) -> np.ndarray:
     N2 equal bins on each outer interval, N1 on each inner one and one on
     the cut-free centre, placed as np.linspace places them (see _edges).
     """
-    require_int(n1=n1, n2=n2)
-    if n1 < 1 or n2 < 1:
-        raise ValueError("quantizer sizes must be >= 1")
+    require_count(n1=n1, n2=n2)
     g = cell_geometry(params)
     return _edges((-0.5, g.t_m2, g.t_m1, g.t_1, g.t_2, 0.5), (n2, n1, 1, n1, n2))
 
 
 def bin_edges_21(params: LatticeParams, n: int) -> np.ndarray:
     """Edges of the 2*n + 1 bins over (-H/2, H/2], ascending, as np.linspace puts them (_edges)."""
-    require_int(n=n)
-    if n < 1:
-        raise ValueError("quantizer size must be >= 1")
+    require_count(n=n)
     g = cell_geometry(params)
     return _edges((-g.H / 2.0, g.tau_m1, g.tau_1, g.H / 2.0), (n, 1, n))
 
@@ -319,9 +313,7 @@ def _n1_rule(params: LatticeParams) -> Callable[[int], int]:
 
 def optimal_n1(params: LatticeParams, n2: int) -> int:
     """Rate-constrained minimiser N1(N2) = ceil(alpha1*L2*N2 / (alpha2*L1))."""
-    require_int(n2=n2)
-    if n2 < 1:
-        raise ValueError("n2 must be >= 1")
+    require_count(n2=n2)
     return _n1_rule(params)(n2)
 
 
@@ -350,9 +342,7 @@ def point_21(params: LatticeParams, n: int) -> TradeoffPoint:
 
 def tradeoff_curve_12(params: LatticeParams, n2_max: int) -> list[TradeoffPoint]:
     """Pareto (rate, pe) points for n2 = 1..n2_max with n1 = optimal_n1(n2)."""
-    require_int(n2_max=n2_max)
-    if n2_max < 1:
-        raise ValueError("n2_max must be >= 1")
+    require_count(n2_max=n2_max)
     points = [curve_point(params, "12", n2) for n2 in range(1, n2_max + 1)]
     points.sort(key=lambda p: p.rate_bits)
     pruned: list[TradeoffPoint] = []
@@ -393,17 +383,13 @@ def beta_21(params: LatticeParams) -> float:
 
 def pe_21(params: LatticeParams, n: int) -> float:
     """Exact error probability beta/n of the 21 scheme."""
-    require_int(n=n)
-    if n < 1:
-        raise ValueError("quantizer size must be >= 1")
+    require_count(n=n)
     return beta_21(params) / n
 
 
 def rate_21(params: LatticeParams, n: int) -> float:
     """Total rate H(Q) + (1-Q0)*log2(N) + kappa of the 21 scheme."""
-    require_int(n=n)
-    if n < 1:
-        raise ValueError("quantizer size must be >= 1")
+    require_count(n=n)
     q = lattice.round1_code(params).q
     return _entropy_raw(q) + (1.0 - q[1]) * math.log2(n) + kappa_21(params)
 
@@ -432,15 +418,15 @@ def round1_distributions(params: LatticeParams) -> tuple[Distribution, Distribut
 
 def rbar_infinite(params: LatticeParams) -> float:
     """Expected total ideal bits of the infinite-round zero-error scheme."""
-    q, p = round1_distributions(params)
-    q0, p0 = q.probs[1], p.probs[1]
-    return entropy(q) + (1.0 - q0) * entropy(p) + 4.0 * (1.0 - p0) * (1.0 - q0)
+    code = lattice.round1_code(params)
+    q0, p0 = code.q[1], code.p[1]
+    return _entropy_raw(code.q) + (1.0 - q0) * _entropy_raw(code.p) + 4.0 * (1.0 - p0) * (1.0 - q0)
 
 
 def nbar_infinite(params: LatticeParams) -> float:
     """Expected number of rounds of the infinite-round scheme."""
-    q, p = round1_distributions(params)
-    return 1.0 + 2.0 * (1.0 - p.probs[1]) * (1.0 - q.probs[1])
+    code = lattice.round1_code(params)
+    return 1.0 + 2.0 * (1.0 - code.p[1]) * (1.0 - code.q[1])
 
 
 def curve_point(params: LatticeParams, scheme: str, size: int) -> TradeoffPoint:

@@ -7,8 +7,9 @@ plain CSV (RFC-4180 style, '.' decimal separator, 12 significant digits) or
 JSON with stable key order; no ANSI colour is ever emitted, so NO_COLOR is
 honoured trivially.
 
-Exit codes: 0 success, 2 invalid input, 3 quadrature failure (reserved:
-nothing in the package integrates numerically any more).
+Exit codes: 0 success, 2 invalid input (an --output path that cannot be
+opened for writing included), 3 quadrature failure (reserved: nothing in
+the package integrates numerically any more).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import (
     BabaiRefineError,
     InvalidParams,
     QuadratureFailure,
+    require_count,
 )
 from .lattice import LatticeParams, Point2, cell_geometry, check_rho
 
@@ -193,8 +195,7 @@ def cmd_sweep(args) -> str:
         raise InvalidParams("--seed and --max-rounds set the empirical columns; give --trials > 0")
     seed = 0 if args.seed is None else args.seed
     max_rounds = protocols.DEFAULT_MAX_ROUNDS if args.max_rounds is None else args.max_rounds
-    if max_rounds < 1:
-        raise InvalidParams("max_rounds must be >= 1")
+    require_count(max_rounds=max_rounds)
     if not math.isfinite(args.budget):
         raise InvalidParams("rate budget must be finite")
     if (args.theta_deg, args.theta_rad, args.rcos) != (None, None, None):
@@ -386,8 +387,12 @@ def main(argv: list[str] | None = None) -> int:
     if not text.endswith("\n"):
         text += "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --output {args.output!r}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

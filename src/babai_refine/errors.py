@@ -1,4 +1,4 @@
-"""Exception types raised across the package, and the int check its entries share."""
+"""Exception types raised across the package, and the int checks its entries share."""
 
 
 class BabaiRefineError(Exception):
@@ -31,8 +31,18 @@ class BudgetTooSmall(BabaiRefineError, ValueError):
 
 
 def require_int(**values) -> None:
-    """Each named count, size, seed or round limit must be an int; a bool or
-    float is never coerced (ValueError)."""
+    """Each named seed, stream or symbol must be an int; a bool or float is
+    never coerced (ValueError)."""
     for name, value in values.items():
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def require_count(**values) -> None:
+    """Each named quantizer size, trial count, round limit or window must be
+    an int, not a bool, and >= 1 (ValueError); nothing is coerced."""
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")

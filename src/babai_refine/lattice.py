@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParams, OutOfCell, require_int
+from .errors import InvalidParams, OutOfCell, require_count
 
 
 class IntegerPair(NamedTuple):
@@ -140,9 +140,7 @@ def exact_nearest_point(x: Point2, params: LatticeParams, window: int = 2) -> In
     with the smallest (u2, u1).  window must be an int >= 1 (ValueError):
     every relevant neighbour of the Babai point lies in its 3x3 window.
     """
-    require_int(window=window)
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    require_count(window=window)
     b = babai_nearest_plane(x, params)
     best, best_d2 = b, math.inf
     for du2 in range(-window, window + 1):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import protocols, schemes
-from .errors import require_int
+from .errors import require_count, require_int
 from .lattice import LatticeParams, Point2, cell_geometry, round1_code
 from .protocols import DEFAULT_MAX_ROUNDS
 
@@ -528,9 +528,7 @@ def run_batch_infinite(
     written to `workspace` (a fresh one if None).  The coordinates, bits
     and decision rule are run_infinite_rounds'.
     """
-    require_int(max_rounds=max_rounds)
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
+    require_count(max_rounds=max_rounds)
     ws = Workspace() if workspace is None else workspace
     shape = np.shape(x1)
     x1, x2 = np.ravel(x1), np.ravel(x2)  # the trials are compacted by flat index
@@ -669,11 +667,7 @@ class SimConfig:
             raise ValueError(f"scheme must be one of {tuple(table)}, got {self.scheme!r}")
         _check_u64("seed", self.seed)
         given = [f for f in _SIZE_FIELDS if getattr(self, f) is not None]
-        require_int(**{f: getattr(self, f) for f in ("trials", "max_rounds", *given)})
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
+        require_count(**{f: getattr(self, f) for f in ("trials", "max_rounds", *given)})
         sizes = table[self.scheme].sizes
         if any(getattr(self, f) is None for f in sizes):
             raise ValueError(f"scheme {self.scheme!r} requires {' and '.join(sizes)}")

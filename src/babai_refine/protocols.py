@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analytics
-from .errors import OutOfCell, require_int
+from .errors import OutOfCell, require_count, require_int
 from .lattice import IntegerPair, LatticeParams, Point2, cell_geometry, cross_section, round1_code
 
 S1 = "S1"
@@ -297,9 +297,7 @@ def run_infinite_rounds(
     the decision taken from an exact side test of x itself.  max_rounds must
     be an int >= 1 (ValueError).
     """
-    require_int(max_rounds=max_rounds)
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
+    require_count(max_rounds=max_rounds)
     _require_in_cell(x, params)
     t_m2, t_1, tau_1, H1, _, _, q_bits, p_bits = round1_code(params)
     u2 = 1 if x[1] > tau_1 else (-1 if x[1] <= -tau_1 else 0)

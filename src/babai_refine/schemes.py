@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import analytics, montecarlo, protocols
-from .lattice import LatticeParams, babai_error_probability, cell_geometry
+from .lattice import LatticeParams, babai_error_probability, cell_geometry, round1_code
 
 
 def _one_round(batch: str) -> Callable[..., tuple]:
@@ -68,12 +68,12 @@ def _analyze_21(params: LatticeParams, n: int) -> dict:
 
 
 def _analyze_infinite(params: LatticeParams) -> dict:
-    q, p = analytics.round1_distributions(params)
+    code = round1_code(params)
     return {
         "rbar_bits": analytics.rbar_infinite(params),
         "nbar_rounds": analytics.nbar_infinite(params),
-        "q": list(q.probs),
-        "p": list(p.probs),
+        "q": list(code.q),
+        "p": list(code.p),
     }
 
 

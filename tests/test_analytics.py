@@ -1,4 +1,6 @@
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from babai_refine import (
     nbar_infinite,
     optimal_n1,
     Point2,
+    SimConfig,
     pe_12,
     pe_21,
     pe_at_rate,
@@ -42,6 +45,7 @@ from babai_refine import (
     run_infinite_rounds,
     tradeoff_curve_12,
 )
+from babai_refine import analytics, schemes
 from babai_refine.analytics import _row_entropies, budget_pe
 
 from conftest import lattices, random_valid_params
@@ -557,33 +561,80 @@ def test_far_rectangular_end_is_a_degenerate_interval(call, rcos):
 _X = Point2(0.45, 0.45)
 _ARR = np.array([0.45])
 
-# every library entry that takes a quantizer size, a round limit, a window or a seed stream
+# every library entry that takes a quantizer size, a trial count, a round
+# limit, a window or a seed stream: the value's name and the call
 _INT_ENTRIES = {
-    "pe_12-n1": lambda p, v: pe_12(p, v, 2),
-    "pe_12-n2": lambda p, v: pe_12(p, 2, v),
-    "pe_21": lambda p, v: pe_21(p, v),
-    "rate_12-n1": lambda p, v: rate_12(p, v, 2),
-    "rate_12-n2": lambda p, v: rate_12(p, 2, v),
-    "rate_21": lambda p, v: rate_21(p, v),
-    "bin_edges_12": lambda p, v: bin_edges_12(p, 2, v),
-    "bin_edges_21": lambda p, v: bin_edges_21(p, v),
-    "quantizer_12-n1": lambda p, v: quantizer_12(p, v, 2),
-    "quantizer_12-n2": lambda p, v: quantizer_12(p, 2, v),
-    "quantizer_21": lambda p, v: quantizer_21(p, v),
-    "optimal_n1": lambda p, v: optimal_n1(p, v),
-    "curve_point-12": lambda p, v: curve_point(p, "12", v),
-    "curve_point-21": lambda p, v: curve_point(p, "21", v),
-    "tradeoff_curve_12": lambda p, v: tradeoff_curve_12(p, v),
-    "run_infinite_rounds": lambda p, v: run_infinite_rounds(_X, p, v),
-    "run_batch_infinite": lambda p, v: run_batch_infinite(p, _ARR, _ARR, v),
-    "exact_nearest_point": lambda p, v: exact_nearest_point(_X, p, window=v),
-    "derive_seed": lambda p, v: derive_seed(1, v),
+    "pe_12-n1": ("n1", lambda p, v: pe_12(p, v, 2)),
+    "pe_12-n2": ("n2", lambda p, v: pe_12(p, 2, v)),
+    "pe_21": ("n", lambda p, v: pe_21(p, v)),
+    "rate_12-n1": ("n1", lambda p, v: rate_12(p, v, 2)),
+    "rate_12-n2": ("n2", lambda p, v: rate_12(p, 2, v)),
+    "rate_21": ("n", lambda p, v: rate_21(p, v)),
+    "bin_edges_12": ("n2", lambda p, v: bin_edges_12(p, 2, v)),
+    "bin_edges_21": ("n", lambda p, v: bin_edges_21(p, v)),
+    "quantizer_12-n1": ("n1", lambda p, v: quantizer_12(p, v, 2)),
+    "quantizer_12-n2": ("n2", lambda p, v: quantizer_12(p, 2, v)),
+    "quantizer_21": ("n", lambda p, v: quantizer_21(p, v)),
+    "optimal_n1": ("n2", lambda p, v: optimal_n1(p, v)),
+    "curve_point-12": ("n2", lambda p, v: curve_point(p, "12", v)),
+    "curve_point-21": ("n", lambda p, v: curve_point(p, "21", v)),
+    "tradeoff_curve_12": ("n2_max", lambda p, v: tradeoff_curve_12(p, v)),
+    "run_infinite_rounds": ("max_rounds", lambda p, v: run_infinite_rounds(_X, p, v)),
+    "run_batch_infinite": ("max_rounds", lambda p, v: run_batch_infinite(p, _ARR, _ARR, v)),
+    "exact_nearest_point": ("window", lambda p, v: exact_nearest_point(_X, p, window=v)),
+    "derive_seed": ("stream", lambda p, v: derive_seed(1, v)),
+    "SimConfig-n1": ("n1", lambda p, v: SimConfig(p, "12", 1, 0, n1=v, n2=2)),
+    "SimConfig-n2": ("n2", lambda p, v: SimConfig(p, "12", 1, 0, n1=2, n2=v)),
+    "SimConfig-n": ("n", lambda p, v: SimConfig(p, "21", 1, 0, n=v)),
+    "SimConfig-trials": ("trials", lambda p, v: SimConfig(p, "babai_only", v, 0)),
+    "SimConfig-max_rounds": (
+        "max_rounds",
+        lambda p, v: SimConfig(p, "infinite", 1, 0, max_rounds=v),
+    ),
 }
 
 
-@pytest.mark.parametrize("value", [1.5, 2.0, True], ids=repr)
-@pytest.mark.parametrize("entry", list(_INT_ENTRIES), ids=str)
+@pytest.mark.parametrize(
+    "entry, value",
+    [
+        pytest.param(entry, value, id=f"{entry}-{value!r}")
+        for entry in _INT_ENTRIES
+        # a seed stream may be 0
+        for value in (1.5, 2.0, True) + (() if entry == "derive_seed" else (0, -1))
+    ],
+)
 def test_sizes_and_round_limits_must_be_ints(params_main, entry, value):
-    """A float or bool size is never truncated or coerced (ValueError)."""
-    with pytest.raises(ValueError, match="must be an int"):
-        _INT_ENTRIES[entry](params_main, value)
+    """A float or bool size is never truncated or coerced, and a size, trial
+    count, round limit or window below 1 is never raised to 1: ValueError,
+    naming the value."""
+    name, call = _INT_ENTRIES[entry]
+    rule = ">= 1" if type(value) is int else "an int"
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be {rule}, got {value!r}") + "$"):
+        call(params_main, value)
+
+
+def test_infinite_closed_forms_build_no_distribution(monkeypatch):
+    """rbar_infinite, nbar_infinite and the infinite scheme's analyze read
+    round1_code's tuples and build no Distribution, and each gives, bit for
+    bit, what the route through round1_distributions and entropy gives."""
+    cases = random_valid_params(200, seed=229) + [
+        LatticeParams.from_rcos(1.0, c) for c in (5e-324, 1e-200, 0.5 - 2**-53)
+    ]
+    want = []
+    for params in cases:
+        q, p = round1_distributions(params)
+        q0, p0 = q.probs[1], p.probs[1]
+        rbar = entropy(q) + (1.0 - q0) * entropy(p) + 4.0 * (1.0 - p0) * (1.0 - q0)
+        nbar = 1.0 + 2.0 * (1.0 - p0) * (1.0 - q0)
+        want.append((rbar, nbar, rbar, nbar, *q.probs, *p.probs))
+
+    def no_distribution(*_):
+        raise AssertionError("a Distribution was built")
+
+    monkeypatch.setattr(analytics, "Distribution", no_distribution)
+    analyze = schemes.SCHEMES["infinite"].analyze
+    for params, values in zip(cases, want):
+        doc = analyze(params)
+        got = (rbar_infinite(params), nbar_infinite(params), doc["rbar_bits"], doc["nbar_rounds"])
+        got += (*doc["q"], *doc["p"])
+        assert struct.pack("<10d", *got) == struct.pack("<10d", *values)

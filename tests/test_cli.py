@@ -256,6 +256,40 @@ def test_zero_sizes_and_rounds_exit_2(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--scheme", "12", "--n2", "0"], "n2 must be >= 1, got 0"),
+        (["simulate", "--scheme", "12", "--n1", "0", "--n2", "3"], "n1 must be >= 1, got 0"),
+        (["simulate", "--scheme", "babai", "--trials", "-1"], "trials must be >= 1, got -1"),
+        (
+            ["trace", "--scheme", "21", "--x1", "0", "--x2", "0", "--n", "-1"],
+            "n must be >= 1, got -1",
+        ),
+        (
+            ["sweep", "--grid", "1", "--trials", "9", "--max-rounds", "0"],
+            "max_rounds must be >= 1, got 0",
+        ),
+    ],
+    ids=["analyze-n2", "simulate-n1", "simulate-trials", "trace-n", "sweep-max_rounds"],
+)
+def test_a_count_below_one_is_named(argv, message, capsys):
+    """A size, trial count or round limit below 1 exits 2 with the one
+    rule's message, which names the value."""
+    angle = [] if argv[0] == "sweep" else ["--rcos", "0.3"]  # sweep rejects an angle
+    assert run_cli(argv + angle, capsys) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("target", ["missing directory", "directory"])
+def test_output_that_cannot_be_opened_exits_2(target, tmp_path, capsys):
+    """An --output path in a missing directory, or a directory itself, is
+    invalid input (exit 2 and one error line), not a traceback."""
+    path = tmp_path / "missing" / "x.txt" if target == "missing directory" else tmp_path
+    rc, out, err = run_cli(["geometry", "--rcos", "0.3", "--output", str(path)], capsys)
+    assert rc == 2 and out == "" and not (tmp_path / "missing").exists()
+    assert err.startswith(f"error: cannot write --output {str(path)!r}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["simulate", "--scheme", "babai", "--trials", "1000", "--seed", str(2**64 + 1)],
