@@ -22,7 +22,7 @@ from babai_refine import (
     quantizer_12,
     run_single_round_12,
     simulate,
-    tradeoff_curve_12,
+    tradeoff_curve,
     transcript_to_json,
 )
 
@@ -43,7 +43,7 @@ print()
 # the rate/error tradeoff, with the optimal N1 per N2
 print("Pareto curve of the 12 scheme (N1 chosen per N2):")
 print("  n1  n2   rate_bits     pe")
-for p in tradeoff_curve_12(params, 8):
+for p in tradeoff_curve(params, "12", 8):
     print(f"  {p.n1:2d}  {p.n2:2d}   {p.rate_bits:9.5f}   {p.pe:.6f}")
 print(f"asymptotic constant of pe * 2^(R/(1-rcos)): {asymptotic_constant_12(params):.6f}")
 print(f"same for the 21 scheme:                     {asymptotic_constant_21(params):.6f}")

@@ -33,7 +33,7 @@ from .analytics import (
     rate_21,
     rbar_infinite,
     round1_distributions,
-    tradeoff_curve_12,
+    tradeoff_curve,
 )
 from .errors import (
     BabaiRefineError,
@@ -78,7 +78,6 @@ from .montecarlo import (
     simulate,
 )
 from .protocols import (
-    ErrorRectangle,
     Message,
     Quantizer,
     Transcript,

@@ -340,10 +340,11 @@ def point_21(params: LatticeParams, n: int) -> TradeoffPoint:
     return TradeoffPoint(rate_bits=rate_21(params, n), pe=pe_21(params, n), n=n)
 
 
-def tradeoff_curve_12(params: LatticeParams, n2_max: int) -> list[TradeoffPoint]:
-    """Pareto (rate, pe) points for n2 = 1..n2_max with n1 = optimal_n1(n2)."""
-    require_count(n2_max=n2_max)
-    points = [curve_point(params, "12", n2) for n2 in range(1, n2_max + 1)]
+def tradeoff_curve(params: LatticeParams, scheme: str, size_max: int) -> list[TradeoffPoint]:
+    """Pareto (rate, pe) points of curve_point at sizes 1..size_max; the 21
+    curve keeps them all (its rate never falls with n, and pe = beta/n > 0 falls)."""
+    require_count(size_max=size_max)
+    points = [curve_point(params, scheme, size) for size in range(1, size_max + 1)]
     points.sort(key=lambda p: p.rate_bits)
     pruned: list[TradeoffPoint] = []
     for p in points:

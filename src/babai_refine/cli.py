@@ -8,8 +8,9 @@ JSON with stable key order; no ANSI colour is ever emitted, so NO_COLOR is
 honoured trivially.
 
 Exit codes: 0 success, 2 invalid input (an --output path that cannot be
-opened for writing included), 3 quadrature failure (reserved: nothing in
-the package integrates numerically any more).
+opened for writing, and a size too large to allocate (MemoryError) or to
+convert to float (OverflowError), included), 3 quadrature failure
+(reserved: nothing in the package integrates numerically any more).
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .lattice import LatticeParams, Point2, cell_geometry, check_rho
 
 _CLAMP_EPS = 1e-6
 _SIM_SIZE_CAP = 4096
+# where Scheme.predict's (pe, bits, rounds) holds each SimReport field's prediction
+_PREDICTED = {"empirical_pe": 0, "mean_bits": 1, "mean_rounds": 2}
 
 
 def _fmt(v: float) -> str:
@@ -148,7 +151,7 @@ def cmd_tradeoff(args) -> str:
     if args.budget is not None and not math.isfinite(args.budget):
         raise InvalidParams("rate budget must be finite")
     exponent = scheme.exponent(cell_geometry(params))
-    points = scheme.tradeoff(params, args.max_size)
+    points = analytics.tradeoff_curve(params, scheme.name, args.max_size)
     sizes = scheme.sizes
     header = [*sizes, "rate_bits", "pe", "pe_scaled"]
     rows = [
@@ -217,10 +220,17 @@ def cmd_sweep(args) -> str:
     rows = []
     for i, theta in enumerate(thetas):
         params = LatticeParams(rho=rho, theta=theta)
-        closed = [s.closed(s.name, params, args.budget) for s in table]
-        row = [theta, rho, *(v for values, _ in closed for v in values)]
+        row, points = [theta, rho], []
+        for scheme in table:
+            if scheme.sizes:
+                point, pe_interp = analytics.budget_pe(params, scheme.name, args.budget)
+                row += [point.pe, pe_interp]
+            else:
+                point, predicted = None, scheme.predict(params)
+                row += [predicted[_PREDICTED[field]] for _, field in scheme.sweep]
+            points.append(point)
         if empirical:
-            for j, (scheme, (_, point)) in enumerate(zip(table, closed)):
+            for j, (scheme, point) in enumerate(zip(table, points)):
                 # cap the simulated quantizer sizes; the saturated tail of the
                 # 21 curve near theta = pi/2 returns astronomically fine points
                 sizes = {f: min(getattr(point, f), _SIM_SIZE_CAP) for f in scheme.sizes}
@@ -288,7 +298,7 @@ def _analyze_args(p: argparse.ArgumentParser) -> None:
 
 def _tradeoff_args(p: argparse.ArgumentParser) -> None:
     table = schemes.SCHEMES.values()
-    p.add_argument("--scheme", choices=[s.alias for s in table if s.tradeoff], required=True)
+    p.add_argument("--scheme", choices=[s.alias for s in table if s.curve], required=True)
     p.add_argument("--max-size", type=int, default=32)
     p.add_argument("--budget", type=float, default=None)
     p.set_defaults(func=cmd_tradeoff)
@@ -381,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
     except QuadratureFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (BabaiRefineError, ValueError) as exc:
+    except (BabaiRefineError, ValueError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not text.endswith("\n"):

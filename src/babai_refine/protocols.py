@@ -29,7 +29,15 @@ import numpy as np
 
 from . import analytics
 from .errors import OutOfCell, require_count, require_int
-from .lattice import IntegerPair, LatticeParams, Point2, cell_geometry, cross_section, round1_code
+from .lattice import (
+    BoundarySegment,
+    IntegerPair,
+    LatticeParams,
+    Point2,
+    cell_geometry,
+    cross_section,
+    round1_code,
+)
 
 S1 = "S1"
 S2 = "S2"
@@ -237,34 +245,23 @@ def run_single_round_21(x: Point2, params: LatticeParams, q: Quantizer) -> Trans
     return _single_round(x, params, _checked("21", q, params))
 
 
-class ErrorRectangle(NamedTuple):
-    """A round-1 cell whose Voronoi boundary is exactly its diagonal."""
-
-    x_lo: float
-    x_hi: float
-    y_lo: float
-    y_hi: float
-    neighbor: IntegerPair
-    positive_slope: bool
-
-
 def _infinite_decision(u2: int, u1m: int, far: bool) -> IntegerPair:
     """The neighbour across the diagonal of error rectangle (u2, u1m) if `far`, else 0."""
     return (IntegerPair(0, u2) if u1m == 1 else IntegerPair(-u2, u2)) if far else IntegerPair(0, 0)
 
 
-def error_rectangle(params: LatticeParams, u2: int, u1: int) -> ErrorRectangle:
-    """The round-1 error rectangle selected by symbols (u2, u1), both nonzero.
+def error_rectangle(params: LatticeParams, u2: int, u1: int) -> BoundarySegment:
+    """The boundary segment that is the diagonal of the round-1 error rectangle
+    of symbols (u2, u1), both nonzero; the rectangle is x1_span x x2_span.
 
-    It is the bounding box of the boundary segment of neighbour u2*(0,1)
-    (u1 = 1) or u2*(-1,1) (u1 = -1): for u2 = 1 the two rectangles sit in
-    the top band, and u2 = -1 mirrors them through the origin.
+    The neighbour is u2*(0,1) (u1 = 1) or u2*(-1,1) (u1 = -1): for u2 = 1
+    the two rectangles sit in the top band, and u2 = -1 mirrors them
+    through the origin.
     """
     if u2 not in (-1, 1) or u1 not in (-1, 1):
         raise ValueError("error rectangles exist only for u2, u1 in {-1, +1}")
     neighbor = _infinite_decision(u2, u1, far=True)
-    seg = next(s for s in cell_geometry(params).boundary_segments if s.neighbor == neighbor)
-    return ErrorRectangle(*seg.x1_span, *seg.x2_span, seg.neighbor, seg.slope > 0.0)
+    return next(s for s in cell_geometry(params).boundary_segments if s.neighbor == neighbor)
 
 
 def _beyond_bisector(params: LatticeParams, u1m: int, x1: float, x2: float) -> bool:

@@ -77,12 +77,6 @@ def _analyze_infinite(params: LatticeParams) -> dict:
     }
 
 
-def _at_budget(name: str, params: LatticeParams, budget: float) -> tuple:
-    """The sweep's pe below and interpolated pe at the budget, from one search."""
-    point, pe_interp = analytics.budget_pe(params, name, budget)
-    return [point.pe, pe_interp], point
-
-
 def _predicted(point: analytics.TradeoffPoint) -> tuple[float, float, float]:
     """A single-round (rate, pe) point as Scheme.predict returns it."""
     return point.pe, point.rate_bits, 1.0
@@ -103,16 +97,15 @@ class Scheme:
     assumes.  `predict(params, **sizes)` gives the closed-form (pe, bits,
     rounds); `transcript(x, params, max_rounds, q)` runs the scalar protocol
     (None: there is none).  `analyze(params, **sizes)` gives the `analyze`
-    JSON fields after the sizes.  A sweep row
-    holds each scheme's `columns`, valued by `closed(name, params, budget)`
-    with the budget point that sizes its simulation (None without sizes),
-    then an empirical pair per (stem, SimReport field) of `sweep`.  With
-    sizes come a rate/error `curve(params, size)` over one size index, which
-    the budget search gallops on from `seed(params, budget, cap)` within
-    [1, cap], the `tradeoff(params, max_size)` points and their pe_scaled
-    `exponent(g)`.  The callables look traced functions up by module
-    attribute when called, so a wrapper on a module's name (the benchmark's
-    tracer) sees every call.
+    JSON fields after the sizes.  A sweep row holds each scheme's `columns`
+    (with sizes: budget_pe's pe below and interpolated pe, whose point sizes
+    its simulation; without: the predictions of its `sweep` fields), then
+    an empirical pair per (stem, SimReport field) of `sweep`.  With sizes
+    come a rate/error `curve(params, size)` over one size index, which the
+    budget search gallops on from `seed(params, budget, cap)` within
+    [1, cap] and `tradeoff` prunes, and its pe_scaled `exponent(g)`.  The
+    callables look traced functions up by module attribute when called, so
+    a wrapper on a module's name (the benchmark's tracer) sees every call.
     """
 
     name: str
@@ -123,14 +116,12 @@ class Scheme:
     transcript: Callable[..., protocols.Transcript] | None
     analyze: Callable[..., dict]
     columns: tuple[str, ...]
-    closed: Callable[..., tuple[list[float], analytics.TradeoffPoint | None]]
     sweep: tuple[tuple[str, str], ...]
     round_limit: bool = False
     quantizer: Callable[..., protocols.Quantizer | None] = lambda params: None
     curve: Callable[..., analytics.TradeoffPoint] | None = None
     seed: Callable[..., int] | None = None
     cap: int = 0
-    tradeoff: Callable[..., list[analytics.TradeoffPoint]] | None = None
     exponent: Callable[..., float] | None = None
 
 
@@ -144,13 +135,11 @@ SCHEMES = {
             transcript=lambda x, params, _, q: protocols.run_single_round_12(x, params, q),
             analyze=_analyze_12,
             columns=("pe12_below", "pe12_interp"),
-            closed=_at_budget,
             sweep=(("pe12", "empirical_pe"),),
             quantizer=lambda params, n1, n2: protocols.quantizer_12(params, n1, n2),
             curve=lambda params, n: analytics.point_12(params, analytics.optimal_n1(params, n), n),
             seed=lambda *search: analytics._seed_12(*search),
             cap=1 << 20,  # the 12-scheme rate costs O(n2) to evaluate exactly
-            tradeoff=lambda params, n2_max: analytics.tradeoff_curve_12(params, n2_max),
             exponent=lambda g: g.L / (2.0 * (g.L1 + g.L2)),
         ),
         Scheme(
@@ -160,13 +149,11 @@ SCHEMES = {
             transcript=lambda x, params, _, q: protocols.run_single_round_21(x, params, q),
             analyze=_analyze_21,
             columns=("pe21_below", "pe21_interp"),
-            closed=_at_budget,
             sweep=(("pe21", "empirical_pe"),),
             quantizer=lambda params, n: protocols.quantizer_21(params, n),
             curve=lambda params, n: analytics.point_21(params, n),
             seed=lambda *search: analytics._seed_21(*search),
             cap=1 << 62,  # the 21-scheme rate is O(1)
-            tradeoff=lambda params, m: [analytics.point_21(params, n) for n in range(1, m + 1)],
             exponent=lambda g: 1.0 / (1.0 - g.H0 / g.H),
         ),
         Scheme(
@@ -180,9 +167,6 @@ SCHEMES = {
             ),
             analyze=_analyze_infinite,
             columns=("rbar_bits", "nbar_rounds"),
-            closed=lambda _, params, budget: (
-                [analytics.rbar_infinite(params), analytics.nbar_infinite(params)], None
-            ),
             sweep=(("rbar", "mean_bits"), ("nbar", "mean_rounds")),
             round_limit=True,
         ),
@@ -194,7 +178,6 @@ SCHEMES = {
             transcript=None,
             analyze=lambda params: {"pe_babai": babai_error_probability(params)},
             columns=("pe_babai",),
-            closed=lambda _, params, budget: ([babai_error_probability(params)], None),
             sweep=(("pe_babai", "empirical_pe"),),
         ),
     )

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from babai_refine import (
     BudgetTooSmall,
@@ -43,7 +44,7 @@ from babai_refine import (
     quantizer_21,
     run_batch_infinite,
     run_infinite_rounds,
-    tradeoff_curve_12,
+    tradeoff_curve,
 )
 from babai_refine import analytics, schemes
 from babai_refine.analytics import _row_entropies, budget_pe
@@ -299,13 +300,47 @@ def test_12_scheme_defined_near_rectangular_limit(rho):
 
 
 def test_tradeoff_curve(params_main):
-    single = tradeoff_curve_12(params_main, 1)
+    single = tradeoff_curve(params_main, "12", 1)
     assert len(single) == 1 and single[0].n1 == 1 and single[0].n2 == 1
-    curve = tradeoff_curve_12(params_main, 24)
+    curve = tradeoff_curve(params_main, "12", 24)
     rates = [p.rate_bits for p in curve]
     pes = [p.pe for p in curve]
     assert all(a < b for a, b in zip(rates, rates[1:]))
     assert all(a > b for a, b in zip(pes, pes[1:]))
+
+
+def _frozen_tradeoff_curve_12(params, n2_max):
+    """The body tradeoff_curve_12(params, n2_max) had before the scheme
+    table's curve gave every sized scheme its tradeoff."""
+    points = [curve_point(params, "12", n2) for n2 in range(1, n2_max + 1)]
+    points.sort(key=lambda p: p.rate_bits)
+    pruned = []
+    for p in points:
+        if not pruned or p.pe < pruned[-1].pe:
+            pruned.append(p)
+    return pruned
+
+
+def _point_bits(points):
+    return [(p.n1, p.n2, p.n, struct.pack("<2d", p.rate_bits, p.pe)) for p in points]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.one_of(lattices(), lattices(exact_rcos=True)), st.integers(1, 64))
+def test_tradeoff_curve_is_the_old_per_scheme_tradeoff(params, size_max):
+    """Bit for bit: the 21 curve keeps every point_21, and the 12 curve is
+    the old tradeoff_curve_12's Pareto prune."""
+    want_21 = [analytics.point_21(params, n) for n in range(1, size_max + 1)]
+    assert _point_bits(tradeoff_curve(params, "21", size_max)) == _point_bits(want_21)
+    want_12 = _frozen_tradeoff_curve_12(params, size_max)
+    assert _point_bits(tradeoff_curve(params, "12", size_max)) == _point_bits(want_12)
+
+
+def test_unknown_provenance_and_form_raise(params_main):
+    with pytest.raises(ValueError, match=re.escape("unknown provenance 'paper'") + "$"):
+        coefficients_12(params_main, provenance="paper")
+    with pytest.raises(ValueError, match=re.escape("unknown form 'entropy'") + "$"):
+        asymptotic_constant_12(params_main, form="entropy")
 
 
 def test_asymptotic_constant_12_forms(params_main):
@@ -578,7 +613,8 @@ _INT_ENTRIES = {
     "optimal_n1": ("n2", lambda p, v: optimal_n1(p, v)),
     "curve_point-12": ("n2", lambda p, v: curve_point(p, "12", v)),
     "curve_point-21": ("n", lambda p, v: curve_point(p, "21", v)),
-    "tradeoff_curve_12": ("n2_max", lambda p, v: tradeoff_curve_12(p, v)),
+    "tradeoff_curve_12": ("size_max", lambda p, v: tradeoff_curve(p, "12", v)),
+    "tradeoff_curve-21": ("size_max", lambda p, v: tradeoff_curve(p, "21", v)),
     "run_infinite_rounds": ("max_rounds", lambda p, v: run_infinite_rounds(_X, p, v)),
     "run_batch_infinite": ("max_rounds", lambda p, v: run_batch_infinite(p, _ARR, _ARR, v)),
     "exact_nearest_point": ("window", lambda p, v: exact_nearest_point(_X, p, window=v)),

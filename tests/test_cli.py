@@ -289,6 +289,30 @@ def test_output_that_cannot_be_opened_exits_2(target, tmp_path, capsys):
     assert err.startswith(f"error: cannot write --output {str(path)!r}: ") and err.count("\n") == 1
 
 
+# sizes of 10^15 and more: their arrays (petabytes) cannot be allocated on
+# any machine, so the allocation fails at once; 10^400 overflows a float
+_HUGE = str(10**15)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--scheme", "12", "--n1", _HUGE, "--n2", "1"],
+        ["trace", "--scheme", "21", "--n", _HUGE, "--x1", "0.1", "--x2", "0.1"],
+        ["simulate", "--scheme", "12", "--n1", _HUGE, "--n2", "1", "--trials", "10"],
+        ["analyze", "--scheme", "21", "--n", str(10**400)],
+    ],
+    ids=["analyze-12", "trace-21", "simulate-12", "analyze-21-overflow"],
+)
+def test_an_oversized_count_exits_2(argv, capsys):
+    """A size too large to allocate its arrays (MemoryError) or to convert
+    to a float (OverflowError) is invalid input: exit 2 and one error line,
+    not a traceback."""
+    rc, out, err = run_cli(argv + ["--rcos", "0.3"], capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import pickle
+import re
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from babai_refine import (
-    ErrorRectangle,
     IntegerPair,
     LatticeParams,
     OutOfCell,
@@ -505,48 +505,63 @@ def test_error_rectangle_diagonal(params_main):
     """The Voronoi boundary joins opposite corners of each error rectangle."""
     for u2 in (-1, 1):
         for u1 in (-1, 1):
-            rect = error_rectangle(params_main, u2, u1)
-            n = lattice_point(rect.neighbor, params_main)
+            seg = error_rectangle(params_main, u2, u1)
+            n = lattice_point(seg.neighbor, params_main)
             off = 0.5 * (n[0] ** 2 + n[1] ** 2)
-            if rect.positive_slope:
-                corners = [(rect.x_lo, rect.y_lo), (rect.x_hi, rect.y_hi)]
+            (x_lo, x_hi), (y_lo, y_hi) = seg.x1_span, seg.x2_span
+            if seg.slope > 0.0:
+                corners = [(x_lo, y_lo), (x_hi, y_hi)]
             else:
-                corners = [(rect.x_lo, rect.y_hi), (rect.x_hi, rect.y_lo)]
+                corners = [(x_lo, y_hi), (x_hi, y_lo)]
             for cx, cy in corners:
                 assert abs(cx * n[0] + cy * n[1] - off) < 1e-12
 
 
 @pytest.mark.parametrize("params", random_valid_params(20, seed=83))
 def test_error_rectangles_are_the_threshold_boxes(params):
-    """Bit for bit: the top boxes from the t/tau thresholds, the bottom ones negated."""
+    """Bit for bit: the top boxes from the t/tau thresholds, the bottom ones
+    negated, each the span of one of cell_geometry's boundary segments."""
     g = cell_geometry(params)
     top = {
         1: (g.t_1, 0.5, g.tau_1, g.H / 2.0, IntegerPair(0, 1), False),
         -1: (-0.5, g.t_m2, g.tau_1, g.H / 2.0, IntegerPair(-1, 1), True),
     }
+
+    def box(u2, u1):
+        seg = error_rectangle(params, u2, u1)
+        assert seg in g.boundary_segments
+        return seg.x1_span, seg.x2_span, seg.neighbor, seg.slope > 0.0
+
     for u1, (x_lo, x_hi, y_lo, y_hi, nb, pos) in top.items():
-        assert error_rectangle(params, 1, u1) == ErrorRectangle(x_lo, x_hi, y_lo, y_hi, nb, pos)
-        mirrored = ErrorRectangle(-x_hi, -x_lo, -y_hi, -y_lo, -nb, pos)
-        assert error_rectangle(params, -1, u1) == mirrored
+        assert box(1, u1) == ((x_lo, x_hi), (y_lo, y_hi), nb, pos)
+        assert box(-1, u1) == ((-x_hi, -x_lo), (-y_hi, -y_lo), -nb, pos)
+
+
+@pytest.mark.parametrize("u2, u1", [(0, 1), (1, 0), (2, 1), (-1, -2)])
+def test_error_rectangle_needs_nonzero_unit_symbols(params_main, u2, u1):
+    message = "error rectangles exist only for u2, u1 in {-1, +1}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        error_rectangle(params_main, u2, u1)
 
 
 def test_bisection_recursion_keeps_diagonal(params_main):
     """Surviving sub-rectangles keep the bisector as their exact diagonal."""
     rng = np.random.default_rng(17)
     for u1 in (-1, 1):
-        rect = error_rectangle(params_main, 1, u1)
-        n = lattice_point(rect.neighbor, params_main)
+        seg = error_rectangle(params_main, 1, u1)
+        n = lattice_point(seg.neighbor, params_main)
         off = 0.5 * (n[0] ** 2 + n[1] ** 2)
-        x_lo, x_hi, y_lo, y_hi = rect.x_lo, rect.x_hi, rect.y_lo, rect.y_hi
+        positive_slope = seg.slope > 0.0
+        (x_lo, x_hi), (y_lo, y_hi) = seg.x1_span, seg.x2_span
         for _ in range(20):
             # pick either quadrant the diagonal crosses (continue rounds)
             b = int(rng.integers(0, 2))
             c = 1 - b
             xm, ym = 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)
-            right_half = (b == 1) != rect.positive_slope
+            right_half = (b == 1) != positive_slope
             x_lo, x_hi = (xm, x_hi) if right_half else (x_lo, xm)
             y_lo, y_hi = (ym, y_hi) if c == 1 else (y_lo, ym)
-            if rect.positive_slope:
+            if positive_slope:
                 corners = [(x_lo, y_lo), (x_hi, y_hi)]
             else:
                 corners = [(x_lo, y_hi), (x_hi, y_lo)]
