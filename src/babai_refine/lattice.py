@@ -163,10 +163,10 @@ def relevant_vectors() -> list[IntegerPair]:
 
 
 def in_voronoi_cell(x: Point2, params: LatticeParams) -> bool:
-    """Closed-cell membership: x.(Vr) <= |Vr|^2/2 for all six relevant r."""
+    """Closed-cell membership: x.(Vr) <= |Vr|^2/2 for all six relevant r (never at NaN)."""
     for r in relevant_vectors():
         n = lattice_point(r, params)
-        if x[0] * n[0] + x[1] * n[1] > 0.5 * (n[0] ** 2 + n[1] ** 2):
+        if not x[0] * n[0] + x[1] * n[1] <= 0.5 * (n[0] ** 2 + n[1] ** 2):
             return False
     return True
 
@@ -262,9 +262,21 @@ def round1_code(params: LatticeParams) -> Round1Code:
     return Round1Code((c - 1.0) / 2.0, t_1, H / 2.0 - H1, H1, (q1, q0, q1), (t_1, 0.5, t_2), *bits)
 
 
-# the neighbours whose boundary segments cross B(0), in lattice coordinates
-_V2, _MINUS_V2 = IntegerPair(0, 1), IntegerPair(0, -1)
-_V2_MINUS_V1, _V1_MINUS_V2 = IntegerPair(-1, 1), IntegerPair(1, -1)
+# the round-1 error rectangles by symbols (u2, u1), u1 mirrored through the origin
+# for u2 = -1, to the neighbour beyond each diagonal, in boundary-segment order
+_ERROR_RECTANGLES = {
+    (1, 1): IntegerPair(0, 1),
+    (-1, 1): IntegerPair(0, -1),
+    (1, -1): IntegerPair(-1, 1),
+    (-1, -1): IntegerPair(1, -1),
+}
+
+
+def _face(params: LatticeParams, r: IntegerPair) -> tuple[Point2, float]:
+    """Normal V@r and half-norm |V@r|^2/2 of the bisector of 0 and V@r: x is
+    on r's side when x . normal > half-norm."""
+    n1, n2 = r[0] + r[1] * params.rcos, r[1] * params.rsin  # lattice_point(r, params)
+    return Point2(n1, n2), 0.5 * (n1**2 + n2**2)
 
 
 @lru_cache(maxsize=256)
@@ -272,28 +284,15 @@ def cell_geometry(params: LatticeParams) -> CellGeometry:
     """Thresholds, lengths, heights and boundary segments of B(0), rational in v2 = (c, H)."""
     c, H = params.rcos, params.rsin
     t_m2, t_1, tau_1, H1, _, (_, _, t_2) = round1_code(params)[:6]
-    top, bottom = (tau_1, H / 2.0), (-H / 2.0, -tau_1)
     segments = []
-    for r, x1_span, x2_span in (
-        (_V2, (t_1, 0.5), top),
-        (_MINUS_V2, (-0.5, -t_1), bottom),
-        (_V2_MINUS_V1, (-0.5, t_m2), top),
-        (_V1_MINUS_V2, (t_2, 0.5), bottom),
-    ):
-        n1, n2 = r[0] + r[1] * c, r[1] * H  # lattice_point(r, params)
-        segments.append(
-            _frozen(
-                BoundarySegment,
-                {
-                    "neighbor": r,
-                    "normal": Point2(n1, n2),
-                    "offset": 0.5 * (n1**2 + n2**2),
-                    "x1_span": x1_span,
-                    "x2_span": x2_span,
-                    "slope": -n1 / n2,
-                },
-            )
-        )
+    for (u2, u1), r in _ERROR_RECTANGLES.items():
+        (a, b), (lo, hi) = ((t_1, 0.5) if u1 == 1 else (-0.5, t_m2)), (tau_1, H / 2.0)
+        if u2 == -1:  # the mirrored frame's spans, mirrored back through the origin
+            a, b, lo, hi = -b, -a, -hi, -lo
+        normal, offset = _face(params, r)
+        fields = dict(neighbor=r, normal=normal, offset=offset, x1_span=(a, b), x2_span=(lo, hi))
+        fields["slope"] = -normal[0] / normal[1]
+        segments.append(_frozen(BoundarySegment, fields))
     return _frozen(
         CellGeometry,
         {

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import protocols, schemes
 from .errors import require_count, require_int
-from .lattice import LatticeParams, Point2, cell_geometry, round1_code
+from .lattice import _ERROR_RECTANGLES, LatticeParams, Point2, _face, round1_code
 from .protocols import DEFAULT_MAX_ROUNDS
 
 # Trials per reduction chunk: its per-chunk float sums set a report's low
@@ -243,10 +243,10 @@ def _uncertified(
     The test.  With one margin per call, M = 2^-30 * (1 + span), a trial is
     certified when |r1| < 1/2 - M and |r.n| < |n|^2/2 - M|n| for n = v2 and
     n = v2 - v1, with r in the window scan's expressions for the candidate
-    b; the normals and half-norms |n|^2/2 are those of the cell's boundary
-    segments of the neighbours (0, 1) and (-1, 1), and the thresholds are
-    scalars.  Every other trial (outside the hexagon, in a band of width M
-    inside its faces, or non-finite) is returned.  The comparisons are
+    b; the normals and half-norms |n|^2/2 are lattice._face's for the top
+    band's neighbours (0, 1) and (-1, 1), and the thresholds are scalars.
+    Every other trial (outside the hexagon, in a band of width M inside its
+    faces, or non-finite) is returned.  The comparisons are
     strict, so a NaN residual fails them.
 
     Why the certificate is exact.  Passing the test puts the open disc of
@@ -279,12 +279,12 @@ def _uncertified(
     safe = np.less(t, 0.5 - m, out=ws("mask0", n, bool))
     inside = ws("mask1", n, bool)
     r2 *= s  # r.n = n1*r1 + H*r2 for both tested normals (n1, H)
-    for face in cell_geometry(params).boundary_segments[::2]:  # of (0, 1) and (-1, 1)
-        n1, n2 = face.normal
+    for u1 in (1, -1):
+        (n1, n2), offset = _face(params, _ERROR_RECTANGLES[1, u1])
         np.multiply(n1, r1, out=t)
         t += r2
         np.abs(t, out=t)
-        safe &= np.less(t, face.offset - m * math.hypot(n1, n2), out=inside)
+        safe &= np.less(t, offset - m * math.hypot(n1, n2), out=inside)
     return np.flatnonzero(np.logical_not(safe, out=safe))
 
 
@@ -526,7 +526,9 @@ def run_batch_infinite(
     entered-error-rectangle indicator and the number of bisection rounds
     (for the geometric halting-law checks), each in the shape of x1 and
     written to `workspace` (a fresh one if None).  The coordinates, bits
-    and decision rule are run_infinite_rounds'.
+    and decision rule are run_infinite_rounds': a decision is gathered by
+    round-1 cell and side from a table of lattice's rectangle map, and an
+    unhalted trial's side is tested, mirrored, against lattice._face's face.
     """
     require_count(max_rounds=max_rounds)
     ws = Workspace() if workspace is None else workspace
@@ -612,9 +614,10 @@ def run_batch_infinite(
     if len(live):
         # unhalted trials: exact side test against the rectangle's bisector
         halted[e_idx[live]] = False
-        for side, u1m in ((e_right, 1), (e_left, -1)):
+        for side, u1 in ((e_right, 1), (e_left, -1)):
             sel = live[side[live]]
-            far[sel] = protocols._beyond_bisector(params, u1m, ex1[sel], ex2[sel])
+            (n1, n2), offset = _face(params, _ERROR_RECTANGLES[1, u1])
+            far[sel] = ex1[sel] * n1 + ex2[sel] * n2 > offset
 
     extra_rounds = ws("int0", n, np.int64)
     extra_rounds.fill(0)
@@ -624,17 +627,18 @@ def run_batch_infinite(
     far_all = ws("mask0", n, bool)
     far_all.fill(False)
     far_all[e_idx] = far
-    dec2 = ws("dec2", n)
-    np.copyto(dec2, far_all)
-    # dec1 = -1 on the far side of a left rectangle, else 0 (not -0.0)
-    dec1 = ws("dec1", n)
-    np.copyto(dec1, np.greater(far_all, right, out=far_all))
-    np.subtract(0.0, dec1, out=dec1)
-    dec1 *= sign  # mirrored back: times -1.0 where u2 = -1, so 0.0 turns -0.0 there
-    dec2 *= sign
+    # dec1 and dec2 by 2 * cell + far: the mirrored frame's neighbour where far,
+    # else 0, times -1.0 where u2 = -1 as it is mirrored back (so zeros turn -0.0)
+    decisions = np.zeros((2, 9, 2))
+    for (u2, u1), r in _ERROR_RECTANGLES.items():
+        decisions[:, 3 * (u2 + 1) + u1 + 1, 1] = (u2 * r.u1, u2 * r.u2)
+    decisions[:, :3] *= -1.0
+    cell8 *= 2
+    cell8 += far_all.view(np.uint8)
+    np.copyto(cell, cell8)
     out = {
-        "dec1": dec1,
-        "dec2": dec2,
+        "dec1": np.take(decisions[0], cell, out=ws("dec1", n), mode="clip"),
+        "dec2": np.take(decisions[1], cell, out=ws("dec2", n), mode="clip"),
         "bits": bits,
         "rounds": rounds,
         "halted": halted,

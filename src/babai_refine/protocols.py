@@ -30,10 +30,12 @@ import numpy as np
 from . import analytics
 from .errors import OutOfCell, require_count, require_int
 from .lattice import (
+    _ERROR_RECTANGLES,
     BoundarySegment,
     IntegerPair,
     LatticeParams,
     Point2,
+    _face,
     cell_geometry,
     cross_section,
     round1_code,
@@ -245,32 +247,18 @@ def run_single_round_21(x: Point2, params: LatticeParams, q: Quantizer) -> Trans
     return _single_round(x, params, _checked("21", q, params))
 
 
-def _infinite_decision(u2: int, u1m: int, far: bool) -> IntegerPair:
-    """The neighbour across the diagonal of error rectangle (u2, u1m) if `far`, else 0."""
-    return (IntegerPair(0, u2) if u1m == 1 else IntegerPair(-u2, u2)) if far else IntegerPair(0, 0)
-
-
 def error_rectangle(params: LatticeParams, u2: int, u1: int) -> BoundarySegment:
     """The boundary segment that is the diagonal of the round-1 error rectangle
     of symbols (u2, u1), both nonzero; the rectangle is x1_span x x2_span.
 
-    The neighbour is u2*(0,1) (u1 = 1) or u2*(-1,1) (u1 = -1): for u2 = 1
-    the two rectangles sit in the top band, and u2 = -1 mirrors them
+    The neighbour is u2*(0,1) (u1 = 1) or u2*(-1,1) (u1 = -1), read from
+    lattice's rectangle map, whose order is cell_geometry's: for u2 = 1 the
+    rectangles sit in the top band, and u2 = -1 mirrors them, u1 included,
     through the origin.
     """
     if u2 not in (-1, 1) or u1 not in (-1, 1):
         raise ValueError("error rectangles exist only for u2, u1 in {-1, +1}")
-    neighbor = _infinite_decision(u2, u1, far=True)
-    return next(s for s in cell_geometry(params).boundary_segments if s.neighbor == neighbor)
-
-
-def _beyond_bisector(params: LatticeParams, u1m: int, x1: float, x2: float) -> bool:
-    """True if (x1, x2) lies strictly on the neighbour's side of the bisector
-    of error rectangle u1m in the mirrored frame; elementwise on arrays, as
-    run_batch_infinite calls it."""
-    c, s = params.rcos, params.rsin
-    n1 = c if u1m == 1 else c - 1.0
-    return x1 * n1 + x2 * s > 0.5 * (n1 * n1 + s * s)
+    return dict(zip(_ERROR_RECTANGLES, cell_geometry(params).boundary_segments))[u2, u1]
 
 
 def run_infinite_rounds(
@@ -286,13 +274,15 @@ def run_infinite_rounds(
     edge when the diagonal's slope is positive) and y2 = (x2 - tau_1)/H1 the
     diagonal is y1 + y2 = 1, and each further round exchanges the next
     binary-expansion bit b of y1 and c of y2, halting on the first equal
-    pair: the neighbour's side when b = c = 1, the zero side when b = c = 0.
-    The decision is that of replay_decision and run_batch_infinite, from the
-    same coordinates and the same bits.
+    pair: the neighbour's side (lattice's rectangle map) when b = c = 1, the
+    zero side when b = c = 0.  The decision is that of replay_decision and
+    run_batch_infinite, from the same coordinates and the same bits.
 
     A transcript that exhausts max_rounds is returned with halted=False and
-    the decision taken from an exact side test of x itself.  max_rounds must
-    be an int >= 1 (ValueError).
+    the decision taken from an exact side test of x itself against the
+    neighbour's lattice._face (unmirrored, so for u2 = -1 an exactly negated
+    normal with the same half-norm).  max_rounds must be an int >= 1
+    (ValueError).
     """
     require_count(max_rounds=max_rounds)
     _require_in_cell(x, params)
@@ -308,7 +298,7 @@ def run_infinite_rounds(
     total = messages[0].ideal_bits + messages[1].ideal_bits
     if u1m == 0:
         return Transcript(tuple(messages), 1, total, IntegerPair(0, 0), True)
-
+    neighbor = _ERROR_RECTANGLES[u2, u1m]
     y1 = (mx1 - t_1) / (0.5 - t_1) if u1m == 1 else 1.0 - (mx1 + 0.5) / (t_m2 + 0.5)
     y2 = (mx2 - tau_1) / H1
     rounds = 1
@@ -319,11 +309,12 @@ def run_infinite_rounds(
         total += 2.0
         rounds += 1
         if b == c:
-            decision = _infinite_decision(u2, u1m, b == 1)
+            decision = neighbor if b == 1 else IntegerPair(0, 0)
             return Transcript(tuple(messages), rounds, total, decision, True)
         y1 = 2.0 * y1 - b
         y2 = 2.0 * y2 - c
-    decision = _infinite_decision(u2, u1m, _beyond_bisector(params, u1m, mx1, mx2))
+    n, offset = _face(params, neighbor)
+    decision = neighbor if x[0] * n[0] + x[1] * n[1] > offset else IntegerPair(0, 0)
     return Transcript(tuple(messages), rounds, total, decision, False)
 
 
@@ -504,6 +495,7 @@ def replay_decision(
         if messages[i].sender != S1 or messages[i + 1].sender != S2:
             raise _out_of_order(messages, scheme)
         if b == c:
-            return _ends_at(messages, i + 2, _infinite_decision(u2, u1m, b == 1))
+            decision = _ERROR_RECTANGLES[u2, u1m] if b == 1 else IntegerPair(0, 0)
+            return _ends_at(messages, i + 2, decision)
     raise ValueError("transcript did not halt; decision is not replayable")
 

@@ -261,6 +261,25 @@ def test_voronoi_membership_examples(params_main):
     assert not in_voronoi_cell(Point2(0.45, 0.45), params_main)
 
 
+@pytest.mark.parametrize(
+    "x",
+    [
+        (math.nan, 0.0),
+        (0.0, math.nan),
+        (math.nan, math.nan),
+        (math.inf, 0.0),
+        (-math.inf, 0.0),
+        (0.0, math.inf),
+        (0.0, -math.inf),
+        (math.inf, -math.inf),
+    ],
+)
+def test_voronoi_membership_rejects_non_finite_points(params_main, x):
+    """Every face must hold, so NaN, which fails each comparison, is outside,
+    and so is an infinite coordinate, whatever x . n gives on the others."""
+    assert not in_voronoi_cell(Point2(*x), params_main)
+
+
 def test_exact_nearest_in_cell_takes_neighbor_values(params_main):
     h = params_main.rsin / 2
     rng = np.random.default_rng(23)

@@ -139,26 +139,38 @@ def _assert_oracle(params, x: Point2, decision, probe: Point2 | None = None) -> 
         assert d2[0] - d2[1] <= TIE, (x, decision, oracle)
 
 
-@pytest.mark.parametrize("max_rounds", [1, 2, 3, 64])
-@pytest.mark.parametrize("lattice", LATTICES, indirect=True)
-def test_infinite_scalar_kernel_replay_agree(lattice, max_rounds):
-    params = lattice
-    pts = _all_points(params)
+def _assert_three_paths_agree(params, pts, max_rounds) -> list:
+    """run_infinite_rounds, run_batch_infinite and replay_decision agree on
+    pts in decision, rounds, bits (by .hex()) and halted flag, and the
+    batch's zero decisions are -0.0 exactly in band u2 = -1; returns the
+    transcripts."""
     x1 = np.array([x[0] for x in pts])
     x2 = np.array([x[1] for x in pts])
     out = run_batch_infinite(params, x1, x2, max_rounds)
+    transcripts = []
     for i, x in enumerate(pts):
         t = protocols.run_infinite_rounds(x, params, max_rounds)
         assert t.decision == (out["dec1"][i], out["dec2"][i]), x
         assert t.rounds == out["rounds"][i], x
         assert t.total_bits.hex() == float(out["bits"][i]).hex(), x
         assert t.halted == out["halted"][i], x
+        bottom = t.messages[0].symbol == -1
+        for u, dec in zip(t.decision, (out["dec1"][i], out["dec2"][i])):
+            assert np.signbit(dec) == (u < 0 or (u == 0 and bottom)), x
         if t.halted:
             assert replay_decision(t.messages, params, "infinite") == t.decision, x
         else:
             with pytest.raises(ValueError, match="did not halt"):
                 replay_decision(t.messages, params, "infinite")
         _assert_oracle(params, x, t.decision)
+        transcripts.append(t)
+    return transcripts
+
+
+@pytest.mark.parametrize("max_rounds", [1, 2, 3, 64])
+@pytest.mark.parametrize("lattice", LATTICES, indirect=True)
+def test_infinite_scalar_kernel_replay_agree(lattice, max_rounds):
+    _assert_three_paths_agree(lattice, _all_points(lattice), max_rounds)
 
 
 @pytest.mark.parametrize("sizes", [(2, 3), (300, 700), (4,), (999,)])
@@ -237,3 +249,32 @@ def test_scalar_kernel_replay_agree_on_random_lattices(case):
                 assert m.ideal_bits.hex() == float(out[f"{key}_bits"][i]).hex(), x
         if t.halted:
             assert replay_decision(t.messages, params, scheme, q) == t.decision, x
+
+
+@pytest.mark.parametrize("max_rounds", [65, 200])
+@pytest.mark.parametrize("lattice", LATTICES, indirect=True)
+def test_infinite_paths_agree_past_the_default_limit(lattice, max_rounds):
+    """Round limits above DEFAULT_MAX_ROUNDS: every near-diagonal point
+    halts, by round 58 on these lattices, in the same round on every path."""
+    transcripts = _assert_three_paths_agree(lattice, _all_points(lattice), max_rounds)
+    assert all(t.halted for t in transcripts)
+
+
+# from_rcos lattices whose top-left corner (t_m2, H/2) has y2 = (H/2 - tau_1)/H1 >= 1
+NEVER_HALTING = [(1.0, 0.15), (1.0, 0.25), (1.5, 0.45), (2.0, 0.4)]
+
+
+@pytest.mark.parametrize("max_rounds", [1, 2, 65, 200])
+@pytest.mark.parametrize("rho, rcos", NEVER_HALTING)
+def test_infinite_paths_agree_where_no_round_halts(rho, rcos, max_rounds):
+    """Two in-cell ends of diagonals where y1 and y2 keep differing bits, so
+    no round halts and the side test settles a tie on the face: the top
+    corner (t_m2, H/2), with y1 = 0 and y2 >= 1 on these lattices, and the
+    bottom point (1/2, -tau_1), with y1 = 1 and y2 = 0 on every lattice
+    (-(t_m2, H/2) itself lies on the open bottom edge, outside the cell)."""
+    params = LatticeParams.from_rcos(rho, rcos)
+    g = cell_geometry(params)
+    assert (g.H / 2.0 - g.tau_1) / g.H1 >= 1.0
+    pts = [Point2(g.t_m2, g.H / 2.0), Point2(0.5, g.tau_m1)]
+    for t in _assert_three_paths_agree(params, pts, max_rounds):
+        assert not t.halted and t.rounds == max_rounds
