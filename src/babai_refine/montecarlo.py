@@ -6,10 +6,10 @@ whatever block of trials it is computed in.  The run_batch_* kernels
 evaluate a whole array of trials at once and return per-trial arrays;
 simulate() reduces them into a SimReport with binomial / sample standard
 errors next to the closed-form predictions.  A decision is an error when it
-differs from the exact nearest point; simulate() certifies each decision
-against the Voronoi hexagon and runs the oracle exact_nearest_batch, a
-plain scan of the Babai point and its six relevant neighbours, only on the
-trials that test leaves in doubt.
+differs from the exact nearest point; simulate() proves each decision right
+or wrong against the Voronoi hexagon and runs the oracle
+exact_nearest_batch, a plain scan of the Babai point and its six relevant
+neighbours, only on the trials within the test's margin of a face.
 
 Every per-trial array of the block pipeline (sampler, kernels, hexagon
 test, oracle, error flags) and of the chunk reduction, but for the index
@@ -246,8 +246,8 @@ def _uncertified(
     b; the normals and half-norms |n|^2/2 are lattice._face's for the top
     band's neighbours (0, 1) and (-1, 1), and the thresholds are scalars.
     Every other trial (outside the hexagon, in a band of width M inside its
-    faces, or non-finite) is returned.  The comparisons are
-    strict, so a NaN residual fails them.
+    faces, or non-finite) is returned; _proved_wrong tests those from the
+    outside.  The comparisons are strict, so a NaN residual fails them.
 
     Why the certificate is exact.  Passing the test puts the open disc of
     radius M about r inside V(0): r is more than M from each of the six
@@ -265,6 +265,39 @@ def _uncertified(
     ranks it strictly first: it equals exact_nearest_batch's answer, up to
     the sign of a zero.
     """
+    m = _MARGIN * (1.0 + span)
+    inside = _hexagon_test(params, x1, x2, b1, b2, -m, np.less, np.logical_and, ws)
+    return np.flatnonzero(np.logical_not(inside, out=inside))
+
+
+def _proved_wrong(
+    params: LatticeParams, x1: np.ndarray, x2: np.ndarray, b1, b2, span: float, ws: Workspace
+) -> np.ndarray:
+    """Mask (the workspace's "mask0") of the trials whose candidate (b1, b2)
+    the hexagon test proves wrong; the arguments and the margin M are
+    _uncertified's.
+
+    A trial is proved wrong when |r1| > 1/2 + M or |r.n| > |n|^2/2 + M|n|
+    for n = v2 or v2 - v1: with n the face's relevant vector, signed as
+    r.n, V(b + n) is nearer to x than Vb is, in squared distance, by
+    2r.n - |n|^2 > 2M|n| >= 2M.  By the certificate's rounding bound that
+    gap is far wider than the float window scan's error, so the scan ranks
+    some candidate strictly before b, and neither it nor
+    exact_nearest_batch answers b.  Only the trials within M of a face (or
+    non-finite) are neither certified nor proved wrong.
+    """
+    m = _MARGIN * (1.0 + span)
+    return _hexagon_test(params, x1, x2, b1, b2, m, np.greater, np.logical_or, ws)
+
+
+def _hexagon_test(
+    params: LatticeParams, x1, x2, b1, b2, margin: float, compare, join, ws: Workspace
+) -> np.ndarray:
+    """Mask (the workspace's "mask0") of the trials whose residual r, in the
+    window scan's expressions for the candidate b, passes `compare` against
+    each face's threshold moved out by the signed `margin`: |r1| against
+    1/2 + margin and |r.n| against |n|^2/2 + margin|n| for n = v2 and
+    v2 - v1, the three results joined by `join`."""
     s = params.rsin
     n = len(x1)
     # the residual, in the scan's expressions for the candidate b itself
@@ -273,19 +306,18 @@ def _uncertified(
     r1 = np.multiply(params.rcos, b2, out=ws("tmp1", n))
     np.add(b1, r1, out=r1)
     np.subtract(x1, r1, out=r1)
-    m = _MARGIN * (1.0 + span)
     t = ws("tmp2", n)
     np.abs(r1, out=t)
-    safe = np.less(t, 0.5 - m, out=ws("mask0", n, bool))
-    inside = ws("mask1", n, bool)
+    passed = compare(t, 0.5 + margin, out=ws("mask0", n, bool))
+    face = ws("mask1", n, bool)
     r2 *= s  # r.n = n1*r1 + H*r2 for both tested normals (n1, H)
     for u1 in (1, -1):
         (n1, n2), offset = _face(params, _ERROR_RECTANGLES[1, u1])
         np.multiply(n1, r1, out=t)
         t += r2
         np.abs(t, out=t)
-        safe &= np.less(t, offset - m * math.hypot(n1, n2), out=inside)
-    return np.flatnonzero(np.logical_not(safe, out=safe))
+        join(passed, compare(t, offset + margin * math.hypot(n1, n2), out=face), out=passed)
+    return passed
 
 
 def exact_nearest_batch(
@@ -526,9 +558,14 @@ def run_batch_infinite(
     entered-error-rectangle indicator and the number of bisection rounds
     (for the geometric halting-law checks), each in the shape of x1 and
     written to `workspace` (a fresh one if None).  The coordinates, bits
-    and decision rule are run_infinite_rounds': a decision is gathered by
-    round-1 cell and side from a table of lattice's rectangle map, and an
-    unhalted trial's side is tested, mirrored, against lattice._face's face.
+    and decision rule are run_infinite_rounds': the trials that enter an
+    error rectangle are compacted and their bisection taken in closed form
+    (_halting), with no loop over rounds; the bits are gathered by cell
+    and round from a table of the round-1 bits plus 2.0 a round, summed as
+    the transcript sums them; a decision is gathered by round-1 cell and
+    side from a table of lattice's rectangle map, and an unhalted trial's
+    side is tested, mirrored, against lattice._face's face, in workspace
+    arrays.
     """
     require_count(max_rounds=max_rounds)
     ws = Workspace() if workspace is None else workspace
@@ -557,7 +594,6 @@ def run_batch_infinite(
     cell8 -= left.view(np.uint8)  # 3 * (u2 + 1) + (u1 + 1), in 0 .. 8
     cell = ws("tmp2", n, np.intp)
     np.copyto(cell, cell8)
-    bits = np.take(cell_bits, cell, out=ws("bits", n), mode="clip")
 
     # the entered trials (u2 != 0 and u1 != 0) and their coordinates in the error rectangle
     entered = np.logical_or(right, left, out=ws("entered", n, bool))
@@ -565,8 +601,8 @@ def run_batch_infinite(
     e_idx = np.flatnonzero(entered)
     e = len(e_idx)
     ex1 = np.take(mx1, e_idx, out=ws("ex1", e), mode="clip")
-    mx2 = np.multiply(x2, sign, out=mx1)  # mx1 is read no more
-    ex2 = np.take(mx2, e_idx, out=ws("ex2", e), mode="clip")
+    ex2 = np.take(x2, e_idx, out=ws("ex2", e), mode="clip")
+    np.abs(ex2, out=ex2)  # mirrored, an entered trial's x2 is |x2| > tau_1 > 0
     e_right = np.take(right, e_idx, out=ws("e_right", e, bool), mode="clip")
     e_left = np.logical_not(e_right, out=ws("e_left", e, bool))
     y1 = np.subtract(ex1, t_1, out=ws("y1_0", e))
@@ -578,52 +614,40 @@ def run_batch_infinite(
     y2 = np.subtract(ex2, tau_1, out=ws("y2_0", e))
     y2 /= H1
 
-    # bisection on the live trials, one binary-expansion bit per node per
-    # round; every round writes its results for all live trials, so a
-    # trial keeps those of the round it halts in (or the last round)
-    e_bits = np.take(bits, e_idx, out=ws("e_bits", e), mode="clip")
-    e_rounds = ws("e_rounds", e, np.int64)
-    e_rounds.fill(max_rounds - 1)
-    far = ws("far", e, bool)
-    live = _arange(ws("live0", e, np.intp))
-    lbits = ws("lbits0", e)
-    np.copyto(lbits, e_bits)
-    for k in range(1, max_rounds):
-        m = len(live)
-        if m == 0:
-            break
-        bit1 = np.greater(y1, 0.5, out=ws("bit1", m, bool))
-        bit2 = np.greater(y2, 0.5, out=ws("bit2", m, bool))
-        lbits += 2.0
-        as_float = ws("bit_value", m)
-        for y, bit in ((y1, bit1), (y2, bit2)):
-            y *= 2.0
-            np.copyto(as_float, bit)
-            y -= as_float
-        e_rounds[live] = k
-        e_bits[live] = lbits
-        far[live] = bit1
-        go = np.flatnonzero(np.not_equal(bit1, bit2, out=bit2))
-        side = k % 2
-        live, lbits, y1, y2 = (
-            np.take(v, go, out=ws(f"{name}{side}", len(go), v.dtype), mode="clip")
-            for v, name in ((live, "live"), (lbits, "lbits"), (y1, "y1_"), (y2, "y2_"))
-        )
+    e_rounds, far, e_halted = _halting(y1, y2, max_rounds, ws)
+    unhalted = np.logical_not(e_halted, out=ws("side0", e, bool))
     halted = ws("halted", n, bool)
     halted.fill(True)
-    if len(live):
+    if unhalted.any():
         # unhalted trials: exact side test against the rectangle's bisector
-        halted[e_idx[live]] = False
+        halted[e_idx] = e_halted
+        dot, term, beyond = y1, y2, ws("side1", e, bool)  # y1 and y2 are read no more
         for side, u1 in ((e_right, 1), (e_left, -1)):
-            sel = live[side[live]]
             (n1, n2), offset = _face(params, _ERROR_RECTANGLES[1, u1])
-            far[sel] = ex1[sel] * n1 + ex2[sel] * n2 > offset
+            np.multiply(ex1, n1, out=dot)
+            dot += np.multiply(ex2, n2, out=term)
+            side &= unhalted
+            np.copyto(far, np.greater(dot, offset, out=beyond), where=side)
 
     extra_rounds = ws("int0", n, np.int64)
     extra_rounds.fill(0)
     extra_rounds[e_idx] = e_rounds
     rounds = np.add(extra_rounds, 1, out=ws("int1", n, np.int64))
-    bits[e_idx] = e_bits
+    # the bits by cell and bisection round: the cell's round-1 bits, then
+    # + 2.0 a round, summed one round at a time as the transcript sums them
+    width = min(max_rounds, 64)
+    table = np.full((9, width), 2.0)
+    table[:, 0] = cell_bits
+    table = np.add.accumulate(table, axis=1)
+    at = np.multiply(cell, width, out=cell)
+    at += extra_rounds
+    bits = np.take(table, at, out=ws("bits", n), mode="clip")
+    if max_rounds > 64:  # past the table, one round at a time
+        for i in np.flatnonzero(extra_rounds > 63).tolist():
+            total = table[cell8[i], 63]
+            for _ in range(extra_rounds[i] - 63):
+                total += 2.0
+            bits[i] = total
     far_all = ws("mask0", n, bool)
     far_all.fill(False)
     far_all[e_idx] = far
@@ -646,6 +670,65 @@ def run_batch_infinite(
         "extra_rounds": extra_rounds,
     }
     return {name: a.reshape(shape) for name, a in out.items()}
+
+
+def _halting(y1: np.ndarray, y2: np.ndarray, max_rounds: int, ws: Workspace):
+    """The bisection of the entered trials, in closed form: each one's
+    bisection rounds ("e_rounds", int64), far flag ("far", the bits' shared
+    side) and halted flag ("e_halted"), as run_infinite_rounds' loop finds
+    them from its error-rectangle coordinates y1, y2 >= 0.
+
+    A round reads b = [y > 1/2] and sets y <- 2y - b, exactly in floats, so
+    the first 63 bits a coordinate sends are those of Y = ceil(y 2^63) - 1,
+    with y > 1 read as 1 (its bits are all 1) and 0 or NaN as Y = 0 (all 0).
+    A trial halts in the bisection round after the j leading bits where Y1
+    and Y2 differ, j + 1 = 64 - the bit length of their agreement mask, on
+    the side of the first bit they share, unless that is past max_rounds - 1.
+    Past the 63 bits (j = 63 under a limit over 64), the loop runs on.
+    """
+    e = len(y1)
+    words = []
+    for i, y in enumerate((y1, y2)):
+        f = np.minimum(y, 1.0, out=ws("halt_f", e))
+        f *= 2.0**63
+        np.ceil(f, out=f)
+        np.fmax(f, 1.0, out=f)  # so y = 0 and NaN read as Y = 0
+        word = ws(f"halt{i}", e, np.uint64)
+        np.copyto(word, f, casting="unsafe")
+        word -= np.uint64(1)
+        words.append(word)
+    ones, agree = words
+    np.bitwise_xor(ones, agree, out=agree)
+    np.invert(agree, out=agree)
+    agree &= np.uint64((1 << 63) - 1)  # the bits where Y1 and Y2 agree
+    ones &= agree
+    zeros = np.bitwise_xor(agree, ones, out=ws("halt2", e, np.uint64))
+    far = np.greater(ones, zeros, out=ws("far", e, bool))  # the first shared bit is 1
+    # 64 - the mask's bit length, from the exponent of a float of its top
+    # bit (numpy 1.24 has no leading-zero count): with each set bit that has
+    # a set bit just above it cleared, no two set bits are adjacent, so
+    # rounding to 53 bits cannot carry into the exponent
+    np.right_shift(agree, np.uint64(1), out=zeros)
+    np.invert(zeros, out=zeros)
+    agree &= zeros
+    top = ws("halt_f", e)
+    np.copyto(top, agree, casting="unsafe")
+    exponent = top.view(np.uint64)
+    exponent >>= np.uint64(52)  # the biased exponent, 1022 + the bit length (0 for no bit)
+    rounds = np.subtract(1086, exponent.view(np.int64), out=ws("e_rounds", e, np.int64))
+    limit = min(max_rounds, 65)
+    halted = np.less(rounds, limit, out=ws("e_halted", e, bool))
+    np.minimum(rounds, limit - 1, out=rounds)
+    if max_rounds > 64:
+        for i in np.flatnonzero(rounds == 64).tolist():
+            a, b = float(y1[i]), float(y2[i])
+            for k in range(1, max_rounds):
+                bit_a, bit_b = a > 0.5, b > 0.5
+                if bit_a == bit_b:
+                    break
+                a, b = 2.0 * a - bit_a, 2.0 * b - bit_b
+            rounds[i], far[i], halted[i] = k, bit_a, bit_a == bit_b
+    return rounds, far, halted
 
 
 # SimConfig's size fields
@@ -708,30 +791,32 @@ def simulate(config: SimConfig) -> SimReport:
     """Run the configured scheme over `trials` uniform cell points.
 
     Errors count decisions differing from the exact nearest point.  Each
-    block's decisions go through _uncertified's hexagon test first; only the
-    trials it cannot certify (the wrong decisions, and those within its
-    margin of a face of the hexagon) are compacted and given to the oracle
-    exact_nearest_batch, so the count is the one the oracle would give on
-    every trial.  The test's margin is set once per call, from the cell's
-    bounds and the decisions every scheme takes, (0, 0) or a relevant
-    neighbour, not measured on each block.  The scheme's quantizer, if it has
-    one, is built once per call with no row filled; each block fills the
-    rows of the bins its trials fall in, so the call pays for those bins
-    only.  The per-trial stages run on blocks of `_BLOCK` trials, whose size
-    does not change the report; the bits and rounds are reduced over fixed
-    chunks of `_CHUNK` trials in index order, and the chunk size does set
-    the low bits of the means and standard errors.
+    block's decisions go through _uncertified's hexagon test first; the
+    trials it cannot certify are compacted and tested from the outside,
+    which proves nearly every wrong decision wrong, and only those within
+    its margin of a face of the hexagon are compacted again and given to
+    the oracle exact_nearest_batch, so the count is the one the oracle
+    would give on every trial.  The test's margin is set once per call,
+    from the cell's bounds and the decisions every scheme takes, (0, 0) or
+    a relevant neighbour, not measured on each block.  The scheme's
+    quantizer, if it has one, is built once per call with no row filled;
+    each block fills the rows of the bins its trials fall in, so the call
+    pays for those bins only.  The per-trial stages run on blocks of
+    `_BLOCK` trials, whose size does not change the report; the bits and
+    rounds are reduced over fixed chunks of `_CHUNK` trials in index order,
+    and the chunk size does set the low bits of the means and standard
+    errors.
 
     Every per-trial array lives in this thread's workspace: the block's
-    trial indices, points, kernel outputs, hexagon test, trials in doubt with
-    their nearest points and error flags, and the chunk's bits and rounds
-    (squared in place for the sums).  Only the index arrays np.flatnonzero
-    returns are allocated; they hold at most about a sixth of a block, below
-    malloc's mmap threshold.  The workspace is built on the thread's first
-    call, grown to the largest block and chunk the thread has run and kept
-    until the thread ends, so a repeated call allocates no per-trial memory;
-    it holds what one call of that size needs at its peak, about 25 MB after
-    a 2^20-trial call.
+    trial indices, points, kernel outputs, hexagon tests, trials in doubt
+    and in the margin band with their nearest points and error flags, and
+    the chunk's bits and rounds (squared in place for the sums).  Only the
+    index arrays np.flatnonzero returns are allocated; they hold at most
+    about a sixth of a block, below malloc's mmap threshold.  The workspace
+    is built on the thread's first call, grown to the largest block and
+    chunk the thread has run and kept until the thread ends, so a repeated
+    call allocates no per-trial memory; it holds what one call of that size
+    needs at its peak, about 25 MB after a 2^20-trial call.
     """
     params = config.params
     scheme = schemes.SCHEMES[config.scheme]
@@ -791,22 +876,29 @@ def simulate(config: SimConfig) -> SimReport:
 
 def _count_errors(params: LatticeParams, x1, x2, dec1, dec2, span: float, ws: Workspace) -> int:
     """How many of a block's decisions (arrays, or one number each for every
-    trial) differ from the exact nearest point.  Only the trials whose
-    decision the hexagon test, given the call's span, leaves uncertified
-    are compacted with their decisions into the workspace's "doubt0", ...
-    buffers and given to exact_nearest_batch."""
+    trial) differ from the exact nearest point.
+
+    The hexagon test, given the call's span, certifies nearly every right
+    decision.  The trials it leaves in doubt are compacted with their
+    decisions into the workspace's "doubt0", ... buffers and tested again
+    from the outside, which proves nearly every wrong decision wrong.
+    Only the trials in neither set, those within the margin of a
+    face, are compacted again ("band0", ...) and given to
+    exact_nearest_batch."""
     doubt = _uncertified(params, x1, x2, dec1, dec2, span, ws)
-    k = len(doubt)
-    if not k:
+    if not len(doubt):
         return 0
-    y1, y2, d1, d2 = [
-        np.take(a, doubt, out=ws(f"doubt{i}", k), mode="clip") if np.ndim(a) else a
-        for i, a in enumerate((x1, x2, dec1, dec2))
-    ]
-    e1, e2 = exact_nearest_batch(params, y1, y2, workspace=ws)
+    y = _gather((x1, x2, dec1, dec2), doubt, "doubt", ws)
+    proved = _proved_wrong(params, *y, span, ws)
+    band = np.flatnonzero(np.logical_not(proved, out=proved))
+    k = len(band)
+    if not k:
+        return len(doubt)
+    z1, z2, d1, d2 = _gather(y, band, "band", ws)
+    e1, e2 = exact_nearest_batch(params, z1, z2, workspace=ws)
     wrong = np.not_equal(d1, e1, out=ws("mask0", k, bool))
     wrong |= np.not_equal(d2, e2, out=ws("mask1", k, bool))
-    return int(np.count_nonzero(wrong))
+    return len(doubt) - k + int(np.count_nonzero(wrong))
 
 
 def _store(chunk: np.ndarray, at: int, values):
@@ -820,6 +912,16 @@ def _store(chunk: np.ndarray, at: int, values):
         return values
     chunk[at : at + len(values)] = values
     return chunk
+
+
+def _gather(arrays, at: np.ndarray, stem: str, ws: Workspace) -> list:
+    """Each array's entries at the indices `at`, in the workspace's
+    stem + "0", stem + "1", ...; a number stays as it is."""
+    k = len(at)
+    return [
+        np.take(a, at, out=ws(f"{stem}{i}", k), mode="clip") if np.ndim(a) else a
+        for i, a in enumerate(arrays)
+    ]
 
 
 def _sums(values, n: int) -> tuple[float, float]:

@@ -577,6 +577,49 @@ def test_certified_candidate_is_the_window_scans(params, seed):
                         assert np.all(sure[: len(f1)][inward >= 2 * m])
 
 
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(params=lattices(), seed=st.integers(0, 2**32))
+def test_candidate_proved_wrong_is_not_the_window_scans(params, seed):
+    """A candidate the hexagon test proves wrong is not the window scan's
+    answer, and the proof stops at the margin.
+
+    The points are test_certified_candidate_is_the_window_scans', with face
+    points also 2m to 8m outside V(0) and m to 2m inside.  Each offset of
+    the 5x5 window is tried as arrays about the Babai point and as one
+    scalar candidate for every trial.  Of the face points, the candidate 0
+    is proved wrong on every one 2m or more outside V(0) and on none within
+    m/2 of a face or inside it; most box points are proved wrong for every
+    candidate but the scan's.
+    """
+    m = 7 * 2.0**-30
+    f1, f2, inward = (
+        np.concatenate(parts)
+        for parts in zip(_hexagon_face_points(params, m), _hexagon_face_points(params, -2 * m))
+    )
+    c1, c2 = sample_cell_arrays(params, np.arange(4096, dtype=np.uint64), seed)
+    r1, r2 = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(2, 4096))
+    x1 = np.concatenate([f1, c1, r1, [3.0, -3.0]])
+    x2 = np.concatenate([f2, c2, r2, [3.0, -3.0]])
+    w1, w2 = _window_scan(params, x1, x2)
+    b1, b2 = babai_batch(params, x1, x2)
+    ws = montecarlo.Workspace()
+    for du2 in (-2.0, -1.0, 0.0, 1.0, 2.0):
+        for du1 in (-2.0, -1.0, 0.0, 1.0, 2.0):
+            for u1, u2 in ((b1 + du1, b2 + du2), (du1, du2)):
+                span = _span(params, x1, x2, u1, u2)
+                wrong = montecarlo._proved_wrong(params, x1, x2, u1, u2, span, ws).copy()
+                got1, got2 = np.broadcast_to(u1, x1.shape), np.broadcast_to(u2, x1.shape)
+                right = (got1 == w1) & (got2 == w2)
+                assert not np.any(wrong & right)
+                if np.ndim(u1):
+                    box = slice(len(f1) + len(c1), -2)
+                    assert np.count_nonzero(wrong[box]) >= 0.8 * np.count_nonzero(~right[box])
+                elif (du1, du2) == (0.0, 0.0):
+                    face = wrong[: len(f1)]
+                    assert np.all(face[inward <= -2 * m])
+                    assert not np.any(face[inward >= -m / 2])
+
+
 def test_exact_nearest_batch_keeps_shape(params_main):
     rng = np.random.default_rng(31)
     x1, x2 = rng.uniform(-3.0, 3.0, size=(2, 6, 50))
@@ -1148,8 +1191,10 @@ def test_simulate_fills_only_the_bins_its_trials_land_in(row, monkeypatch):
 def test_repeated_simulate_allocates_no_per_trial_memory(lattice, trials):
     """After one call of a config, a second identical call raises the
     memory tracemalloc traces (numpy's data included) by under 256 KB at
-    its peak, where a single 2^15-trial float64 array is 256 KB."""
-    for scheme, sizes in _WS_SCHEMES:
+    its peak, where a single 2^15-trial float64 array is 256 KB; the
+    infinite scheme also runs at a round limit of 1, where every trial
+    that enters an error rectangle takes the unhalted side test."""
+    for scheme, sizes in (*_WS_SCHEMES, ("infinite", {"max_rounds": 1})):
         config = SimConfig(_WS_LATTICES[lattice], scheme, trials=trials, seed=8, **sizes)
         tracemalloc.start()
         try:
@@ -1200,12 +1245,14 @@ def _brute_force_errors(config) -> int:
 )
 def test_simulate_counts_the_brute_force_errors(lattice, scheme, sizes, always_v1, monkeypatch):
     """simulate's error count equals the oracle's on every trial, and the
-    oracle's scan of the trials in doubt sees the wrong trials and at most
-    0.1 % of the trials besides.
+    oracle sees only trials within the hexagon test's margin of a face, at
+    most the wrong trials and 0.1 % of the trials besides.
 
     The count is read back from empirical_pe over (1 << 16) + 3 trials, a
     full block and a partial one; the test-only always_v1 scheme decides
-    (1, 0), so every trial goes to the oracle and every one is wrong.
+    (1, 0), so every trial is wrong.  The hexagon test proves each of those
+    decisions wrong, so the oracle sees only the trials within its margin
+    of a face, and on these seeds there are none.
     """
     config = SimConfig(_WS_LATTICES[lattice], scheme, trials=(1 << 16) + 3, seed=23, **sizes)
     want = _brute_force_errors(config)
@@ -1221,7 +1268,8 @@ def test_simulate_counts_the_brute_force_errors(lattice, scheme, sizes, always_v
     assert round(report.empirical_pe * config.trials) == want
     assert sum(seen) <= want + 0.001 * config.trials
     if scheme == "always_v1":
-        assert want == sum(seen) == config.trials
+        assert want == config.trials
+        assert sum(seen) == 0  # the oracle sees only trials in the margin band
     if scheme == "infinite":
         assert want == sum(seen) == 0
 
