@@ -19,7 +19,7 @@ import numpy as np
 
 from . import lattice, schemes
 from .errors import BudgetTooSmall, DegenerateInterval, InvalidDistribution, require_count
-from .lattice import CellGeometry, LatticeParams, cell_geometry, cross_section
+from .lattice import CellGeometry, LatticeParams, _cut_table, cell_geometry
 
 _SUM_TOL = 1e-10
 # below this |u|, _mean_p_ln_p sums its series, whose terms shrink at least
@@ -159,35 +159,35 @@ def _row_entropies(probs: np.ndarray) -> np.ndarray:
     """_entropy_raw of each row of an (n, 3) probability array, bit for bit.
 
     The terms p*log2(p) use math.log2 (np.log2 can differ from it by an ulp);
-    p = 0 adds a 0.0 term, which leaves fsum's value unchanged.
+    p = 0 adds a 0.0 term, which leaves fsum's value unchanged.  Columns are
+    read whole, contiguous for a (3, n) array seen transposed (_cut_table).
     """
-    positive = probs > 0.0
-    p = probs[positive]
-    terms = np.zeros_like(probs)
+    positive = probs.T > 0.0
+    p = probs.T[positive]
+    terms = np.zeros(positive.shape)
     terms[positive] = p * np.fromiter(map(math.log2, memoryview(p)), np.float64, count=p.size)
-    return -_fsum_rows(terms)
+    return -_fsum_rows(terms.T)
 
 
 def _weighted_entropy(g: CellGeometry, edges: np.ndarray, vertical: bool) -> float:
     """Sum, bin by bin in ascending order (np.add.accumulate adds
     sequentially), of each bin's width times _entropy_raw of the strip
     (vertical) or row through its midpoint.  B(0) is centrally symmetric, so
-    bins i and n - 1 - i share a cut table (_RATE_CHUNK // 2 pairs a table),
-    and a row equal to its partner's reversed, bit for bit, takes the
-    partner's entropy: _row_entropies does not depend on a row's order, as
-    fsum rounds correctly."""
+    bins i and n - 1 - i share a cut table (_RATE_CHUNK // 2 pairs a table;
+    line k + j mirrors line j), and a row equal to its partner's reversed,
+    bit for bit, takes the partner's entropy: _row_entropies does not
+    depend on a row's order, as fsum rounds correctly."""
     n = len(edges) - 1
     terms = np.zeros(n + 1)  # terms[0] = 0.0 starts the sum, as in a per-bin loop
     half, pairs = (n + 1) // 2, max(_RATE_CHUNK // 2, 1)
     for lo in range(0, half, pairs):
         k = min(pairs, half - lo)
         left, right = edges[lo : lo + k + 1], edges[n - lo - k : n - lo + 1]
-        mids = np.concatenate((left[:-1] + left[1:], right[:-1] + right[1:]))
-        probs = cross_section(g, np.multiply(mids, 0.5, out=mids), vertical).probs
-        near, far = probs[:k], probs[k:][::-1]
-        differ = near[:, ::-1] != far
-        own = differ[:, 0] | differ[:, 1] | differ[:, 2]
-        h = _row_entropies(np.concatenate((near, far[own])))
+        mids = np.concatenate((left[:-1] + left[1:], (right[:-1] + right[1:])[::-1]))
+        probs = _cut_table(g, np.multiply(mids, 0.5, out=mids), vertical)[2].T
+        near, far = probs[:, :k], probs[:, k:]
+        own = (near[::-1] != far).any(axis=0)
+        h = _row_entropies(np.concatenate((near, far.compress(own, axis=1)), axis=1).T)
         h_far = h[:k].copy()
         h_far[own] = h[k:]
         np.multiply(left[1:] - left[:-1], h[:k], out=terms[lo + 1 : lo + k + 1])
@@ -259,7 +259,7 @@ def _kappa(g: CellGeometry, ends: tuple[float, ...], vertical: bool, scale: floa
     the interval's length times _mean_p_ln_p of the lengths at its ends, read
     from the cut table with the spans closed at the thresholds.
     """
-    probs = cross_section(g, ends, vertical=vertical, closed=True).probs.tolist()
+    probs = _cut_table(g, ends, vertical, closed=True)[2].tolist()
     terms = [
         (b - a) * _mean_p_ln_p(pa, pb)
         for a, b, at_a, at_b in zip(ends, ends[1:], probs, probs[1:])
@@ -365,8 +365,7 @@ def asymptotic_constant_12(params: LatticeParams, form: str = "geometric") -> fl
     ratio = co.alpha1 * g.L2 / (co.alpha2 * g.L1)
     lead = co.alpha2 * (1.0 + g.L1 / g.L2) * ratio ** (g.L1 / (g.L1 + g.L2))
     if form == "geometric":
-        h_len = _interval_entropy(g)
-        return lead * 2.0 ** (g.L * (kap + h_len) / (2.0 * (g.L1 + g.L2)))
+        return lead * 2.0 ** (g.L * (kap + _interval_entropy(g)) / (2.0 * (g.L1 + g.L2)))
     if form == "probability":
         p = (g.L0 / g.L, g.L1 / g.L, g.L1 / g.L, g.L2 / g.L, g.L2 / g.L)
         return lead * 2.0 ** ((kap + _entropy_raw(p)) / (1.0 - p[0]))
@@ -430,17 +429,19 @@ def nbar_infinite(params: LatticeParams) -> float:
     return 1.0 + 2.0 * (1.0 - code.p[1]) * (1.0 - code.q[1])
 
 
-def curve_point(params: LatticeParams, scheme: str, size: int) -> TradeoffPoint:
-    """The (rate, pe) point at one size index: the scheme table entry's `curve`.
-
-    For scheme "12" the index is n2 with n1 = optimal_n1(n2); for "21" it is
-    the single size n.  A scheme without a curve, or not a name in the
-    table (the int 12 included), raises ValueError.
-    """
+def _curve_entry(scheme: str) -> "schemes.Scheme":
+    """The scheme table entry of a scheme with a curve (see curve_point)."""
     entry = schemes.SCHEMES.get(scheme) if isinstance(scheme, str) else None
     if entry is None or entry.curve is None:
         raise ValueError(f"unknown scheme {scheme!r}")
-    return entry.curve(params, size)
+    return entry
+
+
+def curve_point(params: LatticeParams, scheme: str, size: int) -> TradeoffPoint:
+    """The (rate, pe) point at one size index: the scheme table entry's `curve`
+    (n2, with n1 = optimal_n1(n2), for "12"; n for "21").  A scheme without a
+    curve, or not a name in the table (the int 12 included), raises ValueError."""
+    return _curve_entry(scheme).curve(params, size)
 
 
 def _last_within(within: Callable[[int], bool], start: int, cap: int) -> int:
@@ -496,6 +497,16 @@ def _seed_12(params: LatticeParams, rate_budget: float, cap: int) -> int:
     return _last_within(lambda n: _h_u1(g, h_len, n1(n), n) + kappa <= rate_budget, 1, cap)
 
 
+def _ceiling_12(params: LatticeParams) -> float:
+    """An upper bound on the rate of the 12 curve's coarsest point: H(U1) at
+    (optimal_n1(1), 1), to rate_12's bits, plus log2 3 + 1e-9.  H(U2|U1) sums
+    width times a ternary entropy (<= log2 3) over bins of widths adding up to
+    L = 1; on at most 7 bins (n1 <= 2: the n1 rule's ratio is 1 - 2c < 1) its
+    rounding adds under 1e-13 bits, and fl(H(U1) + H(U2|U1)) is monotone."""
+    g = cell_geometry(params)
+    return _h_u1(g, _interval_entropy(g), _n1_rule(params)(1), 1) + (math.log2(3.0) + 1e-9)
+
+
 def _seed_21(params: LatticeParams, rate_budget: float, cap: int) -> int:
     """The 21 curve's size within the budget: rate_21's closed form
     H(Q) + (1-Q0)*log2(n) + kappa_21 solved for n and clipped to [1, cap];
@@ -520,7 +531,8 @@ def _budget_search(
     the entry's `cap`.  The seed lands on or next to the answer (the 21
     seed up to its rounding, which near theta = pi/2, where the answer
     passes 2^45, is worth more than one size), so the search reads the
-    curve at 1 and at the answer or its neighbours.  Where the rate is
+    curve at the answer or its neighbours, and at 1 (BudgetTooSmall below its
+    rate) only below the entry's `ceiling` on that rate, if any.  Where the rate is
     monotone in the size the answer does not depend on the seed: it is the
     largest size within the budget (or the cap).  The evaluator remembers
     the search's probes, so re-reading the found point or its neighbour
@@ -528,6 +540,7 @@ def _budget_search(
     """
     if not math.isfinite(rate_budget):
         raise ValueError("rate budget must be finite")
+    entry = _curve_entry(scheme)
     probes: dict[int, TradeoffPoint] = {}
 
     def point(size: int) -> TradeoffPoint:
@@ -535,13 +548,11 @@ def _budget_search(
             probes[size] = curve_point(params, scheme, size)
         return probes[size]
 
-    first = point(1)
-    if rate_budget < first.rate_bits:
-        raise BudgetTooSmall(
-            f"budget {rate_budget} below coarsest rate "
-            f"{first.rate_bits:.6f} of scheme {scheme}"
-        )
-    entry = schemes.SCHEMES[scheme]
+    if entry.ceiling is None or rate_budget < entry.ceiling(params):
+        first = point(1)
+        if rate_budget < first.rate_bits:
+            coarsest = f"{first.rate_bits:.6f} of scheme {scheme}"
+            raise BudgetTooSmall(f"budget {rate_budget} below coarsest rate {coarsest}")
     seed = entry.seed(params, rate_budget, entry.cap)
     return _last_within(lambda n: point(n).rate_bits <= rate_budget, seed, entry.cap), point
 
@@ -570,14 +581,9 @@ def budget_pe(
     """budget_point and the interpolated pe of pe_at_rate, from one search."""
     size, point = _budget_search(params, scheme, rate_budget)
     below = point(size)
-    if size < schemes.SCHEMES[scheme].cap:
-        pair = (below, point(size + 1))
-    else:
-        pair = (point(size - 1), below)
-    (r_a, p_a), (r_b, p_b) = (
-        (pair[0].rate_bits, pair[0].pe),
-        (pair[1].rate_bits, pair[1].pe),
-    )
+    cap = schemes.SCHEMES[scheme].cap
+    pair = (below, point(size + 1)) if size < cap else (point(size - 1), below)
+    (r_a, p_a), (r_b, p_b) = ((p.rate_bits, p.pe) for p in pair)
     if r_b == r_a:
         return below, below.pe
     frac = (rate_budget - r_a) / (r_b - r_a)

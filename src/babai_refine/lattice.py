@@ -164,11 +164,8 @@ def relevant_vectors() -> list[IntegerPair]:
 
 def in_voronoi_cell(x: Point2, params: LatticeParams) -> bool:
     """Closed-cell membership: x.(Vr) <= |Vr|^2/2 for all six relevant r (never at NaN)."""
-    for r in relevant_vectors():
-        n = lattice_point(r, params)
-        if not x[0] * n[0] + x[1] * n[1] <= 0.5 * (n[0] ** 2 + n[1] ** 2):
-            return False
-    return True
+    faces = (_face(params, r) for r in relevant_vectors())
+    return all(x[0] * n[0] + x[1] * n[1] <= half_norm for n, half_norm in faces)
 
 
 @dataclass(frozen=True)
@@ -295,24 +292,12 @@ def cell_geometry(params: LatticeParams) -> CellGeometry:
         segments.append(_frozen(BoundarySegment, fields))
     return _frozen(
         CellGeometry,
-        {
-            "t_m2": t_m2,
-            "t_m1": -t_1,
-            "t_1": t_1,
-            "t_2": t_2,
-            "tau_m1": -tau_1,
-            "tau_1": tau_1,
-            "L0": c,
-            "L1": (1.0 - 2.0 * c) / 2.0,
-            "L2": c / 2.0,
-            "L": 1.0,
-            "H": H,
-            "H0": H - 2.0 * H1,
-            "H1": H1,
-            "H21": c * (1.0 - 2.0 * c) / (2.0 * H),
-            "H22": c * c / (2.0 * H),
-            "boundary_segments": tuple(segments),
-        },
+        dict(
+            t_m2=t_m2, t_m1=-t_1, t_1=t_1, t_2=t_2, tau_m1=-tau_1, tau_1=tau_1,
+            L0=c, L1=(1.0 - 2.0 * c) / 2.0, L2=c / 2.0, L=1.0,
+            H=H, H0=H - 2.0 * H1, H1=H1, H21=c * (1.0 - 2.0 * c) / (2.0 * H), H22=c * c / (2.0 * H),
+            boundary_segments=tuple(segments),
+        ),
     )
 
 
@@ -332,6 +317,34 @@ class CrossSection(NamedTuple):
     probs: np.ndarray
 
 
+def _cut_table(geom: CellGeometry, coords, vertical: bool, closed: bool = False) -> tuple:
+    """cross_section's lo, hi and probs, without labels, and the masks of the
+    lines each boundary segment crosses.  A segment's cut, (offset - side*x)
+    / beyond as seg.x2_at and seg.x1_at spell it, is divided only where it
+    crosses, into lo or hi.  probs is (3, ...) seen axis-last, so each column is contiguous."""
+    x = np.asarray(coords, dtype=np.float64)
+    lo, hi, crosses = np.full(x.shape, -np.inf), np.full(x.shape, np.inf), []
+    for seg in geom.boundary_segments:
+        side, beyond = seg.normal if vertical else seg.normal[::-1]
+        a, b = seg.x1_span if vertical else seg.x2_span
+        if side > 0.0:
+            crosses.append(x >= a if closed else x > a)
+        else:
+            crosses.append(x <= b if closed else x < b)
+        cut = seg.offset - np.multiply(x, side)
+        np.divide(cut, beyond, out=hi if beyond > 0.0 else lo, where=crosses[-1])
+    span, half = (geom.H, geom.H / 2.0) if vertical else (1.0, 0.5)
+    probs = np.empty((3,) + x.shape)
+    lo_in, mid, hi_in = probs[0, ...], probs[1, ...], probs[2, ...]
+    np.maximum(lo, -half, out=lo_in)
+    np.minimum(hi, half, out=hi_in)
+    np.subtract(hi_in, lo_in, out=mid)
+    lo_in += half
+    np.subtract(half, hi_in, out=hi_in)
+    probs /= span
+    return lo, hi, probs.transpose(*range(1, probs.ndim), 0), crosses
+
+
 def cross_section(
     geom: CellGeometry, coords, vertical: bool, closed: bool = False
 ) -> CrossSection:
@@ -349,34 +362,15 @@ def cross_section(
     closed=True closes the spans at their thresholds too, keeping there the
     cut as the line algebra gives it (on the line's end up to rounding):
     kappa reads it at the interval ends, where it gives the continuous
-    extension of that interval's affine region lengths.
+    extension of that interval's affine region lengths.  _cut_table gives
+    the cuts, the probs and the masks the labels are written from.
     """
-    x = np.asarray(coords, dtype=np.float64)
-    lo = np.full(x.shape, -np.inf)
-    hi = np.full(x.shape, np.inf)
-    labels = np.zeros(x.shape + (3, 2))
-    for seg in geom.boundary_segments:
-        if vertical:
-            side, beyond, span, cut = seg.normal[0], seg.normal[1], seg.x1_span, seg.x2_at(x)
-        else:
-            side, beyond, span, cut = seg.normal[1], seg.normal[0], seg.x2_span, seg.x1_at(x)
-        if side > 0.0:
-            crosses = x >= span[0] if closed else x > span[0]
-        else:
-            crosses = x <= span[1] if closed else x < span[1]
-        region, cuts = (2, hi) if beyond > 0.0 else (0, lo)
-        np.copyto(cuts, cut, where=crosses)
+    lo, hi, probs, crosses = _cut_table(geom, coords, vertical, closed)
+    labels = np.zeros(lo.shape + (3, 2))
+    for seg, crossed in zip(geom.boundary_segments, crosses):
+        region = 2 if (seg.normal[1] if vertical else seg.normal[0]) > 0.0 else 0
         for j, u in enumerate(seg.neighbor):
-            np.copyto(labels[..., region, j], u, where=crosses)
-    span = geom.H if vertical else 1.0
-    half = span / 2.0
-    lo_in = np.maximum(lo, -half)
-    hi_in = np.minimum(hi, half)
-    probs = np.empty(x.shape + (3,))
-    np.add(lo_in, half, out=probs[..., 0])
-    np.subtract(hi_in, lo_in, out=probs[..., 1])
-    np.subtract(half, hi_in, out=probs[..., 2])
-    probs /= span
+            np.copyto(labels[..., region, j], u, where=crossed)
     return CrossSection(lo=lo, hi=hi, labels=labels, probs=probs)
 
 

@@ -103,7 +103,9 @@ class Scheme:
     an empirical pair per (stem, SimReport field) of `sweep`.  With sizes
     come a rate/error `curve(params, size)` over one size index, which the
     budget search gallops on from `seed(params, budget, cap)` within
-    [1, cap] and `tradeoff` prunes, and its pe_scaled `exponent(g)`.  The
+    [1, cap] and `tradeoff_curve` prunes, and its pe_scaled `exponent(g)`;
+    `ceiling(params)` bounds the rate at size 1 from above in closed form,
+    so the search reads that point only below it (None: always).  The
     callables look traced functions up by module attribute when called, so
     a wrapper on a module's name (the benchmark's tracer) sees every call.
     """
@@ -123,6 +125,7 @@ class Scheme:
     seed: Callable[..., int] | None = None
     cap: int = 0
     exponent: Callable[..., float] | None = None
+    ceiling: Callable[..., float] | None = None
 
 
 SCHEMES = {
@@ -141,6 +144,7 @@ SCHEMES = {
             seed=lambda *search: analytics._seed_12(*search),
             cap=1 << 20,  # the 12-scheme rate costs O(n2) to evaluate exactly
             exponent=lambda g: g.L / (2.0 * (g.L1 + g.L2)),
+            ceiling=lambda params: analytics._ceiling_12(params),
         ),
         Scheme(
             "21", "21", ("n",),

@@ -4,8 +4,9 @@ For random valid lattices and the two near-degenerate endpoint lattices,
 the strip and row cuts must label every region by its exact nearest
 lattice point, never repeat a label across a cut, follow the half-open rules
 at the exact thresholds t_m2, t_m1, t_1, t_2 and tau_m1, tau_1, and mirror
-exactly under x -> -x.  The table must also equal, bit for bit, the
-reference kept here: the boolean-mask cross_section it replaced.
+exactly under x -> -x.  The table, and the label-free kernel _cut_table
+under it, must also equal, bit for bit, the reference kept here: the
+boolean-mask cross_section it replaced.
 """
 
 import math
@@ -24,6 +25,7 @@ from babai_refine import (
     row_cuts,
     strip_cuts,
 )
+from babai_refine.lattice import _cut_table
 
 from conftest import EPS
 
@@ -158,8 +160,9 @@ def _edge_coords(params, u):
     return np.array(coords, dtype=np.float64)
 
 
-def _assert_same_table(got, want):
-    for name, a, b in zip(CrossSection._fields, got, want):
+def _assert_same_table(got, want, fields=CrossSection._fields):
+    for name in fields:
+        a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
 
@@ -167,16 +170,18 @@ def _assert_same_table(got, want):
 @PROPERTY
 @given(params=PARAMS, u=UNIT)
 def test_table_equals_the_frozen_reference(params, u):
-    """cross_section's lo, hi, labels and probs equal the reference's by
-    shape, dtype and bytes, so -0.0 and NaN count, for strips and rows, open
-    and closed spans, at every threshold and its neighbours, and on 0-d,
-    1-d and 2-d coordinates."""
+    """cross_section's lo, hi, labels and probs, and the lo, hi and probs of
+    the label-free _cut_table, equal the reference's by shape, dtype and
+    bytes, so -0.0 and NaN count, for strips and rows, open and closed
+    spans, at every threshold and its neighbours, and on 0-d, 1-d and 2-d
+    coordinates."""
     g = cell_geometry(params)
     coords = _edge_coords(params, u)
     for vertical in (True, False):
         for closed in (False, True):
             for x in (coords, coords.reshape(3, -1), *coords):
-                _assert_same_table(
-                    cross_section(g, x, vertical, closed),
-                    reference_cross_section(g, x, vertical, closed),
-                )
+                want = reference_cross_section(g, x, vertical, closed)
+                _assert_same_table(cross_section(g, x, vertical, closed), want)
+                lo, hi, probs, _ = _cut_table(g, x, vertical, closed)
+                kernel = CrossSection(lo=lo, hi=hi, labels=None, probs=probs)
+                _assert_same_table(kernel, want, fields=("lo", "hi", "probs"))

@@ -484,6 +484,44 @@ def test_budget_search_errors_equal_reference(scheme, budget):
     assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
+def _near(x):
+    return (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+
+
+@PROPERTY
+@given(params=PARAMS)
+def test_ceiling_12_bounds_the_coarsest_rate(params):
+    """_ceiling_12 is at least the rate of the 12 curve's coarsest point,
+    which the search reads only below the ceiling; at budgets on that rate
+    and on the ceiling, and an ulp either side of each, the search finds
+    the reference's size or raises its BudgetTooSmall text."""
+    ceiling = analytics._ceiling_12(params)
+    rate = analytics.curve_point(params, "12", 1).rate_bits
+    assert ceiling >= rate
+    for budget in (*_near(rate), *_near(ceiling)):
+        try:
+            want = _budget_search_reference(params, "12", budget)[0]
+        except analytics.BudgetTooSmall as exc:
+            with pytest.raises(analytics.BudgetTooSmall) as info:
+                analytics._budget_search(params, "12", budget)
+            assert str(info.value) == str(exc)
+        else:
+            assert analytics._budget_search(params, "12", budget)[0] == want
+
+
+@pytest.mark.parametrize("params", [MAIN, HEX, SQUARE], ids=["rcos0.3", "hex", "square"])
+def test_budget_search_reads_the_coarsest_point_only_below_the_ceiling(params, monkeypatch):
+    calls = _record_curve_points(monkeypatch)
+    ceiling = analytics._ceiling_12(params)
+    for budget, reads_it in ((ceiling, False), (math.nextafter(ceiling, -math.inf), True)):
+        calls.clear()
+        analytics.budget_point(params, "12", budget)
+        assert ((params, "12", 1) in calls) == reads_it
+    calls.clear()
+    analytics.budget_point(params, "21", 8.0)
+    assert (params, "21", 1) in calls
+
+
 @pytest.mark.parametrize("params,scheme,budget", BUDGET_CASES)
 def test_pe_at_rate_adds_at_most_one_curve_point(params, scheme, budget, monkeypatch):
     calls = _record_curve_points(monkeypatch)
